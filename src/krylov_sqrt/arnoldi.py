@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bounds as bnd
 from . import linalg
 from .errors import (
     DimensionMismatch,
@@ -306,13 +307,18 @@ def fom_iterate(decomp: ArnoldiDecomposition) -> np.ndarray:
     return arnoldi_fun_action(decomp, "inverse")
 
 
-def fom_error_norm(decomp: ArnoldiDecomposition, M, b) -> float:
-    """||xi_0^k|| = ||M⁻¹ b - x_FOM|| with an exact desk-scale solve.
+def fom_error(decomp: ArnoldiDecomposition, x_exact) -> float:
+    """||xi_0^k|| = ||x_exact - x_FOM|| for a precomputed x_exact = M⁻¹ b.
 
-    This is the FOM error norm that enters every square-root bound.
+    This is the FOM error norm that enters every square-root bound; it
+    costs one k x k LU solve and one basis product, no Ritz values.
     """
-    x_exact = _solve_with(M, np.asarray(b))
     return float(np.linalg.norm(x_exact - fom_iterate(decomp)))
+
+
+def fom_error_norm(decomp: ArnoldiDecomposition, M, b) -> float:
+    """:func:`fom_error` with M⁻¹ b from an exact desk-scale solve."""
+    return fom_error(decomp, _solve_with(M, np.asarray(b)))
 
 
 def fom_error_surrogate(decomp: ArnoldiDecomposition, min_sym_eig: float | None = None) -> float:
@@ -408,6 +414,32 @@ def shifted_fom_quantities(decomp: ArnoldiDecomposition, M, b, z: complex) -> Sh
     )
 
 
+def prefix_report(decomp: ArnoldiDecomposition, x_exact, sigma_max_used: float,
+                  quad_cfg=None, hermitian: bool = False, known_spectrum=None,
+                  reference=None, f: str = "sqrt") -> bnd.BoundReport:
+    """BoundReport for one (prefix of an) Arnoldi decomposition.
+
+    Computes the per-prefix quantities every bound consumes: the FOM
+    residual, the FOM error against ``x_exact``, the Ritz values of H_k
+    and, with a ``reference`` action, the true error of the f-action.
+    """
+    residual_norm, _ = fom_residual_norm(decomp)
+    error_norm = None
+    if reference is not None:
+        error_norm = float(np.linalg.norm(reference - arnoldi_fun_action(decomp, f)))
+    return bnd.build_bound_report(
+        k=decomp.k,
+        ritz=linalg.hessenberg_eigenvalues(decomp.hessenberg),
+        residual_norm=residual_norm,
+        xi_norm=fom_error(decomp, x_exact),
+        sigma_max_used=sigma_max_used,
+        cfg=quad_cfg,
+        hermitian=hermitian,
+        known_spectrum=known_spectrum,
+        error_norm=error_norm,
+    )
+
+
 @dataclass(frozen=True)
 class ResidualRelative:
     """Stop when ||r_0^k|| / ||b|| <= tol."""
@@ -490,8 +522,6 @@ def run_adaptive(
     ``error_oracle`` the history also carries the true error against the
     dense reference action (desk scale only).
     """
-    from . import bounds as _bounds
-
     stop = stop if stop is not None else ResidualRelative(1e-2)
     if k_max < 2:
         raise DomainError("k_max must be >= 2")
@@ -519,23 +549,8 @@ def run_adaptive(
     while state.k < k_max:
         steps = min(check_every, k_max - state.k)
         state = arnoldi_extend((matvec, n), state, steps)
-        residual_norm, _ = fom_residual_norm(state)
-        xi_norm = float(np.linalg.norm(x_exact - fom_iterate(state)))
-        ritz = linalg.hessenberg_eigenvalues(state.hessenberg)
-        error_norm = None
-        if reference is not None:
-            error_norm = float(np.linalg.norm(reference - arnoldi_fun_action(state, f)))
-        report = _bounds.build_bound_report(
-            k=state.k,
-            ritz=ritz,
-            residual_norm=residual_norm,
-            xi_norm=xi_norm,
-            sigma_max_used=sigma,
-            cfg=quad_cfg,
-            hermitian=herm,
-            known_spectrum=known_spectrum,
-            error_norm=error_norm,
-        )
+        report = prefix_report(state, x_exact, sigma, quad_cfg, herm,
+                               known_spectrum, reference, f)
         history.append(report)
         if state.breakdown:
             converged = True  # invariant subspace: the action is exact

@@ -9,6 +9,7 @@ not depend on scheduling.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -224,53 +225,58 @@ def build_rhs(rcfg: dict | None, ctx: MatrixContext) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-k evaluation helpers
+# stopping search
 
 
-def evaluate_report(state: arn.ArnoldiDecomposition, x_exact, sigma: float,
-                    cfg: bnd.QuadratureConfig | None, hermitian: bool,
-                    known_spectrum=None, reference=None, f: str = "sqrt") -> bnd.BoundReport:
-    """BoundReport for one (prefix of an) Arnoldi decomposition."""
-    residual_norm, _ = arn.fom_residual_norm(state)
-    xi_norm = float(np.linalg.norm(x_exact - arn.fom_iterate(state)))
-    ritz = linalg.hessenberg_eigenvalues(state.hessenberg)
-    error_norm = None
-    if reference is not None:
-        error_norm = float(np.linalg.norm(reference - arn.arnoldi_fun_action(state, f)))
-    return bnd.build_bound_report(
-        k=state.k, ritz=ritz, residual_norm=residual_norm, xi_norm=xi_norm,
-        sigma_max_used=sigma, cfg=cfg, hermitian=hermitian,
-        known_spectrum=known_spectrum, error_norm=error_norm)
+_STOP_KINDS = ("posterior_ritz", "posterior_modulus", "apriori_gamma")
+
+# Guided probes allowed to leave the search open before every other probe
+# becomes a plain bisection step (keeps the worst case at O(log k) probes).
+GUIDED_PROBES = 3
 
 
-def _bound_value(state, k: int, x_exact, sigma: float, quad_cfg, kind: str) -> float:
-    """The stopping bound at prefix k of a longer decomposition."""
-    sub = state.prefix(k)
-    xi = float(np.linalg.norm(x_exact - arn.fom_iterate(sub)))
+def _bound_value(sub: arn.ArnoldiDecomposition, xi: float, sigma: float,
+                 quad_cfg, kind: str) -> float:
+    """The stopping bound of kind ``kind`` at one prefix with FOM error xi."""
     if kind == "apriori_gamma":
-        return bnd.bound_apriori_sqrt(sigma, k, xi)
+        return bnd.bound_apriori_sqrt(sigma, sub.k, xi)
     ritz = linalg.hessenberg_eigenvalues(sub.hessenberg)
     if kind == "posterior_ritz":
         return bnd.bound_posterior_ritz(ritz, xi, quad_cfg)
-    if kind == "posterior_modulus":
-        return bnd.bound_posterior_modulus(ritz, xi, quad_cfg)
-    raise DomainError(f"unsupported stopping bound {kind!r}")
+    return bnd.bound_posterior_modulus(ritz, xi, quad_cfg)
 
 
 def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
                 quad_cfg: bnd.QuadratureConfig | None = None,
                 k_max: int | None = None, sigma: float | None = None):
-    """First k with the chosen bound <= tol, by stride doubling plus
-    bisection on one growing decomposition.
+    """First k with the chosen bound <= tol on one growing decomposition,
+    located by probes that the cheap FOM error guides.
 
-    Checkpoints double until the bound drops under tol; the crossing is
-    then located inside the last bracket and verified against its left
-    neighbor.  A happy breakdown at step k counts as a crossing with
-    bound 0 at k (the action is exact there), so the bracket below it is
-    still searched.  Equivalent to checking every k whenever the bound
-    crosses tol once, at a fraction of the eigenvalue-solve cost.
+    Every stopping bound is xi_k * C_k: xi_k = ||x_exact - x_FOM|| costs
+    one k x k LU, while C_k (the Ritz integral over pi, or the a priori
+    constant) needs a Ritz solve and drifts slowly with k.  Each probe
+    evaluates the true bound at one k and records C = bound/xi there.
+
+    - Checkpoints double (2, 4, 8, ..., the cap) until a probe is <= tol.
+      When xi(checkpoint) * C already says the crossing lies below the
+      checkpoint, the probe goes to the guided point instead.
+    - The guided point is the first k in the bracket with xi(k) * C <= tol,
+      found by bisection on xi alone and kept strictly inside a verified
+      bracket.
+    - After GUIDED_PROBES guided probes that leave the search open, every
+      other probe is the bracket midpoint, so the worst case stays at
+      O(log k) probes.
+
+    The result is an exact crossing: the bound is <= tol at k_stop and
+    > tol at k_stop - 1 (or k_stop = 1).  A happy breakdown at step k
+    counts as a crossing with bound 0 at k (the action is exact there),
+    so the bracket below it is still searched.  Equivalent to checking
+    every k whenever the bound crosses tol once.  When no k up to the cap
+    reaches tol, returns the cap and the bound there.
     Returns (state, k_stop, bound_at_stop, x_exact).
     """
+    if bound_kind not in _STOP_KINDS:
+        raise DomainError(f"unsupported stopping bound {bound_kind!r}")
     matvec, n = arn.as_operator(M)
     k_cap = min(k_max or n, n)
     x_exact = arn._solve_with(M, np.asarray(b))
@@ -279,30 +285,56 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
     sigma = sigma if sigma is not None else 0.0
 
     state = arn.arnoldi_start(b, capacity=min(64, k_cap))
-    k_lo, k_hi, val_hi = 1, None, None
-    k_check = 2
-    while True:
-        state = arn.arnoldi_extend((matvec, n), state, k_check - state.k)
-        if state.breakdown:
-            k_hi, val_hi = state.k, 0.0
-            break
-        val = _bound_value(state, k_check, x_exact, sigma, quad_cfg, bound_kind)
-        if val <= tol:
-            k_hi, val_hi = k_check, val
-            break
-        k_lo = k_check
-        if k_check >= k_cap:
-            return state, state.k, val, x_exact  # budget exhausted
-        k_check = min(2 * k_check, k_cap)
 
-    # bisect the bracket (k_lo, k_hi]: bound > tol at k_lo, <= tol at k_hi
-    while k_hi - k_lo > 1:
-        mid = (k_lo + k_hi) // 2
-        val = _bound_value(state, mid, x_exact, sigma, quad_cfg, bound_kind)
-        if val <= tol:
-            k_hi, val_hi = mid, val
+    @functools.cache
+    def xi(k: int) -> float:
+        return arn.fom_error(state.prefix(k), x_exact)
+
+    def guided(lo: int, hi: int) -> int:
+        """First k in (lo, hi] with xi(k) * scale <= tol, by bisection."""
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if xi(mid) * scale <= tol:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    # bracket (k_lo, k_hi]: bound > tol at k_lo, <= tol at k_hi once found
+    k_lo, k_hi, val_hi = 1, None, None
+    k_top = 2           # doubling checkpoint while no crossing is verified
+    scale = None        # bound / xi at the latest probe
+    misses = 0          # guided probes after which the search went on
+    was_guided = False
+    while k_hi is None or k_hi - k_lo > 1:
+        if k_hi is None and state.k < k_top:
+            state = arn.arnoldi_extend((matvec, n), state, k_top - state.k)
+            if state.breakdown:
+                k_hi, val_hi = state.k, 0.0
+                continue
+        may_guide = scale is not None and (misses < GUIDED_PROBES or not was_guided)
+        was_guided = False
+        if k_hi is None:
+            k = k_top
+            if may_guide and xi(k_top) * scale <= tol:
+                k, was_guided = guided(k_lo, k_top), True
+        elif may_guide:
+            k, was_guided = min(guided(k_lo, k_hi), k_hi - 1), True
         else:
-            k_lo = mid
+            k = (k_lo + k_hi) // 2
+
+        val = _bound_value(state.prefix(k), xi(k), sigma, quad_cfg, bound_kind)
+        if xi(k) > 0.0:
+            scale = val / xi(k)
+        if val <= tol:
+            k_hi, val_hi = k, val
+        else:
+            k_lo = k
+            if k == k_top and k_hi is None:
+                if k_top >= k_cap:
+                    return state, state.k, val, x_exact  # budget exhausted
+                k_top = min(2 * k_top, k_cap)
+        misses += was_guided
     return state, k_hi, val_hi, x_exact
 
 
@@ -346,9 +378,9 @@ def run_bounds_vs_k(cfg: ExperimentConfig):
     state = arn.arnoldi(M, b, k_max)
     rows = []
     for k in sample_ks(state.k, cfg.k_samples):
-        rep = evaluate_report(state.prefix(int(k)), x_exact, sigma, cfg.quadrature,
-                              ctx.hermitian, known_spectrum=ctx.known_eigs,
-                              reference=reference)
+        rep = arn.prefix_report(state.prefix(int(k)), x_exact, sigma, cfg.quadrature,
+                                ctx.hermitian, known_spectrum=ctx.known_eigs,
+                                reference=reference)
         rows.append(_report_row(rep))
     summary = {"experiment": cfg.experiment, "label": ctx.label, "n": n,
                "sigma_max": sigma, "hermitian": ctx.hermitian, "k_reached": state.k,
@@ -372,7 +404,7 @@ def _convdiff_point(args):
     state, k_stop, bound_at_stop, x_exact = find_stop_k(
         tri, b, tol, bound_kind, quad_cfg, k_max=k_max or m)
     at_stop = state.prefix(k_stop)
-    xi = float(np.linalg.norm(x_exact - arn.fom_iterate(at_stop)))
+    xi = arn.fom_error(at_stop, x_exact)
     residual, _ = arn.fom_residual_norm(at_stop)
     row = {
         "n": n, "matrix_order": m, "sigma_max": sigma, "sigma_min": sigma_min,
@@ -417,7 +449,7 @@ def _scaling_point(args):
     rows = []
     for k in sample_ks(k_stop, k_samples, k_min=4):
         sub = state.prefix(int(k))
-        xi = float(np.linalg.norm(x_exact - arn.fom_iterate(sub)))
+        xi = arn.fom_error(sub, x_exact)
         err = float(np.linalg.norm(reference - arn.arnoldi_fun_action(sub, "sqrt")))
         rows.append({"n": n, "k": int(k), "error": err, "xi_norm": xi,
                      "scaling_term": bnd.scaling_term(err, xi, int(k))})
@@ -466,7 +498,7 @@ def run_scaling_vs_sigma(cfg: ExperimentConfig):
             if k > state.k:
                 continue
             sub = state.prefix(k)
-            xi = float(np.linalg.norm(x_exact - arn.fom_iterate(sub)))
+            xi = arn.fom_error(sub, x_exact)
             err = float(np.linalg.norm(reference - arn.arnoldi_fun_action(sub, "sqrt")))
             rows.append({"k": k, "n": n, "sigma_max": sigma,
                          "scaling_term": bnd.scaling_term(err, xi, k)})
@@ -502,7 +534,7 @@ def run_perturbed_validity(cfg: ExperimentConfig):
             worst = 0.0
             for k in range(2, state.k + 1):
                 sub = state.prefix(k)
-                xi = float(np.linalg.norm(x_exact - arn.fom_iterate(sub)))
+                xi = arn.fom_error(sub, x_exact)
                 err = float(np.linalg.norm(reference - arn.arnoldi_fun_action(sub, "sqrt")))
                 bound = bnd.bound_perturbed(sigma, pert.mu1, pert.mu2,
                                             pert.achieved_eps, float(np.linalg.norm(b)),
@@ -549,7 +581,7 @@ _COLUMN_DOCS = {
     "hermitian_jensen": "Hermitian bound sharpened with lambda_bar",
     "lambda_bar": "averaged eigenvalue (top-k plus lambda_max)/(k+1)",
     "sigma_max_used": "largest singular value used by the a priori bound",
-    "sigma_max": "largest singular value (power iteration)",
+    "sigma_max": "largest singular value (exact for tridiagonal M, else power iteration)",
     "sigma_min": "smallest singular value (inverse iteration)",
     "cond": "2-norm condition number sigma_max/sigma_min",
     "k_stop": "first k satisfying the stopping rule",

@@ -2,9 +2,10 @@
 
 Factorizations and small-matrix eigenvalue/square-root evaluation are
 delegated to LAPACK through numpy/scipy; this module owns input
-validation, the error contracts, and the iterative extremal estimators
-(power iteration for the largest singular value, inverse power iteration
-for the smallest).  Everything here is a pure function of its inputs.
+validation, the error contracts, and the extremal singular-value
+estimators (largest: exact for tridiagonal input, power iteration
+otherwise; smallest: inverse power iteration).  Everything here is a
+pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -157,17 +158,21 @@ def dense_sqrt(A) -> np.ndarray:
 
     The spectrum must avoid the closed negative real axis; eigenvalues
     with nonpositive real part and (relatively) zero imaginary part raise
-    SpectrumOnBranchCut.
+    SpectrumOnBranchCut.  Every eigenvalue has real part at least the
+    smallest eigenvalue of the Hermitian part (Bendixson), so a positive
+    :func:`min_symmetric_eig` certifies the spectrum and the general
+    eigenvalue solve runs only when that value is <= 0.
     """
     a = _square_array(A)
-    eigs = sla.eigvals(a, check_finite=False)
-    on_cut = (eigs.real <= 0.0) & (
-        np.abs(eigs.imag) <= BRANCH_CUT_IMAG_TOL * np.maximum(1.0, np.abs(eigs))
-    )
-    if np.any(on_cut):
-        raise SpectrumOnBranchCut(
-            f"eigenvalue {eigs[on_cut][0]} lies on the closed negative real axis"
+    if min_symmetric_eig(a) <= 0.0:
+        eigs = sla.eigvals(a, check_finite=False)
+        on_cut = (eigs.real <= 0.0) & (
+            np.abs(eigs.imag) <= BRANCH_CUT_IMAG_TOL * np.maximum(1.0, np.abs(eigs))
         )
+        if np.any(on_cut):
+            raise SpectrumOnBranchCut(
+                f"eigenvalue {eigs[on_cut][0]} lies on the closed negative real axis"
+            )
     return sla.sqrtm(a)
 
 
@@ -186,7 +191,9 @@ def reference_sqrt_action(M, b) -> np.ndarray:
     rhs = np.asarray(b)
     if rhs.shape[0] != n:
         raise DimensionMismatch("rhs length does not match matrix order")
-    return dense_sqrt(a) @ rhs
+    # the positive Hermitian part already keeps the spectrum off the
+    # branch cut, which is all dense_sqrt would check again
+    return sla.sqrtm(a) @ rhs
 
 
 def _operator_pair(M):
@@ -200,15 +207,23 @@ def _operator_pair(M):
 
 
 def sigma_max(M, tol: float = 1e-8, max_iter: int | None = None) -> float:
-    """Largest singular value by power iteration on MᴴM.
+    """Largest singular value.
 
-    Deterministic all-ones start; the estimate is the Rayleigh-quotient
-    square root ||Mv||, which is monotone nondecreasing.  Convergence is
-    declared when the estimate's per-step relative change drops below
-    ``tol``; for matrices with clustered top singular values this stalls
-    close to (but slightly below) the true value, so tighten ``tol`` and
-    raise ``max_iter`` when sharp accuracy is needed.
+    For a real tridiagonal matrix (``diag``/``lower``/``upper`` bands) it
+    is exact: the square root of the largest eigenvalue of the
+    pentadiagonal MᵀM, from a banded symmetric eigensolver; ``tol`` and
+    ``max_iter`` are unused there.
+
+    Any other input runs power iteration on MᴴM from a deterministic
+    all-ones start; the estimate is the Rayleigh-quotient square root
+    ||Mv||, which is monotone nondecreasing.  Convergence is declared
+    when the estimate's per-step relative change drops below ``tol``;
+    for matrices with clustered top singular values this stalls close to
+    (but slightly below) the true value, so tighten ``tol`` and raise
+    ``max_iter`` when sharp accuracy is needed.
     """
+    if hasattr(M, "lower") and hasattr(M, "upper"):
+        return _tridiagonal_sigma_max(M.lower, M.diag, M.upper)
     matvec, rmatvec, n = _operator_pair(M)
     if max_iter is None:
         max_iter = 10 * n
@@ -229,6 +244,25 @@ def sigma_max(M, tol: float = 1e-8, max_iter: int | None = None) -> float:
             return sigma_new
         sigma = sigma_new
     raise NoConvergence(f"sigma_max power iteration did not settle in {max_iter} steps")
+
+
+def _tridiagonal_sigma_max(lower, diag, upper) -> float:
+    """sqrt(lambda_max(MᵀM)) for M = tridiag(lower, diag, upper), real.
+
+    MᵀM is pentadiagonal: its diagonal is the squared column norms of M,
+    its first and second subdiagonals are d_i u_i + l_i d_{i+1} and
+    l_i u_{i+1}; it is passed to LAPACK in lower banded storage.
+    """
+    m = diag.shape[0]
+    ab = np.zeros((3, m))
+    ab[0] = diag**2
+    ab[0, 1:] += upper**2
+    ab[0, :-1] += lower**2
+    ab[1, :-1] = diag[:-1] * upper + lower * diag[1:]
+    ab[2, :-2] = lower[:-1] * upper[1:]
+    top = sla.eigvals_banded(ab, lower=True, select="i", select_range=(m - 1, m - 1),
+                             check_finite=False)
+    return float(np.sqrt(top[0]))
 
 
 def _solver_pair(M):

@@ -167,6 +167,47 @@ class TestFindStopK:
         state, k_stop, val, _ = exp.find_stop_k(tri, b, 1e-30, k_max=8)
         assert k_stop == 8 and val > 1e-30
 
+    @pytest.mark.parametrize("tol", [0.2, 0.05, 0.01])
+    @pytest.mark.parametrize("eta", [0.1, 0.5])
+    @pytest.mark.parametrize("n", [40, 60, 120])
+    def test_grid_matches_exhaustive_scan(self, n, eta, tol):
+        tri = matgen.convection_diffusion(n, eta)
+        b = np.ones(tri.shape[0])
+        _, k_stop, val, x_exact = exp.find_stop_k(tri, b, tol)
+        assert first_crossing_by_scan(tri, b, tol, x_exact, k_stop + 3) == k_stop
+        sub = arn.arnoldi(tri, b, k_stop)
+        xi = float(np.linalg.norm(x_exact - arn.fom_iterate(sub)))
+        want = bnd.bound_posterior_ritz(linalg.hessenberg_eigenvalues(sub.hessenberg), xi)
+        assert val == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_few_large_ritz_solves(self, monkeypatch):
+        # the search used to make 6 Ritz solves of order > k_stop/2 here
+        orders = []
+        ritz = linalg.hessenberg_eigenvalues
+        monkeypatch.setattr(linalg, "hessenberg_eigenvalues",
+                            lambda h: orders.append(h.shape[0]) or ritz(h))
+        tri = matgen.convection_diffusion(300, 0.1)
+        _, k_stop, _, _ = exp.find_stop_k(tri, np.ones(tri.shape[0]), 0.05)
+        assert sum(k > k_stop / 2 for k in orders) <= 4
+
+    def test_misleading_guide_still_exact_in_log_probes(self, monkeypatch):
+        # a step-shaped bound unrelated to xi defeats the guide; the
+        # midpoint steps must still find the exact step in O(log k) probes
+        probes = []
+
+        def step_bound(sub, xi, sigma, quad_cfg, kind):
+            probes.append(sub.k)
+            return 1.0 if sub.k < 200 else 0.0
+
+        monkeypatch.setattr(exp, "_bound_value", step_bound)
+        tri = matgen.convection_diffusion(300, 0.5)
+        _, k_stop, val, _ = exp.find_stop_k(tri, np.ones(tri.shape[0]), 0.05)
+        assert (k_stop, val) == (200, 0.0)
+        assert len(probes) == len(set(probes))
+        # 8 doubling probes, 3 guided misses, then two probes per halving of
+        # the 128-wide bracket; guided probes alone would creep (88 probes)
+        assert len(probes) <= 8 + 3 + 2 * 7 + 2
+
 
 class TestConvdiffTable:
     def test_small_table(self, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from krylov_sqrt import linalg
+from krylov_sqrt import linalg, matgen
 from krylov_sqrt.errors import (
     DimensionMismatch,
     DomainError,
@@ -166,6 +166,25 @@ class TestDenseSqrt:
         with pytest.raises(SpectrumOnBranchCut):
             linalg.dense_sqrt(np.array([[0.0, 1.0], [0.0, 1.0]]))
 
+    def test_indefinite_hermitian_part_falls_back_to_eigenvalues(self, monkeypatch):
+        # Hermitian part has eigenvalues 1 +- 5, yet both eigenvalues are 1:
+        # only the general eigenvalue solve can clear this input
+        calls = []
+        eigvals = sla.eigvals
+        monkeypatch.setattr(sla, "eigvals", lambda *a, **kw: calls.append(1) or eigvals(*a, **kw))
+        a = np.array([[1.0, 10.0], [0.0, 1.0]])
+        x = linalg.dense_sqrt(a)
+        assert calls
+        assert np.linalg.norm(x @ x - a) <= 1e-12 * np.linalg.norm(a)
+
+    def test_positive_hermitian_part_skips_eigenvalues(self, monkeypatch):
+        calls = []
+        eigvals = sla.eigvals
+        monkeypatch.setattr(sla, "eigvals", lambda *a, **kw: calls.append(1) or eigvals(*a, **kw))
+        a, _, _ = make_pd_matrix(11, 25)
+        linalg.dense_sqrt(a)
+        assert not calls
+
 
 class TestReferenceSqrtAction:
     def test_identity(self):
@@ -195,6 +214,14 @@ class TestReferenceSqrtAction:
         with pytest.raises(InvalidSpectrum):
             linalg.reference_sqrt_action(np.diag([1.0, -2.0]), np.ones(2))
 
+    def test_hermitian_part_checked_once(self, monkeypatch):
+        calls = []
+        check = linalg.min_symmetric_eig
+        monkeypatch.setattr(linalg, "min_symmetric_eig", lambda a: calls.append(1) or check(a))
+        a, _, _ = make_pd_matrix(12, 20)
+        linalg.reference_sqrt_action(a, np.ones(20))
+        assert len(calls) == 1
+
 
 class TestSigmaMax:
     def test_diagonal(self):
@@ -216,6 +243,21 @@ class TestSigmaMax:
         a, _, _ = make_pd_matrix(5, 40)
         with pytest.raises(NoConvergence):
             linalg.sigma_max(a, tol=1e-15, max_iter=3)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tridiagonal_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        m = 150
+        tri = matgen.TridiagonalMatrix(rng.standard_normal(m - 1), rng.standard_normal(m),
+                                       rng.standard_normal(m - 1))
+        want = np.linalg.norm(tri.to_dense(), 2)
+        assert linalg.sigma_max(tri) == pytest.approx(want, rel=1e-12)
+
+    def test_convection_diffusion_exact(self):
+        # clustered top singular values: power iteration stalls below these
+        tri = matgen.convection_diffusion(200, 0.1)
+        want = np.linalg.norm(tri.to_dense(), 2)
+        assert linalg.sigma_max(tri) == pytest.approx(want, rel=1e-12)
 
 
 class TestSigmaMin:
