@@ -21,7 +21,6 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     DomainError,
-    NoConvergence,
     NonFiniteEntry,
     SingularMatrix,
     SingularProjectedMatrix,
@@ -487,18 +486,6 @@ def _rule_satisfied(stop, report, b_norm: float) -> bool:
     raise DomainError(f"unknown stopping rule {stop!r}")
 
 
-def _sigma_for_reports(M, n: int) -> float:
-    """sigma_max with a generous power-iteration budget; clustered top
-    singular values stall the iteration, so fall back to a dense SVD at
-    desk scale rather than failing the whole run."""
-    try:
-        return linalg.sigma_max(M, tol=1e-10, max_iter=max(200 * n, 20_000))
-    except NoConvergence:
-        if n > linalg.DENSE_ORACLE_MAX_N:
-            raise
-        return float(np.linalg.norm(linalg.as_array(M), 2))
-
-
 def run_adaptive(
     M,
     b,
@@ -530,7 +517,8 @@ def run_adaptive(
     matvec, n = as_operator(M)
     k_max = min(k_max, n)
     herm = linalg.is_hermitian(M) if hermitian is None else hermitian
-    sigma = sigma_max_val if sigma_max_val is not None else _sigma_for_reports(M, n)
+    if sigma_max_val is None:
+        sigma_max_val = linalg.sigma_max(M, tol=1e-10, max_iter=max(200 * n, 20_000))
     rhs = np.asarray(b, dtype=np.complex128 if np.iscomplexobj(b) else np.float64)
     x_exact = _solve_with(M, rhs)
 
@@ -549,7 +537,7 @@ def run_adaptive(
     while state.k < k_max:
         steps = min(check_every, k_max - state.k)
         state = arnoldi_extend((matvec, n), state, steps)
-        report = prefix_report(state, x_exact, sigma, quad_cfg, herm,
+        report = prefix_report(state, x_exact, sigma_max_val, quad_cfg, herm,
                                known_spectrum, reference, f)
         history.append(report)
         if state.breakdown:

@@ -581,7 +581,8 @@ _COLUMN_DOCS = {
     "hermitian_jensen": "Hermitian bound sharpened with lambda_bar",
     "lambda_bar": "averaged eigenvalue (top-k plus lambda_max)/(k+1)",
     "sigma_max_used": "largest singular value used by the a priori bound",
-    "sigma_max": "largest singular value (exact for tridiagonal M, else power iteration)",
+    "sigma_max": ("largest singular value (exact (banded or dense SVD) at desk scale, "
+                  "else power iteration)"),
     "sigma_min": "smallest singular value (inverse iteration)",
     "cond": "2-norm condition number sigma_max/sigma_min",
     "k_stop": "first k satisfying the stopping rule",

@@ -3,9 +3,9 @@
 Factorizations and small-matrix eigenvalue/square-root evaluation are
 delegated to LAPACK through numpy/scipy; this module owns input
 validation, the error contracts, and the extremal singular-value
-estimators (largest: exact for tridiagonal input, power iteration
-otherwise; smallest: inverse power iteration).  Everything here is a
-pure function of its inputs.
+estimators (largest: exact for tridiagonal input and for dense input
+at desk scale, power iteration otherwise; smallest: inverse power
+iteration).  Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -196,35 +196,38 @@ def reference_sqrt_action(M, b) -> np.ndarray:
     return sla.sqrtm(a) @ rhs
 
 
-def _operator_pair(M):
-    """Return (matvec, rmatvec, n) for an ndarray, DenseMatrix, or any
-    object exposing matvec/rmatvec/shape."""
-    if hasattr(M, "matvec") and hasattr(M, "rmatvec"):
-        return M.matvec, M.rmatvec, M.shape[0]
-    a = _square_array(M)
-    ah = a.conj().T
-    return (lambda v: a @ v), (lambda v: ah @ v), a.shape[0]
-
-
 def sigma_max(M, tol: float = 1e-8, max_iter: int | None = None) -> float:
     """Largest singular value.
 
-    For a real tridiagonal matrix (``diag``/``lower``/``upper`` bands) it
-    is exact: the square root of the largest eigenvalue of the
-    pentadiagonal MᵀM, from a banded symmetric eigensolver; ``tol`` and
+    Exact at desk scale: for a real tridiagonal matrix
+    (``diag``/``lower``/``upper`` bands) the square root of the largest
+    eigenvalue of the pentadiagonal MᵀM, from a banded symmetric
+    eigensolver; for an ndarray or DenseMatrix of order at most
+    ``DENSE_ORACLE_MAX_N`` the leading value of a dense SVD.  ``tol`` and
     ``max_iter`` are unused there.
 
-    Any other input runs power iteration on MᴴM from a deterministic
+    Any other input (an operator with matvec/rmatvec/shape, or a larger
+    dense matrix) runs power iteration on MᴴM from a deterministic
     all-ones start; the estimate is the Rayleigh-quotient square root
-    ||Mv||, which is monotone nondecreasing.  Convergence is declared
-    when the estimate's per-step relative change drops below ``tol``;
-    for matrices with clustered top singular values this stalls close to
-    (but slightly below) the true value, so tighten ``tol`` and raise
-    ``max_iter`` when sharp accuracy is needed.
+    ||Mv||, which is monotone nondecreasing, so it is a lower estimate.
+    Convergence is declared when the estimate's per-step relative change
+    drops below ``tol``; for matrices with clustered top singular values
+    this stalls close to (but slightly below) the true value, so tighten
+    ``tol`` and raise ``max_iter`` when sharp accuracy is needed.
     """
     if hasattr(M, "lower") and hasattr(M, "upper"):
         return _tridiagonal_sigma_max(M.lower, M.diag, M.upper)
-    matvec, rmatvec, n = _operator_pair(M)
+    if hasattr(M, "matvec") and hasattr(M, "rmatvec"):
+        matvec, rmatvec, n = M.matvec, M.rmatvec, M.shape[0]
+    else:
+        a = _square_array(M)
+        n = a.shape[0]
+        if n <= DENSE_ORACLE_MAX_N:
+            if np.iscomplexobj(a) and not a.imag.any():
+                a = a.real  # a real matrix carried as complex: half the SVD cost
+            return float(sla.svdvals(a, check_finite=False)[0])
+        ah = a.conj().T
+        matvec, rmatvec = (lambda v: a @ v), (lambda v: ah @ v)
     if max_iter is None:
         max_iter = 10 * n
     v = np.ones(n) / np.sqrt(n)

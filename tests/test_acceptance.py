@@ -154,16 +154,16 @@ def test_criterion_4_hermitian_sharpening():
 
 def test_criterion_5_quadrature_oracles():
     failures = []
-    out = bnd.quad_semi_infinite(lambda x: math.sqrt(x) / (1.0 + x) ** 2)
+    out = bnd.quad_semi_infinite(lambda x: np.sqrt(x) / (1.0 + x) ** 2)
     if abs(out.value - math.pi / 2) > 1e-6 * (math.pi / 2):
         failures.append(f"sqrt(x)/(1+x)^2: {out.value}")
-    out = bnd.quad_semi_infinite(lambda x: math.sqrt(x) / (1.0 + x * x))
+    out = bnd.quad_semi_infinite(lambda x: np.sqrt(x) / (1.0 + x * x))
     if abs(out.value - math.pi / math.sqrt(2)) > 1e-6 * (math.pi / math.sqrt(2)):
         failures.append(f"sqrt(x)/(1+x^2): {out.value}")
     for sigma, k in ((1.0, 4), (2.0, 4), (5.0, 7)):
         want = sigma**1.5 / 2.0 * bnd.beta_fn(0.75, (2 * k - 3) / 4.0)
         got = bnd.quad_semi_infinite(
-            lambda x: math.sqrt(x) * sigma**k / (sigma**2 + x * x) ** (k / 2.0)).value
+            lambda x: np.sqrt(x) * sigma**k / (sigma**2 + x * x) ** (k / 2.0)).value
         if abs(got - want) > 1e-6 * want:
             failures.append(f"beta identity sigma={sigma} k={k}: {got} vs {want}")
     _report("criterion 5 (closed-form quadrature oracles)", failures)

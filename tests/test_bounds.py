@@ -1,8 +1,10 @@
 """Bound formulas, special functions, and the semi-infinite quadrature.
 
 High-precision oracle: mpmath (50 digits).  Closed forms for the
-quadrature come from Beta/Mellin identities; the chain and validity
-properties run on seeded Ritz spectra.
+quadrature come from Beta/Mellin identities, and the bound integrals are
+checked against scalar QUADPACK calls; the chain and validity
+properties run on seeded Ritz spectra and, through hypothesis, on
+random positive-definite matrices.
 """
 
 import math
@@ -10,12 +12,20 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from helpers import make_pd_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from krylov_sqrt import arnoldi as arn
 from krylov_sqrt import bounds as bnd
+from krylov_sqrt import linalg, matgen
 from krylov_sqrt.errors import (
     DivergentIntegral,
     DomainError,
     InvalidSpectrum,
+    NoConvergence,
     NonFiniteIntegrand,
 )
 
@@ -54,13 +64,13 @@ class TestGammaBeta:
 class TestQuadSemiInfinite:
     def test_beta_closed_form(self):
         # int_0^inf sqrt(x)/(1+x)^2 dx = B(3/2, 1/2) = pi/2
-        out = bnd.quad_semi_infinite(lambda x: math.sqrt(x) / (1.0 + x) ** 2)
+        out = bnd.quad_semi_infinite(lambda x: np.sqrt(x) / (1.0 + x) ** 2)
         assert out.tolerance_met
         assert out.value == pytest.approx(math.pi / 2.0, rel=1e-6)
 
     def test_mellin_closed_form(self):
         # int_0^inf sqrt(x)/(1+x^2) dx = (pi/2)/sin(3 pi/4) = pi/sqrt(2)
-        out = bnd.quad_semi_infinite(lambda x: math.sqrt(x) / (1.0 + x * x))
+        out = bnd.quad_semi_infinite(lambda x: np.sqrt(x) / (1.0 + x * x))
         assert out.value == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-6)
 
     @pytest.mark.parametrize("sigma,k", [(1.0, 4), (2.0, 4), (5.0, 7)])
@@ -68,14 +78,14 @@ class TestQuadSemiInfinite:
         # int_0^inf sqrt(x) sigma^k / (sigma^2+x^2)^{k/2} dx
         #   = sigma^{3/2}/2 * B(3/4, (2k-3)/4)
         def integrand(x):
-            return math.sqrt(x) * sigma**k / (sigma**2 + x * x) ** (k / 2.0)
+            return np.sqrt(x) * sigma**k / (sigma**2 + x * x) ** (k / 2.0)
 
         want = sigma**1.5 / 2.0 * bnd.beta_fn(0.75, (2 * k - 3) / 4.0)
         assert bnd.quad_semi_infinite(integrand).value == pytest.approx(want, rel=1e-6)
 
     def test_budget_flag(self):
         out = bnd.quad_semi_infinite(
-            lambda x: math.sqrt(x) / (1.0 + x) ** 2,
+            lambda x: np.sqrt(x) / (1.0 + x) ** 2,
             bnd.QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=1),
         )
         assert not out.tolerance_met
@@ -161,6 +171,126 @@ class TestPosteriorModulus:
     def test_k_one_diverges(self):
         with pytest.raises(DivergentIntegral):
             bnd.bound_posterior_modulus([1.0], 1.0)
+
+
+def quadpack_bound(lam, modulus: bool) -> float:
+    """Independent oracle: the bound integral over pi by scalar QUADPACK
+    calls on (0, 1) and (1, inf), with the factors written directly."""
+    lam = np.asarray(lam, dtype=np.complex128)
+
+    def integrand(x):
+        if modulus:
+            logs = np.log(np.abs(lam)) - 0.5 * np.log(np.abs(lam) ** 2 + x * x)
+        else:
+            logs = np.log(np.abs(lam)) - np.log(np.abs(lam + x))
+        return math.sqrt(x) * math.exp(np.sum(logs))
+
+    head = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    tail = quad(integrand, 1.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    return (head + tail) / math.pi
+
+
+@pytest.fixture(scope="module")
+def skewed_ritz():
+    """Ritz spectra of H_k, k = 2..30, for a skewed order-120 matrix."""
+    a, _, _ = make_pd_matrix(3, 120)
+    state = arn.arnoldi(a, np.ones(120), 30)
+    return {k: linalg.hessenberg_eigenvalues(state.prefix(k).hessenberg)
+            for k in range(2, 31)}
+
+
+@pytest.fixture(scope="module")
+def convdiff_ritz():
+    """Ritz spectrum of H_300 for the upwind convection-diffusion operator."""
+    tri = matgen.convection_diffusion(1000, 0.1)
+    state = arn.arnoldi(tri, np.ones(tri.shape[0]), 300)
+    return linalg.hessenberg_eigenvalues(state.hessenberg)
+
+
+@pytest.fixture
+def quad_log(monkeypatch):
+    """Record every quad_semi_infinite call the bounds make, as
+    [integrand calls, QuadResult]."""
+    log = []
+    plain = bnd.quad_semi_infinite
+
+    def recorded(integrand, cfg=None):
+        entry = [0, None]
+        log.append(entry)
+
+        def counted(x):
+            entry[0] += 1
+            return integrand(x)
+
+        entry[1] = plain(counted, cfg)
+        return entry[1]
+
+    monkeypatch.setattr(bnd, "quad_semi_infinite", recorded)
+    return log
+
+
+def assert_matches_quadpack(ritz):
+    for bound, modulus in ((bnd.bound_posterior_ritz, False),
+                           (bnd.bound_posterior_modulus, True)):
+        want = quadpack_bound(ritz.values, modulus)
+        assert bound(ritz, 1.0, TIGHT) == pytest.approx(want, rel=1e-9)
+
+
+class TestBoundQuadrature:
+    @pytest.mark.parametrize("k", range(2, 31))
+    def test_matches_quadpack_skewed(self, skewed_ritz, k):
+        assert_matches_quadpack(skewed_ritz[k])
+
+    def test_matches_quadpack_convdiff(self, convdiff_ritz):
+        assert_matches_quadpack(convdiff_ritz)
+
+    def test_estimated_error_is_counted(self, skewed_ritz, quad_log):
+        got = bnd.bound_posterior_ritz(skewed_ritz[12], 0.3)
+        q = quad_log[0][1]
+        assert q.estimated_error > 0.0
+        assert got == pytest.approx((q.value + q.estimated_error) / math.pi * 0.3, rel=1e-15)
+        assert got > q.value / math.pi * 0.3
+
+    def test_few_vectorized_calls(self, skewed_ritz, convdiff_ritz, quad_log):
+        for ritz in (skewed_ritz[2], skewed_ritz[30], convdiff_ritz):
+            bnd.bound_posterior_ritz(ritz, 1.0)
+            bnd.bound_posterior_modulus(ritz, 1.0)
+        assert len(quad_log) == 6
+        assert max(calls for calls, _ in quad_log) <= 20
+
+    def test_budget_miss_raises(self, skewed_ritz):
+        cfg = bnd.QuadratureConfig(max_subdivisions=1)
+        with pytest.raises(NoConvergence):
+            bnd.bound_posterior_ritz(skewed_ritz[30], 1.0, cfg)
+        with pytest.raises(NoConvergence):
+            bnd.bound_posterior_modulus(skewed_ritz[30], 1.0, cfg)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(4, 40), k_max=st.integers(2, 12),
+       skew=st.booleans())
+def test_chain_property_on_random_pd(seed, n, k_max, skew):
+    """err <= ritz <= modulus <= gamma on small random positive-definite
+    matrices; errors at rounding level (below 1e-10 ||ref||) are exempt
+    from the first link, where rounding sets both numbers."""
+    a, _, _ = make_pd_matrix(seed, n, skew=skew)
+    b = np.random.default_rng(seed).standard_normal(n)
+    reference = sla.sqrtm(a) @ b
+    x_exact = np.linalg.solve(a, b)
+    sigma = float(sla.svdvals(a)[0])
+    slack = 1.0 + 2.0 * bnd.QuadratureConfig().rel_tol
+    state = arn.arnoldi(a, b, min(k_max, n))
+    for k in range(2, state.k + 1):
+        sub = state.prefix(k)
+        xi = float(np.linalg.norm(x_exact - arn.fom_iterate(sub)))
+        ritz = linalg.hessenberg_eigenvalues(sub.hessenberg)
+        err = float(np.linalg.norm(reference - arn.arnoldi_fun_action(sub, "sqrt")))
+        b_ritz = bnd.bound_posterior_ritz(ritz, xi)
+        b_mod = bnd.bound_posterior_modulus(ritz, xi)
+        if err > 1e-10 * np.linalg.norm(reference):
+            assert err <= b_ritz
+        assert b_ritz <= b_mod * slack
+        assert b_mod <= bnd.bound_apriori_sqrt(sigma, k, xi) * slack
 
 
 class TestAprioriSqrt:

@@ -223,6 +223,15 @@ class TestReferenceSqrtAction:
         assert len(calls) == 1
 
 
+class MatvecOnly:
+    """A matrix seen only through matvec/rmatvec/shape."""
+
+    def __init__(self, a):
+        self.shape = a.shape
+        self.matvec = lambda v: a @ v
+        self.rmatvec = lambda v: a.conj().T @ v
+
+
 class TestSigmaMax:
     def test_diagonal(self):
         assert linalg.sigma_max(np.diag([3.0, -1.0])) == pytest.approx(3.0, rel=1e-8)
@@ -235,14 +244,22 @@ class TestSigmaMax:
     def test_vs_svd(self, seed):
         a, _, _ = make_pd_matrix(seed, 60)
         want = sla.svdvals(a)[0]
-        got = linalg.sigma_max(a, tol=1e-10, max_iter=200_000)
+        got = linalg.sigma_max(MatvecOnly(a), tol=1e-10, max_iter=200_000)
         assert got == pytest.approx(want, rel=1e-6)
         assert got <= want * (1.0 + 1e-12)  # converges from below
 
     def test_budget_exhausted(self):
         a, _, _ = make_pd_matrix(5, 40)
         with pytest.raises(NoConvergence):
-            linalg.sigma_max(a, tol=1e-15, max_iter=3)
+            linalg.sigma_max(MatvecOnly(a), tol=1e-15, max_iter=3)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_dense_exact(self, seed):
+        # clustered top singular values leave power iteration below these
+        a, _, _ = make_pd_matrix(seed, 200)
+        want = sla.svdvals(a)[0]
+        assert linalg.sigma_max(a) == pytest.approx(want, rel=1e-12)
+        assert linalg.sigma_max(linalg.DenseMatrix(a)) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_tridiagonal_exact(self, seed):
