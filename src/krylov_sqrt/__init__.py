@@ -38,7 +38,6 @@ from .linalg import (
     hessenberg_eigenvalues,
     lu_solve,
     min_symmetric_eig,
-    qr_householder,
     reference_sqrt_action,
     sigma_max,
     sigma_min,

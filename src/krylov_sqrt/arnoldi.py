@@ -339,28 +339,6 @@ def fom_error_surrogate(decomp: ArnoldiDecomposition, min_sym_eig: float | None 
 
 
 @dataclass(frozen=True)
-class FomState:
-    """Residual/error pair for the FOM system M x = b at step k.
-
-    The residual is always a scalar multiple of q_{k+1}; only the norm and
-    that scalar are stored.  error_norm is present when an exact solve was
-    requested.
-    """
-
-    residual_norm: float
-    residual_coefficient: complex
-    error_norm: float | None = None
-
-
-def fom_state(decomp: ArnoldiDecomposition, M=None, b=None) -> FomState:
-    norm, coef = fom_residual_norm(decomp)
-    err = None
-    if M is not None and b is not None:
-        err = fom_error_norm(decomp, M, b)
-    return FomState(residual_norm=norm, residual_coefficient=coef, error_norm=err)
-
-
-@dataclass(frozen=True)
 class ShiftedFomQuantities:
     """Both sides of the shift identities, for direct comparison.
 
@@ -507,7 +485,8 @@ def run_adaptive(
     exact FOM error norm.  A happy breakdown stops immediately: the
     approximation is exact on the invariant subspace.  With
     ``error_oracle`` the history also carries the true error against the
-    dense reference action (desk scale only).
+    reference action (:func:`linalg.reference_sqrt_action` for ``sqrt``:
+    closed form for tridiagonal Toeplitz M, else dense at desk scale).
     """
     stop = stop if stop is not None else ResidualRelative(1e-2)
     if k_max < 2:

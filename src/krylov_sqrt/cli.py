@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--kmax", type=int)
     p_exp.add_argument("--out", help="output directory override")
     p_exp.add_argument("--no-oracle", action="store_true",
-                       help="drop the dense-oracle error column")
+                       help="drop the reference-oracle error column")
     p_exp.add_argument("--jobs", type=int)
 
     p_plot = sub.add_parser("plot", help="render an experiment CSV to SVG")

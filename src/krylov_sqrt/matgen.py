@@ -8,6 +8,7 @@ constructions are pure functions of (spec, seed).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,11 @@ def random_orthogonal(n: int, seed: int) -> np.ndarray:
 
 def draw_eigenvalues(spec: SpectrumSpec, rng) -> np.ndarray:
     """Eigenvalue sample per spec, clamped to the positivity floor and
-    sorted in descending order."""
+    sorted in descending order.
+
+    A clamp makes the matrix nearly singular, so it emits a UserWarning
+    with the number of clamped draws.
+    """
     if spec.kind == "uniform":
         eigs = rng.uniform(spec.lo, spec.hi, size=spec.n)
     else:
@@ -108,6 +113,11 @@ def draw_eigenvalues(spec: SpectrumSpec, rng) -> np.ndarray:
         cluster = spec.cluster_center + spec.cluster_std * rng.standard_normal(n_cluster)
         outlier = spec.outlier_center + spec.outlier_std * rng.standard_normal(spec.n - n_cluster)
         eigs = np.concatenate([cluster, outlier])
+    clamped = int(np.count_nonzero(eigs < POSITIVITY_FLOOR))
+    if clamped:
+        warnings.warn(f"{clamped} of {spec.n} eigenvalue draws fell below "
+                      f"POSITIVITY_FLOOR = {POSITIVITY_FLOOR:g} and were clamped to it",
+                      UserWarning, stacklevel=2)
     return np.sort(np.maximum(eigs, POSITIVITY_FLOOR))[::-1]
 
 
@@ -198,9 +208,6 @@ class TridiagonalMatrix:
             + np.diag(self.lower, -1)
             + np.diag(self.upper, 1)
         )
-
-    def to_dense_matrix(self) -> DenseMatrix:
-        return DenseMatrix(self.to_dense())
 
 
 def convection_diffusion(n: int, eta: float, convention: str = "interior") -> TridiagonalMatrix:

@@ -7,6 +7,8 @@ float repr, so a write/read cycle reproduces every float64 bit-exactly.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
@@ -70,7 +72,11 @@ def _write_coordinate(path, M: TridiagonalMatrix, comment: str | None) -> None:
 
 def read_matrix_market(path) -> np.ndarray:
     """Read an ``array`` or ``coordinate`` MatrixMarket file into a dense
-    ndarray (real or complex)."""
+    ndarray (real or complex).
+
+    The data block is parsed by one NumPy call; blank lines and ``%``
+    comment lines may appear anywhere after the header.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split()
         if len(header) < 5 or " ".join(header[:2]) != _HEADER:
@@ -83,40 +89,39 @@ def read_matrix_market(path) -> np.ndarray:
         if symmetry != "general":
             raise DomainError("only general symmetry is supported")
         line = fh.readline()
-        while line.startswith("%"):
+        while line.startswith("%") or (line and not line.strip()):
             line = fh.readline()
         sizes = line.split()
         rows, cols = int(sizes[0]), int(sizes[1])
-        dtype = np.complex128 if field == "complex" else np.float64
-        a = np.zeros((rows, cols), dtype=dtype)
-        if fmt == "array":
-            values = []
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("%"):
-                    continue
-                parts = line.split()
-                if field == "complex":
-                    values.append(complex(float(parts[0]), float(parts[1])))
-                else:
-                    values.append(float(parts[0]))
-            if len(values) != rows * cols:
-                raise DomainError("array data length mismatch")
-            a[:] = np.asarray(values, dtype=dtype).reshape((cols, rows)).T
-        else:
-            nnz = int(sizes[2])
-            seen = 0
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("%"):
-                    continue
-                parts = line.split()
-                i, j = int(parts[0]) - 1, int(parts[1]) - 1
-                if field == "complex":
-                    a[i, j] = complex(float(parts[2]), float(parts[3]))
-                else:
-                    a[i, j] = float(parts[2])
-                seen += 1
-            if seen != nnz:
-                raise DomainError("coordinate entry count mismatch")
+        complex_field = field == "complex"
+        index_cols = 0 if fmt == "array" else 2
+        data = _read_data(fh, index_cols + (2 if complex_field else 1))
+    values = data[:, index_cols]
+    if complex_field:  # set the parts, since arithmetic would drop the sign of -0.0
+        values = np.empty(len(data), dtype=np.complex128)
+        values.real, values.imag = data[:, index_cols], data[:, index_cols + 1]
+    if fmt == "array":
+        if values.size != rows * cols:
+            raise DomainError("array data length mismatch")
+        return np.ascontiguousarray(values.reshape((cols, rows)).T)
+    if values.size != int(sizes[2]):
+        raise DomainError("coordinate entry count mismatch")
+    idx = data[:, :2]
+    if np.any(idx != np.floor(idx)) or np.any(idx < 1) or np.any(idx > (rows, cols)):
+        raise DomainError("coordinate index is not an in-range integer")
+    i, j = idx.astype(np.intp).T - 1
+    a = np.zeros((rows, cols), dtype=np.complex128 if complex_field else np.float64)
+    a[i, j] = values
     return a
+
+
+def _read_data(fh, ncols: int) -> np.ndarray:
+    """The rest of ``fh`` as a (lines, ncols) float64 array; tokens past
+    column ``ncols`` are ignored."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # empty data block
+        try:
+            return np.loadtxt(fh, dtype=np.float64, comments="%", ndmin=2,
+                              usecols=range(ncols))
+        except ValueError as exc:
+            raise DomainError(f"malformed MatrixMarket data: {exc}") from exc

@@ -74,32 +74,6 @@ class TestLuSolve:
             linalg.lu_solve(a, np.ones(2))
 
 
-class TestQrHouseholder:
-    def test_identity(self):
-        q, r = linalg.qr_householder(np.eye(3))
-        np.testing.assert_allclose(np.abs(q), np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(q @ r, np.eye(3), atol=1e-15)
-
-    def test_permutation(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        q, r = linalg.qr_householder(a)
-        np.testing.assert_allclose(q.conj().T @ q, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(q @ r, a, atol=1e-14)
-
-    @pytest.mark.parametrize("seed,shape", [(7, (8, 8)), (8, (12, 5)), (9, (30, 30))])
-    def test_reconstruction(self, seed, shape):
-        a = np.random.default_rng(seed).standard_normal(shape)
-        q, r = linalg.qr_householder(a)
-        cols = shape[1]
-        assert np.linalg.norm(q.conj().T @ q - np.eye(cols)) <= 1e-12 * cols
-        assert np.linalg.norm(a - q @ r) <= 1e-12 * np.linalg.norm(a)
-        assert np.allclose(r, np.triu(r))
-
-    def test_wide_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            linalg.qr_householder(np.ones((2, 3)))
-
-
 class TestHessenbergEigenvalues:
     def test_diagonal(self):
         spec = linalg.hessenberg_eigenvalues(np.diag([3.0, 2.0, 1.0]))
@@ -221,6 +195,90 @@ class TestReferenceSqrtAction:
         a, _, _ = make_pd_matrix(12, 20)
         linalg.reference_sqrt_action(a, np.ones(20))
         assert len(calls) == 1
+
+    @staticmethod
+    def spy_sqrtm(monkeypatch):
+        calls = []
+        sqrtm = sla.sqrtm
+        monkeypatch.setattr(sla, "sqrtm", lambda a: calls.append(a.shape[0]) or sqrtm(a))
+        return calls
+
+    @pytest.mark.parametrize("n,eta,convention", [
+        (1000, 0.1, "interior"),
+        (40, 0.1, "interior"), (40, 0.5, "interior"),
+        (41, 0.1, "full"), (41, 0.5, "full"),
+        (120, 0.1, "full"), (120, 0.5, "interior"),
+    ])
+    def test_toeplitz_closed_form_matches_schur(self, monkeypatch, n, eta, convention):
+        tri = matgen.convection_diffusion(n, eta, convention)
+        m = tri.shape[0]
+        b = np.random.default_rng(n).uniform(0.5, 1.5, m)
+        calls = self.spy_sqrtm(monkeypatch)
+        got = linalg.reference_sqrt_action(tri, b)
+        assert calls == []
+        want = sla.sqrtm(tri.to_dense()) @ b
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_toeplitz_complex_rhs(self):
+        tri = matgen.convection_diffusion(50, 0.1)
+        b = np.ones(49) + 1j * np.linspace(-1.0, 1.0, 49)
+        want = sla.sqrtm(tri.to_dense()) @ b
+        got = linalg.reference_sqrt_action(tri, b)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_toeplitz_past_dense_guard(self):
+        tri = matgen.convection_diffusion(20_001, 0.1)
+        assert tri.shape[0] > linalg.DENSE_ORACLE_MAX_N
+        b = np.ones(tri.shape[0])
+        y = linalg.reference_sqrt_action(tri, b)
+        mb = tri.matvec(b)
+        assert np.linalg.norm(linalg.reference_sqrt_action(tri, y) - mb) <= 1e-10 * np.linalg.norm(mb)
+
+    @pytest.mark.parametrize("case", ["varying_diag", "sub_sup_negative", "sub_zero", "cond_d"])
+    def test_falls_back_to_schur(self, monkeypatch, case):
+        tri = matgen.convection_diffusion(30, 0.5)
+        lower, diag, upper = tri.lower.copy(), tri.diag.copy(), tri.upper.copy()
+        if case == "varying_diag":
+            diag[::2] *= 1.5
+        elif case == "sub_sup_negative":
+            upper = -upper
+        elif case == "sub_zero":
+            lower[:] = 0.0
+        else:  # cond(D) = (sub/sup)^{(m-1)/2} just above the guard
+            cond_d = (lower[0] / upper[0]) ** ((diag.size - 1) / 2)
+            monkeypatch.setattr(linalg, "TOEPLITZ_MAX_COND_D", cond_d * (1.0 - 1e-9))
+        tri = matgen.TridiagonalMatrix(lower, diag, upper)
+        b = np.ones(29)
+        calls = self.spy_sqrtm(monkeypatch)
+        got = linalg.reference_sqrt_action(tri, b)
+        assert calls == [29]
+        np.testing.assert_allclose(got, sla.sqrtm(tri.to_dense()) @ b, rtol=1e-13)
+
+    def test_cond_d_at_guard_keeps_closed_form(self, monkeypatch):
+        tri = matgen.convection_diffusion(30, 0.5)
+        cond_d = (tri.lower[0] / tri.upper[0]) ** ((tri.diag.size - 1) / 2)
+        monkeypatch.setattr(linalg, "TOEPLITZ_MAX_COND_D", cond_d * (1.0 + 1e-9))
+        calls = self.spy_sqrtm(monkeypatch)
+        linalg.reference_sqrt_action(tri, np.ones(29))
+        assert calls == []
+
+    def test_toeplitz_nonpositive_eigenvalue_rejected(self, monkeypatch):
+        # symmetric tridiag(1, 1, 1): eigenvalues 1 + 2 cos(j pi/(m+1)) < 0 for large j
+        tri = matgen.TridiagonalMatrix(np.ones(9), np.ones(10), np.ones(9))
+        calls = self.spy_sqrtm(monkeypatch)
+        with pytest.raises(InvalidSpectrum):
+            linalg.reference_sqrt_action(tri, np.ones(10))
+        assert calls == []
+
+    @pytest.mark.parametrize("shape", [(30,), (28,), (29, 29)])
+    def test_toeplitz_rhs_shape_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            linalg.reference_sqrt_action(matgen.convection_diffusion(30, 0.1), np.ones(shape))
+
+    def test_dense_rhs_length_rejected(self):
+        a, _, _ = make_pd_matrix(12, 20)
+        with pytest.raises(DimensionMismatch):
+            linalg.reference_sqrt_action(a, np.ones(21))
 
 
 class MatvecOnly:

@@ -1,6 +1,8 @@
 """Matrix/rhs generators: determinism, prescribed spectra, stencils,
 perturbations, and MatrixMarket round-trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -57,8 +59,33 @@ class TestSpectrumMatrix:
     def test_positivity_floor(self):
         # outliers centered at zero would go negative without the clamp
         spec = matgen.SpectrumSpec.clustered(50, 10.0, 1.0, 0.5, 0.0, 1.0)
-        sm = matgen.spectrum_matrix(spec, 3)
+        with pytest.warns(UserWarning, match="eigenvalue draws fell below POSITIVITY_FLOOR"):
+            sm = matgen.spectrum_matrix(spec, 3)
         assert np.all(sm.eigenvalues >= matgen.POSITIVITY_FLOOR)
+
+    def test_clamp_warning_counts_draws(self):
+        # one outlier of N(500, 150^2) lands below zero for this seed
+        spec = matgen.SpectrumSpec.clustered(180, 10.0, 1.0, 0.5, 500.0, 150.0)
+        with pytest.warns(UserWarning) as record:
+            sm = matgen.spectrum_matrix(spec, 1060040521)
+        assert [str(w.message) for w in record] == [
+            "1 of 180 eigenvalue draws fell below POSITIVITY_FLOOR = 1e-06 and were clamped to it"]
+        assert sm.eigenvalues[-1] == matgen.POSITIVITY_FLOOR
+        assert np.count_nonzero(sm.eigenvalues == matgen.POSITIVITY_FLOOR) == 1
+
+    def test_benchmark_spectra_never_clamp(self):
+        # the benchmark's spectrum kinds: dense-cli at n = 600 (seed 8) and
+        # the bound-sweep kinds at its largest order, over many seeds
+        dense = [(matgen.SpectrumSpec.uniform(600, 1.0, 1000.0), 8),
+                 (matgen.SpectrumSpec.clustered(600, 10.0, 1.0, 0.99, 1000.0, 100.0), 8)]
+        sweep = [(spec, seed) for seed in range(500) for spec in (
+            matgen.SpectrumSpec.uniform(200, 10.0, 1000.0),
+            matgen.SpectrumSpec.clustered(200, 10.0, 1.0, 0.5, 500.0, 100.0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec, seed in dense + sweep:
+                eig_seq, _ = np.random.SeedSequence(seed).spawn(2)
+                matgen.draw_eigenvalues(spec, np.random.default_rng(eig_seq))
 
     def test_eigenvector_columns_match(self):
         sm = matgen.spectrum_matrix(matgen.SpectrumSpec.uniform(30, 1.0, 100.0), 17)
@@ -241,6 +268,48 @@ class TestMatrixMarket:
         write_matrix_market(path, v)
         back = read_matrix_market(path)
         np.testing.assert_array_equal(back.ravel(), v)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_comments_and_blank_lines_bit_exact(self, tmp_path, field):
+        rng = np.random.default_rng(16)
+        a = rng.standard_normal((6, 4)) * np.exp(rng.uniform(-300, 300, size=(6, 4)))
+        if field == "complex":
+            a = a + 1j * rng.standard_normal((6, 4)) * 1e-310
+            a.imag[0, 1] = -0.0
+        a[1, 2] = -0.0 if field == "real" else complex(-0.0, -0.0)
+        path = tmp_path / "a.mtx"
+        write_matrix_market(path, a, comment="first\nsecond")
+        lines = path.read_text().splitlines()
+        assert lines[1:3] == ["%first", "%second"]
+        # blank and comment lines before the size line and inside the data
+        lines[3:3] = ["", "% before sizes", "   "]
+        lines[8:8] = ["", "% inside the data", ""]
+        path.write_text("\n".join(lines) + "\n\n")
+        back = read_matrix_market(path)
+        assert back.dtype == a.dtype and back.tobytes() == a.tobytes()  # signed zeros too
+
+    def test_coordinate_with_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "c.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate complex general\n%c\n\n3 2 2\n"
+                        "1 1 1.5 -2.0\n\n% mid\n3 2 0.1 1e-300\n")
+        want = np.zeros((3, 2), dtype=complex)
+        want[0, 0], want[2, 1] = 1.5 - 2.0j, 0.1 + 1e-300j
+        np.testing.assert_array_equal(read_matrix_market(path), want)
+
+    @pytest.mark.parametrize("text", [
+        "%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n",
+        "%%MatrixMarket matrix array complex general\n1 2\n1.0 2.0\n",
+        "%%MatrixMarket matrix array real general\n1 1\n",
+        "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n2 2 2.0\n",
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n",
+        "%%MatrixMarket matrix array real general\n1 2\n1.0\nx\n",
+    ])
+    def test_rejects_wrong_entry_count_and_bad_data(self, tmp_path, text):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        with pytest.raises(DomainError):
+            read_matrix_market(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.mtx"
