@@ -82,6 +82,13 @@ class QuadResult:
     tolerance_met: bool
 
 
+def gamma_fn(x: float) -> float:
+    """Gamma function for positive real arguments."""
+    if x <= 0:
+        raise DomainError("gamma_fn requires a positive argument")
+    return math.gamma(x)
+
+
 def beta_fn(a: float, b: float) -> float:
     """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), in log space."""
     if a <= 0 or b <= 0:

@@ -35,11 +35,28 @@ TIGHT = bnd.QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
 
 
 class TestGammaBeta:
+    def test_gamma_one(self):
+        assert bnd.gamma_fn(1.0) == 1.0
+
+    def test_gamma_half(self):
+        assert bnd.gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+
+    def test_gamma_three_quarters_vs_mpmath(self):
+        want = float(mpmath.gamma(mpmath.mpf(3) / 4))
+        assert bnd.gamma_fn(0.75) == pytest.approx(want, rel=1e-12)
+        assert bnd.gamma_fn(0.75) == pytest.approx(1.225416702465178, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [0.1, 1.5, 7.0, 23.0, 50.0])
+    def test_gamma_range_vs_mpmath(self, x):
+        assert bnd.gamma_fn(x) == pytest.approx(float(mpmath.gamma(x)), rel=1e-12)
+
     def test_beta_definition_identity(self):
-        want = math.gamma(0.75) * math.gamma(1.25) / math.gamma(2.0)
+        want = bnd.gamma_fn(0.75) * bnd.gamma_fn(1.25) / bnd.gamma_fn(2.0)
         assert bnd.beta_fn(0.75, 1.25) == pytest.approx(want, rel=1e-13)
 
     def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            bnd.gamma_fn(0.0)
         with pytest.raises(DomainError):
             bnd.beta_fn(-1.0, 2.0)
         with pytest.raises(DomainError):
