@@ -34,6 +34,7 @@ from .bounds import (
 from .linalg import (
     DenseMatrix,
     RitzSpectrum,
+    TridiagonalMatrix,
     dense_sqrt,
     hessenberg_eigenvalues,
     lu_solve,
@@ -45,7 +46,6 @@ from .linalg import (
 from .matgen import (
     PerturbationSpec,
     SpectrumSpec,
-    TridiagonalMatrix,
     convection_diffusion,
     perturb_matrix,
     random_orthogonal,

@@ -144,24 +144,6 @@ class ArnoldiDecomposition:
         )
 
 
-def as_operator(M):
-    """Normalize a matrix-like object or callable to (matvec, n).
-
-    Accepts DenseMatrix, ndarray, banded matrices with ``matvec``, or a
-    bare callable paired with an explicit dimension via (callable, n).
-    """
-    if isinstance(M, tuple) and len(M) == 2 and callable(M[0]):
-        return M[0], int(M[1])
-    if hasattr(M, "matvec"):
-        return M.matvec, M.shape[0]
-    if callable(M):
-        raise DimensionMismatch("bare callables must be passed as (callable, n)")
-    a = linalg.as_array(M)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"operator must be square, got shape {a.shape}")
-    return (lambda v: a @ v), a.shape[0]
-
-
 def arnoldi_start(b, capacity: int = 32) -> ArnoldiDecomposition:
     """Zero-step decomposition seeded with q_1 = b/||b||."""
     b = np.asarray(b)
@@ -189,7 +171,8 @@ def arnoldi_extend(apply_M, state: ArnoldiDecomposition, steps: int) -> ArnoldiD
         raise DomainError("steps must be >= 1")
     if state.breakdown:
         return state
-    matvec, n = as_operator(apply_M)
+    op = linalg.as_operator(apply_M)
+    n = op.shape[0]
     if n != state.n:
         raise DimensionMismatch(f"operator dimension {n} != basis dimension {state.n}")
 
@@ -205,7 +188,7 @@ def arnoldi_extend(apply_M, state: ArnoldiDecomposition, steps: int) -> ArnoldiD
     breakdown = False
     j = state.k
     for _ in range(steps):
-        w = np.asarray(matvec(Q[:, j].copy()))
+        w = np.asarray(op.matvec(Q[:, j].copy()))
         if w.shape != (state.n,):
             raise DimensionMismatch("operator returned a vector of wrong shape")
         if not np.all(np.isfinite(np.abs(w))):
@@ -295,12 +278,6 @@ def fom_residual_norm(decomp: ArnoldiDecomposition):
     return float(abs(coef)), complex(coef)
 
 
-def _solve_with(M, rhs: np.ndarray) -> np.ndarray:
-    if hasattr(M, "solve"):
-        return M.solve(rhs)
-    return linalg.lu_solve(M, rhs)
-
-
 def fom_iterate(decomp: ArnoldiDecomposition) -> np.ndarray:
     """The FOM approximation to M⁻¹ b at the current step."""
     return arnoldi_fun_action(decomp, "inverse")
@@ -317,7 +294,7 @@ def fom_error(decomp: ArnoldiDecomposition, x_exact) -> float:
 
 def fom_error_norm(decomp: ArnoldiDecomposition, M, b) -> float:
     """:func:`fom_error` with M⁻¹ b from an exact desk-scale solve."""
-    return fom_error(decomp, _solve_with(M, np.asarray(b)))
+    return fom_error(decomp, linalg.as_operator(M).solve(b))
 
 
 def fom_error_surrogate(decomp: ArnoldiDecomposition, min_sym_eig: float | None = None) -> float:
@@ -481,8 +458,11 @@ def run_adaptive(
     steps, and return the function action at the stopping k plus the
     per-k BoundReport history.
 
-    M must be solvable (dense or banded) because the bounds consume the
-    exact FOM error norm.  A happy breakdown stops immediately: the
+    M must have an exact solve (dense or tridiagonal) because the bounds
+    consume the exact FOM error norm; a matvec-only operator raises
+    UnsupportedContext.  The stopping bounds are square-root bounds, so a
+    ``BoundAbsolute`` rule with ``f`` other than ``sqrt`` raises
+    DomainError.  A happy breakdown stops immediately: the
     approximation is exact on the invariant subspace.  With
     ``error_oracle`` the history also carries the true error against the
     reference action (:func:`linalg.reference_sqrt_action` for ``sqrt``:
@@ -493,20 +473,23 @@ def run_adaptive(
         raise DomainError("k_max must be >= 2")
     if check_every < 1:
         raise DomainError("check_every must be >= 1")
-    matvec, n = as_operator(M)
+    if isinstance(stop, BoundAbsolute) and f != "sqrt":
+        raise DomainError(f"the stopping bounds bound the sqrt action, not f = {f!r}")
+    op = linalg.as_operator(M)
+    n = op.shape[0]
     k_max = min(k_max, n)
-    herm = linalg.is_hermitian(M) if hermitian is None else hermitian
-    if sigma_max_val is None:
-        sigma_max_val = linalg.sigma_max(M, tol=1e-10, max_iter=max(200 * n, 20_000))
     rhs = np.asarray(b, dtype=np.complex128 if np.iscomplexobj(b) else np.float64)
-    x_exact = _solve_with(M, rhs)
+    x_exact = op.solve(rhs)
+    herm = op.is_hermitian() if hermitian is None else hermitian
+    if sigma_max_val is None:
+        sigma_max_val = linalg.sigma_max(op, tol=1e-10, max_iter=max(200 * n, 20_000))
 
     reference = None
     if error_oracle:
         if f == "sqrt":
-            reference = linalg.reference_sqrt_action(M, rhs)
+            reference = linalg.reference_sqrt_action(op, rhs)
         elif f == "invsqrt":
-            reference = linalg.lu_solve(linalg.dense_sqrt(linalg.as_array(M)), rhs)
+            reference = linalg.lu_solve(linalg.dense_sqrt(op.to_dense()), rhs)
         elif f == "inverse":
             reference = x_exact
 
@@ -515,7 +498,7 @@ def run_adaptive(
     converged = False
     while state.k < k_max:
         steps = min(check_every, k_max - state.k)
-        state = arnoldi_extend((matvec, n), state, steps)
+        state = arnoldi_extend(op, state, steps)
         report = prefix_report(state, x_exact, sigma_max_val, quad_cfg, herm,
                                known_spectrum, reference, f)
         history.append(report)

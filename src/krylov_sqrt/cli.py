@@ -97,7 +97,7 @@ def _cmd_approx(args) -> int:
     if args.rhs_file:
         b = read_matrix_market(args.rhs_file).ravel()
     else:
-        b = np.ones(M.rows)
+        b = np.ones(M.shape[0])
     if args.stop == "residual":
         stop = arn.ResidualRelative(args.tol)
     else:
@@ -115,7 +115,7 @@ def _cmd_approx(args) -> int:
         print(f"final {stop.bound_kind} = {getattr(final, stop.bound_kind):.6e}")
     else:
         print(f"final relative residual = {final.residual_norm / np.linalg.norm(b):.6e}")
-        if np.isfinite(final.posterior_ritz):
+        if args.f == "sqrt" and np.isfinite(final.posterior_ritz):
             print(f"certified sqrt-error bound (posterior_ritz) = {final.posterior_ritz:.6e}")
     if not result.converged:
         print("stopping rule NOT satisfied within k_max", file=sys.stderr)

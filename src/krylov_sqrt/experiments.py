@@ -178,7 +178,7 @@ def load_config(path: str) -> ExperimentConfig:
 class MatrixContext:
     """A built matrix plus whatever side information the bounds can use."""
 
-    operator: object            # matvec/solve-capable matrix object
+    operator: object            # an operator of linalg.as_operator
     hermitian: bool
     label: str
     spectrum: matgen.SpectrumMatrix | None = None
@@ -209,7 +209,7 @@ def build_matrix(mcfg: dict, seed: int) -> MatrixContext:
     if mtype == "file":
         a = read_matrix_market(mcfg["path"])
         m = linalg.DenseMatrix(a)
-        return MatrixContext(operator=m, hermitian=linalg.is_hermitian(a),
+        return MatrixContext(operator=m, hermitian=m.is_hermitian(),
                              label=os.path.basename(mcfg["path"]))
     raise ConfigError(f"unknown matrix type {mtype!r}")
 
@@ -217,8 +217,7 @@ def build_matrix(mcfg: dict, seed: int) -> MatrixContext:
 def build_rhs(rcfg: dict | None, ctx: MatrixContext) -> np.ndarray:
     rcfg = rcfg or {"kind": "ones"}
     if rcfg["kind"] == "ones":
-        n = ctx.operator.shape[0] if hasattr(ctx.operator, "shape") else ctx.operator.rows
-        return matgen.rhs_vector("ones", n)
+        return matgen.rhs_vector("ones", ctx.operator.shape[0])
     if ctx.spectrum is None:
         raise ConfigError("eig_average rhs needs a spectrum-known matrix")
     return matgen.rhs_vector("eig_average", ctx.spectrum, count=rcfg.get("count", 100))
@@ -277,11 +276,12 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
     """
     if bound_kind not in _STOP_KINDS:
         raise DomainError(f"unsupported stopping bound {bound_kind!r}")
-    matvec, n = arn.as_operator(M)
+    op = linalg.as_operator(M)
+    n = op.shape[0]
     k_cap = min(k_max or n, n)
-    x_exact = arn._solve_with(M, np.asarray(b))
+    x_exact = op.solve(b)
     if sigma is None and bound_kind == "apriori_gamma":
-        sigma = linalg.sigma_max(M, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
+        sigma = linalg.sigma_max(op, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
     sigma = sigma if sigma is not None else 0.0
 
     state = arn.arnoldi_start(b, capacity=min(64, k_cap))
@@ -308,7 +308,7 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
     was_guided = False
     while k_hi is None or k_hi - k_lo > 1:
         if k_hi is None and state.k < k_top:
-            state = arn.arnoldi_extend((matvec, n), state, k_top - state.k)
+            state = arn.arnoldi_extend(op, state, k_top - state.k)
             if state.breakdown:
                 k_hi, val_hi = state.k, 0.0
                 continue
@@ -365,10 +365,10 @@ def run_bounds_vs_k(cfg: ExperimentConfig):
     ctx = build_matrix(cfg.matrix, cfg.seed)
     b = build_rhs(cfg.rhs, ctx)
     M = ctx.operator
-    n = M.shape[0] if hasattr(M, "shape") else M.rows
+    n = M.shape[0]
     k_max = min(cfg.k_max, n)
     sigma = linalg.sigma_max(M, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
-    x_exact = arn._solve_with(M, b)
+    x_exact = M.solve(b)
     reference = linalg.reference_sqrt_action(M, b) if cfg.oracle else None
 
     state = arn.arnoldi(M, b, k_max)
@@ -524,9 +524,8 @@ def run_perturbed_validity(cfg: ExperimentConfig):
         reference = linalg.reference_sqrt_action(a, b)
         for eps in cfg.eps_values:
             pert = matgen.perturb_matrix(a, matgen.PerturbationSpec(eps=eps), inst_seed + 17)
-            at = pert.matrix.array
-            state = arn.arnoldi(at, b, cfg.k_max)
-            x_exact = arn._solve_with(at, b)
+            state = arn.arnoldi(pert.matrix, b, cfg.k_max)
+            x_exact = pert.matrix.solve(b)
             worst = 0.0
             for k in range(2, state.k + 1):
                 sub = state.prefix(k)

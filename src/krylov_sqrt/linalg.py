@@ -1,4 +1,11 @@
-"""Dense, deterministic, desk-scale linear-algebra kernels.
+"""The operator protocol and the dense, deterministic, desk-scale kernels.
+
+Every matrix enters through :func:`as_operator`, the one place that looks
+at the input's type.  An operator has ``shape``, ``dtype`` (None when
+unknown), ``matvec``, ``rmatvec``, ``solve(rhs, adjoint=False)``,
+``is_hermitian(rtol)``, ``to_dense()`` and ``bands`` (``(lower, diag,
+upper)`` or None), and is a :class:`DenseMatrix`, a
+:class:`TridiagonalMatrix` or a :class:`MatvecOperator`.
 
 Factorizations and small-matrix eigenvalue/square-root evaluation are
 delegated to LAPACK through numpy/scipy; this module owns input
@@ -6,7 +13,7 @@ validation, the error contracts, and the extremal singular-value
 estimators (largest: exact for tridiagonal input and for dense input
 at desk scale, power iteration otherwise; smallest: inverse power
 iteration), and the error oracle (closed form for tridiagonal Toeplitz
-input, dense Schur square root otherwise).  Everything here is a pure
+input, dense Schur square root otherwise).  Every kernel is a pure
 function of its inputs.
 """
 
@@ -27,6 +34,7 @@ from .errors import (
     SingularMatrix,
     SpectrumOnBranchCut,
     TooLarge,
+    UnsupportedContext,
 )
 
 # Guard for dense reference computations (full-matrix square roots).
@@ -45,33 +53,136 @@ PIVOT_RTOL = 1e-14
 BRANCH_CUT_IMAG_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class DenseMatrix:
-    """Dense complex-entry matrix value.
+    """Square dense matrix in its native dtype.
 
-    Real matrices are carried as complex with zero imaginary parts.  The
-    entries are validated to be finite on construction, so downstream
-    kernels can skip the check.
+    Real entries are stored as float64 and complex entries as complex128.
+    The entries are validated to be finite on construction, so downstream
+    kernels can skip the check.  The LU factors are computed on the first
+    :meth:`solve` and kept.
     """
 
-    array: np.ndarray
+    bands = None
 
-    def __post_init__(self):
-        a = np.array(self.array, dtype=np.complex128, order="C", copy=True)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise DimensionMismatch(f"expected a 2-D matrix, got shape {a.shape}")
-        if not np.isfinite(a.real).all() or not np.isfinite(a.imag).all():
+    def __init__(self, array):
+        a = np.asarray(array)
+        a = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64,
+                     order="C", copy=True)
+        if a.ndim != 2 or a.shape[0] < 1 or a.shape[0] != a.shape[1]:
+            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():
             raise NonFiniteEntry("matrix entries must be finite")
         a.flags.writeable = False
-        object.__setattr__(self, "array", a)
+        self.array, self.shape, self.dtype = a, a.shape, a.dtype
+        self._lu = None
 
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
+    def matvec(self, v) -> np.ndarray:
+        return self.array @ v
 
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
+    def rmatvec(self, v) -> np.ndarray:
+        return (np.conj(v) @ self.array).conj()  # Mᴴ v without copying M
+
+    def solve(self, rhs, adjoint: bool = False) -> np.ndarray:
+        """Solve M x = rhs (Mᴴ x = rhs with ``adjoint``) by LU with partial
+        pivoting.
+
+        Raises SingularMatrix when a pivot falls below ``PIVOT_RTOL``
+        times the largest row norm of M.
+        """
+        rhs = np.asarray(rhs)
+        if rhs.shape[0] != self.shape[0]:
+            raise DimensionMismatch(f"rhs length {rhs.shape[0]} != matrix order {self.shape[0]}")
+        if self._lu is None:
+            lu, piv = lu_factor_quiet(self.array)
+            scale = float(np.max(np.linalg.norm(self.array, axis=1)))
+            if scale == 0.0 or np.min(np.abs(np.diag(lu))) <= PIVOT_RTOL * scale:
+                raise SingularMatrix("pivot below threshold; matrix is numerically singular")
+            self._lu = (lu, piv)
+        trans = (2 if np.iscomplexobj(self.array) else 1) if adjoint else 0
+        return sla.lu_solve(self._lu, rhs, trans=trans, check_finite=False)
+
+    def is_hermitian(self, rtol: float = 1e-12) -> bool:
+        a = self.array
+        return np.linalg.norm(a - a.conj().T) <= rtol * np.linalg.norm(a)
+
+    def to_dense(self) -> np.ndarray:
+        return self.array
+
+
+class TridiagonalMatrix:
+    """Real tridiagonal matrix in banded storage.
+
+    Solves, adjoint solves included, use banded LU; ``to_dense`` builds
+    the full matrix for the dense kernels.
+    """
+
+    def __init__(self, lower, diag, upper):
+        self.lower = np.asarray(lower, dtype=float)
+        self.diag = np.asarray(diag, dtype=float)
+        self.upper = np.asarray(upper, dtype=float)
+        m = self.diag.shape[0]
+        if self.lower.shape[0] != m - 1 or self.upper.shape[0] != m - 1:
+            raise DimensionMismatch("band lengths must be (m-1, m, m-1)")
+        self.shape = (m, m)
+        self.dtype = np.dtype(float)
+        self.bands = (self.lower, self.diag, self.upper)
+
+    def matvec(self, v):
+        w = self.diag * v
+        w[1:] += self.lower * v[:-1]
+        w[:-1] += self.upper * v[1:]
+        return w
+
+    def rmatvec(self, v):
+        w = self.diag * v
+        w[1:] += self.upper * v[:-1]
+        w[:-1] += self.lower * v[1:]
+        return w
+
+    def solve(self, rhs, adjoint: bool = False):
+        ab = np.zeros((3, self.shape[0]))
+        if adjoint:
+            ab[0, 1:], ab[1, :], ab[2, :-1] = self.lower, self.diag, self.upper
+        else:
+            ab[0, 1:], ab[1, :], ab[2, :-1] = self.upper, self.diag, self.lower
+        return sla.solve_banded((1, 1), ab, rhs, check_finite=False)
+
+    def is_hermitian(self, rtol: float = 1e-12) -> bool:
+        scale = np.linalg.norm(np.concatenate([self.diag, self.lower, self.upper]))
+        return np.linalg.norm(self.lower - self.upper) <= rtol * scale
+
+    def to_dense(self) -> np.ndarray:
+        return np.diag(self.diag) + np.diag(self.lower, -1) + np.diag(self.upper, 1)
+
+
+class MatvecOperator:
+    """A matrix seen only through its products with vectors.
+
+    ``rmatvec`` is optional.  Whatever needs the entries or an exact
+    solve raises UnsupportedContext.
+    """
+
+    dtype = None  # unknown until a product is seen
+    bands = None
+
+    def __init__(self, matvec, n: int, rmatvec=None):
+        self.matvec = matvec
+        self.shape = (n, n)
+        self._rmatvec = rmatvec
+
+    def rmatvec(self, v):
+        if self._rmatvec is None:
+            raise UnsupportedContext("the operator has no rmatvec (product with Mᴴ)")
+        return self._rmatvec(v)
+
+    def solve(self, rhs, adjoint: bool = False):
+        raise UnsupportedContext("an exact solve is needed, and a matvec-only operator has none")
+
+    def is_hermitian(self, rtol: float = 1e-12) -> bool:
+        raise UnsupportedContext("a matvec-only operator cannot be tested for symmetry")
+
+    def to_dense(self):
+        raise UnsupportedContext("a matvec-only operator has no dense form")
 
 
 @dataclass(frozen=True)
@@ -94,25 +205,27 @@ class RitzSpectrum:
         return cls(values=v, k=v.size)
 
 
+def as_operator(M):
+    """Normalize a matrix to the operator protocol.
+
+    Accepts an operator of this module, ``(callable, n)``, an object with
+    ``matvec`` and ``shape`` (and optionally ``rmatvec``), or anything
+    ``np.asarray`` turns into a square matrix.
+    """
+    if isinstance(M, (DenseMatrix, TridiagonalMatrix, MatvecOperator)):
+        return M
+    if isinstance(M, tuple) and len(M) == 2 and callable(M[0]):
+        return MatvecOperator(M[0], int(M[1]))
+    if hasattr(M, "matvec"):
+        return MatvecOperator(M.matvec, M.shape[0], getattr(M, "rmatvec", None))
+    if callable(M):
+        raise DimensionMismatch("bare callables must be passed as (callable, n)")
+    return DenseMatrix(M)
+
+
 def as_array(M) -> np.ndarray:
-    """Unwrap a DenseMatrix (or banded matrix with ``to_dense``) to ndarray."""
-    if isinstance(M, DenseMatrix):
-        return M.array
-    if hasattr(M, "to_dense"):
-        return M.to_dense()
-    return np.asarray(M)
-
-
-def _is_tridiagonal(M) -> bool:
-    """True for a banded tridiagonal matrix (``lower``/``diag``/``upper``)."""
-    return hasattr(M, "lower") and hasattr(M, "upper")
-
-
-def _square_array(M) -> np.ndarray:
-    a = as_array(M)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return a
+    """The dense form of M as an ndarray."""
+    return as_operator(M).to_dense()
 
 
 def lu_factor_quiet(a: np.ndarray):
@@ -124,21 +237,10 @@ def lu_factor_quiet(a: np.ndarray):
 
 
 def lu_solve(A, b) -> np.ndarray:
-    """Solve A x = b by LU with partial pivoting.
-
-    Raises SingularMatrix when a pivot falls below ``PIVOT_RTOL`` times the
-    largest row norm of A.
+    """Solve A x = b with the operator's exact solve: for a dense A, LU
+    with partial pivoting and the pivot check of :meth:`DenseMatrix.solve`.
     """
-    a = _square_array(A)
-    rhs = np.asarray(b)
-    if rhs.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"rhs length {rhs.shape[0]} != matrix order {a.shape[0]}")
-    lu, piv = lu_factor_quiet(a)
-    pivots = np.abs(np.diag(lu))
-    scale = float(np.max(np.linalg.norm(a, axis=1)))
-    if scale == 0.0 or np.min(pivots) <= PIVOT_RTOL * scale:
-        raise SingularMatrix("pivot below threshold; matrix is numerically singular")
-    return sla.lu_solve((lu, piv), rhs, check_finite=False)
+    return as_operator(A).solve(b)
 
 
 def hessenberg_eigenvalues(H) -> RitzSpectrum:
@@ -147,7 +249,7 @@ def hessenberg_eigenvalues(H) -> RitzSpectrum:
     Computed by the LAPACK shifted-QR algorithm (real input uses the
     Francis double-shift path, producing exact conjugate pairs).
     """
-    h = _square_array(H)
+    h = as_array(H)
     k = h.shape[0]
     if k > 2 and np.any(np.tril(h, -2) != 0):
         raise DimensionMismatch("matrix has nonzeros below the first subdiagonal")
@@ -169,7 +271,7 @@ def dense_sqrt(A) -> np.ndarray:
     :func:`min_symmetric_eig` certifies the spectrum and the general
     eigenvalue solve runs only when that value is <= 0.
     """
-    a = _square_array(A)
+    a = as_array(A)
     if min_symmetric_eig(a) <= 0.0:
         eigs = sla.eigvals(a, check_finite=False)
         on_cut = (eigs.real <= 0.0) & (
@@ -191,10 +293,11 @@ def reference_sqrt_action(M, b) -> np.ndarray:
     dense Schur square root, guarded to n <= DENSE_ORACLE_MAX_N, and must
     be positive definite in the Re(x*Mx) > 0 sense.
     """
-    bands = _toeplitz_bands(M)
+    op = as_operator(M)
+    bands = _toeplitz_bands(op)
     if bands is not None:
-        return _toeplitz_sqrt_action(*bands, M.shape[0], b)
-    a = _square_array(M)
+        return _toeplitz_sqrt_action(*bands, op.shape[0], b)
+    a = op.to_dense()
     n = a.shape[0]
     if n > DENSE_ORACLE_MAX_N:
         raise TooLarge(f"n = {n} exceeds the dense-oracle guard {DENSE_ORACLE_MAX_N}")
@@ -208,19 +311,20 @@ def reference_sqrt_action(M, b) -> np.ndarray:
     return sla.sqrtm(a) @ rhs
 
 
-def _toeplitz_bands(M):
-    """(sub, dia, sup) when M is tridiagonal Toeplitz and the closed form
-    is trusted for it (sub * sup > 0, cond(D) <= TOEPLITZ_MAX_COND_D),
-    else None."""
-    if not _is_tridiagonal(M) or M.diag.shape[0] < 2:
+def _toeplitz_bands(op):
+    """(sub, dia, sup) when the operator is tridiagonal Toeplitz and the
+    closed form is trusted for it (sub * sup > 0,
+    cond(D) <= TOEPLITZ_MAX_COND_D), else None."""
+    if op.bands is None or op.shape[0] < 2:
         return None
-    sub, dia, sup = M.lower[0], M.diag[0], M.upper[0]
-    if np.any(M.lower != sub) or np.any(M.diag != dia) or np.any(M.upper != sup):
+    lower, diag, upper = op.bands
+    sub, dia, sup = lower[0], diag[0], upper[0]
+    if np.any(lower != sub) or np.any(diag != dia) or np.any(upper != sup):
         return None
     if not sub * sup > 0:
         return None
     # cond(D) = max(r, 1/r)^((m-1)/2) with r = sub/sup, compared in logs
-    log_cond_d = 0.5 * (M.diag.shape[0] - 1) * abs(math.log(sub / sup))
+    log_cond_d = 0.5 * (diag.shape[0] - 1) * abs(math.log(sub / sup))
     if log_cond_d > math.log(TOEPLITZ_MAX_COND_D):
         return None
     return float(sub), float(dia), float(sup)
@@ -254,15 +358,14 @@ def _toeplitz_sqrt_action(sub: float, dia: float, sup: float, m: int, b) -> np.n
 def sigma_max(M, tol: float = 1e-8, max_iter: int | None = None) -> float:
     """Largest singular value.
 
-    Exact at desk scale: for a real tridiagonal matrix
-    (``diag``/``lower``/``upper`` bands) the square root of the largest
-    eigenvalue of the pentadiagonal MᵀM, from a banded symmetric
-    eigensolver; for an ndarray or DenseMatrix of order at most
+    Exact at desk scale: for a tridiagonal matrix (``bands``) the square
+    root of the largest eigenvalue of the pentadiagonal MᵀM, from a banded
+    symmetric eigensolver; for a dense matrix of order at most
     ``DENSE_ORACLE_MAX_N`` the leading value of a dense SVD.  ``tol`` and
     ``max_iter`` are unused there.
 
-    Any other input (an operator with matvec/rmatvec/shape, or a larger
-    dense matrix) runs power iteration on MᴴM from a deterministic
+    Any other input (a matvec-only operator, or a larger dense matrix)
+    runs power iteration on MᴴM from a deterministic
     all-ones start; the estimate is the Rayleigh-quotient square root
     ||Mv||, which is monotone nondecreasing, so it is a lower estimate.
     Convergence is declared when the estimate's per-step relative change
@@ -270,29 +373,25 @@ def sigma_max(M, tol: float = 1e-8, max_iter: int | None = None) -> float:
     this stalls close to (but slightly below) the true value, so tighten
     ``tol`` and raise ``max_iter`` when sharp accuracy is needed.
     """
-    if _is_tridiagonal(M):
-        return _tridiagonal_sigma_max(M.lower, M.diag, M.upper)
-    if hasattr(M, "matvec") and hasattr(M, "rmatvec"):
-        matvec, rmatvec, n = M.matvec, M.rmatvec, M.shape[0]
-    else:
-        a = _square_array(M)
-        n = a.shape[0]
-        if n <= DENSE_ORACLE_MAX_N:
-            if np.iscomplexobj(a) and not a.imag.any():
-                a = a.real  # a real matrix carried as complex: half the SVD cost
-            return float(sla.svdvals(a, check_finite=False)[0])
-        ah = a.conj().T
-        matvec, rmatvec = (lambda v: a @ v), (lambda v: ah @ v)
+    op = as_operator(M)
+    if op.bands is not None:
+        return _tridiagonal_sigma_max(*op.bands)
+    n = op.shape[0]
+    if n <= DENSE_ORACLE_MAX_N:
+        try:
+            return float(sla.svdvals(op.to_dense(), check_finite=False)[0])
+        except UnsupportedContext:
+            pass  # a matvec-only operator has no dense form
     if max_iter is None:
         max_iter = 10 * n
     v = np.ones(n) / np.sqrt(n)
     sigma = 0.0
     for _ in range(max_iter):
-        u = matvec(v)
+        u = op.matvec(v)
         sigma_new = float(np.linalg.norm(u))
         if sigma_new == 0.0:
             raise NoConvergence("iterate annihilated; M appears to be zero")
-        w = rmatvec(u)
+        w = op.rmatvec(u)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             # v is a maximal singular vector of a nilpotent-like M.
@@ -323,42 +422,25 @@ def _tridiagonal_sigma_max(lower, diag, upper) -> float:
     return float(np.sqrt(top[0]))
 
 
-def _solver_pair(M):
-    """Return (solve, rsolve) callables for M, factoring once."""
-    if hasattr(M, "solve"):
-        return (lambda v: M.solve(v)), (lambda v: M.solve(v, adjoint=True))
-    a = _square_array(M)
-    lu, piv = lu_factor_quiet(a)
-    pivots = np.abs(np.diag(lu))
-    scale = float(np.max(np.linalg.norm(a, axis=1)))
-    if scale == 0.0 or np.min(pivots) <= PIVOT_RTOL * scale:
-        raise SingularMatrix("matrix numerically singular; cannot estimate sigma_min")
-    trans = 2 if np.iscomplexobj(lu) else 1
-    return (
-        lambda v: sla.lu_solve((lu, piv), v, check_finite=False),
-        lambda v: sla.lu_solve((lu, piv), v, trans=trans, check_finite=False),
-    )
-
-
 def sigma_min(M, tol: float = 1e-10, max_iter: int | None = None) -> float:
     """Smallest singular value by inverse power iteration on (MᴴM)⁻¹.
 
     Companion to :func:`sigma_max`; together they give the 2-norm
     condition number reported by the experiment harness.
     """
-    solve, rsolve = _solver_pair(M)
-    n = M.shape[0] if hasattr(M, "shape") else _square_array(M).shape[0]
+    op = as_operator(M)
+    n = op.shape[0]
     if max_iter is None:
         max_iter = 10 * n
     v = np.ones(n) / np.sqrt(n)
     sigma = np.inf
     for _ in range(max_iter):
-        u = rsolve(v)
+        u = op.solve(v, adjoint=True)
         nu = float(np.linalg.norm(u))
         if nu == 0.0:
             raise NoConvergence("inverse iterate vanished")
         sigma_new = 1.0 / nu
-        w = solve(u)
+        w = op.solve(u)
         nw = np.linalg.norm(w)
         v = w / nw
         if sigma - sigma_new <= tol * sigma_new and np.isfinite(sigma):
@@ -372,11 +454,7 @@ def is_hermitian(M, rtol: float = 1e-12) -> bool:
 
     No symmetrization is ever applied; this is detection only.
     """
-    if _is_tridiagonal(M):
-        scale = np.linalg.norm(np.concatenate([M.diag, M.lower, M.upper]))
-        return np.linalg.norm(M.lower - M.upper) <= rtol * scale
-    a = _square_array(M)
-    return np.linalg.norm(a - a.conj().T) <= rtol * np.linalg.norm(a)
+    return as_operator(M).is_hermitian(rtol)
 
 
 def min_symmetric_eig(M) -> float:
@@ -385,7 +463,7 @@ def min_symmetric_eig(M) -> float:
     A positive result certifies positive-definiteness in the
     Re(x*Mx) > 0 sense.
     """
-    a = _square_array(M)
+    a = as_array(M)
     herm = (a + a.conj().T) / 2.0
     try:
         vals = sla.eigvalsh(herm, check_finite=False)

@@ -12,11 +12,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import linalg
-from .errors import DimensionMismatch, DomainError, PositivityLost, UnsupportedContext
-from .linalg import DenseMatrix
+from .errors import DomainError, PositivityLost, UnsupportedContext
+from .linalg import DenseMatrix, TridiagonalMatrix
 
 # Gaussian tails can push a prescribed eigenvalue negative; clamp here.
 POSITIVITY_FLOOR = 1e-6
@@ -159,57 +158,6 @@ def skew_part(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
     return upper - upper.T
 
 
-class TridiagonalMatrix:
-    """Real tridiagonal matrix in banded storage with a dense-view adapter.
-
-    Exposes matvec/rmatvec for the Arnoldi operator interface and
-    solve/adjoint-solve backed by banded LU, so the same object serves the
-    iteration, the FOM error solve, and the extremal singular-value
-    estimators.
-    """
-
-    def __init__(self, lower, diag, upper):
-        self.lower = np.asarray(lower, dtype=float)
-        self.diag = np.asarray(diag, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
-        m = self.diag.shape[0]
-        if self.lower.shape[0] != m - 1 or self.upper.shape[0] != m - 1:
-            raise DimensionMismatch("band lengths must be (m-1, m, m-1)")
-        self.shape = (m, m)
-        self.dtype = np.dtype(float)
-
-    def matvec(self, v):
-        w = self.diag * v
-        w[1:] += self.lower * v[:-1]
-        w[:-1] += self.upper * v[1:]
-        return w
-
-    def rmatvec(self, v):
-        w = self.diag * v
-        w[1:] += self.upper * v[:-1]
-        w[:-1] += self.lower * v[1:]
-        return w
-
-    def _banded(self, adjoint: bool):
-        m = self.shape[0]
-        ab = np.zeros((3, m))
-        if adjoint:
-            ab[0, 1:], ab[1, :], ab[2, :-1] = self.lower, self.diag, self.upper
-        else:
-            ab[0, 1:], ab[1, :], ab[2, :-1] = self.upper, self.diag, self.lower
-        return ab
-
-    def solve(self, rhs, adjoint: bool = False):
-        return sla.solve_banded((1, 1), self._banded(adjoint), rhs, check_finite=False)
-
-    def to_dense(self) -> np.ndarray:
-        return (
-            np.diag(self.diag)
-            + np.diag(self.lower, -1)
-            + np.diag(self.upper, 1)
-        )
-
-
 def convection_diffusion(n: int, eta: float, convention: str = "interior") -> TridiagonalMatrix:
     """Upwind finite-difference matrix for -eta u'' + u' on (0, 1) with
     homogeneous Dirichlet ends and grid spacing h = 1/n.
@@ -255,8 +203,6 @@ def perturb_matrix(M, spec: PerturbationSpec, seed: int) -> PerturbedMatrix:
     times before PositivityLost is raised.
     """
     a = linalg.as_array(M)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("M must be square")
     n = a.shape[0]
     mu1_sq = linalg.min_symmetric_eig(a)
     if mu1_sq <= 0:
@@ -303,12 +249,8 @@ def rhs_vector(kind: str, context=None, count: int = 100) -> np.ndarray:
         if isinstance(context, (int, np.integer)):
             return np.ones(int(context))
         if isinstance(context, SpectrumMatrix):
-            return np.ones(context.matrix.rows)
-        if hasattr(context, "shape"):
-            return np.ones(context.shape[0])
-        if isinstance(context, DenseMatrix):
-            return np.ones(context.rows)
-        raise UnsupportedContext("cannot infer dimension for the ones vector")
+            context = context.matrix
+        return np.ones(linalg.as_operator(context).shape[0])
     if kind == "eig_average":
         if not isinstance(context, SpectrumMatrix):
             raise UnsupportedContext("eig_average needs a spectrum-known matrix")

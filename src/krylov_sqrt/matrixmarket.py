@@ -12,8 +12,7 @@ import warnings
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import DenseMatrix
-from .matgen import TridiagonalMatrix
+from .linalg import as_operator
 
 _HEADER = "%%MatrixMarket matrix"
 
@@ -23,51 +22,45 @@ def _fmt(x: float) -> str:
 
 
 def write_matrix_market(path, M, comment: str | None = None) -> None:
-    """Write a matrix (dense or tridiagonal) in MatrixMarket text format.
+    """Write a vector, an array or an operator in MatrixMarket text format.
 
-    Dense input uses the ``array`` format (column-major values); banded
-    input uses ``coordinate`` with only the stored diagonals.
+    Arrays and dense operators use the ``array`` format (column-major
+    values, ``real`` or ``complex`` by dtype); a tridiagonal operator uses
+    ``coordinate`` with only the stored diagonals.
     """
-    if isinstance(M, TridiagonalMatrix):
-        _write_coordinate(path, M, comment)
-        return
-    a = M.array if isinstance(M, DenseMatrix) else np.asarray(M)
+    if np.ndim(M) == 0:  # an operator, not an array
+        op = as_operator(M)
+        if op.bands is not None:
+            _write_coordinate(path, op.bands, comment)
+            return
+        M = op.to_dense()
+    a = np.asarray(M)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise DimensionMismatch("expected a matrix or vector")
     field = "complex" if np.iscomplexobj(a) else "real"
-    lines = [f"{_HEADER} array {field} general"]
-    if comment:
-        lines.extend(f"%{line}" for line in comment.splitlines())
-    lines.append(f"{a.shape[0]} {a.shape[1]}")
-    for j in range(a.shape[1]):
-        for i in range(a.shape[0]):
-            v = a[i, j]
-            if field == "complex":
-                lines.append(f"{_fmt(v.real)} {_fmt(v.imag)}")
-            else:
-                lines.append(_fmt(v))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    values = a.ravel(order="F")
+    body = ([f"{_fmt(v.real)} {_fmt(v.imag)}" for v in values] if field == "complex"
+            else [_fmt(v) for v in values])
+    _write(path, f"array {field} general", comment, [f"{a.shape[0]} {a.shape[1]}"] + body)
 
 
-def _write_coordinate(path, M: TridiagonalMatrix, comment: str | None) -> None:
-    m = M.shape[0]
-    entries = []
-    for i in range(m):
-        entries.append((i + 1, i + 1, M.diag[i]))
-    for i in range(m - 1):
-        entries.append((i + 2, i + 1, M.lower[i]))
-        entries.append((i + 1, i + 2, M.upper[i]))
-    entries.sort()
-    lines = [f"{_HEADER} coordinate real general"]
+def _write_coordinate(path, bands, comment: str | None) -> None:
+    lower, diag, upper = bands
+    m = diag.shape[0]
+    i = range(1, m + 1)
+    entries = sorted([*zip(i, i, diag), *zip(i[1:], i, lower), *zip(i, i[1:], upper)])
+    _write(path, "coordinate real general", comment,
+           [f"{m} {m} {len(entries)}"] + [f"{i} {j} {_fmt(v)}" for i, j, v in entries])
+
+
+def _write(path, header: str, comment: str | None, body: list) -> None:
+    lines = [f"{_HEADER} {header}"]
     if comment:
         lines.extend(f"%{line}" for line in comment.splitlines())
-    lines.append(f"{m} {m} {len(entries)}")
-    lines.extend(f"{i} {j} {_fmt(v)}" for i, j, v in entries)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines + body) + "\n")
 
 
 def read_matrix_market(path) -> np.ndarray:

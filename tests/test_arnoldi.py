@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from krylov_sqrt import arnoldi as arn
-from krylov_sqrt import linalg
+from krylov_sqrt import linalg, matgen
 from krylov_sqrt.errors import (
     DimensionMismatch,
     DomainError,
     NonFiniteEntry,
     SingularShift,
+    UnsupportedContext,
 )
 
 from helpers import make_pd_matrix
@@ -85,6 +86,12 @@ class TestArnoldiExtend:
         pre = long.prefix(5)
         np.testing.assert_array_equal(pre.hessenberg, short.hessenberg)
         np.testing.assert_array_equal(pre.basis, short.basis)
+
+    def test_real_dense_matrix_stays_real(self):
+        a, _, _ = make_pd_matrix(8, 30)
+        state = arn.arnoldi(linalg.DenseMatrix(a), np.ones(30), 6)
+        assert state.hessenberg.dtype == state.basis.dtype == np.float64
+        check_invariants(a, state)
 
     def test_complex_operator_promotes(self):
         a = np.array([[1.0, 1j], [-1j, 2.0]])
@@ -317,3 +324,18 @@ class TestRunAdaptive:
     def test_invalid_rule(self):
         with pytest.raises(DomainError):
             arn.BoundAbsolute(tol=0.1, bound_kind="nonsense")
+
+    @pytest.mark.parametrize("f", ["invsqrt", "inverse"])
+    def test_bound_stop_needs_sqrt(self, f):
+        # the bounds bound the sqrt action: on this input a sqrt-bound stop
+        # for invsqrt fired at k = 191 with posterior_ritz 9.70e-4, while
+        # the true M^{-1/2} b error there was 1.01e-3 > tol
+        tri = matgen.convection_diffusion(200, 0.1)
+        with pytest.raises(DomainError):
+            arn.run_adaptive(tri, np.ones(199), f=f, stop=arn.BoundAbsolute(tol=1e-3),
+                             k_max=199)
+
+    def test_matvec_only_needs_exact_solve(self):
+        a, _, _ = make_pd_matrix(16, 20)
+        with pytest.raises(UnsupportedContext, match="exact solve"):
+            arn.run_adaptive((lambda v: a @ v, 20), np.ones(20), k_max=5)

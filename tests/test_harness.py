@@ -14,7 +14,7 @@ from krylov_sqrt import bounds as bnd
 from krylov_sqrt import experiments as exp
 from krylov_sqrt import linalg, matgen, plotting
 from krylov_sqrt.cli import main as cli_main
-from krylov_sqrt.errors import ConfigError, DomainError
+from krylov_sqrt.errors import ConfigError, DomainError, UnsupportedContext
 
 
 def small_bounds_cfg(tmp_path, **overrides):
@@ -160,6 +160,11 @@ class TestFindStopK:
     def test_breakdown_short_circuit(self):
         _, k_stop, val, _ = exp.find_stop_k(np.eye(6), np.ones(6), 0.5)
         assert k_stop == 1 and val == 0.0
+
+    def test_matvec_only_needs_exact_solve(self):
+        tri = matgen.convection_diffusion(40, 0.5)
+        with pytest.raises(UnsupportedContext, match="exact solve"):
+            exp.find_stop_k((tri.matvec, 39), np.ones(39), 0.05)
 
     def test_budget_exhausted_returns_cap(self):
         tri = matgen.convection_diffusion(40, 0.5)
@@ -377,6 +382,29 @@ class TestCli:
         assert code == 0
         assert os.path.exists(os.path.join(outdir, "result.mtx"))
         assert os.path.exists(os.path.join(outdir, "history.csv"))
+
+    def test_matgen_real_matrix_written_real(self, tmp_path):
+        mtx = tmp_path / "m.mtx"
+        assert cli_main(["matgen", "--kind", "uniform", "--n", "6", "--skew",
+                         "--out", str(mtx)]) == 0
+        assert mtx.read_text().splitlines()[0] == "%%MatrixMarket matrix array real general"
+
+    def test_approx_invsqrt_bound_stop_rejected(self, tmp_path, capsys):
+        mtx = str(tmp_path / "m.mtx")
+        cli_main(["matgen", "--kind", "uniform", "--n", "24", "--seed", "3", "--out", mtx])
+        code = cli_main(["approx", "--matrix-file", mtx, "--f", "invsqrt", "--stop", "bound",
+                         "--tol", "1e-3", "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "sqrt" in capsys.readouterr().err
+
+    def test_approx_prints_sqrt_bound_only_for_sqrt(self, tmp_path, capsys):
+        mtx = str(tmp_path / "m.mtx")
+        cli_main(["matgen", "--kind", "uniform", "--n", "24", "--seed", "3", "--out", mtx])
+        for f in ("sqrt", "invsqrt"):
+            capsys.readouterr()
+            assert cli_main(["approx", "--matrix-file", mtx, "--f", f, "--tol", "1e-2",
+                             "--out", str(tmp_path / f)]) == 0
+            assert ("certified sqrt-error bound" in capsys.readouterr().out) == (f == "sqrt")
 
     def test_approx_budget_exit_code(self, tmp_path):
         mtx = str(tmp_path / "m.mtx")

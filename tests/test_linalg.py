@@ -17,16 +17,21 @@ from krylov_sqrt.errors import (
     SingularMatrix,
     SpectrumOnBranchCut,
     TooLarge,
+    UnsupportedContext,
 )
 
 from helpers import charpoly_coefficients, durand_kerner, make_pd_matrix
 
 
 class TestDenseMatrix:
-    def test_carries_complex(self):
-        m = linalg.DenseMatrix(np.eye(2))
-        assert m.array.dtype == np.complex128
-        assert m.rows == m.cols == 2
+    def test_keeps_native_dtype(self):
+        # real input stays real, so every kernel runs in real arithmetic
+        for a, want in ((np.eye(2, dtype=int), np.float64), (np.eye(2), np.float64),
+                        (np.eye(2, dtype=np.complex64), np.complex128),
+                        (np.eye(2) + 1j * np.ones((2, 2)), np.complex128)):
+            m = linalg.DenseMatrix(a)
+            assert m.array.dtype == m.dtype == want
+            assert m.shape == (2, 2)
 
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteEntry):
@@ -35,11 +40,103 @@ class TestDenseMatrix:
     def test_rejects_non_2d(self):
         with pytest.raises(DimensionMismatch):
             linalg.DenseMatrix(np.ones(3))
+        with pytest.raises(DimensionMismatch):
+            linalg.DenseMatrix(np.ones((3, 2)))
 
     def test_immutable(self):
         m = linalg.DenseMatrix(np.eye(2))
         with pytest.raises(ValueError):
             m.array[0, 0] = 5.0
+
+
+def _random_band_tridiagonal():
+    rng = np.random.default_rng(7)
+    return linalg.TridiagonalMatrix(rng.standard_normal(11), 4.0 + rng.standard_normal(12),
+                                    rng.standard_normal(11))
+
+
+def _operators():
+    """(operator, its dense form) for each implementation of the protocol."""
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal((9, 9)) + 9.0 * np.eye(9)
+    cplx = real + 1j * rng.standard_normal((9, 9))
+    herm = real + real.T
+    tri = matgen.convection_diffusion(13, 0.1)
+    band = _random_band_tridiagonal()
+    return {
+        "dense-real": (linalg.DenseMatrix(real), real),
+        "dense-complex": (linalg.DenseMatrix(cplx), cplx),
+        "dense-hermitian": (linalg.DenseMatrix(herm), herm),
+        "tridiagonal-convdiff": (tri, tri.to_dense()),
+        "tridiagonal-random": (band, band.to_dense()),
+        "matvec-only": (linalg.as_operator((lambda v: real @ v, 9)), real),
+    }
+
+
+class TestOperatorProtocol:
+    @pytest.mark.parametrize("name", list(_operators()))
+    def test_conforms_to_dense_form(self, name):
+        op, a = _operators()[name]
+        assert linalg.as_operator(op) is op
+        n = a.shape[0]
+        assert op.shape == (n, n)
+        v = np.random.default_rng(n).standard_normal(n) * (1 + 0.5j)
+        np.testing.assert_allclose(op.matvec(v), a @ v, rtol=1e-13)
+        if name == "matvec-only":
+            assert op.dtype is None and op.bands is None
+            for call in (lambda: op.rmatvec(v), lambda: op.solve(v),
+                         lambda: op.solve(v, adjoint=True), op.to_dense, op.is_hermitian):
+                with pytest.raises(UnsupportedContext):
+                    call()
+            return
+        assert op.dtype == a.dtype
+        np.testing.assert_allclose(op.rmatvec(v), a.conj().T @ v, rtol=1e-13)
+        np.testing.assert_allclose(op.solve(v), np.linalg.solve(a, v), rtol=1e-10)
+        np.testing.assert_allclose(op.solve(v, adjoint=True), np.linalg.solve(a.conj().T, v),
+                                   rtol=1e-10)
+        np.testing.assert_array_equal(op.to_dense(), a)
+        assert op.is_hermitian() == bool(np.array_equal(a, a.conj().T))
+        if op.bands is None:
+            assert name.startswith("dense")
+        else:
+            lower, diag, upper = op.bands
+            np.testing.assert_array_equal(np.diag(a, -1), lower)
+            np.testing.assert_array_equal(np.diag(a), diag)
+            np.testing.assert_array_equal(np.diag(a, 1), upper)
+
+    def test_dense_solve_factors_once(self, monkeypatch):
+        calls = []
+        factor = linalg.lu_factor_quiet
+        monkeypatch.setattr(linalg, "lu_factor_quiet", lambda a: calls.append(1) or factor(a))
+        m = linalg.DenseMatrix(np.diag([2.0, 4.0]))
+        np.testing.assert_allclose(m.solve(np.ones(2)), [0.5, 0.25])
+        np.testing.assert_allclose(m.solve(np.ones(2), adjoint=True), [0.5, 0.25])
+        assert len(calls) == 1
+
+    def test_singular_dense_solve_raises(self):
+        m = linalg.DenseMatrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(SingularMatrix):
+            m.solve(np.ones(2))
+
+    def test_dense_solve_rejects_rhs_length(self):
+        with pytest.raises(DimensionMismatch):
+            linalg.DenseMatrix(np.eye(3)).solve(np.ones(4))
+
+    def test_as_operator_normalizes(self):
+        class Product:
+            shape = (4, 4)
+
+            def matvec(self, v):
+                return 2.0 * v
+
+        assert isinstance(linalg.as_operator(np.eye(4)), linalg.DenseMatrix)
+        op = linalg.as_operator(Product())
+        np.testing.assert_array_equal(op.matvec(np.ones(4)), 2.0 * np.ones(4))
+        assert op.shape == (4, 4)
+        with pytest.raises(DimensionMismatch):
+            linalg.as_operator(lambda v: v)
+        with pytest.raises(DimensionMismatch):
+            linalg.as_operator(np.ones((3, 4)))
 
 
 class TestRitzSpectrum:
