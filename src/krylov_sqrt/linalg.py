@@ -56,10 +56,11 @@ BRANCH_CUT_IMAG_TOL = 1e-12
 class DenseMatrix:
     """Square dense matrix in its native dtype.
 
-    Real entries are stored as float64 and complex entries as complex128.
-    The entries are validated to be finite on construction, so downstream
-    kernels can skip the check.  The LU factors are computed on the first
-    :meth:`solve` and kept.
+    Real entries are stored as float64 and complex entries as complex128,
+    in a read-only array: a writable input is copied, a read-only one of
+    that dtype is shared.  The entries are validated to be finite on
+    construction, so downstream kernels can skip the check.  The LU
+    factors are computed on the first :meth:`solve` and kept.
     """
 
     bands = None
@@ -67,7 +68,7 @@ class DenseMatrix:
     def __init__(self, array):
         a = np.asarray(array)
         a = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64,
-                     order="C", copy=True)
+                     copy=True if a.flags.writeable else None)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         if not np.isfinite(a).all():

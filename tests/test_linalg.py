@@ -48,6 +48,13 @@ class TestDenseMatrix:
         with pytest.raises(ValueError):
             m.array[0, 0] = 5.0
 
+    def test_copies_writable_shares_readonly(self):
+        a = np.eye(3)
+        m = linalg.DenseMatrix(a)
+        a[0, 0] = 5.0
+        assert m.array[0, 0] == 1.0
+        assert linalg.DenseMatrix(m.array).array is m.array
+
 
 def _random_band_tridiagonal():
     rng = np.random.default_rng(7)
