@@ -12,9 +12,11 @@ copies the underlying buffers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import bounds as bnd
 from . import linalg
@@ -43,6 +45,7 @@ class _Workspace:
         self.k = 0          # completed Arnoldi steps
         self.ncols = 1      # stored basis columns
         self.breakdown = False
+        self.lu = _HessenbergLU()
 
     @property
     def capacity(self) -> int:
@@ -69,7 +72,79 @@ class _Workspace:
         ws.k = k
         ws.ncols = ncols
         ws.breakdown = False
+        ws.lu = _HessenbergLU()
         return ws
+
+    def factor(self) -> "_HessenbergLU":
+        """The LU factor of H, brought up to the completed steps."""
+        self.lu.extend(self.H, self.k)
+        return self.lu
+
+
+class _HessenbergLU:
+    """LU factors, with partial pivoting, of every leading block H_k of an
+    upper Hessenberg matrix, from one pass.
+
+    Column j has nonzeros in rows j and j+1 only, so pivot step j swaps at
+    most those two rows and leaves the rows above final.  The factors of
+    H_k are the first k-1 steps plus the diagonal of row k-1 before its own
+    step (``pivots``).
+    """
+
+    def __init__(self):
+        self.U, self.mult, self.swap, self.pivots = np.zeros((0, 0)), [], [], []
+
+    def extend(self, H: np.ndarray, K: int):
+        """Factor the leading K columns of H (at least K rows): the new
+        columns take the earlier steps, then the steps go on."""
+        k0 = len(self.pivots)
+        if K <= k0:
+            return
+        U = np.zeros((K, K), dtype=np.result_type(self.U, H))
+        U[:k0, :k0] = self.U
+        U[:, k0:] = H[:K, k0:K]
+        if k0:
+            U[k0, k0 - 1] = H[k0, k0 - 1]
+        for j in range(K - 1):
+            new_step = j >= k0 - 1
+            lo = j if new_step else k0
+            if new_step:
+                if j == len(self.pivots):
+                    self.pivots.append(U[j, j])
+                self.swap.append(bool(abs(U[j + 1, j]) > abs(U[j, j])))
+            if self.swap[j]:
+                U[[j, j + 1], lo:] = U[[j + 1, j], lo:]
+            if new_step:
+                self.mult.append(U[j + 1, j] / U[j, j] if U[j, j] != 0.0 else 0.0)
+            U[j + 1, lo:] -= self.mult[j] * U[j, lo:]
+        self.pivots.append(U[K - 1, K - 1])
+        self.U = U
+
+    def _diagonal(self, k: int) -> np.ndarray:
+        return np.append(np.diagonal(self.U)[: k - 1], self.pivots[k - 1])
+
+    def solve_e1(self, k: int, scale: float, H_k: np.ndarray) -> np.ndarray:
+        """y with H_k y = scale e_1.  Raises SingularMatrix when a pivot is
+        at most ``linalg.PIVOT_RTOL`` times the largest row norm of H_k."""
+        d = self._diagonal(k)
+        if np.min(np.abs(d)) <= linalg.PIVOT_RTOL * np.max(np.linalg.norm(H_k, axis=1)):
+            raise SingularMatrix("pivot below threshold; matrix is numerically singular")
+        # the steps carry scale e_1 down; row j keeps the carry unless swapped
+        swap = np.array(self.swap[: k - 1], dtype=bool)
+        carry = np.cumprod(np.append(scale, np.where(swap, 1.0, -np.array(self.mult[: k - 1]))))
+        y = np.append(np.where(swap, 0.0, carry[:-1]), carry[-1] / d[-1])
+        y[:-1] -= self.U[: k - 1, k - 1] * y[-1]
+        y[:-1] = sla.solve_triangular(self.U[: k - 1, : k - 1], y[:-1], check_finite=False)
+        return y
+
+    def logdet(self, k: int):
+        """(log|det H_k|, unit-modulus phase of det H_k)."""
+        d = self._diagonal(k)
+        mag = np.abs(d)
+        if np.min(mag) == 0.0 or np.min(mag) <= 1e-14 * np.max(mag):
+            raise SingularProjectedMatrix("projected matrix is numerically singular")
+        sign = -1.0 if sum(self.swap[: k - 1]) % 2 else 1.0
+        return float(np.sum(np.log(mag))), complex(np.prod(d / mag)) * sign
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -143,6 +218,12 @@ class ArnoldiDecomposition:
             b_norm=self.b_norm, k=k, breakdown=False, _ws=self._ws, _ncols=k + 1
         )
 
+    @functools.cached_property
+    def ritz(self) -> linalg.RitzSpectrum:
+        """Ritz values of H_k with the Schur form they came from, computed
+        once per snapshot."""
+        return linalg.hessenberg_eigenvalues(self.hessenberg)
+
 
 def arnoldi_start(b, capacity: int = 32) -> ArnoldiDecomposition:
     """Zero-step decomposition seeded with q_1 = b/||b||."""
@@ -182,7 +263,7 @@ def arnoldi_extend(apply_M, state: ArnoldiDecomposition, steps: int) -> ArnoldiD
         ws = ws.clone_at(state.k, state._ncols)
     needed = state.k + steps
     if needed > ws.capacity:
-        ws.grow(max(needed, 2 * ws.capacity))
+        ws.grow(max(needed, min(2 * ws.capacity, n)))  # no more than n steps exist
 
     Q, H = ws.Q, ws.H
     breakdown = False
@@ -225,6 +306,22 @@ def arnoldi(M, b, steps: int) -> ArnoldiDecomposition:
     return arnoldi_extend(M, state, steps)
 
 
+def fun_coefficients(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndarray:
+    """The k-vector ||b|| f(H_k) e_1 of :func:`arnoldi_fun_action`: the
+    square roots from the Schur form of ``decomp.ritz``, the inverse from
+    the Hessenberg LU factor."""
+    if decomp.k == 0:
+        raise DomainError("decomposition has no completed steps")
+    if f == "inverse":
+        return decomp._ws.factor().solve_e1(decomp.k, decomp.b_norm, decomp.hessenberg)
+    if f not in ("sqrt", "invsqrt"):
+        raise DomainError(f"unknown function tag {f!r}")
+    t, z = decomp.ritz.schur
+    s = linalg.schur_sqrt(t, decomp.ritz.values)
+    e = decomp.b_norm * z[0].conj()  # Zᴴ (||b|| e_1)
+    return z @ (s @ e if f == "sqrt" else linalg.lu_solve(s, e))
+
+
 def arnoldi_fun_action(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndarray:
     """The Arnoldi approximation ||b|| Q_k f(H_k) e_1.
 
@@ -232,32 +329,7 @@ def arnoldi_fun_action(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndar
     a solve against H_k^{1/2}, one fewer matrix function), or ``inverse``
     (the FOM iterate for M x = b).
     """
-    if decomp.k == 0:
-        raise DomainError("decomposition has no completed steps")
-    H = decomp.hessenberg
-    e1 = np.zeros(decomp.k, dtype=H.dtype)
-    e1[0] = decomp.b_norm
-    if f == "sqrt":
-        y = linalg.dense_sqrt(H)[:, 0] * decomp.b_norm
-    elif f == "invsqrt":
-        y = linalg.lu_solve(linalg.dense_sqrt(H), e1)
-    elif f == "inverse":
-        y = linalg.lu_solve(H, e1)
-    else:
-        raise DomainError(f"unknown function tag {f!r}")
-    return decomp.basis_k @ y
-
-
-def _logdet_lu(a: np.ndarray):
-    """(log|det|, unit-modulus phase) via LU with log-magnitude accumulation."""
-    lu, piv = linalg.lu_factor_quiet(a)
-    d = np.diag(lu)
-    mag = np.abs(d)
-    if np.min(mag) == 0.0 or np.min(mag) <= 1e-14 * np.max(mag):
-        raise SingularProjectedMatrix("projected matrix is numerically singular")
-    swaps = int(np.sum(piv != np.arange(len(piv)))) % 2
-    phase = complex(np.prod(d / mag)) * (-1.0 if swaps else 1.0)
-    return float(np.sum(np.log(mag))), phase
+    return decomp.basis_k @ fun_coefficients(decomp, f)
 
 
 def fom_residual_norm(decomp: ArnoldiDecomposition):
@@ -272,7 +344,7 @@ def fom_residual_norm(decomp: ArnoldiDecomposition):
     subs = decomp.subdiagonals
     if np.any(subs == 0.0):
         return 0.0, 0.0 + 0.0j
-    log_mag, phase = _logdet_lu(decomp.hessenberg)
+    log_mag, phase = decomp._ws.factor().logdet(decomp.k)
     log_coef = float(np.sum(np.log(subs))) + np.log(decomp.b_norm) - log_mag
     coef = (-1.0) ** decomp.k * np.exp(log_coef) * np.conj(phase)
     return float(abs(coef)), complex(coef)
@@ -287,7 +359,8 @@ def fom_error(decomp: ArnoldiDecomposition, x_exact) -> float:
     """||xi_0^k|| = ||x_exact - x_FOM|| for a precomputed x_exact = M⁻¹ b.
 
     This is the FOM error norm that enters every square-root bound; it
-    costs one k x k LU solve and one basis product, no Ritz values.
+    costs one O(k²) solve with the shared Hessenberg LU factor and one
+    basis product, no Ritz values.
     """
     return float(np.linalg.norm(x_exact - fom_iterate(decomp)))
 
@@ -337,12 +410,13 @@ def shifted_fom_quantities(decomp: ArnoldiDecomposition, M, b, z: complex) -> Sh
     k = decomp.k
     n = a.shape[0]
     rhs = np.asarray(b)
-    H = decomp.hessenberg
-    Ik = np.eye(k, dtype=np.complex128)
     In = np.eye(n, dtype=np.complex128)
+    h_z = decomp.hessenberg - z * np.eye(k)
+    shifted = _HessenbergLU()
+    shifted.extend(h_z, k)
     try:
-        log_h, ph_h = _logdet_lu(np.asarray(H, dtype=np.complex128))
-        log_hz, ph_hz = _logdet_lu(H - z * Ik)
+        log_h, ph_h = decomp._ws.factor().logdet(k)
+        log_hz, ph_hz = shifted.logdet(k)
         ratio = np.exp(log_h - log_hz) * ph_h * np.conj(ph_hz)
 
         _, coef = fom_residual_norm(decomp)
@@ -350,9 +424,7 @@ def shifted_fom_quantities(decomp: ArnoldiDecomposition, M, b, z: complex) -> Sh
         xi0 = linalg.lu_solve(a, rhs) - fom_iterate(decomp)
 
         a_z = a - z * In
-        e1 = np.zeros(k, dtype=np.complex128)
-        e1[0] = decomp.b_norm
-        x_z = decomp.basis_k @ linalg.lu_solve(H - z * Ik, e1)
+        x_z = decomp.basis_k @ shifted.solve_e1(k, decomp.b_norm, h_z)
         xi_direct = linalg.lu_solve(a_z, rhs) - x_z
         r_direct = rhs - a_z @ x_z
 
@@ -376,16 +448,22 @@ def prefix_report(decomp: ArnoldiDecomposition, x_exact, sigma_max_used: float,
     Computes the per-prefix quantities every bound consumes: the FOM
     residual, the FOM error against ``x_exact``, the Ritz values of H_k
     and, with a ``reference`` action, the true error of the f-action.
+    The bound fields bound the sqrt action only: for any other ``f`` they
+    stay None, and no Ritz solve or quadrature is made for them.
     """
     residual_norm, _ = fom_residual_norm(decomp)
+    xi_norm = fom_error(decomp, x_exact)
     error_norm = None
     if reference is not None:
         error_norm = float(np.linalg.norm(reference - arnoldi_fun_action(decomp, f)))
+    if f != "sqrt":
+        return bnd.BoundReport(decomp.k, residual_norm, xi_norm, sigma_max_used,
+                               None, None, None, error_norm=error_norm)
     return bnd.build_bound_report(
         k=decomp.k,
-        ritz=linalg.hessenberg_eigenvalues(decomp.hessenberg),
+        ritz=decomp.ritz,
         residual_norm=residual_norm,
-        xi_norm=fom_error(decomp, x_exact),
+        xi_norm=xi_norm,
         sigma_max_used=sigma_max_used,
         cfg=quad_cfg,
         hermitian=hermitian,

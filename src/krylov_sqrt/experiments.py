@@ -239,10 +239,25 @@ def _bound_value(sub: arn.ArnoldiDecomposition, xi: float, sigma: float,
     """The stopping bound of kind ``kind`` at one prefix with FOM error xi."""
     if kind == "apriori_gamma":
         return bnd.bound_apriori_sqrt(sigma, sub.k, xi)
-    ritz = linalg.hessenberg_eigenvalues(sub.hessenberg)
     if kind == "posterior_ritz":
-        return bnd.bound_posterior_ritz(ritz, xi, quad_cfg)
-    return bnd.bound_posterior_modulus(ritz, xi, quad_cfg)
+        return bnd.bound_posterior_ritz(sub.ritz, xi, quad_cfg)
+    return bnd.bound_posterior_modulus(sub.ritz, xi, quad_cfg)
+
+
+@dataclass(frozen=True)
+class StopSearch:
+    """What :func:`find_stop_k` found; unpacks as (state, k_stop,
+    bound_at_stop, x_exact).  The action at k_stop is
+    ``state.prefix(k_stop).basis_k @ sqrt_coefficients``."""
+
+    state: arn.ArnoldiDecomposition
+    k_stop: int
+    bound_at_stop: float
+    x_exact: np.ndarray
+    sqrt_coefficients: np.ndarray = field(repr=False)
+
+    def __iter__(self):
+        return iter((self.state, self.k_stop, self.bound_at_stop, self.x_exact))
 
 
 def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
@@ -252,9 +267,10 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
     located by probes that the cheap FOM error guides.
 
     Every stopping bound is xi_k * C_k: xi_k = ||x_exact - x_FOM|| costs
-    one k x k LU, while C_k (the Ritz integral over pi, or the a priori
-    constant) needs a Ritz solve and drifts slowly with k.  Each probe
-    evaluates the true bound at one k and records C = bound/xi there.
+    one O(k²) solve with the shared Hessenberg LU factor, while C_k (the
+    Ritz integral over pi, or the a priori constant) needs a Ritz solve
+    and drifts slowly with k.  Each probe evaluates the true bound at one
+    k and records C = bound/xi there.
 
     - Checkpoints double (2, 4, 8, ..., the cap) until a probe is <= tol.
       When xi(checkpoint) * C already says the crossing lies below the
@@ -272,7 +288,10 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
     so the bracket below it is still searched.  Equivalent to checking
     every k whenever the bound crosses tol once.  When no k up to the cap
     reaches tol, returns the cap and the bound there.
-    Returns (state, k_stop, bound_at_stop, x_exact).
+
+    A Ritz-bound probe whose bound is <= tol also keeps the square-root
+    coefficients ||b|| Z sqrtm(T) Zᴴ e_1 from its own Schur form, so H_k
+    is not factored again for the action.  Returns a :class:`StopSearch`.
     """
     if bound_kind not in _STOP_KINDS:
         raise DomainError(f"unsupported stopping bound {bound_kind!r}")
@@ -301,7 +320,7 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
         return hi
 
     # bracket (k_lo, k_hi]: bound > tol at k_lo, <= tol at k_hi once found
-    k_lo, k_hi, val_hi = 1, None, None
+    k_lo, k_hi, val_hi, coef_hi = 1, None, None, None
     k_top = 2           # doubling checkpoint while no crossing is verified
     scale = None        # bound / xi at the latest probe
     misses = 0          # guided probes after which the search went on
@@ -323,19 +342,24 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
         else:
             k = (k_lo + k_hi) // 2
 
-        val = _bound_value(state.prefix(k), xi(k), sigma, quad_cfg, bound_kind)
+        sub = state.prefix(k)
+        val = _bound_value(sub, xi(k), sigma, quad_cfg, bound_kind)
         if xi(k) > 0.0:
             scale = val / xi(k)
         if val <= tol:
-            k_hi, val_hi = k, val
+            k_hi, val_hi, coef_hi = k, val, (  # Ritz bounds have the Schur form
+                None if bound_kind == "apriori_gamma" else arn.fun_coefficients(sub, "sqrt"))
         else:
             k_lo = k
             if k == k_top and k_hi is None:
                 if k_top >= k_cap:
-                    return state, state.k, val, x_exact  # budget exhausted
+                    k_hi, val_hi = state.k, val  # budget exhausted
+                    break
                 k_top = min(2 * k_top, k_cap)
         misses += was_guided
-    return state, k_hi, val_hi, x_exact
+    if coef_hi is None:  # a breakdown, the cap or the a priori bound set k_stop
+        coef_hi = arn.fun_coefficients(state.prefix(k_hi), "sqrt")
+    return StopSearch(state, k_hi, val_hi, x_exact, coef_hi)
 
 
 def sample_ks(k_reached: int, samples: int, k_min: int = 2) -> np.ndarray:
@@ -397,19 +421,19 @@ def _convdiff_point(args):
     b = np.ones(m)
     sigma = linalg.sigma_max(tri, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
     sigma_min = linalg.sigma_min(tri, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
-    state, k_stop, bound_at_stop, x_exact = find_stop_k(
-        tri, b, tol, bound_kind, quad_cfg, k_max=k_max or m)
-    at_stop = state.prefix(k_stop)
-    xi = arn.fom_error(at_stop, x_exact)
+    search = find_stop_k(tri, b, tol, bound_kind, quad_cfg, k_max=k_max or m)
+    at_stop = search.state.prefix(search.k_stop)
+    xi = arn.fom_error(at_stop, search.x_exact)
     residual, _ = arn.fom_residual_norm(at_stop)
     row = {
         "n": n, "matrix_order": m, "sigma_max": sigma, "sigma_min": sigma_min,
-        "cond": sigma / sigma_min, "k_stop": k_stop, "bound_at_stop": bound_at_stop,
-        "xi_norm": xi, "residual_rel": residual / math.sqrt(m),
+        "cond": sigma / sigma_min, "k_stop": search.k_stop,
+        "bound_at_stop": search.bound_at_stop, "xi_norm": xi,
+        "residual_rel": residual / math.sqrt(m),
     }
     if oracle:
         reference = linalg.reference_sqrt_action(tri, b)
-        action = arn.arnoldi_fun_action(at_stop, "sqrt")
+        action = at_stop.basis_k @ search.sqrt_coefficients
         row["error"] = float(np.linalg.norm(reference - action))
     return row
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -191,19 +191,21 @@ class RitzSpectrum:
     """Eigenvalues of a projected matrix H_k, sorted by descending modulus.
 
     Ties are broken by descending real part, then descending imaginary
-    part, so the order is deterministic.
+    part, so the order is deterministic.  ``schur`` is (T, Z) with
+    H_k = Z T Zᴴ when :func:`hessenberg_eigenvalues` made the spectrum.
     """
 
     values: np.ndarray
     k: int
+    schur: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_unsorted(cls, values) -> "RitzSpectrum":
+    def from_unsorted(cls, values, schur=None) -> "RitzSpectrum":
         v = np.asarray(values, dtype=np.complex128).ravel()
         order = np.lexsort((-v.imag, -v.real, -np.abs(v)))
         v = np.array(v[order], copy=True)
         v.flags.writeable = False
-        return cls(values=v, k=v.size)
+        return cls(values=v, k=v.size, schur=schur)
 
 
 def as_operator(M):
@@ -244,8 +246,20 @@ def lu_solve(A, b) -> np.ndarray:
     return as_operator(A).solve(b)
 
 
+def _schur(a: np.ndarray):
+    """(T, Z, eigenvalues) with a = Z T Zᴴ by LAPACK ?gees, T real for real
+    a.  Its default minimal workspace keeps the Hessenberg reduction
+    unblocked, which is nearly free on Hessenberg input."""
+    gees = sla.lapack.zgees if np.iscomplexobj(a) else sla.lapack.dgees
+    out = gees(lambda *_: None, a)
+    if out[-1] != 0:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(f"QR iteration failed to deflate (info = {out[-1]})")
+    return out[0], out[-3], (out[2] if gees is sla.lapack.zgees else out[2] + 1j * out[3])
+
+
 def hessenberg_eigenvalues(H) -> RitzSpectrum:
-    """All eigenvalues of an upper Hessenberg matrix, sorted by modulus.
+    """All eigenvalues of an upper Hessenberg matrix, sorted by modulus,
+    with the Schur form they were read from.
 
     Computed by the LAPACK shifted-QR algorithm (real input uses the
     Francis double-shift path, producing exact conjugate pairs).
@@ -254,35 +268,27 @@ def hessenberg_eigenvalues(H) -> RitzSpectrum:
     k = h.shape[0]
     if k > 2 and np.any(np.tril(h, -2) != 0):
         raise DimensionMismatch("matrix has nonzeros below the first subdiagonal")
-    try:
-        vals = sla.eigvals(h, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(f"QR iteration failed to deflate: {exc}") from exc
-    return RitzSpectrum.from_unsorted(vals)
+    t, z, w = _schur(h)
+    return RitzSpectrum.from_unsorted(w, schur=(t, z))
+
+
+def schur_sqrt(t: np.ndarray, eigs: np.ndarray) -> np.ndarray:
+    """T^{1/2} for a Schur factor T with eigenvalues ``eigs``, by the
+    recurrence of Higham (LAA 1987) blocked by Deadman, Higham and Ralha
+    (2013).  An eigenvalue with nonpositive real part and (relatively) zero
+    imaginary part raises SpectrumOnBranchCut."""
+    on_cut = (eigs.real <= 0.0) & (
+        np.abs(eigs.imag) <= BRANCH_CUT_IMAG_TOL * np.maximum(1.0, np.abs(eigs)))
+    if np.any(on_cut):
+        raise SpectrumOnBranchCut(f"eigenvalue {eigs[on_cut][0]} lies on the closed negative real axis")
+    return sla.sqrtm(t)
 
 
 def dense_sqrt(A) -> np.ndarray:
-    """Principal square root of a square matrix via Schur decomposition
-    plus the triangular square-root recurrence.
-
-    The spectrum must avoid the closed negative real axis; eigenvalues
-    with nonpositive real part and (relatively) zero imaginary part raise
-    SpectrumOnBranchCut.  Every eigenvalue has real part at least the
-    smallest eigenvalue of the Hermitian part (Bendixson), so a positive
-    :func:`min_symmetric_eig` certifies the spectrum and the general
-    eigenvalue solve runs only when that value is <= 0.
-    """
-    a = as_array(A)
-    if min_symmetric_eig(a) <= 0.0:
-        eigs = sla.eigvals(a, check_finite=False)
-        on_cut = (eigs.real <= 0.0) & (
-            np.abs(eigs.imag) <= BRANCH_CUT_IMAG_TOL * np.maximum(1.0, np.abs(eigs))
-        )
-        if np.any(on_cut):
-            raise SpectrumOnBranchCut(
-                f"eigenvalue {eigs[on_cut][0]} lies on the closed negative real axis"
-            )
-    return sla.sqrtm(a)
+    """Principal square root Z T^{1/2} Zᴴ of a square matrix with Schur
+    form Z T Zᴴ (see :func:`schur_sqrt`)."""
+    t, z, w = _schur(as_array(A))
+    return z @ schur_sqrt(t, w) @ z.conj().T
 
 
 def reference_sqrt_action(M, b) -> np.ndarray:

@@ -7,6 +7,7 @@ Arnoldi sweeps and dense square-root oracles at n up to 2000.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,11 @@ TABLE_N = (1000, 1200, 1400, 1600, 1800, 2000)
 TABLE_COND = (202320.64, 291138.58, 396074.49, 517128.36, 654300.20, 807590.00)
 TABLE_K = (889, 1071, 1253, 1435, 1617, 1800)
 TABLE_ERR = (0.03083, 0.03053, 0.03061, 0.03090, 0.03132, 0.03132)
+
+# orders of the criterion-3 instances whose clustered draw has one
+# eigenvalue clamped to matgen.POSITIVITY_FLOOR (cond about 1e9); the chain
+# check covers them on purpose, and each must say so with its warning
+CLAMPED_N = (200, 134, 197, 73, 180, 164, 118, 149)
 
 QUAD = bnd.QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13)
 
@@ -87,13 +93,19 @@ def test_criterion_3_bound_chain_validity():
     rng_sizes = np.random.default_rng(2024)
     failures = []
     checked = 0
+    clamped = []
     for i in range(100):
         n = int(rng_sizes.integers(40, 201))
         kind = ("uniform", "clustered")[i % 2]
         skew = (i % 4) < 2
         spec = (matgen.SpectrumSpec.uniform(n, 1.0, 1000.0) if kind == "uniform"
                 else matgen.SpectrumSpec.clustered(n, 1000.0, 100.0, 0.95, 10.0, 5.0))
-        sm = matgen.spectrum_matrix(spec, 9000 + i)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sm = matgen.spectrum_matrix(spec, 9000 + i)
+        if any(issubclass(w.category, UserWarning) and "clamped" in str(w.message)
+               for w in caught):
+            clamped.append(n)
         a = sm.matrix.array.real + (matgen.skew_part(n, 9500 + i) if skew else 0.0)
         b = np.ones(n)
         sigma = float(np.linalg.norm(a, 2))  # oracle constant for the chain
@@ -115,6 +127,8 @@ def test_criterion_3_bound_chain_validity():
                 failures.append(f"inst {i} k {k}: ritz > modulus")
             if b_mod > b_gamma + 1e-8:
                 failures.append(f"inst {i} k {k}: modulus > gamma")
+    if tuple(clamped) != CLAMPED_N:
+        failures.append(f"clamp warnings at n = {clamped}, expected {list(CLAMPED_N)}")
     _report("criterion 3 (true error <= ritz <= modulus <= gamma on 100 instances)",
             failures[:10], f"{checked} (instance, k) points checked")
 

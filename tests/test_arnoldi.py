@@ -10,6 +10,8 @@ from krylov_sqrt.errors import (
     DimensionMismatch,
     DomainError,
     NonFiniteEntry,
+    SingularMatrix,
+    SingularProjectedMatrix,
     SingularShift,
     UnsupportedContext,
 )
@@ -202,6 +204,88 @@ class TestFomResidual:
                                    atol=1e-10 * np.linalg.norm(direct))
 
 
+def spy_dense_lu(monkeypatch) -> list:
+    """Orders of the matrices given to the dense LU factorization."""
+    orders = []
+    factor = linalg.lu_factor_quiet
+    monkeypatch.setattr(linalg, "lu_factor_quiet",
+                        lambda a: orders.append(a.shape[0]) or factor(a))
+    return orders
+
+
+def complex_dense(n: int) -> np.ndarray:
+    rng = np.random.default_rng(77)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return g + 3.0 * np.sqrt(n) * np.eye(n)
+
+
+class TestHessenbergLU:
+    @pytest.mark.parametrize("name", ["convdiff-120", "complex-dense"])
+    def test_prefix_solves_match_dense_lu(self, monkeypatch, name):
+        if name == "convdiff-120":
+            M = matgen.convection_diffusion(120, 0.1)
+        else:
+            M = complex_dense(60)
+        b = np.ones(M.shape[0])
+        state = arn.arnoldi(M, b, M.shape[0])
+        dense = []
+        for k in range(1, state.k + 1):
+            h = state.prefix(k).hessenberg
+            rhs = np.zeros(k, dtype=h.dtype)
+            rhs[0] = state.b_norm
+            dense.append(linalg.DenseMatrix(h).solve(rhs))
+        orders = spy_dense_lu(monkeypatch)
+        for k, want in enumerate(dense, start=1):
+            got = arn.fun_coefficients(state.prefix(k), "inverse")
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert orders == []  # one Hessenberg factor served every prefix
+
+    @pytest.mark.parametrize("name", ["convdiff-120", "complex-dense"])
+    def test_prefix_logdet_matches_slogdet(self, name):
+        M = matgen.convection_diffusion(120, 0.1) if name == "convdiff-120" else complex_dense(60)
+        state = arn.arnoldi(M, np.ones(M.shape[0]), M.shape[0])
+        lu = arn._HessenbergLU()
+        lu.extend(state.hessenberg, state.k)
+        for k in range(1, state.k + 1):
+            sign, want = np.linalg.slogdet(state.hessenberg[:k, :k])
+            log_mag, phase = lu.logdet(k)
+            assert log_mag == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert abs(phase - sign) <= 1e-10
+
+    def test_extension_matches_one_pass(self):
+        a = complex_dense(40)
+        state = arn.arnoldi(a, np.ones(40), 30)
+        whole = arn._HessenbergLU()
+        whole.extend(state.hessenberg, 30)
+        grown = arn._HessenbergLU()
+        for K in (1, 2, 3, 7, 8, 20, 30):
+            grown.extend(state.hessenberg, K)
+        for got, want in ((grown.U, whole.U), (grown.mult, whole.mult),
+                          (grown.swap, whole.swap), (grown.pivots, whole.pivots)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_adaptive_run_extends_one_factor(self, monkeypatch):
+        a, _, _ = make_pd_matrix(21, 40)
+        factored = []
+        extend = arn._HessenbergLU.extend
+        monkeypatch.setattr(arn._HessenbergLU, "extend",
+                            lambda lu, h, K: factored.append(K - lu.U.shape[0]) or extend(lu, h, K))
+        arn.run_adaptive(a, np.ones(40), stop=arn.ResidualRelative(1e-30), k_max=12)
+        assert sum(n for n in factored if n > 0) == 12  # each column factored once
+
+    def test_singular_prefix_raises_named_errors(self, monkeypatch):
+        # H_1 = [[0]]: q_1 = e_1 and M e_1 = e_2, while H_2 is the nonsingular M
+        m = np.array([[0.0, 1.0], [1.0, 0.0]])
+        state = arn.arnoldi(m, np.array([1.0, 0.0]), 2)
+        orders = spy_dense_lu(monkeypatch)
+        np.testing.assert_allclose(arn.fom_iterate(state), [0.0, 1.0], atol=1e-15)
+        with pytest.raises(SingularMatrix):
+            arn.fom_iterate(state.prefix(1))
+        with pytest.raises(SingularProjectedMatrix):
+            arn.fom_residual_norm(state.prefix(1))
+        assert orders == []
+
+
 class TestFomError:
     def test_breakdown_error_zero(self):
         state = arn.arnoldi(np.diag([1.0, 2.0]), np.array([1.0, 0.0]), 2)
@@ -334,6 +418,25 @@ class TestRunAdaptive:
         with pytest.raises(DomainError):
             arn.run_adaptive(tri, np.ones(199), f=f, stop=arn.BoundAbsolute(tol=1e-3),
                              k_max=199)
+
+    def test_invsqrt_history_has_no_sqrt_bounds(self, monkeypatch):
+        # these fields bound the sqrt action; here posterior_ritz read
+        # 9.70e-4 at k = 191 while the true M^{-1/2} b error was 1.01e-3
+        orders, quads = [], []
+        ritz, quad = linalg.hessenberg_eigenvalues, arn.bnd.quad_semi_infinite
+        monkeypatch.setattr(linalg, "hessenberg_eigenvalues",
+                            lambda h: orders.append(h.shape[0]) or ritz(h))
+        monkeypatch.setattr(arn.bnd, "quad_semi_infinite",
+                            lambda *a, **kw: quads.append(1) or quad(*a, **kw))
+        tri = matgen.convection_diffusion(200, 0.1)
+        res = arn.run_adaptive(tri, np.ones(199), f="invsqrt",
+                               stop=arn.ResidualRelative(1e-30), k_max=191)
+        assert res.k == 191 and len(res.history) == 191
+        for rep in res.history:
+            assert (rep.posterior_ritz, rep.posterior_modulus, rep.apriori_gamma,
+                    rep.hermitian_loose, rep.hermitian_jensen) == (None,) * 5
+            assert rep.xi_norm > 0.0
+        assert orders == [191] and quads == []  # the final action's Schur form only
 
     def test_matvec_only_needs_exact_solve(self):
         a, _, _ = make_pd_matrix(16, 20)

@@ -229,6 +229,29 @@ class TestConvdiffTable:
             assert row["bound_at_stop"] <= 0.05
             assert row["error"] <= row["bound_at_stop"] + 1e-8
 
+    def test_point_reuses_the_search_factorizations(self, monkeypatch):
+        # the xi guide solves from one Hessenberg LU factor, and the action
+        # at k_stop comes from the Schur form of the probe that verified it
+        calls = {"ritz": [], "lu": [], "sqrt": []}
+        ritz, factor, sqrt = linalg.hessenberg_eigenvalues, linalg.lu_factor_quiet, linalg.dense_sqrt
+        monkeypatch.setattr(linalg, "hessenberg_eigenvalues",
+                            lambda h: calls["ritz"].append(h.shape[0]) or ritz(h))
+        monkeypatch.setattr(linalg, "lu_factor_quiet",
+                            lambda a: calls["lu"].append(a.shape[0]) or factor(a))
+        monkeypatch.setattr(linalg, "dense_sqrt", lambda a: calls["sqrt"].append(1) or sqrt(a))
+        cfg = exp.config_from_dict({
+            "experiment": "convdiff_table", "n_values": [300], "eta": 0.1,
+            "stopping": {"rule": "bound", "tol": 0.05},
+        })
+        (row,), _ = exp.run_convdiff_table(cfg)
+        assert row["k_stop"] == 259
+        assert calls == {"ritz": [2, 4, 8, 16, 32, 64, 128, 256, 259, 258], "lu": [], "sqrt": []}
+        tri = matgen.convection_diffusion(300, 0.1)
+        b = np.ones(tri.shape[0])
+        want = arn.arnoldi_fun_action(arn.arnoldi(tri, b, 259), "sqrt")
+        err = np.linalg.norm(linalg.reference_sqrt_action(tri, b) - want)
+        assert row["error"] == pytest.approx(err, rel=1e-9)
+
     def test_parallel_jobs_same_rows(self, tmp_path):
         base = {
             "experiment": "convdiff_table", "output_dir": str(tmp_path),

@@ -244,15 +244,17 @@ class TestDenseSqrt:
         with pytest.raises(SpectrumOnBranchCut):
             linalg.dense_sqrt(np.array([[0.0, 1.0], [0.0, 1.0]]))
 
-    def test_indefinite_hermitian_part_falls_back_to_eigenvalues(self, monkeypatch):
+    def test_indefinite_hermitian_part_cleared_by_schur(self, monkeypatch):
         # Hermitian part has eigenvalues 1 +- 5, yet both eigenvalues are 1:
-        # only the general eigenvalue solve can clear this input
+        # the diagonal of the Schur factor clears this input, with no
+        # Hermitian-part or general eigenvalue solve
         calls = []
-        eigvals = sla.eigvals
+        eigvals, check = sla.eigvals, linalg.min_symmetric_eig
         monkeypatch.setattr(sla, "eigvals", lambda *a, **kw: calls.append(1) or eigvals(*a, **kw))
+        monkeypatch.setattr(linalg, "min_symmetric_eig", lambda a: calls.append(1) or check(a))
         a = np.array([[1.0, 10.0], [0.0, 1.0]])
         x = linalg.dense_sqrt(a)
-        assert calls
+        assert not calls
         assert np.linalg.norm(x @ x - a) <= 1e-12 * np.linalg.norm(a)
 
     def test_positive_hermitian_part_skips_eigenvalues(self, monkeypatch):
@@ -262,6 +264,20 @@ class TestDenseSqrt:
         a, _, _ = make_pd_matrix(11, 25)
         linalg.dense_sqrt(a)
         assert not calls
+
+    @pytest.mark.parametrize("a", [np.diag([-1.0, 1.0]), np.diag([-1.0 + 0j, 1.0])])
+    def test_branch_cut_without_hermitian_part_check(self, monkeypatch, a):
+        calls = []
+        check = linalg.min_symmetric_eig
+        monkeypatch.setattr(linalg, "min_symmetric_eig", lambda a: calls.append(1) or check(a))
+        with pytest.raises(SpectrumOnBranchCut):
+            linalg.dense_sqrt(a)
+        assert not calls
+
+    def test_complex_input(self):
+        a = np.array([[4.0, 1.0j], [0.5, 9.0 + 1.0j]])
+        x = linalg.dense_sqrt(a)
+        assert np.linalg.norm(x @ x - a) <= 1e-13 * np.linalg.norm(a)
 
 
 class TestReferenceSqrtAction:
