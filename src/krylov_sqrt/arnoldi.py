@@ -220,9 +220,17 @@ class ArnoldiDecomposition:
 
     @functools.cached_property
     def ritz(self) -> linalg.RitzSpectrum:
-        """Ritz values of H_k with the Schur form they came from, computed
-        once per snapshot."""
+        """Ritz values of H_k, computed once per snapshot; they carry the
+        Schur form when :attr:`ritz_schur` was computed first."""
         return linalg.hessenberg_eigenvalues(self.hessenberg)
+
+    @functools.cached_property
+    def ritz_schur(self) -> linalg.RitzSpectrum:
+        """Ritz values with the Schur form (T, Z) of H_k, computed once per
+        snapshot; a later :attr:`ritz` reads them instead of a new solve."""
+        spec = linalg.hessenberg_eigenvalues(self.hessenberg, schur=True)
+        self.__dict__.setdefault("ritz", spec)
+        return spec
 
 
 def arnoldi_start(b, capacity: int = 32) -> ArnoldiDecomposition:
@@ -308,16 +316,17 @@ def arnoldi(M, b, steps: int) -> ArnoldiDecomposition:
 
 def fun_coefficients(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndarray:
     """The k-vector ||b|| f(H_k) e_1 of :func:`arnoldi_fun_action`: the
-    square roots from the Schur form of ``decomp.ritz``, the inverse from
-    the Hessenberg LU factor."""
+    square roots from the Schur form of ``decomp.ritz_schur``, the inverse
+    from the Hessenberg LU factor."""
     if decomp.k == 0:
         raise DomainError("decomposition has no completed steps")
     if f == "inverse":
         return decomp._ws.factor().solve_e1(decomp.k, decomp.b_norm, decomp.hessenberg)
     if f not in ("sqrt", "invsqrt"):
         raise DomainError(f"unknown function tag {f!r}")
-    t, z = decomp.ritz.schur
-    s = linalg.schur_sqrt(t, decomp.ritz.values)
+    spec = decomp.ritz_schur
+    t, z = spec.schur
+    s = linalg.schur_sqrt(t, spec.values)
     e = decomp.b_norm * z[0].conj()  # Zᴴ (||b|| e_1)
     return z @ (s @ e if f == "sqrt" else linalg.lu_solve(s, e))
 

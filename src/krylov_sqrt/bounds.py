@@ -55,6 +55,11 @@ _GK21_GAUSS[11:20:2] = _WG[::-1]
 
 # Largest Ritz-values-by-nodes temporary a bound integrand builds, in elements.
 _BLOCK_ELEMENTS = 1 << 15
+# Largest order-by-nodes Hyman block, in elements: each block costs one
+# Python pass over the k rows, so it is larger than the Ritz one.
+_HYMAN_BLOCK_ELEMENTS = 1 << 20
+# A shift's Hyman vector is scaled down once an entry passes this.
+_HYMAN_RESCALE = 1e100
 
 
 @dataclass(frozen=True)
@@ -167,24 +172,23 @@ def _ritz_values(ritz) -> np.ndarray:
     return np.asarray(ritz, dtype=np.complex128).ravel()
 
 
-def _product_bound(inv_mod2: np.ndarray, linear: np.ndarray, xi_norm: float,
-                   cfg: QuadratureConfig | None) -> float:
+def _certified_integral(log_gamma, k: int, block: int, xi_norm: float,
+                        cfg: QuadratureConfig | None) -> float:
     """(I + estimated error) * xi / pi, with I the integral over (0, inf) of
-    sqrt(x) prod_i (1 + x (linear_i + x inv_mod2_i))^{-1/2}.
+    sqrt(x) |gamma(x)| and ``log_gamma`` mapping a block of nodes to
+    log|gamma| there.
 
-    The product is summed in log space as one broadcast of the k factors
-    against a block of nodes; blocks keep that temporary at
-    ``_BLOCK_ELEMENTS`` whatever the number of nodes.
+    Blocks of nodes keep the k-by-nodes temporary of ``log_gamma`` at
+    ``block`` elements whatever the number of nodes.  A missed tolerance
+    raises NoConvergence.
     """
-    inv_mod2, linear = inv_mod2[:, None], linear[:, None]
-    step = max(1, _BLOCK_ELEMENTS // inv_mod2.shape[0])
+    step = max(1, block // k)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
         for s in range(0, x.size, step):
             xb = x[s:s + step]
-            log_prod = -0.5 * np.log1p(xb * (linear + xb * inv_mod2)).sum(axis=0)
-            out[s:s + step] = np.sqrt(xb) * np.exp(log_prod)
+            out[s:s + step] = np.sqrt(xb) * np.exp(log_gamma(xb))
         return out
 
     q = quad_semi_infinite(integrand, cfg)
@@ -192,6 +196,23 @@ def _product_bound(inv_mod2: np.ndarray, linear: np.ndarray, xi_norm: float,
         raise NoConvergence(f"bound quadrature missed its tolerance (estimated error "
                             f"{q.estimated_error:.3e} on {q.value:.6e})")
     return (q.value + q.estimated_error) / math.pi * xi_norm
+
+
+def _product_bound(inv_mod2: np.ndarray, linear: np.ndarray, xi_norm: float,
+                   cfg: QuadratureConfig | None) -> float:
+    """:func:`_certified_integral` of the product
+    prod_i (1 + x (linear_i + x inv_mod2_i))^{-1/2}, summed in log space as
+    one broadcast of the k factors against a block of nodes."""
+    inv_mod2, linear = inv_mod2[:, None], linear[:, None]
+    return _certified_integral(
+        lambda xb: -0.5 * np.log1p(xb * (linear + xb * inv_mod2)).sum(axis=0),
+        inv_mod2.shape[0], _BLOCK_ELEMENTS, xi_norm, cfg)
+
+
+def require_right_half_plane(lam: np.ndarray) -> None:
+    """Raise InvalidSpectrum unless every value has positive real part."""
+    if np.any(lam.real <= 0.0):
+        raise InvalidSpectrum("all Ritz values must have positive real part")
 
 
 def bound_posterior_ritz(ritz, xi_norm: float, cfg: QuadratureConfig | None = None) -> float:
@@ -205,10 +226,61 @@ def bound_posterior_ritz(ritz, xi_norm: float, cfg: QuadratureConfig | None = No
     lam = _ritz_values(ritz)
     if lam.size < 2:
         raise DivergentIntegral("posterior bound integral diverges for k < 2")
-    if np.any(lam.real <= 0.0):
-        raise InvalidSpectrum("all Ritz values must have positive real part")
+    require_right_half_plane(lam)
     inv_mod2 = 1.0 / np.abs(lam) ** 2
     return _product_bound(inv_mod2, 2.0 * lam.real * inv_mod2, xi_norm, cfg)
+
+
+def _hyman_log_alpha(h: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """log|det(H + xI)| - sum_i log|h_{i+1,i}| for each shift x of an
+    unreduced upper Hessenberg H, by Hyman's method (Wilkinson, The
+    Algebraic Eigenvalue Problem, 1965, ch. 7).
+
+    With X_k = 1, rows k..2 of (H + xI) X = alpha e_1 give X_{k-1}, ...,
+    X_1 by back-substitution, all shifts in one product per row, and row 1
+    gives alpha; |det(H + xI)| = |alpha| prod_i |h_{i+1,i}|.  A shift whose
+    X passes ``_HYMAN_RESCALE`` is scaled down, the log of the scale carried.
+    """
+    if np.any(np.diagonal(h, -1) == 0.0):
+        raise DomainError("Hyman's method needs an unreduced Hessenberg matrix")
+    k = h.shape[0]
+    X = np.zeros((k, shifts.size), dtype=np.result_type(h, shifts))
+    X[-1] = 1.0
+    log_scale = np.zeros(shifts.size)
+    for r in range(k - 1, 0, -1):
+        X[r - 1] = -(h[r, r:] @ X[r:] + shifts * X[r]) / h[r, r - 1]
+        big = np.abs(X[r - 1]) > _HYMAN_RESCALE
+        if big.any():
+            scale = np.abs(X[r - 1, big])  # the older entries are at most 1e100
+            X[r - 1:, big] /= scale
+            log_scale[big] += np.log(scale)
+    return np.log(np.abs(h[0] @ X + shifts * X[0])) + log_scale
+
+
+def shifted_logdet(H, shifts) -> np.ndarray:
+    """log|det(H + xI)| for each shift x of an unreduced upper Hessenberg
+    H (see :func:`_hyman_log_alpha`); each shift costs O(k^2)."""
+    h = np.asarray(H)
+    log_alpha = _hyman_log_alpha(h, np.asarray(shifts, dtype=float))
+    return log_alpha + np.log(np.abs(np.diagonal(h, -1))).sum()
+
+
+def bound_posterior_det(H, xi_norm: float, cfg: QuadratureConfig | None = None) -> float:
+    """:func:`bound_posterior_ritz` of the Ritz values of H, from
+    determinants instead: prod_i |l_i/(l_i+x)| = |det H / det(H + xI)|,
+    evaluated by Hyman's method for all nodes of a quadrature pass at once.
+
+    H is an unreduced upper Hessenberg matrix of order k >= 2 whose
+    eigenvalues lie in the open right half-plane.  The determinants do not
+    show that, so the caller must certify it, as ``find_stop_k`` does with
+    :func:`linalg.bendixson_order`.
+    """
+    h = np.asarray(H)
+    if h.shape[0] < 2:
+        raise DivergentIntegral("posterior bound integral diverges for k < 2")
+    log_det0 = _hyman_log_alpha(h, np.zeros(1))[0]
+    return _certified_integral(lambda xb: log_det0 - _hyman_log_alpha(h, xb),
+                               h.shape[0], _HYMAN_BLOCK_ELEMENTS, xi_norm, cfg)
 
 
 def bound_posterior_modulus(ritz, xi_norm: float, cfg: QuadratureConfig | None = None) -> float:

@@ -42,6 +42,10 @@ EXPERIMENTS = (
 SIGMA_MAX_ITER = 2_000_000
 SIGMA_TOL = 1e-10
 
+# A true error below this fraction of ||M^{1/2} b|| is set by rounding, and
+# the bounds, exact-arithmetic statements, can fall below it there.
+ROUNDING_FLOOR_RTOL = 1e-10
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -236,28 +240,13 @@ GUIDED_PROBES = 3
 
 def _bound_value(sub: arn.ArnoldiDecomposition, xi: float, sigma: float,
                  quad_cfg, kind: str) -> float:
-    """The stopping bound of kind ``kind`` at one prefix with FOM error xi."""
+    """The stopping bound of kind ``kind`` at one prefix with FOM error xi;
+    ``posterior_ritz`` from the determinants of the shifted H_k."""
     if kind == "apriori_gamma":
         return bnd.bound_apriori_sqrt(sigma, sub.k, xi)
     if kind == "posterior_ritz":
-        return bnd.bound_posterior_ritz(sub.ritz, xi, quad_cfg)
+        return bnd.bound_posterior_det(sub.hessenberg, xi, quad_cfg)
     return bnd.bound_posterior_modulus(sub.ritz, xi, quad_cfg)
-
-
-@dataclass(frozen=True)
-class StopSearch:
-    """What :func:`find_stop_k` found; unpacks as (state, k_stop,
-    bound_at_stop, x_exact).  The action at k_stop is
-    ``state.prefix(k_stop).basis_k @ sqrt_coefficients``."""
-
-    state: arn.ArnoldiDecomposition
-    k_stop: int
-    bound_at_stop: float
-    x_exact: np.ndarray
-    sqrt_coefficients: np.ndarray = field(repr=False)
-
-    def __iter__(self):
-        return iter((self.state, self.k_stop, self.bound_at_stop, self.x_exact))
 
 
 def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
@@ -268,9 +257,18 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
 
     Every stopping bound is xi_k * C_k: xi_k = ||x_exact - x_FOM|| costs
     one O(k²) solve with the shared Hessenberg LU factor, while C_k (the
-    Ritz integral over pi, or the a priori constant) needs a Ritz solve
+    bound integral over pi, or the a priori constant) costs a quadrature
     and drifts slowly with k.  Each probe evaluates the true bound at one
     k and records C = bound/xi there.
+
+    A ``posterior_ritz`` probe takes the integral from determinants of the
+    shifted H_k, O(k²) per node, which cannot see whether every Ritz value
+    lies in the open right half-plane, as the bound needs.  One Cholesky
+    factorization of H_K + H_Kᴴ per extension certifies that for every
+    k up to the largest order whose leading block is positive definite
+    (:func:`linalg.bendixson_order`); a probe above it computes the Ritz
+    values for the check alone, and InvalidSpectrum is raised as by
+    :func:`bounds.bound_posterior_ritz`.
 
     - Checkpoints double (2, 4, 8, ..., the cap) until a probe is <= tol.
       When xi(checkpoint) * C already says the crossing lies below the
@@ -289,9 +287,8 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
     every k whenever the bound crosses tol once.  When no k up to the cap
     reaches tol, returns the cap and the bound there.
 
-    A Ritz-bound probe whose bound is <= tol also keeps the square-root
-    coefficients ||b|| Z sqrtm(T) Zᴴ e_1 from its own Schur form, so H_k
-    is not factored again for the action.  Returns a :class:`StopSearch`.
+    Returns (state, k_stop, bound_at_stop, x_exact); the action at k_stop
+    is ``arnoldi_fun_action(state.prefix(k_stop))``, one Schur form.
     """
     if bound_kind not in _STOP_KINDS:
         raise DomainError(f"unsupported stopping bound {bound_kind!r}")
@@ -320,14 +317,17 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
         return hi
 
     # bracket (k_lo, k_hi]: bound > tol at k_lo, <= tol at k_hi once found
-    k_lo, k_hi, val_hi, coef_hi = 1, None, None, None
+    k_lo, k_hi, val_hi = 1, None, None
     k_top = 2           # doubling checkpoint while no crossing is verified
     scale = None        # bound / xi at the latest probe
     misses = 0          # guided probes after which the search went on
     was_guided = False
+    certified = 0       # H_k + H_kᴴ is positive definite for k <= certified
     while k_hi is None or k_hi - k_lo > 1:
         if k_hi is None and state.k < k_top:
             state = arn.arnoldi_extend(op, state, k_top - state.k)
+            if bound_kind == "posterior_ritz":  # one ?potrf per extension
+                certified = linalg.bendixson_order(state.hessenberg)
             if state.breakdown:
                 k_hi, val_hi = state.k, 0.0
                 continue
@@ -343,12 +343,13 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
             k = (k_lo + k_hi) // 2
 
         sub = state.prefix(k)
+        if bound_kind == "posterior_ritz" and k > certified:
+            bnd.require_right_half_plane(sub.ritz.values)
         val = _bound_value(sub, xi(k), sigma, quad_cfg, bound_kind)
         if xi(k) > 0.0:
             scale = val / xi(k)
         if val <= tol:
-            k_hi, val_hi, coef_hi = k, val, (  # Ritz bounds have the Schur form
-                None if bound_kind == "apriori_gamma" else arn.fun_coefficients(sub, "sqrt"))
+            k_hi, val_hi = k, val
         else:
             k_lo = k
             if k == k_top and k_hi is None:
@@ -357,9 +358,7 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
                     break
                 k_top = min(2 * k_top, k_cap)
         misses += was_guided
-    if coef_hi is None:  # a breakdown, the cap or the a priori bound set k_stop
-        coef_hi = arn.fun_coefficients(state.prefix(k_hi), "sqrt")
-    return StopSearch(state, k_hi, val_hi, x_exact, coef_hi)
+    return state, k_hi, val_hi, x_exact
 
 
 def sample_ks(k_reached: int, samples: int, k_min: int = 2) -> np.ndarray:
@@ -402,9 +401,13 @@ def run_bounds_vs_k(cfg: ExperimentConfig):
                                 ctx.hermitian, known_spectrum=ctx.known_eigs,
                                 reference=reference)
         rows.append(_report_row(rep))
+    floor_k = None
+    if reference is not None:
+        floor = ROUNDING_FLOOR_RTOL * np.linalg.norm(reference)
+        floor_k = next((r["k"] for r in rows if r["error_norm"] < floor), None)
     summary = {"experiment": cfg.experiment, "label": ctx.label, "n": n,
                "sigma_max": sigma, "hermitian": ctx.hermitian, "k_reached": state.k,
-               "breakdown": state.breakdown}
+               "breakdown": state.breakdown, "rounding_floor_k": floor_k}
     return rows, summary
 
 
@@ -414,6 +417,14 @@ def run_hermitian_compare(cfg: ExperimentConfig):
     return run_bounds_vs_k(cfg)
 
 
+def _map_points(point, args: list, jobs: int) -> list:
+    """[point(a) for a in args], on ``jobs`` worker processes when > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(point, args))
+    return [point(a) for a in args]
+
+
 def _convdiff_point(args):
     (n, eta, convention, tol, bound_kind, quad_cfg, oracle, k_max) = args
     tri = matgen.convection_diffusion(n, eta, convention)
@@ -421,19 +432,19 @@ def _convdiff_point(args):
     b = np.ones(m)
     sigma = linalg.sigma_max(tri, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
     sigma_min = linalg.sigma_min(tri, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
-    search = find_stop_k(tri, b, tol, bound_kind, quad_cfg, k_max=k_max or m)
-    at_stop = search.state.prefix(search.k_stop)
-    xi = arn.fom_error(at_stop, search.x_exact)
+    state, k_stop, val, x_exact = find_stop_k(tri, b, tol, bound_kind, quad_cfg, k_max=k_max or m)
+    at_stop = state.prefix(k_stop)
+    xi = arn.fom_error(at_stop, x_exact)
     residual, _ = arn.fom_residual_norm(at_stop)
     row = {
         "n": n, "matrix_order": m, "sigma_max": sigma, "sigma_min": sigma_min,
-        "cond": sigma / sigma_min, "k_stop": search.k_stop,
-        "bound_at_stop": search.bound_at_stop, "xi_norm": xi,
+        "cond": sigma / sigma_min, "k_stop": k_stop,
+        "bound_at_stop": val, "xi_norm": xi,
         "residual_rel": residual / math.sqrt(m),
     }
     if oracle:
         reference = linalg.reference_sqrt_action(tri, b)
-        action = at_stop.basis_k @ search.sqrt_coefficients
+        action = arn.arnoldi_fun_action(at_stop, "sqrt")
         row["error"] = float(np.linalg.norm(reference - action))
     return row
 
@@ -445,11 +456,7 @@ def run_convdiff_table(cfg: ExperimentConfig):
         raise ConfigError("convdiff_table uses the bound stopping rule")
     args = [(n, cfg.eta, cfg.convention, tol, bound_kind, cfg.quadrature,
              cfg.oracle, cfg.k_max) for n in cfg.n_values]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_convdiff_point, args))
-    else:
-        rows = [_convdiff_point(a) for a in args]
+    rows = _map_points(_convdiff_point, args, cfg.jobs)
     rows.sort(key=lambda r: r["n"])
     summary = {"experiment": cfg.experiment, "eta": cfg.eta,
                "convention": cfg.convention, "tol": tol, "bound_kind": bound_kind,
@@ -483,11 +490,7 @@ def run_scaling_vs_k(cfg: ExperimentConfig):
     bound_kind = cfg.stopping.get("bound_kind", "posterior_ritz")
     args = [(n, cfg.eta, cfg.convention, tol, bound_kind, cfg.quadrature,
              cfg.k_samples, tuple(cfg.fit_window)) for n in cfg.n_values]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            out = list(pool.map(_scaling_point, args))
-    else:
-        out = [_scaling_point(a) for a in args]
+    out = _map_points(_scaling_point, args, cfg.jobs)
     rows = [r for point_rows, _ in out for r in point_rows]
     rows.sort(key=lambda r: (r["n"], r["k"]))
     slopes = {str(s["n"]): s["slope"] for _, s in out}

@@ -192,7 +192,7 @@ class RitzSpectrum:
 
     Ties are broken by descending real part, then descending imaginary
     part, so the order is deterministic.  ``schur`` is (T, Z) with
-    H_k = Z T Zᴴ when :func:`hessenberg_eigenvalues` made the spectrum.
+    H_k = Z T Zᴴ when :func:`hessenberg_eigenvalues` was asked for it.
     """
 
     values: np.ndarray
@@ -246,30 +246,48 @@ def lu_solve(A, b) -> np.ndarray:
     return as_operator(A).solve(b)
 
 
-def _schur(a: np.ndarray):
+def _schur(a: np.ndarray, vectors: bool = True):
     """(T, Z, eigenvalues) with a = Z T Zᴴ by LAPACK ?gees, T real for real
-    a.  Its default minimal workspace keeps the Hessenberg reduction
-    unblocked, which is nearly free on Hessenberg input."""
+    a; Z is a placeholder without ``vectors``.  Its default minimal workspace keeps
+    the Hessenberg reduction unblocked, which is nearly free on Hessenberg
+    input."""
     gees = sla.lapack.zgees if np.iscomplexobj(a) else sla.lapack.dgees
-    out = gees(lambda *_: None, a)
+    out = gees(lambda *_: None, a, compute_v=int(vectors))
     if out[-1] != 0:  # pragma: no cover - LAPACK failure
         raise NoConvergence(f"QR iteration failed to deflate (info = {out[-1]})")
     return out[0], out[-3], (out[2] if gees is sla.lapack.zgees else out[2] + 1j * out[3])
 
 
-def hessenberg_eigenvalues(H) -> RitzSpectrum:
-    """All eigenvalues of an upper Hessenberg matrix, sorted by modulus,
-    with the Schur form they were read from.
+def hessenberg_eigenvalues(H, schur: bool = False) -> RitzSpectrum:
+    """All eigenvalues of an upper Hessenberg matrix, sorted by modulus;
+    with ``schur``, also the Schur form (T, Z) they were read from.
 
     Computed by the LAPACK shifted-QR algorithm (real input uses the
-    Francis double-shift path, producing exact conjugate pairs).
+    Francis double-shift path, producing exact conjugate pairs).  Without
+    Schur vectors the same call is about a third cheaper.
     """
     h = as_array(H)
     k = h.shape[0]
     if k > 2 and np.any(np.tril(h, -2) != 0):
         raise DimensionMismatch("matrix has nonzeros below the first subdiagonal")
-    t, z, w = _schur(h)
-    return RitzSpectrum.from_unsorted(w, schur=(t, z))
+    t, z, w = _schur(h, vectors=schur)
+    return RitzSpectrum.from_unsorted(w, schur=(t, z) if schur else None)
+
+
+def bendixson_order(H) -> int:
+    """Largest j whose leading j x j block of H has a positive definite
+    Hermitian part, from one Cholesky factorization (?potrf) of H + Hᴴ: its
+    ``info`` is the first order that is not.
+
+    By Bendixson's theorem every eigenvalue of such a block has real part
+    at least the smallest eigenvalue of its Hermitian part, so every
+    leading block up to order j has its spectrum in the open right
+    half-plane.
+    """
+    a = np.asarray(H)
+    potrf = sla.lapack.zpotrf if np.iscomplexobj(a) else sla.lapack.dpotrf
+    info = potrf(a + a.conj().T, clean=0, overwrite_a=1)[1]
+    return a.shape[0] if info == 0 else info - 1  # info < 0 cannot occur here
 
 
 def schur_sqrt(t: np.ndarray, eigs: np.ndarray) -> np.ndarray:

@@ -168,6 +168,23 @@ class TestFunAction:
         got = arn.arnoldi_fun_action(state, "sqrt")
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
+    def test_schur_vectors_only_for_actions(self, monkeypatch):
+        # a bound alone takes Ritz values without Schur vectors; with an
+        # oracle the action's Schur form also gives the Ritz values
+        calls = []
+        ritz = linalg.hessenberg_eigenvalues
+        monkeypatch.setattr(linalg, "hessenberg_eigenvalues",
+                            lambda h, schur=False: calls.append((h.shape[0], schur))
+                            or ritz(h, schur=schur))
+        a, _, _ = make_pd_matrix(4, 30)
+        b = np.ones(30)
+        x_exact, reference = np.linalg.solve(a, b), linalg.reference_sqrt_action(a, b)
+        state = arn.arnoldi(a, b, 12)
+        arn.prefix_report(state.prefix(10), x_exact, 1000.0)
+        assert calls == [(10, False)]
+        arn.prefix_report(state.prefix(11), x_exact, 1000.0, reference=reference)
+        assert calls == [(10, False), (11, True)]
+
     def test_unknown_tag(self):
         state = arn.arnoldi(np.eye(2), np.ones(2), 1)
         with pytest.raises(DomainError):
@@ -425,7 +442,7 @@ class TestRunAdaptive:
         orders, quads = [], []
         ritz, quad = linalg.hessenberg_eigenvalues, arn.bnd.quad_semi_infinite
         monkeypatch.setattr(linalg, "hessenberg_eigenvalues",
-                            lambda h: orders.append(h.shape[0]) or ritz(h))
+                            lambda h, **kw: orders.append(h.shape[0]) or ritz(h, **kw))
         monkeypatch.setattr(arn.bnd, "quad_semi_infinite",
                             lambda *a, **kw: quads.append(1) or quad(*a, **kw))
         tri = matgen.convection_diffusion(200, 0.1)

@@ -268,6 +268,94 @@ class TestBoundQuadrature:
             bnd.bound_posterior_modulus(skewed_ritz[30], 1.0, cfg)
 
 
+def mp_logdet(h: np.ndarray, x: float) -> float:
+    """log|det(H + xI)| for an upper Hessenberg H in 40-digit arithmetic, by
+    Gaussian elimination with partial pivoting (one row below each pivot)."""
+    k = h.shape[0]
+    with mpmath.workdps(40):
+        a = [[mpmath.mpmathify(v) for v in row] for row in h.tolist()]
+        for i in range(k):
+            a[i][i] += mpmath.mpf(x)
+        log_det = mpmath.mpf(0)
+        for j in range(k):
+            if j + 1 < k and abs(a[j + 1][j]) > abs(a[j][j]):
+                a[j], a[j + 1] = a[j + 1], a[j]
+            log_det += mpmath.log(abs(a[j][j]))
+            if j + 1 < k:
+                m = a[j + 1][j] / a[j][j]
+                a[j + 1] = [a[j + 1][c] - m * a[j][c] if c >= j else a[j + 1][c]
+                            for c in range(k)]
+        return float(log_det)
+
+
+@pytest.fixture(scope="module")
+def convdiff_h90():
+    tri = matgen.convection_diffusion(120, 0.5)
+    return np.array(arn.arnoldi(tri, np.ones(119), 90).hessenberg)
+
+
+class TestShiftedLogdet:
+    SHIFTS = (1e-3, 0.1, 1.0, 10.0, 100.0)
+
+    def test_matches_mpmath(self, convdiff_h90):
+        got = bnd.shifted_logdet(convdiff_h90, self.SHIFTS)
+        want = [mp_logdet(convdiff_h90, x) for x in self.SHIFTS]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=2e-13)
+
+    def test_complex_matches_mpmath(self):
+        rng = np.random.default_rng(11)
+        h = np.triu(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)), -1)
+        got = bnd.shifted_logdet(h, self.SHIFTS)
+        want = [mp_logdet(h, x) for x in self.SHIFTS]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_order_two_closed_form(self):
+        a, b, c, d = 3.0, -2.0, 0.5, 1.5
+        x = np.array(self.SHIFTS)
+        want = np.log(np.abs((a + x) * (d + x) - b * c))
+        got = bnd.shifted_logdet(np.array([[a, b], [c, d]]), x)
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+
+    def test_huge_shift_is_rescaled(self, convdiff_h90):
+        # without rescaling the Hyman vector would reach about 1e700
+        got = bnd.shifted_logdet(convdiff_h90, [1e12])[0]
+        assert got == pytest.approx(mp_logdet(convdiff_h90, 1e12), rel=1e-14)
+
+    def test_tiny_subdiagonal(self):
+        rng = np.random.default_rng(5)
+        h = np.triu(rng.standard_normal((10, 10)), -1) + 4.0 * np.eye(10)
+        h[6, 5] = 1e-12 * np.linalg.norm(h, 2)
+        got = bnd.shifted_logdet(h, self.SHIFTS)
+        want = [mp_logdet(h, x) for x in self.SHIFTS]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_reduced_matrix_rejected(self):
+        with pytest.raises(DomainError):
+            bnd.shifted_logdet(np.diag([1.0, 2.0]), [1.0])
+
+
+class TestDeterminantBound:
+    @pytest.mark.parametrize("k", [2, 12, 30])
+    def test_matches_quadpack(self, k):
+        a, _, _ = make_pd_matrix(3, 120)
+        h = arn.arnoldi(a, np.ones(120), k).hessenberg
+        want = quadpack_bound(linalg.hessenberg_eigenvalues(h).values, False)
+        assert bnd.bound_posterior_det(h, 1.0, TIGHT) == pytest.approx(want, rel=1e-9)
+
+    def test_matches_ritz_form_convdiff(self, convdiff_h90):
+        ritz = linalg.hessenberg_eigenvalues(convdiff_h90)
+        got = bnd.bound_posterior_det(convdiff_h90, 0.7)
+        assert got == pytest.approx(bnd.bound_posterior_ritz(ritz, 0.7), rel=1e-10)
+
+    def test_errors(self, convdiff_h90):
+        with pytest.raises(DivergentIntegral):
+            bnd.bound_posterior_det(np.array([[2.0]]), 1.0)
+        with pytest.raises(DomainError):
+            bnd.bound_posterior_det(np.diag([1.0, 2.0]), 1.0)
+        with pytest.raises(NoConvergence):
+            bnd.bound_posterior_det(convdiff_h90, 1.0, bnd.QuadratureConfig(max_subdivisions=1))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(4, 40), k_max=st.integers(2, 12),
        skew=st.booleans())

@@ -1,5 +1,6 @@
 """Experiment harness: config validation, runners, CSV/SVG output, CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from krylov_sqrt import bounds as bnd
 from krylov_sqrt import experiments as exp
 from krylov_sqrt import linalg, matgen, plotting
 from krylov_sqrt.cli import main as cli_main
-from krylov_sqrt.errors import ConfigError, DomainError, UnsupportedContext
+from krylov_sqrt.errors import ConfigError, DomainError, InvalidSpectrum, UnsupportedContext
 
 
 def small_bounds_cfg(tmp_path, **overrides):
@@ -81,6 +82,24 @@ class TestBoundsVsK:
     def test_no_oracle_drops_error(self, tmp_path):
         rows, _ = exp.run_bounds_vs_k(small_bounds_cfg(tmp_path, oracle=False))
         assert all(row["error_norm"] is None for row in rows)
+
+    def test_rounding_floor_k(self, tmp_path):
+        # the bound falls below the true error at k = 28 and 30, where
+        # rounding sets both; the floor is marked from k = 21 on
+        cfg = exp.config_from_dict({
+            "experiment": "bounds_vs_k", "seed": 385346042, "output_dir": str(tmp_path),
+            "matrix": {"type": "spectrum", "kind": "uniform", "n": 40,
+                       "lo": 1.0, "hi": 1000.0},
+            "k_max": 30,
+        })
+        rows, summary, csv_path = exp.run_experiment(cfg)
+        assert summary["rounding_floor_k"] == 21
+        assert [r["k"] for r in rows if r["error_norm"] > r["posterior_ritz"]] == [28, 30]
+        with open(tmp_path / "bounds_vs_k_summary.json", encoding="ascii") as fh:
+            assert json.load(fh)["rounding_floor_k"] == 21
+        assert "rounding_floor_k" not in exp.read_csv(csv_path)[0]
+        no_oracle = exp.run_bounds_vs_k(dataclasses.replace(cfg, oracle=False))[1]
+        assert no_oracle["rounding_floor_k"] is None
 
     def test_hermitian_compare_columns(self, tmp_path):
         cfg = exp.config_from_dict({
@@ -182,18 +201,67 @@ class TestFindStopK:
         assert first_crossing_by_scan(tri, b, tol, x_exact, k_stop + 3) == k_stop
         sub = arn.arnoldi(tri, b, k_stop)
         xi = float(np.linalg.norm(x_exact - arn.fom_iterate(sub)))
+        assert val == pytest.approx(bnd.bound_posterior_det(sub.hessenberg, xi),
+                                    rel=1e-12, abs=0.0)
         want = bnd.bound_posterior_ritz(linalg.hessenberg_eigenvalues(sub.hessenberg), xi)
-        assert val == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert val == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_few_large_ritz_solves(self, monkeypatch):
-        # the search used to make 6 Ritz solves of order > k_stop/2 here
+        # the search used to make 6 Ritz solves of order > k_stop/2 here;
+        # its bounds now come from determinants, and the action at k_stop
+        # makes the one Schur form
         orders = []
         ritz = linalg.hessenberg_eigenvalues
         monkeypatch.setattr(linalg, "hessenberg_eigenvalues",
-                            lambda h: orders.append(h.shape[0]) or ritz(h))
+                            lambda h, **kw: orders.append(h.shape[0]) or ritz(h, **kw))
         tri = matgen.convection_diffusion(300, 0.1)
-        _, k_stop, _, _ = exp.find_stop_k(tri, np.ones(tri.shape[0]), 0.05)
-        assert sum(k > k_stop / 2 for k in orders) <= 4
+        state, k_stop, _, _ = exp.find_stop_k(tri, np.ones(tri.shape[0]), 0.05)
+        assert orders == []
+        arn.arnoldi_fun_action(state.prefix(k_stop), "sqrt")
+        assert orders == [k_stop]
+
+    @pytest.mark.parametrize("tol", [0.05, 0.01, 1e-3])
+    def test_indefinite_hermitian_part_checks_ritz_values(self, tol, monkeypatch):
+        # H_k + H_kᴴ is positive definite up to k = 8 only, yet every Ritz
+        # value lies in the right half-plane: probes above 8 read the Ritz
+        # values for the check, and the crossing is the scan's
+        n = 40
+        tri = linalg.TridiagonalMatrix(np.full(n - 1, 2.0), np.linspace(1.0, 20.0, n),
+                                       np.zeros(n - 1))
+        b = np.ones(n)
+        assert linalg.bendixson_order(arn.arnoldi(tri, b, n).hessenberg) == 8
+        orders = []
+        ritz = linalg.hessenberg_eigenvalues
+        monkeypatch.setattr(linalg, "hessenberg_eigenvalues",
+                            lambda h, **kw: orders.append(h.shape[0]) or ritz(h, **kw))
+        _, k_stop, val, x_exact = exp.find_stop_k(tri, b, tol)
+        assert k_stop > 8 and val <= tol
+        assert orders and min(orders) > 8
+        assert first_crossing_by_scan(tri, b, tol, x_exact, k_stop + 3) == k_stop
+
+    def test_ritz_value_in_left_half_plane_raises(self):
+        # H_8 of this bidiagonal matrix has a Ritz value with Re <= 0, above
+        # the order 4 that its Hermitian part certifies
+        n = 40
+        tri = linalg.TridiagonalMatrix(np.full(n - 1, 4.0), np.linspace(1.0, 20.0, n),
+                                       np.zeros(n - 1))
+        state = arn.arnoldi(tri, np.ones(n), 8)
+        assert linalg.bendixson_order(state.hessenberg) == 4
+        assert state.ritz.values.real.min() <= 0.0
+        with pytest.raises(InvalidSpectrum):
+            exp.find_stop_k(tri, np.ones(n), 0.05)
+
+    def test_one_cholesky_per_extension(self, monkeypatch):
+        potrf, extend = linalg.sla.lapack.dpotrf, arn.arnoldi_extend
+        orders, steps = [], []
+        monkeypatch.setattr(linalg.sla.lapack, "dpotrf",
+                            lambda a, **kw: orders.append(a.shape[0]) or potrf(a, **kw))
+        monkeypatch.setattr(arn, "arnoldi_extend",
+                            lambda *a: steps.append(1) or extend(*a))
+        tri = matgen.convection_diffusion(300, 0.1)
+        exp.find_stop_k(tri, np.ones(tri.shape[0]), 0.05)
+        assert orders == [2, 4, 8, 16, 32, 64, 128, 256, 299]
+        assert len(steps) == len(orders)
 
     def test_misleading_guide_still_exact_in_log_probes(self, monkeypatch):
         # a step-shaped bound unrelated to xi defeats the guide; the
@@ -230,12 +298,16 @@ class TestConvdiffTable:
             assert row["error"] <= row["bound_at_stop"] + 1e-8
 
     def test_point_reuses_the_search_factorizations(self, monkeypatch):
-        # the xi guide solves from one Hessenberg LU factor, and the action
-        # at k_stop comes from the Schur form of the probe that verified it
-        calls = {"ritz": [], "lu": [], "sqrt": []}
-        ritz, factor, sqrt = linalg.hessenberg_eigenvalues, linalg.lu_factor_quiet, linalg.dense_sqrt
+        # the xi guide solves from one Hessenberg LU factor, the probes
+        # bound from determinants, and the action at k_stop makes the one
+        # Schur form
+        calls = {"probe": [], "ritz": [], "lu": [], "sqrt": []}
+        probe, ritz = exp._bound_value, linalg.hessenberg_eigenvalues
+        factor, sqrt = linalg.lu_factor_quiet, linalg.dense_sqrt
+        monkeypatch.setattr(exp, "_bound_value",
+                            lambda sub, *a: calls["probe"].append(sub.k) or probe(sub, *a))
         monkeypatch.setattr(linalg, "hessenberg_eigenvalues",
-                            lambda h: calls["ritz"].append(h.shape[0]) or ritz(h))
+                            lambda h, **kw: calls["ritz"].append(h.shape[0]) or ritz(h, **kw))
         monkeypatch.setattr(linalg, "lu_factor_quiet",
                             lambda a: calls["lu"].append(a.shape[0]) or factor(a))
         monkeypatch.setattr(linalg, "dense_sqrt", lambda a: calls["sqrt"].append(1) or sqrt(a))
@@ -245,7 +317,8 @@ class TestConvdiffTable:
         })
         (row,), _ = exp.run_convdiff_table(cfg)
         assert row["k_stop"] == 259
-        assert calls == {"ritz": [2, 4, 8, 16, 32, 64, 128, 256, 259, 258], "lu": [], "sqrt": []}
+        assert calls == {"probe": [2, 4, 8, 16, 32, 64, 128, 256, 259, 258],
+                         "ritz": [259], "lu": [], "sqrt": []}
         tri = matgen.convection_diffusion(300, 0.1)
         b = np.ones(tri.shape[0])
         want = arn.arnoldi_fun_action(arn.arnoldi(tri, b, 259), "sqrt")

@@ -210,6 +210,35 @@ class TestHessenbergEigenvalues:
         with pytest.raises(DimensionMismatch):
             linalg.hessenberg_eigenvalues(np.ones((4, 4)))
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_schur_only_when_asked(self, dtype):
+        rng = np.random.default_rng(8)
+        h = np.triu(rng.standard_normal((9, 9)), -1).astype(dtype)
+        plain = linalg.hessenberg_eigenvalues(h)
+        full = linalg.hessenberg_eigenvalues(h, schur=True)
+        assert plain.schur is None
+        np.testing.assert_allclose(plain.values, full.values, rtol=1e-13)
+        t, z = full.schur
+        np.testing.assert_allclose(z @ t @ z.conj().T, h, atol=1e-13)
+
+
+class TestBendixsonOrder:
+    def test_positive_definite_hermitian_part(self):
+        tri = matgen.convection_diffusion(40, 0.5)
+        assert linalg.bendixson_order(tri.to_dense()) == 39
+
+    def test_first_indefinite_block(self):
+        # leading blocks of orders 1 and 2 have a positive definite
+        # Hermitian part; order 3 adds a 2 x 2 minor [[1, 3], [3, 1]]
+        h = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 6.0], [0.0, 0.0, 1.0]])
+        assert linalg.bendixson_order(h) == 2
+        assert linalg.bendixson_order(-np.eye(3)) == 0
+
+    def test_complex(self):
+        h = np.array([[1.0, 1j], [1j, 1.0]])  # H + Hᴴ = 2I
+        assert linalg.bendixson_order(h) == 2
+        assert linalg.bendixson_order(h + 3.0 * np.array([[0, 1], [0, 0]])) == 1
+
 
 class TestDenseSqrt:
     def test_identity(self):
