@@ -248,9 +248,9 @@ def lu_solve(A, b) -> np.ndarray:
 
 def _schur(a: np.ndarray, vectors: bool = True):
     """(T, Z, eigenvalues) with a = Z T Zᴴ by LAPACK ?gees, T real for real
-    a; Z is a placeholder without ``vectors``.  Its default minimal workspace keeps
-    the Hessenberg reduction unblocked, which is nearly free on Hessenberg
-    input."""
+    a; Z is a placeholder without ``vectors``.  Its default minimal
+    workspace keeps the Hessenberg reduction unblocked, which is nearly
+    free on Hessenberg input."""
     gees = sla.lapack.zgees if np.iscomplexobj(a) else sla.lapack.dgees
     out = gees(lambda *_: None, a, compute_v=int(vectors))
     if out[-1] != 0:  # pragma: no cover - LAPACK failure
@@ -264,7 +264,7 @@ def hessenberg_eigenvalues(H, schur: bool = False) -> RitzSpectrum:
 
     Computed by the LAPACK shifted-QR algorithm (real input uses the
     Francis double-shift path, producing exact conjugate pairs).  Without
-    Schur vectors the same call is about a third cheaper.
+    Schur vectors the QR iteration does less work.
     """
     h = as_array(H)
     k = h.shape[0]

@@ -317,7 +317,7 @@ class TestShiftedLogdet:
         np.testing.assert_allclose(got, want, rtol=1e-15)
 
     def test_huge_shift_is_rescaled(self, convdiff_h90):
-        # without rescaling the Hyman vector would reach about 1e700
+        # without rescaling the Hyman vector would reach about 1e725
         got = bnd.shifted_logdet(convdiff_h90, [1e12])[0]
         assert got == pytest.approx(mp_logdet(convdiff_h90, 1e12), rel=1e-14)
 
