@@ -39,6 +39,7 @@ from .linalg import (
     hessenberg_eigenvalues,
     lu_solve,
     min_symmetric_eig,
+    reference_invsqrt_action,
     reference_sqrt_action,
     sigma_max,
     sigma_min,

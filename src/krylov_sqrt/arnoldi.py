@@ -23,6 +23,7 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     DomainError,
+    NoConvergence,
     NonFiniteEntry,
     SingularMatrix,
     SingularProjectedMatrix,
@@ -31,6 +32,18 @@ from .errors import (
 
 # h_{j+1,j} at or below this fraction of ||M q_j|| is a happy breakdown.
 BREAKDOWN_RTOL = 1e-14
+
+# Square-root actions of an H_k of order above this take the shifted-solve
+# quadrature when the Hermitian part of H_k is positive definite.  On one
+# BLAS thread the two paths cost the same near k = 90-200 (a skewed dense
+# matrix first, convection-diffusion last); at k = 30 the quadrature is
+# 6-11x slower, at k = 298 it takes 0.3-0.6x the time of the Schur path.
+SHIFTED_ACTION_MIN_K = 200
+# Its quadrature: relative tolerance 1e-13 on the norm of H_k^{-1/2} e_1,
+# and a budget of intervals (about 20 are used) that keeps the d x nodes
+# values of one pass small.
+SHIFTED_ACTION_QUAD = bnd.QuadratureConfig(rel_tol=1e-13, abs_tol=np.finfo(float).tiny,
+                                           max_subdivisions=128)
 
 
 class _Workspace:
@@ -314,16 +327,43 @@ def arnoldi(M, b, steps: int) -> ArnoldiDecomposition:
     return arnoldi_extend(M, state, steps)
 
 
+def _shifted_invsqrt_e1(h: np.ndarray) -> np.ndarray:
+    """H^{-1/2} e_1 = (1/pi) int_0^inf s^{-1/2} (H + sI)^{-1} e_1 ds, with
+    the shifted solves of :func:`bounds.shifted_solve_e1`.  A missed
+    tolerance raises NoConvergence."""
+    q = bnd.quad_semi_infinite(lambda s: bnd.shifted_solve_e1(h, s) / np.sqrt(s),
+                               SHIFTED_ACTION_QUAD)
+    if not q.tolerance_met:
+        raise NoConvergence(f"shifted-solve action missed its tolerance (estimated error "
+                            f"{q.estimated_error:.3e} on norm {np.linalg.norm(q.value):.6e})")
+    return q.value / np.pi
+
+
 def fun_coefficients(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndarray:
-    """The k-vector ||b|| f(H_k) e_1 of :func:`arnoldi_fun_action`: the
-    square roots from the Schur form of ``decomp.ritz_schur``, the inverse
-    from the Hessenberg LU factor."""
+    """The k-vector ||b|| f(H_k) e_1 of :func:`arnoldi_fun_action`.
+
+    The inverse comes from the Hessenberg LU factor.  For the square roots
+    of an H_k of order above ``SHIFTED_ACTION_MIN_K`` whose Hermitian part
+    is positive definite (:func:`linalg.bendixson_order`, one ?potrf),
+    H_k^{-1/2} e_1 is the quadrature of shifted solves
+    (:func:`_shifted_invsqrt_e1`), O(k^2) per node, and H_k^{1/2} e_1 is
+    H_k times it.  The certificate keeps every H_k + sI nonsingular, with
+    ||(H_k + sI)^{-1}|| <= 1/(mu + s) for mu the smallest eigenvalue of the
+    Hermitian part.  Any other H_k takes one Schur form with vectors
+    (``decomp.ritz_schur``) and the square root of its triangular factor,
+    O(k^3), which raises SpectrumOnBranchCut for an eigenvalue on the
+    closed negative real axis.
+    """
     if decomp.k == 0:
         raise DomainError("decomposition has no completed steps")
     if f == "inverse":
         return decomp._ws.factor().solve_e1(decomp.k, decomp.b_norm, decomp.hessenberg)
     if f not in ("sqrt", "invsqrt"):
         raise DomainError(f"unknown function tag {f!r}")
+    h = decomp.hessenberg
+    if decomp.k > SHIFTED_ACTION_MIN_K and linalg.bendixson_order(h) == decomp.k:
+        y = decomp.b_norm * _shifted_invsqrt_e1(h)
+        return h @ y if f == "sqrt" else y
     spec = decomp.ritz_schur
     t, z = spec.schur
     s = linalg.schur_sqrt(t, spec.values)
@@ -334,9 +374,11 @@ def fun_coefficients(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndarra
 def arnoldi_fun_action(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndarray:
     """The Arnoldi approximation ||b|| Q_k f(H_k) e_1.
 
-    f is one of ``sqrt`` (principal square root), ``invsqrt`` (computed as
-    a solve against H_k^{1/2}, one fewer matrix function), or ``inverse``
-    (the FOM iterate for M x = b).
+    f is one of ``sqrt`` (principal square root), ``invsqrt``, or
+    ``inverse`` (the FOM iterate for M x = b).  The square roots of a
+    large H_k with a positive definite Hermitian part come from a
+    quadrature of shifted Hessenberg solves, any other from a Schur form
+    (see :func:`fun_coefficients`).
     """
     return decomp.basis_k @ fun_coefficients(decomp, f)
 
@@ -552,8 +594,9 @@ def run_adaptive(
     DomainError.  A happy breakdown stops immediately: the
     approximation is exact on the invariant subspace.  With
     ``error_oracle`` the history also carries the true error against the
-    reference action (:func:`linalg.reference_sqrt_action` for ``sqrt``:
-    closed form for tridiagonal Toeplitz M, else dense at desk scale).
+    reference action (:func:`linalg.reference_sqrt_action` for ``sqrt``,
+    :func:`linalg.reference_invsqrt_action` for ``invsqrt``: closed form
+    for tridiagonal Toeplitz M, else dense at desk scale).
     """
     stop = stop if stop is not None else ResidualRelative(1e-2)
     if k_max < 2:
@@ -576,7 +619,7 @@ def run_adaptive(
         if f == "sqrt":
             reference = linalg.reference_sqrt_action(op, rhs)
         elif f == "invsqrt":
-            reference = linalg.lu_solve(linalg.dense_sqrt(op.to_dense()), rhs)
+            reference = linalg.reference_invsqrt_action(op, rhs)
         elif f == "inverse":
             reference = x_exact
 

@@ -80,9 +80,10 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Quadrature value plus the achieved-error flag."""
+    """Quadrature value (a vector for a vector integrand) plus the
+    achieved-error flag."""
 
-    value: float
+    value: float | np.ndarray
     estimated_error: float
     tolerance_met: bool
 
@@ -105,15 +106,18 @@ def _gauss_kronrod_21(g, left: np.ndarray, width: np.ndarray):
     """21-point Gauss-Kronrod sums of ``g`` on the intervals
     [left, left + width], with the QUADPACK ``qk21`` error estimate.
 
-    ``g`` is evaluated once, on all nodes of all intervals.  Returns the
+    ``g`` is evaluated once, on all nodes of all intervals.  For a vector
+    integrand (values with a leading component axis) every absolute value
+    in the estimate is the 2-norm over the components.  Returns the
     per-interval (integral, estimated error).
     """
     half = 0.5 * width
     vals = g((left + half)[:, None] + half[:, None] * _GK21_NODES)
+    size = np.abs if vals.ndim == 2 else (lambda a: np.linalg.norm(a, axis=0))
     kronrod = vals @ _GK21_KRONROD
-    err = np.abs(half * (kronrod - vals @ _GK21_GAUSS))
-    resabs = half * (np.abs(vals) @ _GK21_KRONROD)
-    resasc = half * (np.abs(vals - 0.5 * kronrod[:, None]) @ _GK21_KRONROD)
+    err = size(half * (kronrod - vals @ _GK21_GAUSS))
+    resabs = half * (size(vals) @ _GK21_KRONROD)
+    resasc = half * (size(vals - 0.5 * kronrod[..., None]) @ _GK21_KRONROD)
     ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0.0)
     err = resasc * np.minimum(1.0, ratio**1.5)
     return half * kronrod, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
@@ -122,29 +126,32 @@ def _gauss_kronrod_21(g, left: np.ndarray, width: np.ndarray):
 def quad_semi_infinite(integrand, cfg: QuadratureConfig | None = None) -> QuadResult:
     """Globally adaptive Gauss-Kronrod integration of ``integrand`` over (0, inf).
 
-    ``integrand`` maps an ndarray of abscissae to an ndarray of values.
-    The change of variable x = (t/(1-t))^2 maps the half line onto
-    (0, 1); for an x^{-3/2} tail the transformed integrand stays bounded
-    at t = 1, which plain bisection needs (no extrapolation is used).
-    Each pass bisects every interval whose error estimate exceeds its
-    equal share of max(abs_tol, rel_tol |value|), evaluating all new
-    nodes in one integrand call.  ``max_subdivisions`` caps the number of
-    intervals; when it runs out first ``tolerance_met`` is unset.
+    ``integrand`` maps an ndarray of m abscissae to m values, or, for a
+    vector integrand, to a d x m array (one row per component); the value
+    is then a d-vector and the error the 2-norm of the Gauss-Kronrod error
+    over the components.  The change of variable x = (t/(1-t))^2 maps the
+    half line onto (0, 1); for an x^{-3/2} tail the transformed integrand
+    stays bounded at t = 1, which plain bisection needs (no extrapolation
+    is used).  Each pass bisects every interval whose error estimate
+    exceeds its equal share of max(abs_tol, rel_tol |value|), evaluating
+    all new nodes in one integrand call.  ``max_subdivisions`` caps the
+    number of intervals; when it runs out first ``tolerance_met`` is unset.
     """
     cfg = cfg or QuadratureConfig()
 
     def transformed(t: np.ndarray) -> np.ndarray:
         one_minus = 1.0 - t
         u = t / one_minus
-        vals = np.asarray(integrand((u * u).ravel()), dtype=float)
+        vals = np.asarray(integrand((u * u).ravel()))
         if not np.isfinite(vals).all():
             raise NonFiniteIntegrand("integrand returned a non-finite value")
-        return vals.reshape(t.shape) * (2.0 * u / (one_minus * one_minus))
+        return vals.reshape(vals.shape[:-1] + t.shape) * (2.0 * u / (one_minus * one_minus))
 
     left, width = np.zeros(1), np.ones(1)
     value, err = _gauss_kronrod_21(transformed, left, width)
+    size = abs if value.ndim == 1 else np.linalg.norm
     while True:
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(value.sum()))
+        tol = max(cfg.abs_tol, cfg.rel_tol * size(value.sum(axis=-1)))
         if err.sum() <= tol:
             break
         worst = np.flatnonzero(err > tol / err.size)
@@ -159,11 +166,12 @@ def quad_semi_infinite(integrand, cfg: QuadratureConfig | None = None) -> QuadRe
         child_value, child_err = _gauss_kronrod_21(transformed, child_left, child_width)
         left = np.concatenate([left[keep], child_left])
         width = np.concatenate([width[keep], child_width])
-        value = np.concatenate([value[keep], child_value])
+        value = np.concatenate([value[..., keep], child_value], axis=-1)
         err = np.concatenate([err[keep], child_err])
     total_err = float(err.sum())
-    return QuadResult(value=float(value.sum()), estimated_error=total_err,
-                      tolerance_met=total_err <= tol)
+    total = value.sum(axis=-1)
+    return QuadResult(value=float(total) if value.ndim == 1 else total,
+                      estimated_error=total_err, tolerance_met=total_err <= tol)
 
 
 def _ritz_values(ritz) -> np.ndarray:
@@ -231,15 +239,16 @@ def bound_posterior_ritz(ritz, xi_norm: float, cfg: QuadratureConfig | None = No
     return _product_bound(inv_mod2, 2.0 * lam.real * inv_mod2, xi_norm, cfg)
 
 
-def _hyman_log_alpha(h: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """log|det(H + xI)| - sum_i log|h_{i+1,i}| for each shift x of an
-    unreduced upper Hessenberg H, by Hyman's method (Wilkinson, The
-    Algebraic Eigenvalue Problem, 1965, ch. 7).
+def _hyman(h: np.ndarray, shifts: np.ndarray):
+    """Hyman's method (Wilkinson, The Algebraic Eigenvalue Problem, 1965,
+    ch. 7) for an unreduced upper Hessenberg H and each shift x.
 
     With X_k = 1, rows k..2 of (H + xI) X = alpha e_1 give X_{k-1}, ...,
     X_1 by back-substitution, all shifts in one product per row, and row 1
-    gives alpha; |det(H + xI)| = |alpha| prod_i |h_{i+1,i}|.  A shift whose
-    X passes ``_HYMAN_RESCALE`` is scaled down, the log of the scale carried.
+    gives alpha.  So X / alpha = (H + xI)^{-1} e_1, and
+    |det(H + xI)| = |alpha| prod_i |h_{i+1,i}|.  A shift whose X passes
+    ``_HYMAN_RESCALE`` is scaled down, the log of the scale carried.
+    Returns (X, alpha, log_scale), one column or entry per shift.
     """
     if np.any(np.diagonal(h, -1) == 0.0):
         raise DomainError("Hyman's method needs an unreduced Hessenberg matrix")
@@ -254,15 +263,35 @@ def _hyman_log_alpha(h: np.ndarray, shifts: np.ndarray) -> np.ndarray:
             scale = np.abs(X[r - 1, big])  # the older entries are at most 1e100
             X[r - 1:, big] /= scale
             log_scale[big] += np.log(scale)
-    return np.log(np.abs(h[0] @ X + shifts * X[0])) + log_scale
+    return X, h[0] @ X + shifts * X[0], log_scale
+
+
+def _hyman_log_alpha(h: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """log|det(H + xI)| - sum_i log|h_{i+1,i}| for each shift x (see
+    :func:`_hyman`)."""
+    _, alpha, log_scale = _hyman(h, shifts)
+    return np.log(np.abs(alpha)) + log_scale
 
 
 def shifted_logdet(H, shifts) -> np.ndarray:
     """log|det(H + xI)| for each shift x of an unreduced upper Hessenberg
-    H (see :func:`_hyman_log_alpha`); each shift costs O(k^2)."""
+    H (see :func:`_hyman`); each shift costs O(k^2)."""
     h = np.asarray(H)
     log_alpha = _hyman_log_alpha(h, np.asarray(shifts, dtype=float))
     return log_alpha + np.log(np.abs(np.diagonal(h, -1))).sum()
+
+
+def shifted_solve_e1(H, shifts) -> np.ndarray:
+    """The k x m array whose column j is (H + x_j I)^{-1} e_1, for the
+    shifts x_j of an unreduced upper Hessenberg H of order k, from the
+    same back-substitution as :func:`shifted_logdet`; each shift costs
+    O(k^2), on blocks of shifts of bounded size.  Every row equation is
+    met to rounding, so the solve is backward stable; H + xI must be
+    nonsingular."""
+    h, x = np.asarray(H), np.asarray(shifts, dtype=float)
+    step = max(1, _HYMAN_BLOCK_ELEMENTS // h.shape[0])
+    blocks = [_hyman(h, x[i:i + step]) for i in range(0, x.size, step)]
+    return np.concatenate([X / alpha for X, alpha, _ in blocks], axis=1)
 
 
 def bound_posterior_det(H, xi_norm: float, cfg: QuadratureConfig | None = None) -> float:

@@ -314,14 +314,25 @@ def reference_sqrt_action(M, b) -> np.ndarray:
 
     A tridiagonal M with constant bands, sub * sup > 0 and cond(D) at most
     ``TOEPLITZ_MAX_COND_D`` takes the O(n log n) closed form of
-    :func:`_toeplitz_sqrt_action`, at any n.  Any other M goes through the
+    :func:`_toeplitz_fun_action`, at any n.  Any other M goes through the
     dense Schur square root, guarded to n <= DENSE_ORACLE_MAX_N, and must
     be positive definite in the Re(x*Mx) > 0 sense.
     """
+    return _reference_action(M, b, inverse=False)
+
+
+def reference_invsqrt_action(M, b) -> np.ndarray:
+    """Error oracle: M^{-1/2} b, by the closed form or the guarded dense
+    square root of :func:`reference_sqrt_action` (then one LU solve)."""
+    return _reference_action(M, b, inverse=True)
+
+
+def _reference_action(M, b, inverse: bool) -> np.ndarray:
     op = as_operator(M)
     bands = _toeplitz_bands(op)
     if bands is not None:
-        return _toeplitz_sqrt_action(*bands, op.shape[0], b)
+        fn = (lambda lam: 1.0 / np.sqrt(lam)) if inverse else np.sqrt
+        return _toeplitz_fun_action(*bands, op.shape[0], b, fn)
     a = op.to_dense()
     n = a.shape[0]
     if n > DENSE_ORACLE_MAX_N:
@@ -333,7 +344,8 @@ def reference_sqrt_action(M, b) -> np.ndarray:
         raise DimensionMismatch("rhs length does not match matrix order")
     # the positive Hermitian part already keeps the spectrum off the
     # branch cut, which is all dense_sqrt would check again
-    return sla.sqrtm(a) @ rhs
+    root = sla.sqrtm(a)
+    return DenseMatrix(root).solve(rhs) if inverse else root @ rhs
 
 
 def _toeplitz_bands(op):
@@ -355,15 +367,16 @@ def _toeplitz_bands(op):
     return float(sub), float(dia), float(sup)
 
 
-def _toeplitz_sqrt_action(sub: float, dia: float, sup: float, m: int, b) -> np.ndarray:
-    """M^{1/2} b for M = tridiag(sub, dia, sup) of order m, sub * sup > 0.
+def _toeplitz_fun_action(sub: float, dia: float, sup: float, m: int, b, fn) -> np.ndarray:
+    """f(M) b for M = tridiag(sub, dia, sup) of order m, sub * sup > 0, and
+    ``fn`` the map lambda -> f(lambda) on its (positive) eigenvalues.
 
     M = D S D^{-1} with D = diag(r^{i/2}), r = sub/sup, and S the
     symmetric tridiagonal Toeplitz matrix with off-diagonal
     sign(sub) sqrt(sub sup).  S has the DST-I sine vectors as eigenvectors
     and eigenvalues lambda_j = dia + 2 off cos(j pi/(m+1)), so
-    M^{1/2} b = D DST(sqrt(lambda) * DST(D^{-1} b)) (Noschese, Pasquini
-    and Reichel, "Tridiagonal Toeplitz matrices", NLAA 20, 2013).
+    f(M) b = D DST(f(lambda) * DST(D^{-1} b)) (Noschese, Pasquini and
+    Reichel, "Tridiagonal Toeplitz matrices", NLAA 20, 2013).
     """
     import scipy.fft  # about 0.1 s to import, so only on this path
 
@@ -377,7 +390,7 @@ def _toeplitz_sqrt_action(sub: float, dia: float, sup: float, m: int, b) -> np.n
     # centred exponents, so neither end of D overflows
     d = np.exp(0.5 * math.log(sub / sup) * (np.arange(m) - 0.5 * (m - 1)))
     w = scipy.fft.dst(rhs / d, type=1, norm="ortho")
-    return d * scipy.fft.dst(np.sqrt(lam) * w, type=1, norm="ortho")
+    return d * scipy.fft.dst(fn(lam) * w, type=1, norm="ortho")
 
 
 def sigma_max(M, tol: float = 1e-8, max_iter: int | None = None) -> float:

@@ -1,6 +1,8 @@
 """Arnoldi process invariants, the residual/error determinant identities,
 shift relations, and the adaptive runner."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,12 @@ from krylov_sqrt import linalg, matgen
 from krylov_sqrt.errors import (
     DimensionMismatch,
     DomainError,
+    NoConvergence,
     NonFiniteEntry,
     SingularMatrix,
     SingularProjectedMatrix,
     SingularShift,
+    TooLarge,
     UnsupportedContext,
 )
 
@@ -189,6 +193,92 @@ class TestFunAction:
         state = arn.arnoldi(np.eye(2), np.ones(2), 1)
         with pytest.raises(DomainError):
             arn.arnoldi_fun_action(state, "exp")
+
+
+def spy_action_paths(monkeypatch) -> dict:
+    """Orders of the Ritz solves (Schur path) and the number of quadratures
+    (shifted-solve path) made from here on."""
+    calls = {"ritz": [], "quad": 0}
+    ritz, quad = linalg.hessenberg_eigenvalues, arn.bnd.quad_semi_infinite
+
+    def counted_quad(*args):
+        calls["quad"] += 1
+        return quad(*args)
+
+    monkeypatch.setattr(linalg, "hessenberg_eigenvalues",
+                        lambda h, **kw: calls["ritz"].append(h.shape[0]) or ritz(h, **kw))
+    monkeypatch.setattr(arn.bnd, "quad_semi_infinite", counted_quad)
+    return calls
+
+
+def both_paths(monkeypatch, state, k, f):
+    """(shifted-solve, Schur) coefficients of the prefix k < state.k, each
+    path forced through the crossover order and checked by the spies; each
+    prefix is a fresh snapshot, with no Schur form cached."""
+    calls = spy_action_paths(monkeypatch)
+    monkeypatch.setattr(arn, "SHIFTED_ACTION_MIN_K", 0)
+    shifted = arn.fun_coefficients(state.prefix(k), f)
+    assert calls == {"ritz": [], "quad": 1}
+    monkeypatch.setattr(arn, "SHIFTED_ACTION_MIN_K", k)
+    schur = arn.fun_coefficients(state.prefix(k), f)
+    assert calls == {"ritz": [k], "quad": 1}
+    return shifted, schur
+
+
+def assert_paths_agree(monkeypatch, state, k, invsqrt_rtol=1e-11):
+    for f, rtol in (("sqrt", 1e-11), ("invsqrt", invsqrt_rtol)):
+        shifted, schur = both_paths(monkeypatch, state, k, f)
+        assert np.linalg.norm(shifted - schur) <= rtol * np.linalg.norm(schur)
+
+
+class TestShiftedAction:
+    def test_convdiff_above_crossover(self, monkeypatch):
+        tri = matgen.convection_diffusion(1000, 0.1)
+        state = arn.arnoldi(tri, np.ones(999), 889)
+        calls = spy_action_paths(monkeypatch)
+        arn.arnoldi_fun_action(state.prefix(888), "sqrt")
+        assert 888 > arn.SHIFTED_ACTION_MIN_K and calls == {"ritz": [], "quad": 1}
+        # the Schur path's H^{-1/2} e_1 solves with T^{1/2} and moves by
+        # 1.1e-11 between one and two BLAS threads here, the shifted one by
+        # 1.6e-14; they agree to 7.5e-12 on one thread, 1.9e-11 on two
+        assert_paths_agree(monkeypatch, state, 888, invsqrt_rtol=3e-11)
+
+    def test_skewed_dense(self, monkeypatch):
+        spec = matgen.SpectrumSpec.uniform(600, 10.0, 1000.0)
+        a = matgen.spectrum_matrix(spec, 7).matrix.array + matgen.skew_part(600, 8, 30.0)
+        assert_paths_agree(monkeypatch, arn.arnoldi(a, np.ones(600), 201), 200)
+
+    def test_complex_dense(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        a, _, _ = make_pd_matrix(19, 150)
+        g = rng.standard_normal((150, 150))
+        a = a + 20.0j * (g + g.T)  # i times a symmetric matrix: skew-Hermitian
+        state = arn.arnoldi(a, rng.standard_normal(150) + 1j, 121)
+        assert np.iscomplexobj(state.hessenberg)
+        assert_paths_agree(monkeypatch, state, 120)
+
+    def test_missed_tolerance_raises(self, monkeypatch):
+        a, _, _ = make_pd_matrix(3, 60)
+        state = arn.arnoldi(a, np.ones(60), 40)
+        monkeypatch.setattr(arn, "SHIFTED_ACTION_MIN_K", 0)
+        monkeypatch.setattr(arn, "SHIFTED_ACTION_QUAD",
+                            dataclasses.replace(arn.SHIFTED_ACTION_QUAD, max_subdivisions=1))
+        with pytest.raises(NoConvergence):
+            arn.arnoldi_fun_action(state, "sqrt")
+
+    def test_indefinite_hermitian_part_takes_schur(self, monkeypatch):
+        # H_k + H_kᴴ is positive definite up to k = 8 only
+        n = 40
+        tri = linalg.TridiagonalMatrix(np.full(n - 1, 2.0), np.linspace(1.0, 20.0, n),
+                                       np.zeros(n - 1))
+        state = arn.arnoldi(tri, np.ones(n), 20)
+        assert linalg.bendixson_order(state.hessenberg) == 8
+        monkeypatch.setattr(arn, "SHIFTED_ACTION_MIN_K", 0)
+        calls = spy_action_paths(monkeypatch)
+        arn.arnoldi_fun_action(state, "sqrt")
+        assert calls == {"ritz": [20], "quad": 0}
+        arn.arnoldi_fun_action(state.prefix(8), "invsqrt")
+        assert calls == {"ritz": [20], "quad": 1}
 
 
 class TestFomResidual:
@@ -397,6 +487,44 @@ class TestRunAdaptive:
         assert res.history[-1].posterior_ritz <= 1.0
         want = linalg.reference_sqrt_action(a, b)
         assert np.linalg.norm(res.result - want) <= 1.0 + 1e-8
+
+    def test_invsqrt_oracle_closed_form(self, monkeypatch):
+        # the M^{-1/2} b oracle of a tridiagonal Toeplitz M is the DST-I
+        # closed form, checked against the Schur square root
+        tri = matgen.convection_diffusion(300, 0.1)
+        b = np.ones(299)
+        want = linalg.lu_solve(linalg.dense_sqrt(tri.to_dense()), b)
+        dense = []
+        monkeypatch.setattr(linalg, "dense_sqrt", lambda a: dense.append(1))
+        res = arn.run_adaptive(tri, b, f="invsqrt", stop=arn.ResidualRelative(1e-30),
+                               k_max=30, error_oracle=True)
+        assert dense == [] and len(res.history) == 30
+        state = arn.arnoldi(tri, b, 30)
+        for rep in res.history[::7]:
+            err = np.linalg.norm(want - arn.arnoldi_fun_action(state.prefix(rep.k), "invsqrt"))
+            assert abs(rep.error_norm - err) <= 1e-10 * np.linalg.norm(want)
+
+    def test_invsqrt_oracle_past_dense_guard(self, monkeypatch):
+        tri = matgen.convection_diffusion(20_001, 0.1)
+        assert tri.shape[0] > linalg.DENSE_ORACLE_MAX_N
+        b = np.ones(tri.shape[0])
+        dense = []
+        monkeypatch.setattr(linalg.TridiagonalMatrix, "to_dense", lambda self: dense.append(1))
+        res = arn.run_adaptive(tri, b, f="invsqrt", stop=arn.ResidualRelative(1e-30),
+                               k_max=6, error_oracle=True)
+        assert dense == []
+        want = linalg.reference_invsqrt_action(tri, b)
+        assert res.history[-1].error_norm == pytest.approx(np.linalg.norm(want - res.result),
+                                                           rel=1e-12)
+        # M^{1/2} (M^{-1/2} b) = b through the two closed forms
+        back = linalg.reference_sqrt_action(tri, want)
+        assert np.linalg.norm(back - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_invsqrt_oracle_dense_guard(self, monkeypatch):
+        a, _, _ = make_pd_matrix(14, 12)
+        monkeypatch.setattr(linalg, "DENSE_ORACLE_MAX_N", 10)
+        with pytest.raises(TooLarge):
+            arn.run_adaptive(a, np.ones(12), f="invsqrt", k_max=4, error_oracle=True)
 
     def test_budget_exhausted_flag(self):
         a, _, _ = make_pd_matrix(13, 40)

@@ -96,6 +96,19 @@ class TestQuadSemiInfinite:
         with pytest.raises(NonFiniteIntegrand):
             bnd.quad_semi_infinite(lambda x: float("nan"))
 
+    def test_vector_integrand(self):
+        # the Beta and Mellin closed forms above as the two components of
+        # one integrand; the error is the norm over them, so it is met by
+        # each component and never below the larger of the two alone
+        beta = lambda x: np.sqrt(x) / (1.0 + x) ** 2  # noqa: E731
+        mellin = lambda x: np.sqrt(x) / (1.0 + x * x)  # noqa: E731
+        out = bnd.quad_semi_infinite(lambda x: np.stack([beta(x), 3.0j * mellin(x)]), TIGHT)
+        assert out.tolerance_met and out.value.shape == (2,)
+        np.testing.assert_allclose(out.value, [math.pi / 2.0, 3.0j * math.pi / math.sqrt(2.0)],
+                                   rtol=1e-10)
+        alone = [bnd.quad_semi_infinite(g, TIGHT).estimated_error for g in (beta, mellin)]
+        assert out.estimated_error >= max(alone)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             bnd.QuadratureConfig(rel_tol=0.0)
@@ -332,6 +345,58 @@ class TestShiftedLogdet:
     def test_reduced_matrix_rejected(self):
         with pytest.raises(DomainError):
             bnd.shifted_logdet(np.diag([1.0, 2.0]), [1.0])
+
+
+@pytest.fixture(scope="module")
+def convdiff_h888():
+    tri = matgen.convection_diffusion(1000, 0.1)
+    return np.array(arn.arnoldi(tri, np.ones(999), 888).hessenberg)
+
+
+def assert_solves(h, shifts, rtol):
+    """bounds.shifted_solve_e1 against one dense LU solve per shift."""
+    got = bnd.shifted_solve_e1(h, shifts)
+    assert got.shape == (h.shape[0], len(shifts))
+    e1 = np.eye(h.shape[0])[0]
+    for j, x in enumerate(shifts):
+        want = linalg.DenseMatrix(h + x * np.eye(h.shape[0])).solve(e1)
+        assert np.linalg.norm(got[:, j] - want) <= rtol * np.linalg.norm(want)
+
+
+class TestShiftedSolve:
+    SHIFTS = tuple(np.geomspace(1e-6, 1e7, 14))
+
+    def test_matches_dense_solve_convdiff(self, convdiff_h90, convdiff_h888):
+        assert_solves(convdiff_h90, self.SHIFTS, 1e-12)
+        assert_solves(convdiff_h888, self.SHIFTS, 1e-12)
+
+    def test_complex(self):
+        rng = np.random.default_rng(11)
+        h = np.triu(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)), -1)
+        assert_solves(h + 6.0 * np.eye(12), self.SHIFTS, 1e-12)
+
+    def test_orders_one_and_two_closed_form(self):
+        x = np.array(self.SHIFTS)
+        np.testing.assert_allclose(bnd.shifted_solve_e1(np.array([[2.5]]), x),
+                                   [1.0 / (2.5 + x)], rtol=1e-15)
+        a, b, c, d = 3.0, -2.0, 0.5, 1.5
+        det = (a + x) * (d + x) - b * c
+        np.testing.assert_allclose(bnd.shifted_solve_e1(np.array([[a, b], [c, d]]), x),
+                                   [(d + x) / det, -c / det], rtol=1e-14)
+
+    def test_tiny_subdiagonal(self):
+        rng = np.random.default_rng(5)
+        h = np.triu(rng.standard_normal((10, 10)), -1) + 4.0 * np.eye(10)
+        h[6, 5] = 1e-12 * np.linalg.norm(h, 2)
+        assert_solves(h, self.SHIFTS, 1e-12)
+
+    def test_huge_shift_is_rescaled(self, convdiff_h90):
+        # without rescaling the Hyman vector would reach about 1e725
+        assert_solves(convdiff_h90, [1e12], 1e-12)
+
+    def test_reduced_matrix_rejected(self):
+        with pytest.raises(DomainError):
+            bnd.shifted_solve_e1(np.diag([1.0, 2.0]), [1.0])
 
 
 class TestDeterminantBound:

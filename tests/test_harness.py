@@ -208,8 +208,9 @@ class TestFindStopK:
 
     def test_few_large_ritz_solves(self, monkeypatch):
         # the search used to make 6 Ritz solves of order > k_stop/2 here;
-        # its bounds now come from determinants, and the action at k_stop
-        # makes the one Schur form
+        # its bounds come from determinants, and the action at k_stop, above
+        # the crossover order, from shifted Hessenberg solves
+        assert arn.SHIFTED_ACTION_MIN_K < 259
         orders = []
         ritz = linalg.hessenberg_eigenvalues
         monkeypatch.setattr(linalg, "hessenberg_eigenvalues",
@@ -218,7 +219,7 @@ class TestFindStopK:
         state, k_stop, _, _ = exp.find_stop_k(tri, np.ones(tri.shape[0]), 0.05)
         assert orders == []
         arn.arnoldi_fun_action(state.prefix(k_stop), "sqrt")
-        assert orders == [k_stop]
+        assert k_stop == 259 and orders == []
 
     @pytest.mark.parametrize("tol", [0.05, 0.01, 1e-3])
     def test_indefinite_hermitian_part_checks_ritz_values(self, tol, monkeypatch):
@@ -299,8 +300,8 @@ class TestConvdiffTable:
 
     def test_point_reuses_the_search_factorizations(self, monkeypatch):
         # the xi guide solves from one Hessenberg LU factor, the probes
-        # bound from determinants, and the action at k_stop makes the one
-        # Schur form
+        # bound from determinants, and the action at k_stop, above the
+        # crossover order, comes from shifted Hessenberg solves
         calls = {"probe": [], "ritz": [], "lu": [], "sqrt": []}
         probe, ritz = exp._bound_value, linalg.hessenberg_eigenvalues
         factor, sqrt = linalg.lu_factor_quiet, linalg.dense_sqrt
@@ -318,7 +319,7 @@ class TestConvdiffTable:
         (row,), _ = exp.run_convdiff_table(cfg)
         assert row["k_stop"] == 259
         assert calls == {"probe": [2, 4, 8, 16, 32, 64, 128, 256, 259, 258],
-                         "ritz": [259], "lu": [], "sqrt": []}
+                         "ritz": [], "lu": [], "sqrt": []}
         tri = matgen.convection_diffusion(300, 0.1)
         b = np.ones(tri.shape[0])
         want = arn.arnoldi_fun_action(arn.arnoldi(tri, b, 259), "sqrt")

@@ -430,6 +430,32 @@ class TestReferenceSqrtAction:
             linalg.reference_sqrt_action(a, np.ones(21))
 
 
+class TestReferenceInvsqrtAction:
+    def test_toeplitz_closed_form_matches_schur(self, monkeypatch):
+        tri = matgen.convection_diffusion(300, 0.1)
+        b = np.random.default_rng(3).uniform(0.5, 1.5, 299)
+        calls = TestReferenceSqrtAction.spy_sqrtm(monkeypatch)
+        got = linalg.reference_invsqrt_action(tri, b)
+        assert calls == []
+        want = linalg.lu_solve(linalg.dense_sqrt(tri.to_dense()), b)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_dense_vs_eigendecomposition(self):
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((20, 20))
+        a = g @ g.T + 20 * np.eye(20)
+        b = rng.standard_normal(20)
+        w, v = np.linalg.eigh(a)
+        want = (v / np.sqrt(w)) @ (v.T @ b)
+        got = linalg.reference_invsqrt_action(a, b)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(linalg, "DENSE_ORACLE_MAX_N", 10)
+        with pytest.raises(TooLarge):
+            linalg.reference_invsqrt_action(np.eye(11), np.ones(11))
+
+
 class MatvecOnly:
     """A matrix seen only through matvec/rmatvec/shape."""
 
