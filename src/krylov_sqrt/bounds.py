@@ -109,7 +109,7 @@ def _gauss_kronrod_21(g, left: np.ndarray, width: np.ndarray):
     ``g`` is evaluated once, on all nodes of all intervals.  For a vector
     integrand (values with a leading component axis) every absolute value
     in the estimate is the 2-norm over the components.  Returns the
-    per-interval (integral, estimated error).
+    per-interval (integral, estimated error), the interval axis first.
     """
     half = 0.5 * width
     vals = g((left + half)[:, None] + half[:, None] * _GK21_NODES)
@@ -120,7 +120,7 @@ def _gauss_kronrod_21(g, left: np.ndarray, width: np.ndarray):
     resasc = half * (size(vals - 0.5 * kronrod[..., None]) @ _GK21_KRONROD)
     ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0.0)
     err = resasc * np.minimum(1.0, ratio**1.5)
-    return half * kronrod, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+    return (half * kronrod).T, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
 
 
 def quad_semi_infinite(integrand, cfg: QuadratureConfig | None = None) -> QuadResult:
@@ -151,7 +151,7 @@ def quad_semi_infinite(integrand, cfg: QuadratureConfig | None = None) -> QuadRe
     value, err = _gauss_kronrod_21(transformed, left, width)
     size = abs if value.ndim == 1 else np.linalg.norm
     while True:
-        tol = max(cfg.abs_tol, cfg.rel_tol * size(value.sum(axis=-1)))
+        tol = max(cfg.abs_tol, cfg.rel_tol * size(value.sum(axis=0)))
         if err.sum() <= tol:
             break
         worst = np.flatnonzero(err > tol / err.size)
@@ -166,10 +166,10 @@ def quad_semi_infinite(integrand, cfg: QuadratureConfig | None = None) -> QuadRe
         child_value, child_err = _gauss_kronrod_21(transformed, child_left, child_width)
         left = np.concatenate([left[keep], child_left])
         width = np.concatenate([width[keep], child_width])
-        value = np.concatenate([value[..., keep], child_value], axis=-1)
+        value = np.concatenate([value[keep], child_value])
         err = np.concatenate([err[keep], child_err])
     total_err = float(err.sum())
-    total = value.sum(axis=-1)
+    total = value.sum(axis=0)
     return QuadResult(value=float(total) if value.ndim == 1 else total,
                       estimated_error=total_err, tolerance_met=total_err <= tol)
 
