@@ -47,18 +47,24 @@ SHIFTED_ACTION_QUAD = bnd.QuadratureConfig(rel_tol=1e-13, abs_tol=np.finfo(float
 
 
 class _Workspace:
-    """Growable append-only storage for the basis and Hessenberg matrix."""
+    """Growable append-only storage for the basis and Hessenberg matrix.
+
+    The basis is stored in Fortran order, so every leading block of
+    columns that a Gram-Schmidt pass reads is one contiguous block.
+    """
 
     def __init__(self, q1: np.ndarray, capacity: int):
         n = q1.shape[0]
         capacity = max(capacity, 1)
-        self.Q = np.zeros((n, capacity + 1), dtype=q1.dtype)
+        self.Q = np.zeros((n, capacity + 1), dtype=q1.dtype, order="F")
         self.H = np.zeros((capacity + 1, capacity), dtype=q1.dtype)
         self.Q[:, 0] = q1
         self.k = 0          # completed Arnoldi steps
         self.ncols = 1      # stored basis columns
         self.breakdown = False
         self.lu = _HessenbergLU()
+        # H_j + H_jᴴ is positive definite for j <= pd_order; known for j <= pd_checked
+        self.pd_order = self.pd_checked = 0
 
     @property
     def capacity(self) -> int:
@@ -67,7 +73,7 @@ class _Workspace:
     def grow(self, capacity: int):
         if capacity <= self.capacity:
             return
-        Q = np.zeros((self.Q.shape[0], capacity + 1), dtype=self.Q.dtype)
+        Q = np.zeros((self.Q.shape[0], capacity + 1), dtype=self.Q.dtype, order="F")
         H = np.zeros((capacity + 1, capacity), dtype=self.H.dtype)
         Q[:, : self.ncols] = self.Q[:, : self.ncols]
         H[: self.k + 1, : self.k] = self.H[: self.k + 1, : self.k]
@@ -75,23 +81,33 @@ class _Workspace:
 
     def promote_complex(self):
         if not np.iscomplexobj(self.Q):
-            self.Q = self.Q.astype(np.complex128)
+            self.Q = self.Q.astype(np.complex128, order="F")
             self.H = self.H.astype(np.complex128)
 
     def clone_at(self, k: int, ncols: int) -> "_Workspace":
         ws = _Workspace.__new__(_Workspace)
-        ws.Q = self.Q[:, : max(ncols, 1)].copy()
+        ws.Q = self.Q[:, : max(ncols, 1)].copy(order="F")
         ws.H = self.H[: k + 1, :k].copy()
         ws.k = k
         ws.ncols = ncols
         ws.breakdown = False
         ws.lu = _HessenbergLU()
+        ws.pd_order, ws.pd_checked = min(self.pd_order, k), min(self.pd_checked, k)
         return ws
 
     def factor(self) -> "_HessenbergLU":
         """The LU factor of H, brought up to the completed steps."""
         self.lu.extend(self.H, self.k)
         return self.lu
+
+    def bendixson_order(self, k: int) -> int:
+        """:func:`linalg.bendixson_order` of H_k for k <= self.k.  One
+        ?potrf of the whole H_{self.k} answers every k up to self.k; it runs
+        again only for a k above that order while the order was certified."""
+        if k > self.pd_checked and self.pd_order == self.pd_checked:
+            self.pd_order = linalg.bendixson_order(self.H[: self.k, : self.k])
+            self.pd_checked = self.k
+        return min(self.pd_order, k)
 
 
 class _HessenbergLU:
@@ -101,11 +117,20 @@ class _HessenbergLU:
     Column j has nonzeros in rows j and j+1 only, so pivot step j swaps at
     most those two rows and leaves the rows above final.  The factors of
     H_k are the first k-1 steps plus the diagonal of row k-1 before its own
-    step (``pivots``).
+    step (``pivots``).  U lives in a buffer whose capacity doubles, so an
+    extension copies no earlier column, and ``row_norms[k-1]`` is the
+    largest row norm of H_k.
     """
 
     def __init__(self):
-        self.U, self.mult, self.swap, self.pivots = np.zeros((0, 0)), [], [], []
+        self._buf = np.zeros((0, 0))
+        self.mult, self.swap, self.pivots, self.row_norms = [], [], [], []
+        self._row_sq = np.zeros(0)  # squared row norms of the factored columns
+
+    @property
+    def U(self) -> np.ndarray:
+        k = len(self.pivots)
+        return self._buf[:k, :k]
 
     def extend(self, H: np.ndarray, K: int):
         """Factor the leading K columns of H (at least K rows): the new
@@ -113,41 +138,67 @@ class _HessenbergLU:
         k0 = len(self.pivots)
         if K <= k0:
             return
-        U = np.zeros((K, K), dtype=np.result_type(self.U, H))
-        U[:k0, :k0] = self.U
-        U[:, k0:] = H[:K, k0:K]
+        dtype = np.result_type(self._buf, H)
+        if K > self._buf.shape[0] or dtype != self._buf.dtype:
+            size = min(max(K, 2 * self._buf.shape[0]), H.shape[1])
+            buf = np.zeros((size, size), dtype=dtype)
+            buf[:k0, :k0] = self.U
+            self._buf = buf
+        U = self._buf
+        U[:K, k0:K] = H[:K, k0:K]
         if k0:
             U[k0, k0 - 1] = H[k0, k0 - 1]
-        for j in range(K - 1):
-            new_step = j >= k0 - 1
-            lo = j if new_step else k0
-            if new_step:
-                if j == len(self.pivots):
-                    self.pivots.append(U[j, j])
-                self.swap.append(bool(abs(U[j + 1, j]) > abs(U[j, j])))
-            if self.swap[j]:
-                U[[j, j + 1], lo:] = U[[j + 1, j], lo:]
-            if new_step:
-                self.mult.append(U[j + 1, j] / U[j, j] if U[j, j] != 0.0 else 0.0)
-            U[j + 1, lo:] -= self.mult[j] * U[j, lo:]
+        self._extend_row_norms(H, k0, K)
+        for j in range(k0 - 1):
+            self._step(U, j, k0, K)
+        for j in range(max(k0 - 1, 0), K - 1):
+            if j == len(self.pivots):
+                self.pivots.append(U[j, j])
+            top, low = U[j, j], U[j + 1, j]
+            swap = bool(abs(low) > abs(top))
+            top, low = (low, top) if swap else (top, low)
+            self.swap.append(swap)
+            self.mult.append(low / top if top != 0.0 else 0.0)
+            self._step(U, j, j, K)
         self.pivots.append(U[K - 1, K - 1])
-        self.U = U
+
+    def _step(self, U: np.ndarray, j: int, lo: int, hi: int):
+        """Pivot step j on columns lo:hi: rows j and j+1 swap when
+        ``swap[j]``, then row j+1 loses mult[j] times row j."""
+        top, low = U[j, lo:hi], U[j + 1, lo:hi]
+        if self.swap[j]:
+            new_low = top - self.mult[j] * low
+            top[:] = low
+            low[:] = new_low
+        else:
+            low -= self.mult[j] * top
+
+    def _extend_row_norms(self, H: np.ndarray, k0: int, K: int):
+        """Append the largest row norm of H_k for k = k0+1..K, carrying the
+        squared row norms of the columns before k0."""
+        rows = min(K + 1, H.shape[0])
+        sq = np.cumsum(np.abs(H[:rows, k0:K]) ** 2, axis=1)
+        sq[: self._row_sq.size] += self._row_sq[:rows, None]
+        in_block = np.arange(rows)[:, None] < np.arange(k0 + 1, K + 1)  # row i of H_k: i < k
+        self.row_norms.extend(np.sqrt(np.max(np.where(in_block, sq, 0.0), axis=0)))
+        self._row_sq = sq[:, -1]
 
     def _diagonal(self, k: int) -> np.ndarray:
         return np.append(np.diagonal(self.U)[: k - 1], self.pivots[k - 1])
 
-    def solve_e1(self, k: int, scale: float, H_k: np.ndarray) -> np.ndarray:
+    def solve_e1(self, k: int, scale: float) -> np.ndarray:
         """y with H_k y = scale e_1.  Raises SingularMatrix when a pivot is
         at most ``linalg.PIVOT_RTOL`` times the largest row norm of H_k."""
         d = self._diagonal(k)
-        if np.min(np.abs(d)) <= linalg.PIVOT_RTOL * np.max(np.linalg.norm(H_k, axis=1)):
+        if np.min(np.abs(d)) <= linalg.PIVOT_RTOL * self.row_norms[k - 1]:
             raise SingularMatrix("pivot below threshold; matrix is numerically singular")
         # the steps carry scale e_1 down; row j keeps the carry unless swapped
         swap = np.array(self.swap[: k - 1], dtype=bool)
         carry = np.cumprod(np.append(scale, np.where(swap, 1.0, -np.array(self.mult[: k - 1]))))
         y = np.append(np.where(swap, 0.0, carry[:-1]), carry[-1] / d[-1])
-        y[:-1] -= self.U[: k - 1, k - 1] * y[-1]
-        y[:-1] = sla.solve_triangular(self.U[: k - 1, : k - 1], y[:-1], check_finite=False)
+        U = self.U
+        y[:-1] -= U[: k - 1, k - 1] * y[-1]
+        y[:-1] = sla.solve_triangular(U[: k - 1, : k - 1], y[:-1], check_finite=False)
         return y
 
     def logdet(self, k: int):
@@ -230,6 +281,13 @@ class ArnoldiDecomposition:
         return ArnoldiDecomposition(
             b_norm=self.b_norm, k=k, breakdown=False, _ws=self._ws, _ncols=k + 1
         )
+
+    @property
+    def bendixson_order(self) -> int:
+        """:func:`linalg.bendixson_order` of H_k, kept on the storage this
+        snapshot shares: one ?potrf of the largest H built answers every
+        prefix up to its order."""
+        return self._ws.bendixson_order(self.k)
 
     @functools.cached_property
     def ritz(self) -> linalg.RitzSpectrum:
@@ -344,7 +402,7 @@ def fun_coefficients(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndarra
 
     The inverse comes from the Hessenberg LU factor.  For the square roots
     of an H_k of order above ``SHIFTED_ACTION_MIN_K`` whose Hermitian part
-    is positive definite (:func:`linalg.bendixson_order`, one ?potrf),
+    is positive definite (:attr:`ArnoldiDecomposition.bendixson_order`),
     H_k^{-1/2} e_1 is the quadrature of shifted solves
     (:func:`_shifted_invsqrt_e1`), O(k^2) per node, and H_k^{1/2} e_1 is
     H_k times it.  The certificate keeps every H_k + sI nonsingular, with
@@ -357,11 +415,11 @@ def fun_coefficients(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndarra
     if decomp.k == 0:
         raise DomainError("decomposition has no completed steps")
     if f == "inverse":
-        return decomp._ws.factor().solve_e1(decomp.k, decomp.b_norm, decomp.hessenberg)
+        return decomp._ws.factor().solve_e1(decomp.k, decomp.b_norm)
     if f not in ("sqrt", "invsqrt"):
         raise DomainError(f"unknown function tag {f!r}")
     h = decomp.hessenberg
-    if decomp.k > SHIFTED_ACTION_MIN_K and linalg.bendixson_order(h) == decomp.k:
+    if decomp.k > SHIFTED_ACTION_MIN_K and decomp.bendixson_order == decomp.k:
         y = decomp.b_norm * _shifted_invsqrt_e1(h)
         return h @ y if f == "sqrt" else y
     spec = decomp.ritz_schur
@@ -475,7 +533,7 @@ def shifted_fom_quantities(decomp: ArnoldiDecomposition, M, b, z: complex) -> Sh
         xi0 = linalg.lu_solve(a, rhs) - fom_iterate(decomp)
 
         a_z = a - z * In
-        x_z = decomp.basis_k @ shifted.solve_e1(k, decomp.b_norm, h_z)
+        x_z = decomp.basis_k @ shifted.solve_e1(k, decomp.b_norm)
         xi_direct = linalg.lu_solve(a_z, rhs) - x_z
         r_direct = rhs - a_z @ x_z
 

@@ -236,6 +236,10 @@ _STOP_KINDS = ("posterior_ritz", "posterior_modulus", "apriori_gamma")
 # Guided probes allowed to leave the search open before every other probe
 # becomes a plain bisection step (keeps the worst case at O(log k) probes).
 GUIDED_PROBES = 3
+# The decomposition grows toward a checkpoint in chunks of 1/GROWTH_CHUNKS of
+# the open interval below it, and stops growing once the guide puts the
+# crossing inside what is built.
+GROWTH_CHUNKS = 8
 
 
 def _bound_value(sub: arn.ArnoldiDecomposition, xi: float, sigma: float,
@@ -263,22 +267,26 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
 
     A ``posterior_ritz`` probe takes the integral from determinants of the
     shifted H_k, O(k²) per node, which cannot see whether every Ritz value
-    lies in the open right half-plane, as the bound needs.  One Cholesky
-    factorization of H_K + H_Kᴴ per extension certifies that for every
-    k up to the largest order whose leading block is positive definite
-    (:func:`linalg.bendixson_order`); a probe above it computes the Ritz
-    values for the check alone, and InvalidSpectrum is raised as by
-    :func:`bounds.bound_posterior_ritz`.
+    lies in the open right half-plane, as the bound needs.  A probe above
+    the order certified so far runs one Cholesky factorization of
+    H_K + H_Kᴴ for the whole decomposition built
+    (:attr:`arnoldi.ArnoldiDecomposition.bendixson_order`), which certifies
+    every k up to the largest order whose leading block is positive
+    definite, and the action at k_stop reads the same certificate.  A probe
+    above that order computes the Ritz values for the check alone, and
+    InvalidSpectrum is raised as by :func:`bounds.bound_posterior_ritz`.
 
     - Checkpoints double (2, 4, 8, ..., the cap) until a probe is <= tol.
-      When xi(checkpoint) * C already says the crossing lies below the
-      checkpoint, the probe goes to the guided point instead.
+      The decomposition grows toward the checkpoint in chunks of
+      1/GROWTH_CHUNKS of the open interval below it.  While guided probes
+      are allowed, it stops growing as soon as xi(top built) * C <= tol,
+      and the probe goes to the guided point instead of the checkpoint.
     - The guided point is the first k in the bracket with xi(k) * C <= tol,
       found by bisection on xi alone and kept strictly inside a verified
       bracket.
     - After GUIDED_PROBES guided probes that leave the search open, every
-      other probe is the bracket midpoint, so the worst case stays at
-      O(log k) probes.
+      other probe is the bracket midpoint (or the checkpoint, built in
+      full), so the worst case stays at O(log k) probes.
 
     The result is an exact crossing: the bound is <= tol at k_stop and
     > tol at k_stop - 1 (or k_stop = 1).  A happy breakdown at step k
@@ -288,7 +296,7 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
     reaches tol, returns the cap and the bound there.
 
     Returns (state, k_stop, bound_at_stop, x_exact); the action at k_stop
-    is ``arnoldi_fun_action(state.prefix(k_stop))``, one Schur form.
+    is ``arnoldi_fun_action(state.prefix(k_stop))``.
     """
     if bound_kind not in _STOP_KINDS:
         raise DomainError(f"unsupported stopping bound {bound_kind!r}")
@@ -322,28 +330,29 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
     scale = None        # bound / xi at the latest probe
     misses = 0          # guided probes after which the search went on
     was_guided = False
-    certified = 0       # H_k + H_kᴴ is positive definite for k <= certified
     while k_hi is None or k_hi - k_lo > 1:
-        if k_hi is None and state.k < k_top:
-            state = arn.arnoldi_extend(op, state, k_top - state.k)
-            if bound_kind == "posterior_ritz":  # one ?potrf per extension
-                certified = linalg.bendixson_order(state.hessenberg)
-            if state.breakdown:
-                k_hi, val_hi = state.k, 0.0
-                continue
         may_guide = scale is not None and (misses < GUIDED_PROBES or not was_guided)
         was_guided = False
         if k_hi is None:
-            k = k_top
-            if may_guide and xi(k_top) * scale <= tol:
-                k, was_guided = guided(k_lo, k_top), True
+            chunk = max(1, (k_top - k_lo) // GROWTH_CHUNKS)
+            while state.k < k_top and not (
+                    may_guide and state.k > k_lo and xi(state.k) * scale <= tol):
+                state = arn.arnoldi_extend(op, state, min(chunk, k_top - state.k))
+                if state.breakdown:
+                    break
+            if state.breakdown:
+                k_hi, val_hi = state.k, 0.0
+                continue
+            k = state.k  # the checkpoint, unless the guide stopped the growth
+            if may_guide and xi(k) * scale <= tol:
+                k, was_guided = guided(k_lo, k), True
         elif may_guide:
             k, was_guided = min(guided(k_lo, k_hi), k_hi - 1), True
         else:
             k = (k_lo + k_hi) // 2
 
         sub = state.prefix(k)
-        if bound_kind == "posterior_ritz" and k > certified:
+        if bound_kind == "posterior_ritz" and sub.bendixson_order < k:
             bnd.require_right_half_plane(sub.ritz.values)
         val = _bound_value(sub, xi(k), sigma, quad_cfg, bound_kind)
         if xi(k) > 0.0:
@@ -446,7 +455,7 @@ def _convdiff_point(args):
         reference = linalg.reference_sqrt_action(tri, b)
         action = arn.arnoldi_fun_action(at_stop, "sqrt")
         row["error"] = float(np.linalg.norm(reference - action))
-    return row
+    return row, state.k
 
 
 def run_convdiff_table(cfg: ExperimentConfig):
@@ -456,10 +465,11 @@ def run_convdiff_table(cfg: ExperimentConfig):
         raise ConfigError("convdiff_table uses the bound stopping rule")
     args = [(n, cfg.eta, cfg.convention, tol, bound_kind, cfg.quadrature,
              cfg.oracle, cfg.k_max) for n in cfg.n_values]
-    rows = _map_points(_convdiff_point, args, cfg.jobs)
-    rows.sort(key=lambda r: r["n"])
+    out = _map_points(_convdiff_point, args, cfg.jobs)
+    rows = sorted((row for row, _ in out), key=lambda r: r["n"])
     summary = {"experiment": cfg.experiment, "eta": cfg.eta,
                "convention": cfg.convention, "tol": tol, "bound_kind": bound_kind,
+               "arnoldi_steps": {str(row["n"]): steps for row, steps in out},
                "table_column_note": (
                    "cond = sigma_max/sigma_min reproduces the reference table's "
                    "'condition number' column; sigma_max itself is about twice it")}
@@ -482,7 +492,7 @@ def _scaling_point(args):
                      "scaling_term": bnd.scaling_term(err, xi, int(k))})
     slope = fit_loglog_slope([r["k"] for r in rows],
                              [r["scaling_term"] for r in rows], window)
-    return rows, {"n": n, "k_stop": k_stop, "slope": slope}
+    return rows, {"n": n, "k_stop": k_stop, "slope": slope, "arnoldi_steps": state.k}
 
 
 def run_scaling_vs_k(cfg: ExperimentConfig):
@@ -498,7 +508,8 @@ def run_scaling_vs_k(cfg: ExperimentConfig):
     summary = {"experiment": cfg.experiment, "eta": cfg.eta, "tol": tol,
                "fit_window": list(cfg.fit_window), "slopes": slopes,
                "fitted_slope": mean_slope,
-               "k_stop": {str(s["n"]): s["k_stop"] for _, s in out}}
+               "k_stop": {str(s["n"]): s["k_stop"] for _, s in out},
+               "arnoldi_steps": {str(s["n"]): s["arnoldi_steps"] for _, s in out}}
     return rows, summary
 
 

@@ -376,9 +376,48 @@ class TestHessenbergLU:
         factored = []
         extend = arn._HessenbergLU.extend
         monkeypatch.setattr(arn._HessenbergLU, "extend",
-                            lambda lu, h, K: factored.append(K - lu.U.shape[0]) or extend(lu, h, K))
+                            lambda lu, h, K: factored.append(K - len(lu.pivots)) or extend(lu, h, K))
         arn.run_adaptive(a, np.ones(40), stop=arn.ResidualRelative(1e-30), k_max=12)
         assert sum(n for n in factored if n > 0) == 12  # each column factored once
+
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_pivot_threshold_is_the_prefix_row_norm(self, grown):
+        # the last pivot of H_2 is delta; H_3 has far larger rows, which
+        # must not raise the threshold of the prefix
+        rows = np.sqrt([2.0, 1.0 + (1.0 + 1e-13) ** 2])
+        for delta, singular in ((0.9, True), (1.1, False)):
+            delta *= linalg.PIVOT_RTOL * rows.max()
+            h = np.array([[1.0, 1.0, 1e6], [1.0, 1.0 + delta, 1e6], [0.0, 1.0, 1.0]])
+            lu = arn._HessenbergLU()
+            for K in ((1, 2, 3) if grown else (3,)):
+                lu.extend(h, K)
+            assert abs(lu.pivots[1]) == pytest.approx(delta, rel=0.05, abs=0.0)
+            if singular:
+                with pytest.raises(SingularMatrix):
+                    lu.solve_e1(2, 1.0)
+            else:
+                np.testing.assert_allclose(h[:2, :2] @ lu.solve_e1(2, 1.0), [1.0, 0.0],
+                                           atol=1e-12)
+            assert lu.row_norms[2] == pytest.approx(np.linalg.norm(h, axis=1).max())
+
+    def test_stale_snapshot_clone_keeps_no_longer_run_state(self, monkeypatch):
+        # extending a stale snapshot by another operator must not read the
+        # LU factor or the Bendixson certificate of the longer run
+        tri = matgen.convection_diffusion(40, 0.1)
+        b = np.ones(tri.shape[0])
+        short = arn.arnoldi(tri, b, 10)
+        long = arn.arnoldi_extend(tri, short, 20)
+        arn.fom_iterate(long)
+        assert long.bendixson_order == 30
+        other = arn.arnoldi_extend(-tri.to_dense(), short, 20)
+        assert other._ws is not long._ws
+        h = np.array(other.hessenberg)
+        assert other.bendixson_order == linalg.bendixson_order(h.copy()) < 30
+        fresh = arn._HessenbergLU()
+        fresh.extend(h, 30)
+        np.testing.assert_array_equal(arn.fom_iterate(other),
+                                      other.basis_k @ fresh.solve_e1(30, other.b_norm))
+        assert short.bendixson_order == 10  # the prefix is shared, and certified
 
     def test_singular_prefix_raises_named_errors(self, monkeypatch):
         # H_1 = [[0]]: q_1 = e_1 and M e_1 = e_2, while H_2 is the nonsingular M

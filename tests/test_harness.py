@@ -1,6 +1,7 @@
 """Experiment harness: config validation, runners, CSV/SVG output, CLI."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -166,11 +167,12 @@ class TestFindStopK:
 
     def test_crossing_below_breakdown_is_found(self):
         # the doubling passes checkpoint 32 with the bound above tol, then
-        # breaks down on the full space at k = 59; the first crossing lies
-        # inside (32, 59] and must still be located by bisection
+        # breaks down on the full space at k = 59 before the guide stops
+        # the growth; the first crossing lies inside (32, 59] and must
+        # still be located by bisection
         tri = matgen.convection_diffusion(60, 0.1)
         b = np.ones(tri.shape[0])
-        tol = 0.05
+        tol = 1e-3
         state, k_stop, val, x_exact = exp.find_stop_k(tri, b, tol)
         assert state.breakdown and state.k == tri.shape[0]
         assert val <= tol
@@ -252,17 +254,36 @@ class TestFindStopK:
         with pytest.raises(InvalidSpectrum):
             exp.find_stop_k(tri, np.ones(n), 0.05)
 
-    def test_one_cholesky_per_extension(self, monkeypatch):
-        potrf, extend = linalg.sla.lapack.dpotrf, arn.arnoldi_extend
-        orders, steps = [], []
+    def test_one_cholesky_per_probe_above_the_certified_order(self, monkeypatch):
+        potrf = linalg.sla.lapack.dpotrf
+        orders = []
         monkeypatch.setattr(linalg.sla.lapack, "dpotrf",
                             lambda a, **kw: orders.append(a.shape[0]) or potrf(a, **kw))
-        monkeypatch.setattr(arn, "arnoldi_extend",
-                            lambda *a: steps.append(1) or extend(*a))
         tri = matgen.convection_diffusion(300, 0.1)
-        exp.find_stop_k(tri, np.ones(tri.shape[0]), 0.05)
-        assert orders == [2, 4, 8, 16, 32, 64, 128, 256, 299]
-        assert len(steps) == len(orders)
+        b = np.ones(tri.shape[0])
+        state, k_stop, _, _ = exp.find_stop_k(tri, b, 0.05)
+        # each doubling probe lies above the order certified so far; the
+        # guided probe 259 certifies the whole build, which covers 258
+        assert orders == [2, 4, 8, 16, 32, 64, 128, 256, 261] and state.k == 261
+        # the action at k_stop reads the search's certificate
+        arn.arnoldi_fun_action(state.prefix(k_stop), "sqrt")
+        assert len(orders) == 9
+        # a fresh decomposition certifies with one call of its own order
+        orders.clear()
+        arn.arnoldi_fun_action(arn.arnoldi(tri, b, k_stop), "sqrt")
+        assert orders == [k_stop]
+
+    def test_builds_only_as_far_as_its_probes(self, monkeypatch):
+        # the guide stops the growth toward the cap (299) a chunk past the
+        # guided point; the probes are those of a build to the cap
+        probes = []
+        probe = exp._bound_value
+        monkeypatch.setattr(exp, "_bound_value",
+                            lambda sub, *a: probes.append(sub.k) or probe(sub, *a))
+        tri = matgen.convection_diffusion(300, 0.1)
+        state, k_stop, _, _ = exp.find_stop_k(tri, np.ones(tri.shape[0]), 0.05)
+        assert k_stop == 259 and state.k <= 280
+        assert probes == [2, 4, 8, 16, 32, 64, 128, 256, 259, 258]
 
     def test_misleading_guide_still_exact_in_log_probes(self, monkeypatch):
         # a step-shaped bound unrelated to xi defeats the guide; the
@@ -408,6 +429,25 @@ class TestCsv:
         assert os.path.exists(csv_path)
         assert os.path.exists(str(tmp_path / "bounds_vs_k_summary.json"))
         assert os.path.exists(str(tmp_path / "bounds_vs_k.columns.json"))
+
+    @pytest.mark.parametrize("raw, steps, digest", [
+        ({"experiment": "convdiff_table", "n_values": [40, 60, 120], "eta": 0.5},
+         {"40": 32, "60": 47, "120": 94},
+         "897ce9875dc4d186ee3c471dde80cbce2c90ef0570fd71f0d29821cb9e5ac3b0"),
+        ({"experiment": "scaling_vs_k", "n_values": [60, 120], "eta": 0.1, "k_samples": 8},
+         {"60": 53, "120": 106},
+         "e0f88b22e8bb26231c1f7b757f30cefc4f2755e9443237136e5084f1db90c93e"),
+    ])
+    def test_search_steps_in_summary_leave_csv_bytes(self, tmp_path, raw, steps, digest):
+        # the decomposition order after each search goes to the summary
+        # only; the CSV bytes stay pinned
+        cfg = exp.config_from_dict(dict(raw, stopping={"rule": "bound", "tol": 0.05}))
+        _, summary, csv_path = exp.run_experiment(cfg, output_dir=str(tmp_path))
+        assert summary["arnoldi_steps"] == steps
+        with open(tmp_path / f"{raw['experiment']}_summary.json") as fh:
+            assert json.load(fh)["arnoldi_steps"] == steps
+        with open(csv_path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
 
     def test_determinism_bitwise(self, tmp_path):
         cfg = small_bounds_cfg(tmp_path, k_max=8, k_samples=7)
