@@ -47,16 +47,12 @@ SHIFTED_ACTION_QUAD = bnd.QuadratureConfig(rel_tol=1e-13, abs_tol=np.finfo(float
 
 
 class _Workspace:
-    """Growable append-only storage for the basis and Hessenberg matrix.
-
-    The basis is stored in Fortran order, so every leading block of
-    columns that a Gram-Schmidt pass reads is one contiguous block.
-    """
+    """Growable append-only storage for the basis and Hessenberg matrix."""
 
     def __init__(self, q1: np.ndarray, capacity: int):
         n = q1.shape[0]
         capacity = max(capacity, 1)
-        self.Q = np.zeros((n, capacity + 1), dtype=q1.dtype, order="F")
+        self.Q = np.zeros((n, capacity + 1), dtype=q1.dtype)
         self.H = np.zeros((capacity + 1, capacity), dtype=q1.dtype)
         self.Q[:, 0] = q1
         self.k = 0          # completed Arnoldi steps
@@ -73,7 +69,7 @@ class _Workspace:
     def grow(self, capacity: int):
         if capacity <= self.capacity:
             return
-        Q = np.zeros((self.Q.shape[0], capacity + 1), dtype=self.Q.dtype, order="F")
+        Q = np.zeros((self.Q.shape[0], capacity + 1), dtype=self.Q.dtype)
         H = np.zeros((capacity + 1, capacity), dtype=self.H.dtype)
         Q[:, : self.ncols] = self.Q[:, : self.ncols]
         H[: self.k + 1, : self.k] = self.H[: self.k + 1, : self.k]
@@ -81,12 +77,12 @@ class _Workspace:
 
     def promote_complex(self):
         if not np.iscomplexobj(self.Q):
-            self.Q = self.Q.astype(np.complex128, order="F")
+            self.Q = self.Q.astype(np.complex128)
             self.H = self.H.astype(np.complex128)
 
     def clone_at(self, k: int, ncols: int) -> "_Workspace":
         ws = _Workspace.__new__(_Workspace)
-        ws.Q = self.Q[:, : max(ncols, 1)].copy(order="F")
+        ws.Q = self.Q[:, : max(ncols, 1)].copy()
         ws.H = self.H[: k + 1, :k].copy()
         ws.k = k
         ws.ncols = ncols
