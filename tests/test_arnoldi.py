@@ -400,7 +400,7 @@ class TestHessenbergLU:
                                            atol=1e-12)
             assert lu.row_norms[2] == pytest.approx(np.linalg.norm(h, axis=1).max())
 
-    def test_stale_snapshot_clone_keeps_no_longer_run_state(self, monkeypatch):
+    def test_stale_snapshot_clone_keeps_no_longer_run_state(self):
         # extending a stale snapshot by another operator must not read the
         # LU factor or the Bendixson certificate of the longer run
         tri = matgen.convection_diffusion(40, 0.1)
