@@ -545,7 +545,7 @@ def shifted_fom_quantities(decomp: ArnoldiDecomposition, M, b, z: complex) -> Sh
     )
 
 
-def prefix_report(decomp: ArnoldiDecomposition, x_exact, sigma_max_used: float,
+def prefix_report(decomp: ArnoldiDecomposition, x_exact, sigma_max_used: float | None,
                   quad_cfg=None, hermitian: bool = False, known_spectrum=None,
                   reference=None, f: str = "sqrt") -> bnd.BoundReport:
     """BoundReport for one (prefix of an) Arnoldi decomposition.
@@ -577,6 +577,158 @@ def prefix_report(decomp: ArnoldiDecomposition, x_exact, sigma_max_used: float,
     )
 
 
+# ---------------------------------------------------------------------------
+# stopping
+
+
+# Tolerance and iteration budget of the sigma_max estimate behind an
+# ``apriori_gamma`` stop; convection-diffusion top singular values
+# cluster, so the default 10n power-iteration cap is far too small.
+SIGMA_TOL = 1e-10
+SIGMA_MAX_ITER = 2_000_000
+
+# Guided probes allowed to leave the search open before every other probe
+# becomes a plain bisection step (keeps the worst case at O(log k) probes).
+GUIDED_PROBES = 3
+# The decomposition grows toward a checkpoint in chunks of 1/GROWTH_CHUNKS of
+# the open interval below it, and stops growing once the guide puts the
+# crossing inside what is built.
+GROWTH_CHUNKS = 8
+
+# The bounds a stop can use, by kind: each is the bound at one prefix from
+# its FOM error xi, sigma_max and the quadrature config.  ``posterior_ritz``
+# comes from the determinants of the shifted H_k.
+STOP_BOUNDS = {
+    "posterior_ritz": lambda sub, xi, sigma, cfg: bnd.bound_posterior_det(sub.hessenberg, xi, cfg),
+    "posterior_modulus": lambda sub, xi, sigma, cfg: bnd.bound_posterior_modulus(sub.ritz, xi, cfg),
+    "apriori_gamma": lambda sub, xi, sigma, cfg: bnd.bound_apriori_sqrt(sigma, sub.k, xi),
+}
+
+
+def _require_stop_kind(kind: str) -> None:
+    if kind not in STOP_BOUNDS:
+        raise DomainError(f"unsupported stopping bound {kind!r}; "
+                          f"choose from {', '.join(STOP_BOUNDS)}")
+
+
+def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
+                quad_cfg: bnd.QuadratureConfig | None = None,
+                k_max: int | None = None, sigma: float | None = None):
+    """First k with the bound of kind ``bound_kind`` (a key of
+    ``STOP_BOUNDS``) <= tol on one growing decomposition, located by probes
+    that the cheap FOM error guides; the driver of every bound stop.  An
+    ``apriori_gamma`` search estimates sigma_max unless ``sigma`` is given.
+
+    Every stopping bound is xi_k * C_k: xi_k = ||x_exact - x_FOM|| costs
+    one O(k²) solve with the shared Hessenberg LU factor, while C_k (the
+    bound integral over pi, or the a priori constant) costs a quadrature
+    and drifts slowly with k.  Each probe evaluates the true bound at one
+    k and records C = bound/xi there.
+
+    A ``posterior_ritz`` probe takes the integral from determinants of the
+    shifted H_k, O(k²) per node, which cannot see whether every Ritz value
+    lies in the open right half-plane, as the bounds need.  A probe above
+    the order certified so far runs one Cholesky factorization of
+    H_K + H_Kᴴ for the whole decomposition built
+    (:attr:`ArnoldiDecomposition.bendixson_order`), which certifies every
+    k up to the largest order whose leading block is positive definite,
+    and the action at k_stop reads the same certificate.  A probe above
+    that order, of any kind, computes the Ritz values for the check, and
+    InvalidSpectrum is raised as by :func:`bounds.bound_posterior_ritz`.
+
+    - Checkpoints double (2, 4, 8, ..., the cap) until a probe is <= tol.
+      The decomposition grows toward the checkpoint in chunks of
+      1/GROWTH_CHUNKS of the open interval below it.  While guided probes
+      are allowed, it stops growing as soon as xi(top built) * C <= tol,
+      and the probe goes to the guided point instead of the checkpoint.
+    - The guided point is the first k in the bracket with xi(k) * C <= tol,
+      found by bisection on xi alone and kept strictly inside a verified
+      bracket.
+    - After GUIDED_PROBES guided probes that leave the search open, every
+      other probe is the bracket midpoint (or the checkpoint, built in
+      full), so the worst case stays at O(log k) probes.
+
+    The result is an exact crossing: the bound is <= tol at k_stop and
+    > tol at k_stop - 1 (or k_stop = 1).  A happy breakdown at step k
+    counts as a crossing with bound 0 at k (the action is exact there),
+    so the bracket below it is still searched.  Equivalent to checking
+    every k whenever the bound crosses tol once.  When no k up to the cap
+    reaches tol, returns the cap and the bound there.
+
+    Returns (state, k_stop, bound_at_stop, x_exact); the action at k_stop
+    is ``arnoldi_fun_action(state.prefix(k_stop))``.
+    """
+    _require_stop_kind(bound_kind)
+    op = linalg.as_operator(M)
+    n = op.shape[0]
+    k_cap = min(k_max or n, n)
+    x_exact = op.solve(b)
+    if sigma is None and bound_kind == "apriori_gamma":
+        sigma = linalg.sigma_max(op, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
+    sigma = sigma if sigma is not None else 0.0
+
+    state = arnoldi_start(b, capacity=min(64, k_cap))
+
+    @functools.cache
+    def xi(k: int) -> float:
+        return fom_error(state.prefix(k), x_exact)
+
+    def guided(lo: int, hi: int) -> int:
+        """First k in (lo, hi] with xi(k) * scale <= tol, by bisection."""
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if xi(mid) * scale <= tol:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    # bracket (k_lo, k_hi]: bound > tol at k_lo, <= tol at k_hi once found
+    k_lo, k_hi, val_hi = 1, None, None
+    k_top = 2           # doubling checkpoint while no crossing is verified
+    scale = None        # bound / xi at the latest probe
+    misses = 0          # guided probes after which the search went on
+    was_guided = False
+    while k_hi is None or k_hi - k_lo > 1:
+        may_guide = scale is not None and (misses < GUIDED_PROBES or not was_guided)
+        was_guided = False
+        if k_hi is None:
+            chunk = max(1, (k_top - k_lo) // GROWTH_CHUNKS)
+            while state.k < k_top and not (
+                    may_guide and state.k > k_lo and xi(state.k) * scale <= tol):
+                state = arnoldi_extend(op, state, min(chunk, k_top - state.k))
+                if state.breakdown:
+                    break
+            if state.breakdown:
+                k_hi, val_hi = state.k, 0.0
+                continue
+            k = state.k  # the checkpoint, unless the guide stopped the growth
+            if may_guide and xi(k) * scale <= tol:
+                k, was_guided = guided(k_lo, k), True
+        elif may_guide:
+            k, was_guided = min(guided(k_lo, k_hi), k_hi - 1), True
+        else:
+            k = (k_lo + k_hi) // 2
+
+        sub = state.prefix(k)
+        if sub.bendixson_order < k:
+            bnd.require_right_half_plane(sub.ritz.values)
+        val = STOP_BOUNDS[bound_kind](sub, xi(k), sigma, quad_cfg)
+        if xi(k) > 0.0:
+            scale = val / xi(k)
+        if val <= tol:
+            k_hi, val_hi = k, val
+        else:
+            k_lo = k
+            if k == k_top and k_hi is None:
+                if k_top >= k_cap:
+                    k_hi, val_hi = state.k, val  # budget exhausted
+                    break
+                k_top = min(2 * k_top, k_cap)
+        misses += was_guided
+    return state, k_hi, val_hi, x_exact
+
+
 @dataclass(frozen=True)
 class ResidualRelative:
     """Stop when ||r_0^k|| / ||b|| <= tol."""
@@ -586,23 +738,19 @@ class ResidualRelative:
 
 @dataclass(frozen=True)
 class BoundAbsolute:
-    """Stop when the chosen bound drops to tol; inert until k = 2 where
-    the posterior integrals converge."""
+    """Stop at the first k whose bound of kind ``bound_kind`` (a key of
+    ``STOP_BOUNDS``) is <= tol; the bounds diverge at k = 1."""
 
     tol: float
     bound_kind: str = "posterior_ritz"
 
-    _KINDS = ("posterior_ritz", "posterior_modulus", "apriori_gamma",
-              "hermitian_loose", "hermitian_jensen")
-
     def __post_init__(self):
-        if self.bound_kind not in self._KINDS:
-            raise DomainError(f"unknown bound kind {self.bound_kind!r}")
+        _require_stop_kind(self.bound_kind)
 
 
 @dataclass(frozen=True)
 class AdaptiveResult:
-    """Outcome of a bound-driven adaptive run.
+    """Outcome of an adaptive run.
 
     ``converged`` is False when k_max was exhausted before the stopping
     rule fired (the result vector is still the k_max approximation).
@@ -613,15 +761,6 @@ class AdaptiveResult:
     k: int
     converged: bool
     breakdown: bool
-
-
-def _rule_satisfied(stop, report, b_norm: float) -> bool:
-    if isinstance(stop, ResidualRelative):
-        return report.residual_norm / b_norm <= stop.tol
-    if isinstance(stop, BoundAbsolute):
-        value = getattr(report, stop.bound_kind)
-        return value is not None and value <= stop.tol
-    raise DomainError(f"unknown stopping rule {stop!r}")
 
 
 def run_adaptive(
@@ -637,19 +776,30 @@ def run_adaptive(
     hermitian: bool | None = None,
     error_oracle: bool = False,
 ) -> AdaptiveResult:
-    """Iterate Arnoldi, evaluating the stopping rule every ``check_every``
-    steps, and return the function action at the stopping k plus the
-    per-k BoundReport history.
+    """The action f(M) b at the first k where the stopping rule holds, with
+    a BoundReport history.
+
+    A ``BoundAbsolute`` rule runs :func:`find_stop_k`, with no Ritz solve
+    per step; ``f`` other than ``sqrt`` (the bounds bound the sqrt action)
+    or ``check_every`` other than 1 raises DomainError.  Its history is one
+    report at k holding the FOM residual and error, the stopping kind's
+    field set to the value the search compared with tol (0 at a happy
+    breakdown) and, with ``error_oracle``, the true error; every other
+    bound field is None.  A ``ResidualRelative`` rule extends Arnoldi
+    ``check_every`` steps at a time and reports every checked k; a happy
+    breakdown stops it, the action being exact on the invariant subspace.
+
+    sigma_max is computed for an ``apriori_gamma`` stop only, or taken
+    from ``sigma_max_val``.  A residual stop without it leaves
+    ``sigma_max_used`` and ``apriori_gamma`` None, and the Hermitian fields
+    too unless ``known_spectrum`` gives lambda_max; only then is M tested
+    for symmetry (unless ``hermitian`` is given).
 
     M must have an exact solve (dense or tridiagonal) because the bounds
     consume the exact FOM error norm; a matvec-only operator raises
-    UnsupportedContext.  The stopping bounds are square-root bounds, so a
-    ``BoundAbsolute`` rule with ``f`` other than ``sqrt`` raises
-    DomainError.  A happy breakdown stops immediately: the
-    approximation is exact on the invariant subspace.  With
-    ``error_oracle`` the history also carries the true error against the
-    reference action (:func:`linalg.reference_sqrt_action` for ``sqrt``,
-    :func:`linalg.reference_invsqrt_action` for ``invsqrt``: closed form
+    UnsupportedContext.  The true error of ``error_oracle`` is against
+    :func:`linalg.reference_sqrt_action` for ``sqrt`` and
+    :func:`linalg.reference_invsqrt_action` for ``invsqrt`` (closed form
     for tridiagonal Toeplitz M, else dense at desk scale).
     """
     stop = stop if stop is not None else ResidualRelative(1e-2)
@@ -657,17 +807,38 @@ def run_adaptive(
         raise DomainError("k_max must be >= 2")
     if check_every < 1:
         raise DomainError("check_every must be >= 1")
-    if isinstance(stop, BoundAbsolute) and f != "sqrt":
-        raise DomainError(f"the stopping bounds bound the sqrt action, not f = {f!r}")
+    if isinstance(stop, BoundAbsolute):
+        if f != "sqrt":
+            raise DomainError(f"the stopping bounds bound the sqrt action, not f = {f!r}")
+        if check_every != 1:
+            raise DomainError("check_every applies to a residual stop; a bound stop "
+                              "probes the k it needs")
+    elif not isinstance(stop, ResidualRelative):
+        raise DomainError(f"unknown stopping rule {stop!r}")
     op = linalg.as_operator(M)
-    n = op.shape[0]
-    k_max = min(k_max, n)
+    k_max = min(k_max, op.shape[0])
     rhs = np.asarray(b, dtype=np.complex128 if np.iscomplexobj(b) else np.float64)
-    x_exact = op.solve(rhs)
-    herm = op.is_hermitian() if hermitian is None else hermitian
-    if sigma_max_val is None:
-        sigma_max_val = linalg.sigma_max(op, tol=1e-10, max_iter=max(200 * n, 20_000))
 
+    if isinstance(stop, BoundAbsolute):
+        state, k, bound, x_exact = find_stop_k(op, rhs, stop.tol, stop.bound_kind, quad_cfg,
+                                               k_max, sigma_max_val)
+        state = state.prefix(k)
+        result = arnoldi_fun_action(state, f)
+        error_norm = None
+        if error_oracle:
+            error_norm = float(np.linalg.norm(linalg.reference_sqrt_action(op, rhs) - result))
+        bounds = dict(dict.fromkeys(STOP_BOUNDS), **{stop.bound_kind: bound})
+        report = bnd.BoundReport(k=k, residual_norm=fom_residual_norm(state)[0],
+                                 xi_norm=fom_error(state, x_exact), sigma_max_used=None,
+                                 error_norm=error_norm, **bounds)
+        return AdaptiveResult(result=result, history=[report], k=k,
+                              converged=bound <= stop.tol, breakdown=state.breakdown)
+
+    x_exact = op.solve(rhs)
+    herm = hermitian
+    if herm is None:
+        herm = (f == "sqrt" and (known_spectrum is not None or sigma_max_val is not None)
+                and op.is_hermitian())
     reference = None
     if error_oracle:
         if f == "sqrt":
@@ -681,22 +852,12 @@ def run_adaptive(
     history: list = []
     converged = False
     while state.k < k_max:
-        steps = min(check_every, k_max - state.k)
-        state = arnoldi_extend(op, state, steps)
+        state = arnoldi_extend(op, state, min(check_every, k_max - state.k))
         report = prefix_report(state, x_exact, sigma_max_val, quad_cfg, herm,
                                known_spectrum, reference, f)
         history.append(report)
-        if state.breakdown:
-            converged = True  # invariant subspace: the action is exact
-            break
-        if _rule_satisfied(stop, report, state.b_norm):
+        if state.breakdown or report.residual_norm / state.b_norm <= stop.tol:
             converged = True
             break
-    result = arnoldi_fun_action(state, f)
-    return AdaptiveResult(
-        result=result,
-        history=history,
-        k=state.k,
-        converged=converged,
-        breakdown=state.breakdown,
-    )
+    return AdaptiveResult(result=arnoldi_fun_action(state, f), history=history, k=state.k,
+                          converged=converged, breakdown=state.breakdown)

@@ -442,20 +442,22 @@ def scaling_term(error_norm: float, xi_norm: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-iteration record of every applicable bound.
+    """Per-iteration record of the bounds that were computed.
 
     posterior/a-priori fields are +inf at k = 1, where the bound
-    integrals diverge; Hermitian fields stay None for non-Hermitian
-    inputs, error_norm stays None without an oracle.
+    integrals diverge.  A field stays None where it was not computed:
+    ``sigma_max_used`` and ``apriori_gamma`` without a sigma_max, the
+    Hermitian fields for non-Hermitian inputs or without a lambda_max,
+    ``error_norm`` without an oracle.
     """
 
     k: int
     residual_norm: float
     xi_norm: float
-    sigma_max_used: float
-    posterior_ritz: float
-    posterior_modulus: float
-    apriori_gamma: float
+    sigma_max_used: float | None
+    posterior_ritz: float | None
+    posterior_modulus: float | None
+    apriori_gamma: float | None
     error_norm: float | None = None
     hermitian_loose: float | None = None
     hermitian_jensen: float | None = None
@@ -467,7 +469,7 @@ def build_bound_report(
     ritz,
     residual_norm: float,
     xi_norm: float,
-    sigma_max_used: float,
+    sigma_max_used: float | None,
     cfg: QuadratureConfig | None = None,
     hermitian: bool = False,
     known_spectrum=None,
@@ -479,14 +481,17 @@ def build_bound_report(
     For Hermitian inputs lambda_bar uses the true spectrum when
     ``known_spectrum`` (descending eigenvalues of M) is given, otherwise
     the computable Ritz-based mode with ``lambda_max`` (defaults to
-    sigma_max_used, exact for Hermitian positive definite M).
+    sigma_max_used, exact for Hermitian positive definite M).  With
+    ``sigma_max_used`` None, ``apriori_gamma`` stays None, and so do the
+    computable-mode Hermitian fields unless ``lambda_max`` is given.
     """
     if k >= 2:
         p_ritz = bound_posterior_ritz(ritz, xi_norm, cfg)
         p_mod = bound_posterior_modulus(ritz, xi_norm, cfg)
-        gamma = bound_apriori_sqrt(sigma_max_used, k, xi_norm)
+        gamma = None if sigma_max_used is None else bound_apriori_sqrt(sigma_max_used, k, xi_norm)
     else:
-        p_ritz = p_mod = gamma = math.inf
+        p_ritz = p_mod = math.inf
+        gamma = None if sigma_max_used is None else math.inf
 
     loose = jensen = lam_bar = None
     if hermitian:
@@ -497,10 +502,11 @@ def build_bound_report(
         else:
             lam_max = sigma_max_used if lambda_max is None else lambda_max
             vals = _ritz_values(ritz)
-            top = np.sort(np.minimum(vals.real, lam_max))[::-1][:k]
-        lam_bar = lambda_bar(top, lam_max, k)
-        loose = bound_hermitian_loose(lam_max, k, xi_norm)
-        jensen = bound_hermitian_jensen(lam_bar, k, xi_norm)
+            top = None if lam_max is None else np.sort(np.minimum(vals.real, lam_max))[::-1][:k]
+        if top is not None:
+            lam_bar = lambda_bar(top, lam_max, k)
+            loose = bound_hermitian_loose(lam_max, k, xi_norm)
+            jensen = bound_hermitian_jensen(lam_bar, k, xi_norm)
 
     return BoundReport(
         k=k,

@@ -36,8 +36,14 @@ _VALIDATION_ERRORS = (ConfigError, DomainError, DimensionMismatch, TooLarge,
                       UnsupportedContext, NonFiniteEntry, FileNotFoundError)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a validation error; 2 means budget here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="krylov-sqrt",
         description="Arnoldi matrix square-root actions with certified error bounds",
     )
@@ -49,9 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--f", default="sqrt", choices=("sqrt", "invsqrt", "inverse"))
     p_approx.add_argument("--stop", default="residual", choices=("residual", "bound"))
     p_approx.add_argument("--tol", type=float, default=1e-2)
-    p_approx.add_argument("--bound-kind", default="posterior_ritz")
+    p_approx.add_argument("--bound-kind", default="posterior_ritz", choices=tuple(arn.STOP_BOUNDS))
     p_approx.add_argument("--kmax", type=int, default=200)
-    p_approx.add_argument("--check-every", type=int, default=1)
+    p_approx.add_argument("--check-every", type=int, default=1,
+                          help="steps between checks of --stop residual")
     p_approx.add_argument("--out", default=".", help="output directory")
 
     p_exp = sub.add_parser("experiment", help="run a configured experiment")

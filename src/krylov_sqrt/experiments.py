@@ -9,7 +9,6 @@ not depend on scheduling.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 import os
@@ -21,6 +20,7 @@ import numpy as np
 from . import arnoldi as arn
 from . import bounds as bnd
 from . import linalg, matgen
+from .arnoldi import SIGMA_MAX_ITER, SIGMA_TOL, find_stop_k
 from .errors import ConfigError, DomainError
 from .matrixmarket import read_matrix_market
 
@@ -35,12 +35,6 @@ EXPERIMENTS = (
     "scaling_vs_sigma",
     "perturbed_validity",
 )
-
-# Iteration budget/tolerance used for the extremal singular-value
-# estimators inside experiments; convection-diffusion top singular values
-# cluster, so the default 10n cap is far too small here.
-SIGMA_MAX_ITER = 2_000_000
-SIGMA_TOL = 1e-10
 
 # A true error below this fraction of ||M^{1/2} b|| is set by rounding, and
 # the bounds, exact-arithmetic statements, can fall below it there.
@@ -228,146 +222,7 @@ def build_rhs(rcfg: dict | None, ctx: MatrixContext) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# stopping search
-
-
-_STOP_KINDS = ("posterior_ritz", "posterior_modulus", "apriori_gamma")
-
-# Guided probes allowed to leave the search open before every other probe
-# becomes a plain bisection step (keeps the worst case at O(log k) probes).
-GUIDED_PROBES = 3
-# The decomposition grows toward a checkpoint in chunks of 1/GROWTH_CHUNKS of
-# the open interval below it, and stops growing once the guide puts the
-# crossing inside what is built.
-GROWTH_CHUNKS = 8
-
-
-def _bound_value(sub: arn.ArnoldiDecomposition, xi: float, sigma: float,
-                 quad_cfg, kind: str) -> float:
-    """The stopping bound of kind ``kind`` at one prefix with FOM error xi;
-    ``posterior_ritz`` from the determinants of the shifted H_k."""
-    if kind == "apriori_gamma":
-        return bnd.bound_apriori_sqrt(sigma, sub.k, xi)
-    if kind == "posterior_ritz":
-        return bnd.bound_posterior_det(sub.hessenberg, xi, quad_cfg)
-    return bnd.bound_posterior_modulus(sub.ritz, xi, quad_cfg)
-
-
-def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
-                quad_cfg: bnd.QuadratureConfig | None = None,
-                k_max: int | None = None, sigma: float | None = None):
-    """First k with the chosen bound <= tol on one growing decomposition,
-    located by probes that the cheap FOM error guides.
-
-    Every stopping bound is xi_k * C_k: xi_k = ||x_exact - x_FOM|| costs
-    one O(k²) solve with the shared Hessenberg LU factor, while C_k (the
-    bound integral over pi, or the a priori constant) costs a quadrature
-    and drifts slowly with k.  Each probe evaluates the true bound at one
-    k and records C = bound/xi there.
-
-    A ``posterior_ritz`` probe takes the integral from determinants of the
-    shifted H_k, O(k²) per node, which cannot see whether every Ritz value
-    lies in the open right half-plane, as the bound needs.  A probe above
-    the order certified so far runs one Cholesky factorization of
-    H_K + H_Kᴴ for the whole decomposition built
-    (:attr:`arnoldi.ArnoldiDecomposition.bendixson_order`), which certifies
-    every k up to the largest order whose leading block is positive
-    definite, and the action at k_stop reads the same certificate.  A probe
-    above that order computes the Ritz values for the check alone, and
-    InvalidSpectrum is raised as by :func:`bounds.bound_posterior_ritz`.
-
-    - Checkpoints double (2, 4, 8, ..., the cap) until a probe is <= tol.
-      The decomposition grows toward the checkpoint in chunks of
-      1/GROWTH_CHUNKS of the open interval below it.  While guided probes
-      are allowed, it stops growing as soon as xi(top built) * C <= tol,
-      and the probe goes to the guided point instead of the checkpoint.
-    - The guided point is the first k in the bracket with xi(k) * C <= tol,
-      found by bisection on xi alone and kept strictly inside a verified
-      bracket.
-    - After GUIDED_PROBES guided probes that leave the search open, every
-      other probe is the bracket midpoint (or the checkpoint, built in
-      full), so the worst case stays at O(log k) probes.
-
-    The result is an exact crossing: the bound is <= tol at k_stop and
-    > tol at k_stop - 1 (or k_stop = 1).  A happy breakdown at step k
-    counts as a crossing with bound 0 at k (the action is exact there),
-    so the bracket below it is still searched.  Equivalent to checking
-    every k whenever the bound crosses tol once.  When no k up to the cap
-    reaches tol, returns the cap and the bound there.
-
-    Returns (state, k_stop, bound_at_stop, x_exact); the action at k_stop
-    is ``arnoldi_fun_action(state.prefix(k_stop))``.
-    """
-    if bound_kind not in _STOP_KINDS:
-        raise DomainError(f"unsupported stopping bound {bound_kind!r}")
-    op = linalg.as_operator(M)
-    n = op.shape[0]
-    k_cap = min(k_max or n, n)
-    x_exact = op.solve(b)
-    if sigma is None and bound_kind == "apriori_gamma":
-        sigma = linalg.sigma_max(op, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
-    sigma = sigma if sigma is not None else 0.0
-
-    state = arn.arnoldi_start(b, capacity=min(64, k_cap))
-
-    @functools.cache
-    def xi(k: int) -> float:
-        return arn.fom_error(state.prefix(k), x_exact)
-
-    def guided(lo: int, hi: int) -> int:
-        """First k in (lo, hi] with xi(k) * scale <= tol, by bisection."""
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if xi(mid) * scale <= tol:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    # bracket (k_lo, k_hi]: bound > tol at k_lo, <= tol at k_hi once found
-    k_lo, k_hi, val_hi = 1, None, None
-    k_top = 2           # doubling checkpoint while no crossing is verified
-    scale = None        # bound / xi at the latest probe
-    misses = 0          # guided probes after which the search went on
-    was_guided = False
-    while k_hi is None or k_hi - k_lo > 1:
-        may_guide = scale is not None and (misses < GUIDED_PROBES or not was_guided)
-        was_guided = False
-        if k_hi is None:
-            chunk = max(1, (k_top - k_lo) // GROWTH_CHUNKS)
-            while state.k < k_top and not (
-                    may_guide and state.k > k_lo and xi(state.k) * scale <= tol):
-                state = arn.arnoldi_extend(op, state, min(chunk, k_top - state.k))
-                if state.breakdown:
-                    break
-            if state.breakdown:
-                k_hi, val_hi = state.k, 0.0
-                continue
-            k = state.k  # the checkpoint, unless the guide stopped the growth
-            if may_guide and xi(k) * scale <= tol:
-                k, was_guided = guided(k_lo, k), True
-        elif may_guide:
-            k, was_guided = min(guided(k_lo, k_hi), k_hi - 1), True
-        else:
-            k = (k_lo + k_hi) // 2
-
-        sub = state.prefix(k)
-        if bound_kind == "posterior_ritz" and sub.bendixson_order < k:
-            bnd.require_right_half_plane(sub.ritz.values)
-        val = _bound_value(sub, xi(k), sigma, quad_cfg, bound_kind)
-        if xi(k) > 0.0:
-            scale = val / xi(k)
-        if val <= tol:
-            k_hi, val_hi = k, val
-        else:
-            k_lo = k
-            if k == k_top and k_hi is None:
-                if k_top >= k_cap:
-                    k_hi, val_hi = state.k, val  # budget exhausted
-                    break
-                k_top = min(2 * k_top, k_cap)
-        misses += was_guided
-    return state, k_hi, val_hi, x_exact
+# sampling and fits
 
 
 def sample_ks(k_reached: int, samples: int, k_min: int = 2) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from krylov_sqrt import arnoldi as arn
+from krylov_sqrt import bounds as bnd
 from krylov_sqrt import linalg, matgen
 from krylov_sqrt.errors import (
     DimensionMismatch,
@@ -592,6 +593,111 @@ class TestRunAdaptive:
     def test_invalid_rule(self):
         with pytest.raises(DomainError):
             arn.BoundAbsolute(tol=0.1, bound_kind="nonsense")
+
+    @pytest.mark.parametrize("kind", ["hermitian_loose", "hermitian_jensen"])
+    def test_hermitian_kinds_are_not_stop_kinds(self, kind):
+        # the run never filled these fields, so a stop on them burned every step
+        with pytest.raises(DomainError, match="posterior_ritz, posterior_modulus, apriori_gamma"):
+            arn.BoundAbsolute(tol=0.1, bound_kind=kind)
+
+    def test_bound_stop_rejects_check_every(self):
+        a, _, _ = make_pd_matrix(12, 60)
+        with pytest.raises(DomainError, match="check_every"):
+            arn.run_adaptive(a, np.ones(60), stop=arn.BoundAbsolute(tol=1.0), k_max=59,
+                             check_every=2)
+
+    def test_bound_stop_matches_scan(self):
+        # run_adaptive's search against an independent scan of every k
+        n, tols = 120, (1e-3, 1e-7)
+        uniform = matgen.SpectrumSpec.uniform(n, 1.0, 1000.0)
+        clustered = matgen.SpectrumSpec.clustered(n, 10.0, 1.0, 0.9, 500.0, 50.0)
+        for spec, skew in ((uniform, False), (uniform, True), (clustered, False)):
+            for seed in (1, 2):
+                a = matgen.spectrum_matrix(spec, seed).matrix.array.real
+                if skew:
+                    a = a + matgen.skew_part(n, seed + 1)
+                b = np.ones(n)
+                x_exact = np.linalg.solve(a, b)
+                state = arn.arnoldi(a, b, n)
+                scan = {}
+                for tol in tols:
+                    k = 2
+                    while True:
+                        if k not in scan:
+                            sub = state.prefix(k)
+                            ritz = linalg.hessenberg_eigenvalues(sub.hessenberg)
+                            scan[k] = bnd.bound_posterior_ritz(ritz, arn.fom_error(sub, x_exact))
+                        if scan[k] <= tol:
+                            break
+                        k += 1
+                    res = arn.run_adaptive(a, b, stop=arn.BoundAbsolute(tol), k_max=n)
+                    assert res.converged and res.k == k, (seed, skew, tol)
+                    assert res.history[-1].posterior_ritz == pytest.approx(scan[k], rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["posterior_modulus", "apriori_gamma"])
+    def test_bound_stop_other_kinds_cross_exactly(self, kind):
+        a, _, _ = make_pd_matrix(12, 60)
+        b, tol = np.ones(60), 1e-3
+        sigma = np.linalg.norm(a, 2)
+        state, x_exact = arn.arnoldi(a, b, 60), np.linalg.solve(a, b)
+
+        def bound(k):
+            sub = state.prefix(k)
+            xi = arn.fom_error(sub, x_exact)
+            if kind == "apriori_gamma":
+                return bnd.bound_apriori_sqrt(sigma, k, xi)
+            return bnd.bound_posterior_modulus(linalg.hessenberg_eigenvalues(sub.hessenberg), xi)
+
+        res = arn.run_adaptive(a, b, stop=arn.BoundAbsolute(tol, kind), k_max=60)
+        (rep,) = res.history
+        assert bound(res.k) <= tol < bound(res.k - 1)
+        assert getattr(rep, kind) == pytest.approx(bound(res.k), rel=1e-9)
+        assert rep.sigma_max_used is None
+
+    def test_bound_stop_makes_no_per_step_work(self, monkeypatch):
+        # one report at k_stop; no sigma_max, no per-k report, and one Ritz
+        # solve: the Schur form of the action at k_stop <= 200
+        calls = {"sigma": 0, "report": 0, "ritz": 0, "herm": 0}
+        spies = ((linalg, "sigma_max", "sigma"), (bnd, "build_bound_report", "report"),
+                 (linalg, "hessenberg_eigenvalues", "ritz"), (linalg.DenseMatrix, "is_hermitian",
+                                                               "herm"))
+        for owner, name, key in spies:
+            def spy(*a, _fn=getattr(owner, name), _key=key, **kw):
+                calls[_key] += 1
+                return _fn(*a, **kw)
+            monkeypatch.setattr(owner, name, spy)
+        a, _, _ = make_pd_matrix(12, 150)
+        b = np.ones(150)
+        res = arn.run_adaptive(a, b, stop=arn.BoundAbsolute(1e-6), k_max=150, error_oracle=True)
+        assert res.converged and res.k <= 200
+        assert calls == {"sigma": 0, "report": 0, "ritz": 1, "herm": 0}
+        (rep,) = res.history
+        assert rep.k == res.k and rep.posterior_ritz <= 1e-6
+        assert (rep.posterior_modulus, rep.apriori_gamma, rep.sigma_max_used, rep.hermitian_loose,
+                rep.hermitian_jensen, rep.lambda_bar) == (None,) * 6
+        state = arn.arnoldi(a, b, res.k)
+        assert rep.xi_norm == pytest.approx(arn.fom_error(state, np.linalg.solve(a, b)), rel=1e-9)
+        assert rep.residual_norm == pytest.approx(arn.fom_residual_norm(state)[0], rel=1e-9)
+        want = linalg.reference_sqrt_action(a, b)
+        assert rep.error_norm == pytest.approx(np.linalg.norm(want - res.result), rel=1e-12)
+
+    def test_residual_stop_computes_sigma_max_on_request(self, monkeypatch):
+        _, eigs, sm = make_pd_matrix(15, 40, skew=False)
+        a = sm.matrix.array.real
+        sigmas = []
+        sigma_max = linalg.sigma_max
+        monkeypatch.setattr(linalg, "sigma_max", lambda *p, **kw: sigmas.append(1) or
+                            sigma_max(*p, **kw))
+        rule = arn.ResidualRelative(1e-12)
+        lazy = arn.run_adaptive(a, np.ones(40), stop=rule, k_max=6)
+        for rep in lazy.history:
+            assert (rep.apriori_gamma, rep.sigma_max_used, rep.hermitian_loose) == (None,) * 3
+            assert rep.posterior_ritz is not None
+        given = arn.run_adaptive(a, np.ones(40), stop=rule, k_max=6, sigma_max_val=eigs[0])
+        assert sigmas == []
+        assert given.history[-1].sigma_max_used == eigs[0]
+        assert given.history[-1].apriori_gamma is not None
+        assert given.history[-1].hermitian_jensen is not None
 
     @pytest.mark.parametrize("f", ["invsqrt", "inverse"])
     def test_bound_stop_needs_sqrt(self, f):

@@ -277,8 +277,8 @@ class TestFindStopK:
         # the guide stops the growth toward the cap (299) a chunk past the
         # guided point; the probes are those of a build to the cap
         probes = []
-        probe = exp._bound_value
-        monkeypatch.setattr(exp, "_bound_value",
+        probe = arn.STOP_BOUNDS["posterior_ritz"]
+        monkeypatch.setitem(arn.STOP_BOUNDS, "posterior_ritz",
                             lambda sub, *a: probes.append(sub.k) or probe(sub, *a))
         tri = matgen.convection_diffusion(300, 0.1)
         state, k_stop, _, _ = exp.find_stop_k(tri, np.ones(tri.shape[0]), 0.05)
@@ -290,11 +290,11 @@ class TestFindStopK:
         # midpoint steps must still find the exact step in O(log k) probes
         probes = []
 
-        def step_bound(sub, xi, sigma, quad_cfg, kind):
+        def step_bound(sub, xi, sigma, quad_cfg):
             probes.append(sub.k)
             return 1.0 if sub.k < 200 else 0.0
 
-        monkeypatch.setattr(exp, "_bound_value", step_bound)
+        monkeypatch.setitem(arn.STOP_BOUNDS, "posterior_ritz", step_bound)
         tri = matgen.convection_diffusion(300, 0.5)
         _, k_stop, val, _ = exp.find_stop_k(tri, np.ones(tri.shape[0]), 0.05)
         assert (k_stop, val) == (200, 0.0)
@@ -324,9 +324,9 @@ class TestConvdiffTable:
         # bound from determinants, and the action at k_stop, above the
         # crossover order, comes from shifted Hessenberg solves
         calls = {"probe": [], "ritz": [], "lu": [], "sqrt": []}
-        probe, ritz = exp._bound_value, linalg.hessenberg_eigenvalues
+        probe, ritz = arn.STOP_BOUNDS["posterior_ritz"], linalg.hessenberg_eigenvalues
         factor, sqrt = linalg.lu_factor_quiet, linalg.dense_sqrt
-        monkeypatch.setattr(exp, "_bound_value",
+        monkeypatch.setitem(arn.STOP_BOUNDS, "posterior_ritz",
                             lambda sub, *a: calls["probe"].append(sub.k) or probe(sub, *a))
         monkeypatch.setattr(linalg, "hessenberg_eigenvalues",
                             lambda h, **kw: calls["ritz"].append(h.shape[0]) or ritz(h, **kw))
@@ -543,6 +543,37 @@ class TestCli:
             assert cli_main(["approx", "--matrix-file", mtx, "--f", f, "--tol", "1e-2",
                              "--out", str(tmp_path / f)]) == 0
             assert ("certified sqrt-error bound" in capsys.readouterr().out) == (f == "sqrt")
+
+    def test_approx_bound_stop_history_is_the_certifying_row(self, tmp_path, capsys):
+        from krylov_sqrt.matrixmarket import read_matrix_market
+        mtx, out = str(tmp_path / "m.mtx"), tmp_path / "run"
+        cli_main(["matgen", "--kind", "uniform", "--n", "24", "--skew", "--seed", "3",
+                  "--out", mtx])
+        capsys.readouterr()
+        assert cli_main(["approx", "--matrix-file", mtx, "--stop", "bound", "--tol", "1e-6",
+                         "--kmax", "24", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        columns, rows = exp.read_csv(str(out / "history.csv"))
+        (row,) = rows
+        assert f"stopped at k = {int(row['k'])} " in printed
+        assert row["posterior_ritz"] <= 1e-6
+        assert row["apriori_gamma"] is None and row["sigma_max_used"] is None
+        a = read_matrix_market(mtx)
+        want = arn.run_adaptive(a, np.ones(24), stop=arn.BoundAbsolute(1e-6), k_max=24)
+        assert want.k == row["k"]
+        np.testing.assert_array_equal(read_matrix_market(str(out / "result.mtx")).ravel(),
+                                      want.result)
+
+    def test_approx_rejects_hermitian_bound_kind(self, tmp_path, capsys):
+        # it used to run all 24 steps, then crash formatting the None field
+        mtx = str(tmp_path / "m.mtx")
+        cli_main(["matgen", "--kind", "uniform", "--n", "24", "--skew", "--seed", "3",
+                  "--out", mtx])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["approx", "--matrix-file", mtx, "--stop", "bound", "--bound-kind",
+                      "hermitian_jensen", "--out", str(tmp_path / "r")])
+        assert exit_info.value.code == 1
+        assert "posterior_ritz" in capsys.readouterr().err
 
     def test_approx_budget_exit_code(self, tmp_path):
         mtx = str(tmp_path / "m.mtx")
