@@ -807,19 +807,16 @@ def run_adaptive(
         raise DomainError("k_max must be >= 2")
     if check_every < 1:
         raise DomainError("check_every must be >= 1")
+    op = linalg.as_operator(M)
+    k_max = min(k_max, op.shape[0])
+    rhs = np.asarray(b, dtype=np.complex128 if np.iscomplexobj(b) else np.float64)
+
     if isinstance(stop, BoundAbsolute):
         if f != "sqrt":
             raise DomainError(f"the stopping bounds bound the sqrt action, not f = {f!r}")
         if check_every != 1:
             raise DomainError("check_every applies to a residual stop; a bound stop "
                               "probes the k it needs")
-    elif not isinstance(stop, ResidualRelative):
-        raise DomainError(f"unknown stopping rule {stop!r}")
-    op = linalg.as_operator(M)
-    k_max = min(k_max, op.shape[0])
-    rhs = np.asarray(b, dtype=np.complex128 if np.iscomplexobj(b) else np.float64)
-
-    if isinstance(stop, BoundAbsolute):
         state, k, bound, x_exact = find_stop_k(op, rhs, stop.tol, stop.bound_kind, quad_cfg,
                                                k_max, sigma_max_val)
         state = state.prefix(k)
@@ -833,6 +830,8 @@ def run_adaptive(
                                  error_norm=error_norm, **bounds)
         return AdaptiveResult(result=result, history=[report], k=k,
                               converged=bound <= stop.tol, breakdown=state.breakdown)
+    if not isinstance(stop, ResidualRelative):
+        raise DomainError(f"unknown stopping rule {stop!r}")
 
     x_exact = op.solve(rhs)
     herm = hermitian
