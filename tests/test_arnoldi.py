@@ -657,20 +657,20 @@ class TestRunAdaptive:
     def test_bound_stop_makes_no_per_step_work(self, monkeypatch):
         # one report at k_stop; no sigma_max, no per-k report, and one Ritz
         # solve: the Schur form of the action at k_stop <= 200
-        calls = {"sigma": 0, "report": 0, "ritz": 0, "herm": 0}
-        spies = ((linalg, "sigma_max", "sigma"), (bnd, "build_bound_report", "report"),
-                 (linalg, "hessenberg_eigenvalues", "ritz"), (linalg.DenseMatrix, "is_hermitian",
-                                                               "herm"))
-        for owner, name, key in spies:
-            def spy(*a, _fn=getattr(owner, name), _key=key, **kw):
-                calls[_key] += 1
+        spied = ((linalg, "sigma_max"), (bnd, "build_bound_report"),
+                 (linalg, "hessenberg_eigenvalues"), (linalg.DenseMatrix, "is_hermitian"))
+        calls = dict.fromkeys((name for _, name in spied), 0)
+        for owner, name in spied:
+            def spy(*a, _fn=getattr(owner, name), _name=name, **kw):
+                calls[_name] += 1
                 return _fn(*a, **kw)
             monkeypatch.setattr(owner, name, spy)
         a, _, _ = make_pd_matrix(12, 150)
         b = np.ones(150)
         res = arn.run_adaptive(a, b, stop=arn.BoundAbsolute(1e-6), k_max=150, error_oracle=True)
         assert res.converged and res.k <= 200
-        assert calls == {"sigma": 0, "report": 0, "ritz": 1, "herm": 0}
+        assert calls == {"sigma_max": 0, "build_bound_report": 0, "hessenberg_eigenvalues": 1,
+                         "is_hermitian": 0}
         (rep,) = res.history
         assert rep.k == res.k and rep.posterior_ritz <= 1e-6
         assert (rep.posterior_modulus, rep.apriori_gamma, rep.sigma_max_used, rep.hermitian_loose,
