@@ -432,9 +432,12 @@ def arnoldi_fun_action(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndar
     ``inverse`` (the FOM iterate for M x = b).  The square roots of a
     large H_k with a positive definite Hermitian part come from a
     quadrature of shifted Hessenberg solves, any other from a Schur form
-    (see :func:`fun_coefficients`).
+    (see :func:`fun_coefficients`), computed once per snapshot and f.
     """
-    return decomp.basis_k @ fun_coefficients(decomp, f)
+    coefficients = decomp.__dict__.setdefault("_coefficients", {})  # by f, per snapshot
+    if f not in coefficients:
+        coefficients[f] = fun_coefficients(decomp, f)
+    return decomp.basis_k @ coefficients[f]
 
 
 def fom_residual_norm(decomp: ArnoldiDecomposition):
@@ -545,36 +548,33 @@ def shifted_fom_quantities(decomp: ArnoldiDecomposition, M, b, z: complex) -> Sh
     )
 
 
-def prefix_report(decomp: ArnoldiDecomposition, x_exact, sigma_max_used: float | None,
-                  quad_cfg=None, hermitian: bool = False, known_spectrum=None,
-                  reference=None, f: str = "sqrt") -> bnd.BoundReport:
-    """BoundReport for one (prefix of an) Arnoldi decomposition.
+def prefix_reports(decomp: ArnoldiDecomposition, ks, x_exact, sigma_max_used: float | None,
+                   quad_cfg=None, hermitian: bool = False, known_spectrum=None,
+                   reference=None, f: str = "sqrt") -> list:
+    """BoundReports for the prefixes k in ``ks`` of an Arnoldi decomposition.
 
     Computes the per-prefix quantities every bound consumes: the FOM
     residual, the FOM error against ``x_exact``, the Ritz values of H_k
     and, with a ``reference`` action, the true error of the f-action.
     The bound fields bound the sqrt action only: for any other ``f`` they
-    stay None, and no Ritz solve or quadrature is made for them.
+    stay None, and no Ritz solve or quadrature is made for them.  The bound
+    integrals of all prefixes are one batch of adaptive quadratures
+    (:func:`bounds.build_bound_report`), as many passes as the hardest.
     """
-    residual_norm, _ = fom_residual_norm(decomp)
-    xi_norm = fom_error(decomp, x_exact)
-    error_norm = None
+    subs = [decomp.prefix(int(k)) for k in ks]
+    residual_norms = [fom_residual_norm(sub)[0] for sub in subs]
+    xi_norms = [fom_error(sub, x_exact) for sub in subs]
+    error_norms = None
     if reference is not None:
-        error_norm = float(np.linalg.norm(reference - arnoldi_fun_action(decomp, f)))
+        error_norms = [float(np.linalg.norm(reference - arnoldi_fun_action(sub, f)))
+                       for sub in subs]
     if f != "sqrt":
-        return bnd.BoundReport(decomp.k, residual_norm, xi_norm, sigma_max_used,
-                               None, None, None, error_norm=error_norm)
-    return bnd.build_bound_report(
-        k=decomp.k,
-        ritz=decomp.ritz,
-        residual_norm=residual_norm,
-        xi_norm=xi_norm,
-        sigma_max_used=sigma_max_used,
-        cfg=quad_cfg,
-        hermitian=hermitian,
-        known_spectrum=known_spectrum,
-        error_norm=error_norm,
-    )
+        return [bnd.BoundReport(sub.k, residual_norms[j], xi_norms[j], sigma_max_used, None,
+                                None, None, error_norm=error_norms and error_norms[j])
+                for j, sub in enumerate(subs)]
+    return bnd.build_bound_report([sub.k for sub in subs], [sub.ritz for sub in subs],
+                                  residual_norms, xi_norms, sigma_max_used, quad_cfg,
+                                  hermitian, known_spectrum, error_norms=error_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +786,10 @@ def run_adaptive(
     field set to the value the search compared with tol (0 at a happy
     breakdown) and, with ``error_oracle``, the true error; every other
     bound field is None.  A ``ResidualRelative`` rule extends Arnoldi
-    ``check_every`` steps at a time and reports every checked k; a happy
-    breakdown stops it, the action being exact on the invariant subspace.
+    ``check_every`` steps at a time and stops on the FOM residual alone; a
+    happy breakdown stops it, the action being exact on the invariant
+    subspace.  Its history reports every checked k, built after the loop
+    by :func:`prefix_reports` (one batch of bound quadratures).
 
     sigma_max is computed for an ``apriori_gamma`` stop only, or taken
     from ``sigma_max_val``.  A residual stop without it leaves
@@ -848,15 +850,13 @@ def run_adaptive(
             reference = x_exact
 
     state = arnoldi_start(rhs, capacity=min(k_max, 256))
-    history: list = []
+    checked: list = []
     converged = False
-    while state.k < k_max:
+    while not converged and state.k < k_max:
         state = arnoldi_extend(op, state, min(check_every, k_max - state.k))
-        report = prefix_report(state, x_exact, sigma_max_val, quad_cfg, herm,
-                               known_spectrum, reference, f)
-        history.append(report)
-        if state.breakdown or report.residual_norm / state.b_norm <= stop.tol:
-            converged = True
-            break
+        checked.append(state.k)
+        converged = state.breakdown or fom_residual_norm(state)[0] / state.b_norm <= stop.tol
+    history = prefix_reports(state, checked, x_exact, sigma_max_val, quad_cfg, herm,
+                             known_spectrum, reference, f)
     return AdaptiveResult(result=arnoldi_fun_action(state, f), history=history, k=state.k,
                           converged=converged, breakdown=state.breakdown)

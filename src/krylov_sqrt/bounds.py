@@ -102,9 +102,10 @@ def beta_fn(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
-def _gauss_kronrod_21(g, left: np.ndarray, width: np.ndarray):
+def _gauss_kronrod_21(g, owner: np.ndarray, left: np.ndarray, width: np.ndarray):
     """21-point Gauss-Kronrod sums of ``g`` on the intervals
-    [left, left + width], with the QUADPACK ``qk21`` error estimate.
+    [left, left + width] of the integrals ``owner``, with the QUADPACK
+    ``qk21`` error estimate.
 
     ``g`` is evaluated once, on all nodes of all intervals.  For a vector
     integrand (values with a leading component axis) every absolute value
@@ -112,7 +113,7 @@ def _gauss_kronrod_21(g, left: np.ndarray, width: np.ndarray):
     per-interval (integral, estimated error), the interval axis first.
     """
     half = 0.5 * width
-    vals = g((left + half)[:, None] + half[:, None] * _GK21_NODES)
+    vals = g((left + half)[:, None] + half[:, None] * _GK21_NODES, owner)
     size = np.abs if vals.ndim == 2 else (lambda a: np.linalg.norm(a, axis=0))
     kronrod = vals @ _GK21_KRONROD
     err = size(half * (kronrod - vals @ _GK21_GAUSS))
@@ -121,6 +122,59 @@ def _gauss_kronrod_21(g, left: np.ndarray, width: np.ndarray):
     ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0.0)
     err = resasc * np.minimum(1.0, ratio**1.5)
     return (half * kronrod).T, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+
+
+def _quad_batch(integrand, count: int, cfg: QuadratureConfig | None = None) -> list:
+    """One QuadResult per integral of :func:`quad_semi_infinite` for
+    ``count`` independent integrals; ``integrand(x, owner)`` also gets the
+    index of the integral each abscissa belongs to.  Each integral keeps
+    its own intervals, tolerance and ``max_subdivisions`` budget, and
+    closes when a pass bisects none of its intervals; a pass evaluates the
+    new nodes of all open integrals in one integrand call."""
+    cfg = cfg or QuadratureConfig()
+
+    def transformed(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        one_minus = 1.0 - t
+        u = t / one_minus
+        vals = np.asarray(integrand((u * u).ravel(), np.repeat(owner, t.shape[1])))
+        if not np.isfinite(vals).all():
+            raise NonFiniteIntegrand("integrand returned a non-finite value")
+        return vals.reshape(vals.shape[:-1] + t.shape) * (2.0 * u / (one_minus * one_minus))
+
+    # intervals, grouped by integral: owner is sorted
+    owner, left, width = np.arange(count), np.zeros(count), np.ones(count)
+    value, err = _gauss_kronrod_21(transformed, owner, left, width)
+    size = abs if value.ndim == 1 else np.linalg.norm
+    total, total_err, tol = [None] * count, np.zeros(count), np.zeros(count)
+    active = owner  # the integrals whose intervals changed in the last pass
+    while True:
+        share = np.full(count, np.inf)  # error above which an interval is bisected
+        for j, lo, hi in zip(active, np.searchsorted(owner, active),
+                             np.searchsorted(owner, active, "right")):
+            total[j], total_err[j] = value[lo:hi].sum(axis=0), err[lo:hi].sum()
+            tol[j] = max(cfg.abs_tol, cfg.rel_tol * size(total[j]))
+            if total_err[j] > tol[j]:
+                share[j] = tol[j] / (hi - lo)
+        worst = np.flatnonzero(err > share[owner])
+        worst = worst[np.argsort(err[worst])[::-1]]
+        worst = worst[np.argsort(owner[worst], kind="stable")]  # largest errors first
+        rank = np.arange(worst.size) - np.searchsorted(owner[worst], owner[worst])
+        budget = cfg.max_subdivisions - np.bincount(owner, minlength=count)
+        worst = worst[rank < budget[owner[worst]]]
+        active = np.unique(owner[worst])
+        if active.size == 0:
+            break
+        keep = np.ones(err.size, dtype=bool)
+        keep[worst] = False
+        half = 0.5 * width[worst]
+        child = (np.tile(owner[worst], 2), np.concatenate([left[worst], left[worst] + half]),
+                 np.concatenate([half, half]))
+        child += _gauss_kronrod_21(transformed, *child)
+        regroup = np.argsort(np.concatenate([owner[keep], child[0]]), kind="stable")
+        owner, left, width, value, err = (np.concatenate([a[keep], c])[regroup] for a, c in
+                                          zip((owner, left, width, value, err), child))
+    return [QuadResult(value=float(v) if value.ndim == 1 else v, estimated_error=float(e),
+                       tolerance_met=bool(e <= t)) for v, e, t in zip(total, total_err, tol)]
 
 
 def quad_semi_infinite(integrand, cfg: QuadratureConfig | None = None) -> QuadResult:
@@ -136,42 +190,10 @@ def quad_semi_infinite(integrand, cfg: QuadratureConfig | None = None) -> QuadRe
     exceeds its equal share of max(abs_tol, rel_tol |value|), evaluating
     all new nodes in one integrand call.  ``max_subdivisions`` caps the
     number of intervals; when it runs out first ``tolerance_met`` is unset.
+    The one-integral case of the batch kernel behind
+    :func:`bound_posterior_batch`, where each integral is bisected as here.
     """
-    cfg = cfg or QuadratureConfig()
-
-    def transformed(t: np.ndarray) -> np.ndarray:
-        one_minus = 1.0 - t
-        u = t / one_minus
-        vals = np.asarray(integrand((u * u).ravel()))
-        if not np.isfinite(vals).all():
-            raise NonFiniteIntegrand("integrand returned a non-finite value")
-        return vals.reshape(vals.shape[:-1] + t.shape) * (2.0 * u / (one_minus * one_minus))
-
-    left, width = np.zeros(1), np.ones(1)
-    value, err = _gauss_kronrod_21(transformed, left, width)
-    size = abs if value.ndim == 1 else np.linalg.norm
-    while True:
-        tol = max(cfg.abs_tol, cfg.rel_tol * size(value.sum(axis=0)))
-        if err.sum() <= tol:
-            break
-        worst = np.flatnonzero(err > tol / err.size)
-        worst = worst[np.argsort(err[worst])[::-1][: cfg.max_subdivisions - err.size]]
-        if worst.size == 0:
-            break
-        keep = np.ones(err.size, dtype=bool)
-        keep[worst] = False
-        half = 0.5 * width[worst]
-        child_left = np.concatenate([left[worst], left[worst] + half])
-        child_width = np.concatenate([half, half])
-        child_value, child_err = _gauss_kronrod_21(transformed, child_left, child_width)
-        left = np.concatenate([left[keep], child_left])
-        width = np.concatenate([width[keep], child_width])
-        value = np.concatenate([value[keep], child_value])
-        err = np.concatenate([err[keep], child_err])
-    total_err = float(err.sum())
-    total = value.sum(axis=0)
-    return QuadResult(value=float(total) if value.ndim == 1 else total,
-                      estimated_error=total_err, tolerance_met=total_err <= tol)
+    return _quad_batch(lambda x, _: integrand(x), 1, cfg)[0]
 
 
 def _ritz_values(ritz) -> np.ndarray:
@@ -180,41 +202,66 @@ def _ritz_values(ritz) -> np.ndarray:
     return np.asarray(ritz, dtype=np.complex128).ravel()
 
 
-def _certified_integral(log_gamma, k: int, block: int, xi_norm: float,
-                        cfg: QuadratureConfig | None) -> float:
-    """(I + estimated error) * xi / pi, with I the integral over (0, inf) of
-    sqrt(x) |gamma(x)| and ``log_gamma`` mapping a block of nodes to
-    log|gamma| there.
-
-    Blocks of nodes keep the k-by-nodes temporary of ``log_gamma`` at
-    ``block`` elements whatever the number of nodes.  A missed tolerance
-    raises NoConvergence.
-    """
+def _certified_integrals(log_gamma, k: int, block: int, xi_norms, labels,
+                         cfg: QuadratureConfig | None) -> list:
+    """(I_j + estimated error) * xi_j / pi for each integral j of a batch, I_j
+    the integral over (0, inf) of sqrt(x) |gamma_j(x)|, with
+    ``log_gamma(x, owner)`` mapping a block of nodes to log|gamma| there;
+    blocks keep its k-by-nodes temporary at ``block`` elements.  A missed
+    tolerance raises NoConvergence naming the integral by its label."""
     step = max(1, block // k)
 
-    def integrand(x: np.ndarray) -> np.ndarray:
+    def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
         for s in range(0, x.size, step):
             xb = x[s:s + step]
-            out[s:s + step] = np.sqrt(xb) * np.exp(log_gamma(xb))
+            out[s:s + step] = np.sqrt(xb) * np.exp(log_gamma(xb, owner[s:s + step]))
         return out
 
-    q = quad_semi_infinite(integrand, cfg)
-    if not q.tolerance_met:
-        raise NoConvergence(f"bound quadrature missed its tolerance (estimated error "
-                            f"{q.estimated_error:.3e} on {q.value:.6e})")
-    return (q.value + q.estimated_error) / math.pi * xi_norm
+    out = []
+    for q, xi_norm, label in zip(_quad_batch(integrand, len(xi_norms), cfg), xi_norms, labels):
+        if not q.tolerance_met:
+            raise NoConvergence(f"{label} missed its tolerance (estimated error "
+                                f"{q.estimated_error:.3e} on {q.value:.6e})")
+        out.append((q.value + q.estimated_error) / math.pi * xi_norm)
+    return out
 
 
-def _product_bound(inv_mod2: np.ndarray, linear: np.ndarray, xi_norm: float,
-                   cfg: QuadratureConfig | None) -> float:
-    """:func:`_certified_integral` of the product
-    prod_i (1 + x (linear_i + x inv_mod2_i))^{-1/2}, summed in log space as
-    one broadcast of the k factors against a block of nodes."""
-    inv_mod2, linear = inv_mod2[:, None], linear[:, None]
-    return _certified_integral(
-        lambda xb: -0.5 * np.log1p(xb * (linear + xb * inv_mod2)).sum(axis=0),
-        inv_mod2.shape[0], _BLOCK_ELEMENTS, xi_norm, cfg)
+def _product_factors(kind: str, ritz):
+    """(1/|l_i|^2, linear_i) of the ``kind`` bound's integrand
+    sqrt(x) prod_i (1 + x (linear_i + x/|l_i|^2))^{-1/2}: linear_i is
+    2 Re l_i/|l_i|^2 for ``posterior_ritz``, 0 for ``posterior_modulus``."""
+    lam = _ritz_values(ritz)
+    if lam.size < 2:
+        raise DivergentIntegral(f"{kind} bound integral diverges for k < 2")
+    mod2 = np.abs(lam) ** 2
+    if kind == "posterior_ritz":
+        require_right_half_plane(lam)
+        return 1.0 / mod2, 2.0 * lam.real * (1.0 / mod2)
+    if kind != "posterior_modulus":
+        raise DomainError(f"unknown posterior bound kind {kind!r}")
+    if np.any(mod2 == 0.0):
+        raise InvalidSpectrum("all Ritz values must be nonzero")
+    return 1.0 / mod2, np.zeros_like(mod2)
+
+
+def bound_posterior_batch(items, cfg: QuadratureConfig | None = None) -> list:
+    """The bound of each (kind, ritz, xi_norm) item, kind ``posterior_ritz``
+    or ``posterior_modulus``, every integral adaptive on its own in one batch
+    (see :func:`quad_semi_infinite`).  A node sums its integral's log factors
+    zero-padded to the largest k (log1p(0) adds exactly 0), so an item's
+    bound equals its one-item call to rounding.  A missed tolerance raises
+    NoConvergence naming the kind and k of the integral."""
+    factors = [_product_factors(kind, ritz) for kind, ritz, _ in items]
+    k = max(inv.size for inv, _ in factors)
+    inv_mod2, linear = np.zeros((k, len(items))), np.zeros((k, len(items)))
+    for j, (inv, lin) in enumerate(factors):
+        inv_mod2[: inv.size, j], linear[: lin.size, j] = inv, lin
+    return _certified_integrals(
+        lambda xb, ob: -0.5 * np.log1p(xb * (linear[:, ob] + xb * inv_mod2[:, ob])).sum(axis=0),
+        k, _BLOCK_ELEMENTS, [xi for _, _, xi in items],
+        [f"{kind} integral at k = {inv.size}" for (kind, _, _), (inv, _) in zip(items, factors)],
+        cfg)
 
 
 def require_right_half_plane(lam: np.ndarray) -> None:
@@ -229,14 +276,9 @@ def bound_posterior_ritz(ritz, xi_norm: float, cfg: QuadratureConfig | None = No
     Needs k >= 2 (the integrand decays like x^{1/2-k}) and Ritz values in
     the open right half-plane.  |l/(l+x)|^2 = 1/(1 + x (2 Re l + x)/|l|^2).
     The quadrature's estimated error is added to the integral, and a
-    missed tolerance raises NoConvergence.
+    missed tolerance raises NoConvergence.  A one-item :func:`bound_posterior_batch`.
     """
-    lam = _ritz_values(ritz)
-    if lam.size < 2:
-        raise DivergentIntegral("posterior bound integral diverges for k < 2")
-    require_right_half_plane(lam)
-    inv_mod2 = 1.0 / np.abs(lam) ** 2
-    return _product_bound(inv_mod2, 2.0 * lam.real * inv_mod2, xi_norm, cfg)
+    return bound_posterior_batch([("posterior_ritz", ritz, xi_norm)], cfg)[0]
 
 
 def _hyman(h: np.ndarray, shifts: np.ndarray):
@@ -308,22 +350,17 @@ def bound_posterior_det(H, xi_norm: float, cfg: QuadratureConfig | None = None) 
     if h.shape[0] < 2:
         raise DivergentIntegral("posterior bound integral diverges for k < 2")
     log_det0 = _hyman_log_alpha(h, np.zeros(1))[0]
-    return _certified_integral(lambda xb: log_det0 - _hyman_log_alpha(h, xb),
-                               h.shape[0], _HYMAN_BLOCK_ELEMENTS, xi_norm, cfg)
+    return _certified_integrals(lambda xb, _: log_det0 - _hyman_log_alpha(h, xb),
+                                h.shape[0], _HYMAN_BLOCK_ELEMENTS, [xi_norm],
+                                [f"determinant bound integral at k = {h.shape[0]}"], cfg)[0]
 
 
 def bound_posterior_modulus(ritz, xi_norm: float, cfg: QuadratureConfig | None = None) -> float:
     """Intermediate bound with |l_i|/sqrt(|l_i|^2 + x^2) in place of the
     exact factors; depends on the Ritz moduli only and dominates
     :func:`bound_posterior_ritz` pointwise.  Quadrature error is counted
-    as there."""
-    lam = _ritz_values(ritz)
-    if lam.size < 2:
-        raise DivergentIntegral("modulus bound integral diverges for k < 2")
-    mod2 = np.abs(lam) ** 2
-    if np.any(mod2 == 0.0):
-        raise InvalidSpectrum("all Ritz values must be nonzero")
-    return _product_bound(1.0 / mod2, np.zeros_like(mod2), xi_norm, cfg)
+    as there.  A one-item :func:`bound_posterior_batch`."""
+    return bound_posterior_batch([("posterior_modulus", ritz, xi_norm)], cfg)[0]
 
 
 def bound_apriori_sqrt(sigma_max: float, k: int, xi_norm: float) -> float:
@@ -464,60 +501,49 @@ class BoundReport:
     lambda_bar: float | None = None
 
 
-def build_bound_report(
-    k: int,
-    ritz,
-    residual_norm: float,
-    xi_norm: float,
-    sigma_max_used: float | None,
-    cfg: QuadratureConfig | None = None,
-    hermitian: bool = False,
-    known_spectrum=None,
-    lambda_max: float | None = None,
-    error_norm: float | None = None,
-) -> BoundReport:
-    """Assemble a BoundReport from precomputed iteration quantities.
+def build_bound_report(ks, ritz, residual_norms, xi_norms, sigma_max_used: float | None,
+                       cfg: QuadratureConfig | None = None, hermitian: bool = False,
+                       known_spectrum=None, lambda_max: float | None = None,
+                       error_norms=None) -> list:
+    """BoundReports of many prefixes, from ``ks``, ``ritz`` (the Ritz values
+    of each H_k), ``residual_norms``, ``xi_norms`` and ``error_norms`` (None
+    without an oracle), one entry per prefix.  The posterior integrals of
+    every prefix with k >= 2 are one :func:`bound_posterior_batch`.
 
     For Hermitian inputs lambda_bar uses the true spectrum when
-    ``known_spectrum`` (descending eigenvalues of M) is given, otherwise
-    the computable Ritz-based mode with ``lambda_max`` (defaults to
+    ``known_spectrum`` (eigenvalues of M) is given, otherwise the
+    computable Ritz-based mode with ``lambda_max`` (defaults to
     sigma_max_used, exact for Hermitian positive definite M).  With
     ``sigma_max_used`` None, ``apriori_gamma`` stays None, and so do the
     computable-mode Hermitian fields unless ``lambda_max`` is given.
     """
-    if k >= 2:
-        p_ritz = bound_posterior_ritz(ritz, xi_norm, cfg)
-        p_mod = bound_posterior_modulus(ritz, xi_norm, cfg)
-        gamma = None if sigma_max_used is None else bound_apriori_sqrt(sigma_max_used, k, xi_norm)
-    else:
-        p_ritz = p_mod = math.inf
-        gamma = None if sigma_max_used is None else math.inf
-
-    loose = jensen = lam_bar = None
-    if hermitian:
-        if known_spectrum is not None:
-            eigs = np.sort(np.asarray(known_spectrum, dtype=float))[::-1]
-            lam_max = float(eigs[0]) if lambda_max is None else lambda_max
-            top = eigs[:k]
-        else:
-            lam_max = sigma_max_used if lambda_max is None else lambda_max
-            vals = _ritz_values(ritz)
-            top = None if lam_max is None else np.sort(np.minimum(vals.real, lam_max))[::-1][:k]
-        if top is not None:
-            lam_bar = lambda_bar(top, lam_max, k)
-            loose = bound_hermitian_loose(lam_max, k, xi_norm)
-            jensen = bound_hermitian_jensen(lam_bar, k, xi_norm)
-
-    return BoundReport(
-        k=k,
-        residual_norm=residual_norm,
-        xi_norm=xi_norm,
-        sigma_max_used=sigma_max_used,
-        posterior_ritz=p_ritz,
-        posterior_modulus=p_mod,
-        apriori_gamma=gamma,
-        error_norm=error_norm,
-        hermitian_loose=loose,
-        hermitian_jensen=jensen,
-        lambda_bar=lam_bar,
-    )
+    lams = [_ritz_values(r) for r in ritz]
+    big = [j for j, k in enumerate(ks) if k >= 2]
+    items = [(kind, lams[j], xi_norms[j]) for kind in ("posterior_ritz", "posterior_modulus")
+             for j in big]
+    vals = bound_posterior_batch(items, cfg) if items else []
+    posterior = {j: (vals[i], vals[i + len(big)]) for i, j in enumerate(big)}
+    if known_spectrum is not None:
+        eigs = np.sort(np.asarray(known_spectrum, dtype=float))[::-1]
+    reports = []
+    for j, k in enumerate(ks):
+        xi_norm = xi_norms[j]
+        gamma = None if sigma_max_used is None else (
+            bound_apriori_sqrt(sigma_max_used, k, xi_norm) if k >= 2 else math.inf)
+        loose = jensen = lam_bar = None
+        if hermitian:
+            if known_spectrum is not None:
+                lam_max = float(eigs[0]) if lambda_max is None else lambda_max
+                top = eigs[:k]
+            else:
+                lam_max = sigma_max_used if lambda_max is None else lambda_max
+                top = (None if lam_max is None
+                       else np.sort(np.minimum(lams[j].real, lam_max))[::-1][:k])
+            if top is not None:
+                lam_bar = lambda_bar(top, lam_max, k)
+                loose = bound_hermitian_loose(lam_max, k, xi_norm)
+                jensen = bound_hermitian_jensen(lam_bar, k, xi_norm)
+        reports.append(BoundReport(k, residual_norms[j], xi_norm, sigma_max_used,
+                                   *posterior.get(j, (math.inf, math.inf)), gamma,
+                                   error_norms and error_norms[j], loose, jensen, lam_bar))
+    return reports

@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--f", default="sqrt", choices=("sqrt", "invsqrt", "inverse"))
     p_approx.add_argument("--stop", default="residual", choices=("residual", "bound"))
     p_approx.add_argument("--tol", type=float, default=1e-2)
-    p_approx.add_argument("--bound-kind", default="posterior_ritz", choices=tuple(arn.STOP_BOUNDS))
+    p_approx.add_argument("--bound-kind", choices=tuple(arn.STOP_BOUNDS),
+                          help="bound of --stop bound (default posterior_ritz)")
     p_approx.add_argument("--kmax", type=int, default=200)
     p_approx.add_argument("--check-every", type=int, default=1,
                           help="steps between checks of --stop residual")
@@ -106,9 +107,11 @@ def _cmd_approx(args) -> int:
     else:
         b = np.ones(M.shape[0])
     if args.stop == "residual":
+        if args.bound_kind is not None:
+            raise ConfigError("--bound-kind applies to --stop bound, not --stop residual")
         stop = arn.ResidualRelative(args.tol)
     else:
-        stop = arn.BoundAbsolute(args.tol, args.bound_kind)
+        stop = arn.BoundAbsolute(args.tol, args.bound_kind or "posterior_ritz")
     result = arn.run_adaptive(M, b, f=args.f, stop=stop, k_max=args.kmax,
                               check_every=args.check_every)
     os.makedirs(args.out, exist_ok=True)

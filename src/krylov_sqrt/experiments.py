@@ -259,12 +259,10 @@ def run_bounds_vs_k(cfg: ExperimentConfig):
     reference = linalg.reference_sqrt_action(M, b) if cfg.oracle else None
 
     state = arn.arnoldi(M, b, k_max)
-    rows = []
-    for k in sample_ks(state.k, cfg.k_samples):
-        rep = arn.prefix_report(state.prefix(int(k)), x_exact, sigma, cfg.quadrature,
-                                ctx.hermitian, known_spectrum=ctx.known_eigs,
-                                reference=reference)
-        rows.append(_report_row(rep))
+    reports = arn.prefix_reports(state, sample_ks(state.k, cfg.k_samples), x_exact, sigma,
+                                 cfg.quadrature, ctx.hermitian, known_spectrum=ctx.known_eigs,
+                                 reference=reference)
+    rows = [_report_row(rep) for rep in reports]
     floor_k = None
     if reference is not None:
         floor = ROUNDING_FLOOR_RTOL * np.linalg.norm(reference)

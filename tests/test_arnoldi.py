@@ -185,9 +185,9 @@ class TestFunAction:
         b = np.ones(30)
         x_exact, reference = np.linalg.solve(a, b), linalg.reference_sqrt_action(a, b)
         state = arn.arnoldi(a, b, 12)
-        arn.prefix_report(state.prefix(10), x_exact, 1000.0)
+        arn.prefix_reports(state, [10], x_exact, 1000.0)
         assert calls == [(10, False)]
-        arn.prefix_report(state.prefix(11), x_exact, 1000.0, reference=reference)
+        arn.prefix_reports(state, [11], x_exact, 1000.0, reference=reference)
         assert calls == [(10, False), (11, True)]
 
     def test_unknown_tag(self):

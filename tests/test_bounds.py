@@ -224,23 +224,23 @@ def convdiff_ritz():
 
 @pytest.fixture
 def quad_log(monkeypatch):
-    """Record every quad_semi_infinite call the bounds make, as
-    [integrand calls, QuadResult]."""
+    """Record every batch of adaptive quadratures the bounds run, as
+    [integrand calls, one QuadResult per integral]."""
     log = []
-    plain = bnd.quad_semi_infinite
+    plain = bnd._quad_batch
 
-    def recorded(integrand, cfg=None):
+    def recorded(integrand, count, cfg=None):
         entry = [0, None]
         log.append(entry)
 
-        def counted(x):
+        def counted(x, owner):
             entry[0] += 1
-            return integrand(x)
+            return integrand(x, owner)
 
-        entry[1] = plain(counted, cfg)
+        entry[1] = plain(counted, count, cfg)
         return entry[1]
 
-    monkeypatch.setattr(bnd, "quad_semi_infinite", recorded)
+    monkeypatch.setattr(bnd, "_quad_batch", recorded)
     return log
 
 
@@ -261,7 +261,7 @@ class TestBoundQuadrature:
 
     def test_estimated_error_is_counted(self, skewed_ritz, quad_log):
         got = bnd.bound_posterior_ritz(skewed_ritz[12], 0.3)
-        q = quad_log[0][1]
+        (q,) = quad_log[0][1]
         assert q.estimated_error > 0.0
         assert got == pytest.approx((q.value + q.estimated_error) / math.pi * 0.3, rel=1e-15)
         assert got > q.value / math.pi * 0.3
@@ -598,8 +598,8 @@ class TestScalingTerm:
 
 class TestBoundReport:
     def test_k1_fields_infinite(self):
-        rep = bnd.build_bound_report(k=1, ritz=[2.0], residual_norm=0.5, xi_norm=0.4,
-                                     sigma_max_used=10.0)
+        (rep,) = bnd.build_bound_report(ks=[1], ritz=[[2.0]], residual_norms=[0.5],
+                                        xi_norms=[0.4], sigma_max_used=10.0)
         assert rep.posterior_ritz == math.inf
         assert rep.posterior_modulus == math.inf
         assert rep.apriori_gamma == math.inf
@@ -608,12 +608,12 @@ class TestBoundReport:
     def test_hermitian_known_vs_computable_modes(self):
         eigs = np.array([100.0, 50.0, 20.0, 10.0, 5.0])
         ritz = np.array([99.0, 48.0, 18.0])
-        known = bnd.build_bound_report(k=3, ritz=ritz, residual_norm=1.0, xi_norm=1.0,
-                                       sigma_max_used=100.0, hermitian=True,
-                                       known_spectrum=eigs)
-        computable = bnd.build_bound_report(k=3, ritz=ritz, residual_norm=1.0,
-                                            xi_norm=1.0, sigma_max_used=100.0,
-                                            hermitian=True)
+        (known,) = bnd.build_bound_report(ks=[3], ritz=[ritz], residual_norms=[1.0],
+                                          xi_norms=[1.0], sigma_max_used=100.0,
+                                          hermitian=True, known_spectrum=eigs)
+        (computable,) = bnd.build_bound_report(ks=[3], ritz=[ritz], residual_norms=[1.0],
+                                               xi_norms=[1.0], sigma_max_used=100.0,
+                                               hermitian=True)
         # Ritz values interlace below the true spectrum, so the computable
         # average cannot exceed the spectrum-known one
         assert computable.lambda_bar <= known.lambda_bar
