@@ -157,7 +157,7 @@ def _quad_batch(integrand, count: int, cfg: QuadratureConfig | None = None) -> l
                 share[j] = tol[j] / (hi - lo)
         worst = np.flatnonzero(err > share[owner])
         worst = worst[np.argsort(err[worst])[::-1]]
-        worst = worst[np.argsort(owner[worst], kind="stable")]  # largest errors first
+        worst = worst[np.argsort(owner[worst], kind="stable")]  # by integral, largest first
         rank = np.arange(worst.size) - np.searchsorted(owner[worst], owner[worst])
         budget = cfg.max_subdivisions - np.bincount(owner, minlength=count)
         worst = worst[rank < budget[owner[worst]]]

@@ -709,14 +709,39 @@ class TestRunAdaptive:
             arn.run_adaptive(tri, np.ones(199), f=f, stop=arn.BoundAbsolute(tol=1e-3),
                              k_max=199)
 
+    def test_residual_stop_computes_the_stopping_action_once(self, monkeypatch):
+        # the error oracle's action at k = 230 is the result: one shifted-solve
+        # quadrature there, not two
+        tri, b = matgen.convection_diffusion(300, 0.1), np.ones(299)
+        calls, plain = [], arn.fun_coefficients
+        monkeypatch.setattr(arn, "fun_coefficients",
+                            lambda d, f="sqrt": calls.append((d.k, f)) or plain(d, f))
+        res = arn.run_adaptive(tri, b, stop=arn.ResidualRelative(1e-30), k_max=230,
+                               error_oracle=True)
+        assert res.k == 230 and calls.count((230, "sqrt")) == 1
+        want = arn.arnoldi(tri, b, 230)
+        np.testing.assert_array_equal(res.result, want.basis_k @ plain(want, "sqrt"))
+
+    def test_residual_stop_makes_no_quadrature_in_its_loop(self, monkeypatch):
+        # the loop stops on the FOM residual; the bounds of every checked k
+        # are one batch of quadratures after it
+        events = []
+        for owner, name in ((arn, "arnoldi_extend"), (bnd, "_quad_batch")):
+            monkeypatch.setattr(owner, name, lambda *a, _fn=getattr(owner, name), _name=name,
+                                **kw: events.append(_name) or _fn(*a, **kw))
+        a, _, _ = make_pd_matrix(14, 30)
+        res = arn.run_adaptive(a, np.ones(30), stop=arn.ResidualRelative(1e-10), k_max=12)
+        assert events == ["arnoldi_extend"] * res.k + ["_quad_batch"]
+        assert [r.k for r in res.history] == list(range(1, res.k + 1))
+
     def test_invsqrt_history_has_no_sqrt_bounds(self, monkeypatch):
         # these fields bound the sqrt action; here posterior_ritz read
         # 9.70e-4 at k = 191 while the true M^{-1/2} b error was 1.01e-3
         orders, quads = [], []
-        ritz, quad = linalg.hessenberg_eigenvalues, arn.bnd.quad_semi_infinite
+        ritz, quad = linalg.hessenberg_eigenvalues, arn.bnd._quad_batch
         monkeypatch.setattr(linalg, "hessenberg_eigenvalues",
                             lambda h, **kw: orders.append(h.shape[0]) or ritz(h, **kw))
-        monkeypatch.setattr(arn.bnd, "quad_semi_infinite",
+        monkeypatch.setattr(arn.bnd, "_quad_batch",
                             lambda *a, **kw: quads.append(1) or quad(*a, **kw))
         tri = matgen.convection_diffusion(200, 0.1)
         res = arn.run_adaptive(tri, np.ones(199), f="invsqrt",

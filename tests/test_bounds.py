@@ -281,6 +281,67 @@ class TestBoundQuadrature:
             bnd.bound_posterior_modulus(skewed_ritz[30], 1.0, cfg)
 
 
+KINDS = {"posterior_ritz": bnd.bound_posterior_ritz,
+         "posterior_modulus": bnd.bound_posterior_modulus}
+
+
+def batch_spectra() -> list:
+    """Ritz value sets for k = 2..40: real, conjugate pairs, clustered, and
+    spread over 1e-3..1e6."""
+    rng = np.random.default_rng(41)
+    out = []
+    for k in range(2, 41):
+        half = rng.uniform(1.0, 500.0, k // 2) + 1j * rng.uniform(0.1, 300.0, k // 2)
+        out += [rng.uniform(1.0, 1000.0, k),
+                np.concatenate([half, half.conj(), rng.uniform(1.0, 500.0, k % 2)]),
+                10.0 + rng.normal(0.0, 1e-3, k),
+                10.0 ** rng.uniform(-3.0, 6.0, k)]
+    return out
+
+
+class TestPosteriorBatch:
+    def test_each_item_matches_its_own_call(self, quad_log):
+        items = [(kind, lam, 0.5 + j % 3) for j, lam in enumerate(batch_spectra())
+                 for kind in KINDS]
+        got = bnd.bound_posterior_batch(items)
+        batch_calls = quad_log[0][0]
+        for (kind, lam, xi), value in zip(items, got):
+            assert value == pytest.approx(KINDS[kind](lam, xi), rel=1e-14)
+        # one integrand call per pass: the batch took the passes of its hardest item
+        assert batch_calls == max(calls for calls, _ in quad_log[1:])
+
+    def test_each_item_meets_quadpack(self):
+        cfg = bnd.QuadratureConfig(rel_tol=1e-10, abs_tol=1e-300)
+        items = [(kind, lam, 1.0) for lam in batch_spectra()[::7] for kind in KINDS]
+        for (kind, lam, _), value in zip(items, bnd.bound_posterior_batch(items, cfg)):
+            want = quadpack_bound(lam, kind == "posterior_modulus")
+            assert abs(value - want) <= 2.0 * cfg.rel_tol * want
+
+    def test_k_one_item_diverges(self):
+        with pytest.raises(DivergentIntegral):
+            bnd.bound_posterior_batch([("posterior_ritz", [1.0, 2.0], 1.0),
+                                       ("posterior_modulus", [3.0], 1.0)])
+
+    def test_left_half_plane_item_rejected(self):
+        with pytest.raises(InvalidSpectrum):
+            bnd.bound_posterior_batch([("posterior_modulus", [1.0, 2.0], 1.0),
+                                       ("posterior_ritz", [1.0, -0.5 + 1e-6j], 1.0)])
+
+    def test_budget_is_per_integral(self, skewed_ritz, quad_log):
+        # three intervals each do for the two easy integrals but not for
+        # k = 30, and three shared by all would not do for the easy ones;
+        # the hard integral runs out alone and is the one named
+        tight = bnd.QuadratureConfig(max_subdivisions=3)
+        easy = [("posterior_ritz", [1.0, 1.0], 1.0), ("posterior_modulus", [4.0, 4.0], 1.0)]
+        alone = bnd.bound_posterior_batch(easy, tight)
+        with pytest.raises(NoConvergence, match="posterior_ritz integral at k = 30"):
+            bnd.bound_posterior_batch(easy[:1] + [("posterior_ritz", skewed_ritz[30], 1.0)]
+                                      + easy[1:], tight)
+        first, hard, last = quad_log[-1][1]
+        assert not hard.tolerance_met and first.tolerance_met and last.tolerance_met
+        assert [(q.value + q.estimated_error) / math.pi for q in (first, last)] == alone
+
+
 def mp_logdet(h: np.ndarray, x: float) -> float:
     """log|det(H + xI)| for an upper Hessenberg H in 40-digit arithmetic, by
     Gaussian elimination with partial pivoting (one row below each pivot)."""

@@ -84,6 +84,37 @@ class TestBoundsVsK:
         rows, _ = exp.run_bounds_vs_k(small_bounds_cfg(tmp_path, oracle=False))
         assert all(row["error_norm"] is None for row in rows)
 
+    def test_bound_integrals_are_one_batch(self, monkeypatch):
+        # one batch per run, whose passes are those of its hardest prefix:
+        # the integrand calls of the run are at most those of one prefix
+        batches, plain = [], bnd._quad_batch
+
+        def recorded(integrand, count, cfg=None):
+            batches.append([count, 0])
+
+            def counted(x, owner):
+                batches[-1][1] += 1
+                return integrand(x, owner)
+
+            return plain(counted, count, cfg)
+
+        monkeypatch.setattr(bnd, "_quad_batch", recorded)
+        cfg = exp.config_from_dict({
+            "experiment": "bounds_vs_k", "seed": 5, "oracle": False, "k_max": 30,
+            "k_samples": 40, "matrix": {"type": "spectrum", "kind": "uniform", "n": 120,
+                                        "lo": 1.0, "hi": 1000.0, "skew": True}})
+        rows, _ = exp.run_bounds_vs_k(cfg)
+        ((count, calls),) = batches
+        assert count == 2 * len(rows) and len(rows) == 24  # the distinct sampled k in 2..30
+        ctx = exp.build_matrix(cfg.matrix, cfg.seed)
+        state = arn.arnoldi(ctx.operator, exp.build_rhs(cfg.rhs, ctx), 30)
+        for row in rows:
+            ritz = linalg.hessenberg_eigenvalues(state.prefix(int(row["k"])).hessenberg)
+            assert bnd.bound_posterior_ritz(ritz, row["xi_norm"]) == pytest.approx(
+                row["posterior_ritz"], rel=1e-14)
+            bnd.bound_posterior_modulus(ritz, row["xi_norm"])
+        assert calls == max(c for _, c in batches[1:])
+
     def test_rounding_floor_k(self, tmp_path):
         # the bound falls below the true error at k = 28 and 30, where
         # rounding sets both; the floor is marked from k = 21 on
@@ -574,6 +605,18 @@ class TestCli:
                       "hermitian_jensen", "--out", str(tmp_path / "r")])
         assert exit_info.value.code == 1
         assert "posterior_ritz" in capsys.readouterr().err
+
+    def test_approx_residual_stop_rejects_bound_kind(self, tmp_path, capsys):
+        # --bound-kind used to be read by --stop bound only, and ignored here
+        mtx = str(tmp_path / "m.mtx")
+        cli_main(["matgen", "--kind", "uniform", "--n", "24", "--seed", "3", "--out", mtx])
+        code = cli_main(["approx", "--matrix-file", mtx, "--stop", "residual", "--bound-kind",
+                         "posterior_modulus", "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 1 and "--bound-kind" in err and "--stop residual" in err
+        assert not os.path.exists(tmp_path / "r")
+        assert cli_main(["approx", "--matrix-file", mtx, "--stop", "residual",
+                         "--out", str(tmp_path / "r")]) == 0
 
     def test_approx_budget_exit_code(self, tmp_path):
         mtx = str(tmp_path / "m.mtx")
