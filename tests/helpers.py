@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 
+from krylov_sqrt import bounds as bnd
 from krylov_sqrt import matgen
 
 
@@ -21,6 +22,27 @@ def make_pd_matrix(seed: int, n: int, kind: str = "uniform", skew: bool = True):
     if skew:
         a = a + matgen.skew_part(n, seed + 1)
     return a, sm.eigenvalues, sm
+
+
+def record_quad_batches(monkeypatch) -> list:
+    """Record every batch of adaptive quadratures run from here on (each
+    bound, ``quad_semi_infinite`` call and report batch is one), as
+    [integrand calls, one QuadResult per integral]."""
+    log, plain = [], bnd._quad_batch
+
+    def recorded(integrand, count, cfg=None):
+        entry = [0, None]
+        log.append(entry)
+
+        def counted(x, owner):
+            entry[0] += 1
+            return integrand(x, owner)
+
+        entry[1] = plain(counted, count, cfg)
+        return entry[1]
+
+    monkeypatch.setattr(bnd, "_quad_batch", recorded)
+    return log
 
 
 def charpoly_coefficients(a: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from helpers import make_pd_matrix
+from helpers import make_pd_matrix, record_quad_batches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -224,24 +224,9 @@ def convdiff_ritz():
 
 @pytest.fixture
 def quad_log(monkeypatch):
-    """Record every batch of adaptive quadratures the bounds run, as
+    """Every batch of adaptive quadratures the bounds run, as
     [integrand calls, one QuadResult per integral]."""
-    log = []
-    plain = bnd._quad_batch
-
-    def recorded(integrand, count, cfg=None):
-        entry = [0, None]
-        log.append(entry)
-
-        def counted(x, owner):
-            entry[0] += 1
-            return integrand(x, owner)
-
-        entry[1] = plain(counted, count, cfg)
-        return entry[1]
-
-    monkeypatch.setattr(bnd, "_quad_batch", recorded)
-    return log
+    return record_quad_batches(monkeypatch)
 
 
 def assert_matches_quadpack(ritz):

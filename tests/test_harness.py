@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from helpers import record_quad_batches
 
 from krylov_sqrt import arnoldi as arn
 from krylov_sqrt import bounds as bnd
@@ -87,25 +88,14 @@ class TestBoundsVsK:
     def test_bound_integrals_are_one_batch(self, monkeypatch):
         # one batch per run, whose passes are those of its hardest prefix:
         # the integrand calls of the run are at most those of one prefix
-        batches, plain = [], bnd._quad_batch
-
-        def recorded(integrand, count, cfg=None):
-            batches.append([count, 0])
-
-            def counted(x, owner):
-                batches[-1][1] += 1
-                return integrand(x, owner)
-
-            return plain(counted, count, cfg)
-
-        monkeypatch.setattr(bnd, "_quad_batch", recorded)
+        batches = record_quad_batches(monkeypatch)
         cfg = exp.config_from_dict({
             "experiment": "bounds_vs_k", "seed": 5, "oracle": False, "k_max": 30,
             "k_samples": 40, "matrix": {"type": "spectrum", "kind": "uniform", "n": 120,
                                         "lo": 1.0, "hi": 1000.0, "skew": True}})
         rows, _ = exp.run_bounds_vs_k(cfg)
-        ((count, calls),) = batches
-        assert count == 2 * len(rows) and len(rows) == 24  # the distinct sampled k in 2..30
+        ((calls, results),) = batches
+        assert len(results) == 2 * len(rows) and len(rows) == 24  # the distinct k in 2..30
         ctx = exp.build_matrix(cfg.matrix, cfg.seed)
         state = arn.arnoldi(ctx.operator, exp.build_rhs(cfg.rhs, ctx), 30)
         for row in rows:
@@ -113,7 +103,7 @@ class TestBoundsVsK:
             assert bnd.bound_posterior_ritz(ritz, row["xi_norm"]) == pytest.approx(
                 row["posterior_ritz"], rel=1e-14)
             bnd.bound_posterior_modulus(ritz, row["xi_norm"])
-        assert calls == max(c for _, c in batches[1:])
+        assert calls == max(c for c, _ in batches[1:])
 
     def test_rounding_floor_k(self, tmp_path):
         # the bound falls below the true error at k = 28 and 30, where
