@@ -856,7 +856,9 @@ def run_adaptive(
         state = arnoldi_extend(op, state, min(check_every, k_max - state.k))
         checked.append(state.k)
         converged = state.breakdown or fom_residual_norm(state)[0] / state.b_norm <= stop.tol
+    # the action first: a Schur form it computes gives the last row its Ritz values
+    result = arnoldi_fun_action(state, f)
     history = prefix_reports(state, checked, x_exact, sigma_max_val, quad_cfg, herm,
                              known_spectrum, reference, f)
-    return AdaptiveResult(result=arnoldi_fun_action(state, f), history=history, k=state.k,
+    return AdaptiveResult(result=result, history=history, k=state.k,
                           converged=converged, breakdown=state.breakdown)

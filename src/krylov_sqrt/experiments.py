@@ -459,9 +459,11 @@ _COLUMN_DOCS = {
     "residual_rel": "FOM residual norm relative to ||b||",
     "xi_norm": "FOM error norm ||xi_0^k|| from the exact solve",
     "error_norm": ("true error of the Arnoldi sqrt action vs the reference action "
-                   "(closed form for Toeplitz tridiagonal, else dense Schur)"),
+                   "(closed form for Toeplitz tridiagonal, Hermitian eigendecomposition "
+                   "for exactly Hermitian dense, else dense Schur)"),
     "error": ("true error of the Arnoldi sqrt action vs the reference action "
-              "(closed form for Toeplitz tridiagonal, else dense Schur)"),
+              "(closed form for Toeplitz tridiagonal, Hermitian eigendecomposition "
+              "for exactly Hermitian dense, else dense Schur)"),
     "posterior_ritz": "a posteriori Ritz-product bound (inf at k=1)",
     "posterior_modulus": "a posteriori modulus bound (inf at k=1)",
     "apriori_gamma": "a priori Gamma-constant bound in sigma_max and k",
@@ -469,8 +471,8 @@ _COLUMN_DOCS = {
     "hermitian_jensen": "Hermitian bound sharpened with lambda_bar",
     "lambda_bar": "averaged eigenvalue (top-k plus lambda_max)/(k+1)",
     "sigma_max_used": "largest singular value used by the a priori bound",
-    "sigma_max": ("largest singular value (exact (banded or dense SVD) at desk scale, "
-                  "else power iteration)"),
+    "sigma_max": ("largest singular value (exact at desk scale: banded, Hermitian "
+                  "eigendecomposition or dense SVD; else power iteration)"),
     "sigma_min": "smallest singular value (inverse iteration)",
     "cond": "2-norm condition number sigma_max/sigma_min",
     "k_stop": "first k satisfying the stopping rule",

@@ -13,8 +13,9 @@ validation, the error contracts, and the extremal singular-value
 estimators (largest: exact for tridiagonal input and for dense input
 at desk scale, power iteration otherwise; smallest: inverse power
 iteration), and the error oracle (closed form for tridiagonal Toeplitz
-input, dense Schur square root otherwise).  Every kernel is a pure
-function of its inputs.
+input; for other dense input at desk scale, the eigendecomposition of an
+exactly Hermitian matrix, which also gives its sigma_max, else the
+Schur square root).  Every kernel is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ class DenseMatrix:
     in a read-only array: a writable input is copied, a read-only one of
     that dtype is shared.  The entries are validated to be finite on
     construction, so downstream kernels can skip the check.  The LU
-    factors are computed on the first :meth:`solve` and kept.
+    factors are computed on the first :meth:`solve` and kept, and so is
+    the eigendecomposition of :meth:`eigh`.
     """
 
     bands = None
@@ -76,6 +78,7 @@ class DenseMatrix:
         a.flags.writeable = False
         self.array, self.shape, self.dtype = a, a.shape, a.dtype
         self._lu = None
+        self._eigh = None
 
     def matvec(self, v) -> np.ndarray:
         return self.array @ v
@@ -105,6 +108,21 @@ class DenseMatrix:
     def is_hermitian(self, rtol: float = 1e-12) -> bool:
         a = self.array
         return np.linalg.norm(a - a.conj().T) <= rtol * np.linalg.norm(a)
+
+    def eigh(self):
+        """(lambda ascending, V) with M = V diag(lambda) Vᴴ when the stored
+        array is exactly Hermitian, else None; the square-root oracle and
+        :func:`sigma_max` both read it (Higham, *Functions of Matrices*,
+        2008, §6.1)."""
+        if self._eigh is None:
+            a = self.array
+            self._eigh = ()
+            if np.array_equal(a, a.conj().T):
+                try:
+                    self._eigh = np.linalg.eigh(a)
+                except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+                    raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
+        return self._eigh or None
 
     def to_dense(self) -> np.ndarray:
         return self.array
@@ -314,16 +332,20 @@ def reference_sqrt_action(M, b) -> np.ndarray:
 
     A tridiagonal M with constant bands, sub * sup > 0 and cond(D) at most
     ``TOEPLITZ_MAX_COND_D`` takes the O(n log n) closed form of
-    :func:`_toeplitz_fun_action`, at any n.  Any other M goes through the
-    dense Schur square root, guarded to n <= DENSE_ORACLE_MAX_N, and must
-    be positive definite in the Re(x*Mx) > 0 sense.
+    :func:`_toeplitz_fun_action`, at any n.  Any other M is dense, guarded
+    to n <= DENSE_ORACLE_MAX_N, and must be positive definite in the
+    Re(x*Mx) > 0 sense.  An exactly Hermitian M takes V sqrt(lambda) Vᴴ b
+    from its kept :meth:`DenseMatrix.eigh`, whose smallest eigenvalue is
+    the definiteness check; any other M takes the Schur square root after
+    the check of :func:`min_symmetric_eig`.
     """
     return _reference_action(M, b, inverse=False)
 
 
 def reference_invsqrt_action(M, b) -> np.ndarray:
-    """Error oracle: M^{-1/2} b, by the closed form or the guarded dense
-    square root of :func:`reference_sqrt_action` (then one LU solve)."""
+    """Error oracle: M^{-1/2} b, by the closed form, the Hermitian
+    eigendecomposition or the Schur square root (then one LU solve) of
+    :func:`reference_sqrt_action`."""
     return _reference_action(M, b, inverse=True)
 
 
@@ -333,18 +355,22 @@ def _reference_action(M, b, inverse: bool) -> np.ndarray:
     if bands is not None:
         fn = (lambda lam: 1.0 / np.sqrt(lam)) if inverse else np.sqrt
         return _toeplitz_fun_action(*bands, op.shape[0], b, fn)
-    a = op.to_dense()
-    n = a.shape[0]
+    n = op.shape[0]
     if n > DENSE_ORACLE_MAX_N:
         raise TooLarge(f"n = {n} exceeds the dense-oracle guard {DENSE_ORACLE_MAX_N}")
-    if min_symmetric_eig(a) <= 0.0:
+    dense = op if isinstance(op, DenseMatrix) else DenseMatrix(op.to_dense())
+    eig = dense.eigh()
+    if (eig[0][0] if eig else min_symmetric_eig(dense.array)) <= 0.0:
         raise InvalidSpectrum("matrix is not positive definite (Hermitian part)")
     rhs = np.asarray(b)
     if rhs.shape[0] != n:
         raise DimensionMismatch("rhs length does not match matrix order")
+    if eig:
+        lam, v = eig
+        return v @ ((1.0 / np.sqrt(lam) if inverse else np.sqrt(lam)) * (v.conj().T @ rhs))
     # the positive Hermitian part already keeps the spectrum off the
     # branch cut, which is all dense_sqrt would check again
-    root = sla.sqrtm(a)
+    root = sla.sqrtm(dense.array)
     return DenseMatrix(root).solve(rhs) if inverse else root @ rhs
 
 
@@ -399,7 +425,9 @@ def sigma_max(M, tol: float = 1e-8, max_iter: int | None = None) -> float:
     Exact at desk scale: for a tridiagonal matrix (``bands``) the square
     root of the largest eigenvalue of the pentadiagonal MᵀM, from a banded
     symmetric eigensolver; for a dense matrix of order at most
-    ``DENSE_ORACLE_MAX_N`` the leading value of a dense SVD.  ``tol`` and
+    ``DENSE_ORACLE_MAX_N``, max |lambda| from the kept
+    :meth:`DenseMatrix.eigh` when it is exactly Hermitian (the oracle
+    reuses it), else the leading value of a dense SVD.  ``tol`` and
     ``max_iter`` are unused there.
 
     Any other input (a matvec-only operator, or a larger dense matrix)
@@ -415,11 +443,11 @@ def sigma_max(M, tol: float = 1e-8, max_iter: int | None = None) -> float:
     if op.bands is not None:
         return _tridiagonal_sigma_max(*op.bands)
     n = op.shape[0]
-    if n <= DENSE_ORACLE_MAX_N:
-        try:
-            return float(sla.svdvals(op.to_dense(), check_finite=False)[0])
-        except UnsupportedContext:
-            pass  # a matvec-only operator has no dense form
+    if n <= DENSE_ORACLE_MAX_N and isinstance(op, DenseMatrix):
+        eig = op.eigh()
+        if eig:
+            return float(np.max(np.abs(eig[0])))
+        return float(sla.svdvals(op.array, check_finite=False)[0])
     if max_iter is None:
         max_iter = 10 * n
     v = np.ones(n) / np.sqrt(n)

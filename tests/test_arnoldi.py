@@ -734,6 +734,19 @@ class TestRunAdaptive:
         assert events == ["arnoldi_extend"] * res.k + ["_quad_batch"]
         assert [r.k for r in res.history] == list(range(1, res.k + 1))
 
+    def test_residual_stop_one_schur_form_of_the_last_order(self, monkeypatch):
+        # the result's Schur form of H_12 also gives the last row its Ritz
+        # values; every earlier row takes eigenvalues without Schur vectors
+        calls = []
+        ritz = linalg.hessenberg_eigenvalues
+        monkeypatch.setattr(linalg, "hessenberg_eigenvalues",
+                            lambda h, schur=False: calls.append((h.shape[0], schur))
+                            or ritz(h, schur=schur))
+        a, _, _ = make_pd_matrix(14, 30)
+        res = arn.run_adaptive(a, np.ones(30), stop=arn.ResidualRelative(1e-10), k_max=12)
+        assert res.k == 12
+        assert calls == [(12, True)] + [(k, False) for k in range(1, 12)]
+
     def test_invsqrt_history_has_no_sqrt_bounds(self, monkeypatch):
         # these fields bound the sqrt action; here posterior_ritz read
         # 9.70e-4 at k = 191 while the true M^{-1/2} b error was 1.01e-3

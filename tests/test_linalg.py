@@ -510,6 +510,92 @@ class TestSigmaMax:
         assert linalg.sigma_max(tri) == pytest.approx(want, rel=1e-12)
 
 
+def hermitian_matrix(n: int, seed: int, kind: str = "uniform", complex_: bool = False):
+    """Exactly Hermitian Q diag(lambda) Qᴴ, lambda in [1, 1000] (uniform) or
+    95 % at 10 +- 5 and 5 % at 1000 +- 100 (clustered)."""
+    if kind == "uniform":
+        spec = matgen.SpectrumSpec.uniform(n, 1.0, 1000.0)
+    else:
+        spec = matgen.SpectrumSpec.clustered(n, 1000.0, 100.0, 0.95, 10.0, 5.0)
+    sm = matgen.spectrum_matrix(spec, seed)
+    if not complex_:
+        return sm.matrix.array
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a = (q * sm.eigenvalues) @ q.conj().T
+    return (a + a.conj().T) / 2.0
+
+
+def spy_dense_kernels(monkeypatch) -> list:
+    """Names of the dense factorizations called from here on, in order."""
+    calls = []
+    for owner, name in ((np.linalg, "eigh"), (sla, "sqrtm"), (sla, "svdvals"),
+                        (sla, "eigvalsh"), (linalg, "min_symmetric_eig")):
+        monkeypatch.setattr(owner, name, lambda *a, _fn=getattr(owner, name), _name=name,
+                            **kw: calls.append(_name) or _fn(*a, **kw))
+    return calls
+
+
+class TestHermitianEigh:
+    """An exactly Hermitian DenseMatrix keeps one eigendecomposition, which
+    gives sigma_max, both square-root oracles and their definiteness check."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_one_eigh_serves_sigma_max_and_both_oracles(self, monkeypatch, complex_):
+        m = linalg.DenseMatrix(hermitian_matrix(40, 3, complex_=complex_))
+        calls = spy_dense_kernels(monkeypatch)
+        linalg.sigma_max(m)
+        linalg.reference_sqrt_action(m, np.ones(40))
+        linalg.reference_invsqrt_action(m, np.ones(40))
+        assert calls == ["eigh"]
+
+    def test_one_ulp_asymmetry_keeps_the_schur_path(self, monkeypatch):
+        a = np.array(hermitian_matrix(40, 3))
+        a[0, 1] = np.nextafter(a[0, 1], np.inf)
+        b = np.linspace(0.5, 1.5, 40)
+        want_sigma, want_root = sla.svdvals(a)[0], sla.sqrtm(a)
+        m = linalg.DenseMatrix(a)
+        calls = spy_dense_kernels(monkeypatch)
+        assert m.eigh() is None
+        assert linalg.sigma_max(m) == want_sigma
+        np.testing.assert_array_equal(linalg.reference_sqrt_action(m, b), want_root @ b)
+        np.testing.assert_array_equal(linalg.reference_invsqrt_action(m, b),
+                                      linalg.DenseMatrix(want_root).solve(b))
+        assert calls == ["svdvals"] + ["min_symmetric_eig", "eigvalsh", "sqrtm"] * 2
+
+    @pytest.mark.parametrize("action", [linalg.reference_sqrt_action,
+                                        linalg.reference_invsqrt_action])
+    def test_indefinite_rejected_without_sqrtm(self, monkeypatch, action):
+        a = hermitian_matrix(30, 4) - 500.0 * np.eye(30)
+        calls = spy_dense_kernels(monkeypatch)
+        with pytest.raises(InvalidSpectrum):
+            action(a, np.ones(30))
+        assert calls == ["eigh"]
+
+    def test_guard_before_eigh(self, monkeypatch):
+        monkeypatch.setattr(linalg, "DENSE_ORACLE_MAX_N", 10)
+        calls = spy_dense_kernels(monkeypatch)
+        for action in (linalg.reference_sqrt_action, linalg.reference_invsqrt_action):
+            with pytest.raises(TooLarge):
+                action(hermitian_matrix(11, 5), np.ones(11))
+        assert calls == []
+
+    @pytest.mark.parametrize("kind,complex_", [("uniform", False), ("uniform", True),
+                                               ("clustered", False), ("clustered", True)])
+    def test_oracles_match_schur_sqrtm(self, kind, complex_):
+        a = hermitian_matrix(80, 6, kind, complex_)
+        b = np.random.default_rng(6).uniform(0.5, 1.5, 80)
+        root = sla.sqrtm(a)
+        for got, want in ((linalg.reference_sqrt_action(a, b), root @ b),
+                          (linalg.reference_invsqrt_action(a, b), np.linalg.solve(root, b))):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_sigma_max_matches_svd(self, complex_):
+        a = hermitian_matrix(120, 7, "clustered", complex_)
+        assert linalg.sigma_max(a) == pytest.approx(sla.svdvals(a)[0], rel=1e-13)
+
+
 class TestSigmaMin:
     def test_diagonal(self):
         assert linalg.sigma_min(np.diag([3.0, 0.5, 10.0])) == pytest.approx(0.5, rel=1e-8)
