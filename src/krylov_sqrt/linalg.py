@@ -351,9 +351,9 @@ def reference_invsqrt_action(M, b) -> np.ndarray:
 
 def _reference_action(M, b, inverse: bool) -> np.ndarray:
     op = as_operator(M)
+    fn = (lambda lam: 1.0 / np.sqrt(lam)) if inverse else np.sqrt
     bands = _toeplitz_bands(op)
     if bands is not None:
-        fn = (lambda lam: 1.0 / np.sqrt(lam)) if inverse else np.sqrt
         return _toeplitz_fun_action(*bands, op.shape[0], b, fn)
     n = op.shape[0]
     if n > DENSE_ORACLE_MAX_N:
@@ -367,7 +367,7 @@ def _reference_action(M, b, inverse: bool) -> np.ndarray:
         raise DimensionMismatch("rhs length does not match matrix order")
     if eig:
         lam, v = eig
-        return v @ ((1.0 / np.sqrt(lam) if inverse else np.sqrt(lam)) * (v.conj().T @ rhs))
+        return v @ (fn(lam) * (v.conj().T @ rhs))
     # the positive Hermitian part already keeps the spectrum off the
     # branch cut, which is all dense_sqrt would check again
     root = sla.sqrtm(dense.array)

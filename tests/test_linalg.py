@@ -511,18 +511,15 @@ class TestSigmaMax:
 
 
 def hermitian_matrix(n: int, seed: int, kind: str = "uniform", complex_: bool = False):
-    """Exactly Hermitian Q diag(lambda) Qᴴ, lambda in [1, 1000] (uniform) or
-    95 % at 10 +- 5 and 5 % at 1000 +- 100 (clustered)."""
-    if kind == "uniform":
-        spec = matgen.SpectrumSpec.uniform(n, 1.0, 1000.0)
-    else:
-        spec = matgen.SpectrumSpec.clustered(n, 1000.0, 100.0, 0.95, 10.0, 5.0)
-    sm = matgen.spectrum_matrix(spec, seed)
+    """The exactly symmetric matrix of ``make_pd_matrix(..., skew=False)``;
+    with ``complex_``, its spectrum in a complex unitary basis, exactly
+    Hermitian too."""
+    a, eigs, _ = make_pd_matrix(seed, n, kind, skew=False)
     if not complex_:
-        return sm.matrix.array
+        return a
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    a = (q * sm.eigenvalues) @ q.conj().T
+    a = (q * eigs) @ q.conj().T
     return (a + a.conj().T) / 2.0
 
 
