@@ -471,6 +471,31 @@ class TestCsv:
         with open(csv_path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
 
+    @pytest.mark.parametrize("raw, digest", [
+        ({"experiment": "scaling_vs_sigma", "n_values": [40, 56, 72], "eta": 0.5,
+          "k_values": [6, 10]},
+         "3d94b13073c42c820f0f689382619112e497f612013f697d65b70b38b52c31c4"),
+        ({"experiment": "perturbed_validity", "seed": 9, "n": 40, "instances": 2,
+          "eps_values": [1e-3, 1e-2], "k_max": 8},
+         "cbcad45b2d74a7228ec0673403b601aee693367359e110c0a03c64486c3df84b"),
+        ({"experiment": "bounds_vs_k", "seed": 5, "k_max": 25,
+          "matrix": {"type": "spectrum", "kind": "uniform", "n": 80, "lo": 1.0,
+                     "hi": 1000.0, "skew": True}},
+         "d5e82b68cc68bb23c8a49ca78758616cd206e717fc3a996072480fc09b0970ab"),
+        ({"experiment": "hermitian_compare", "seed": 6, "k_max": 25,
+          "matrix": {"type": "spectrum", "kind": "clustered", "n": 80, "cluster_center": 10.0,
+                     "cluster_std": 1.0, "cluster_fraction": 0.95,
+                     "outlier_center": 1000.0, "outlier_std": 100.0},
+          "rhs": {"kind": "eig_average", "count": 40}},
+         "d64b5c6ee7eaff964bde045b225445ce0af772d0572305781ef171b0412f40dc"),
+    ], ids=["scaling_vs_sigma", "perturbed_validity", "bounds_vs_k", "hermitian_compare"])
+    def test_csv_bytes_pinned(self, tmp_path, raw, digest):
+        # experiments without a search: their CSV bytes are pinned as they
+        # are (the same on one and two BLAS threads at these sizes)
+        _, _, csv_path = exp.run_experiment(exp.config_from_dict(raw), output_dir=str(tmp_path))
+        with open(csv_path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
+
     def test_determinism_bitwise(self, tmp_path):
         cfg = small_bounds_cfg(tmp_path, k_max=8, k_samples=7)
         exp.run_experiment(cfg, output_dir=str(tmp_path / "a"))
