@@ -13,7 +13,7 @@ copies the underlying buffers.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -548,33 +548,39 @@ def shifted_fom_quantities(decomp: ArnoldiDecomposition, M, b, z: complex) -> Sh
     )
 
 
+def prefix_report(sub: ArnoldiDecomposition, x_exact, reference=None,
+                  f: str = "sqrt") -> bnd.BoundReport:
+    """The BoundReport of one prefix snapshot without bounds: the FOM
+    residual, the FOM error xi against ``x_exact`` and, with a
+    ``reference`` action, the true error of the f-action (computed once
+    per snapshot and f, see :func:`arnoldi_fun_action`)."""
+    error_norm = None
+    if reference is not None:
+        error_norm = float(np.linalg.norm(reference - arnoldi_fun_action(sub, f)))
+    return bnd.BoundReport(sub.k, fom_residual_norm(sub)[0], fom_error(sub, x_exact), error_norm)
+
+
 def prefix_reports(decomp: ArnoldiDecomposition, ks, x_exact, sigma_max_used: float | None,
                    quad_cfg=None, hermitian: bool = False, known_spectrum=None,
                    reference=None, f: str = "sqrt") -> list:
     """BoundReports for the prefixes k in ``ks`` of an Arnoldi decomposition.
 
-    Computes the per-prefix quantities every bound consumes: the FOM
-    residual, the FOM error against ``x_exact``, the Ritz values of H_k
-    and, with a ``reference`` action, the true error of the f-action.
-    The bound fields bound the sqrt action only: for any other ``f`` they
-    stay None, and no Ritz solve or quadrature is made for them.  The bound
+    Each prefix's residual and errors come from :func:`prefix_report`, its
+    bounds from the Ritz values of H_k (the Schur form's, when the action
+    made one).  The bound fields bound the sqrt action only: for any other
+    ``f`` they stay None, with no Ritz solve or quadrature.  The bound
     integrals of all prefixes are one batch of adaptive quadratures
     (:func:`bounds.build_bound_report`), as many passes as the hardest.
     """
     subs = [decomp.prefix(int(k)) for k in ks]
-    residual_norms = [fom_residual_norm(sub)[0] for sub in subs]
-    xi_norms = [fom_error(sub, x_exact) for sub in subs]
-    error_norms = None
-    if reference is not None:
-        error_norms = [float(np.linalg.norm(reference - arnoldi_fun_action(sub, f)))
-                       for sub in subs]
+    reports = [prefix_report(sub, x_exact, reference, f) for sub in subs]
     if f != "sqrt":
-        return [bnd.BoundReport(sub.k, residual_norms[j], xi_norms[j], sigma_max_used, None,
-                                None, None, error_norm=error_norms and error_norms[j])
-                for j, sub in enumerate(subs)]
-    return bnd.build_bound_report([sub.k for sub in subs], [sub.ritz for sub in subs],
-                                  residual_norms, xi_norms, sigma_max_used, quad_cfg,
-                                  hermitian, known_spectrum, error_norms=error_norms)
+        return [replace(rep, sigma_max_used=sigma_max_used) for rep in reports]
+    return bnd.build_bound_report([rep.k for rep in reports], [sub.ritz for sub in subs],
+                                  [rep.residual_norm for rep in reports],
+                                  [rep.xi_norm for rep in reports], sigma_max_used, quad_cfg,
+                                  hermitian, known_spectrum,
+                                  error_norms=[rep.error_norm for rep in reports])
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +754,11 @@ class BoundAbsolute:
         _require_stop_kind(self.bound_kind)
 
 
+# The true-error oracle of each f: the reference action f(M) b.
+_ORACLES = {"sqrt": linalg.reference_sqrt_action, "invsqrt": linalg.reference_invsqrt_action,
+            "inverse": lambda op, b: op.solve(b)}
+
+
 @dataclass(frozen=True)
 class AdaptiveResult:
     """Outcome of an adaptive run.
@@ -781,11 +792,10 @@ def run_adaptive(
 
     A ``BoundAbsolute`` rule runs :func:`find_stop_k`, with no Ritz solve
     per step; ``f`` other than ``sqrt`` (the bounds bound the sqrt action)
-    or ``check_every`` other than 1 raises DomainError.  Its history is one
-    report at k holding the FOM residual and error, the stopping kind's
-    field set to the value the search compared with tol (0 at a happy
-    breakdown) and, with ``error_oracle``, the true error; every other
-    bound field is None.  A ``ResidualRelative`` rule extends Arnoldi
+    or ``check_every`` other than 1 raises DomainError.  Its history is the
+    :func:`prefix_report` at k with the stopping kind's field set to the
+    value the search compared with tol (0 at a happy breakdown); every
+    other bound field is None.  A ``ResidualRelative`` rule extends Arnoldi
     ``check_every`` steps at a time and stops on the FOM residual alone; a
     happy breakdown stops it, the action being exact on the invariant
     subspace.  Its history reports every checked k, built after the loop
@@ -799,55 +809,46 @@ def run_adaptive(
 
     M must have an exact solve (dense or tridiagonal) because the bounds
     consume the exact FOM error norm; a matvec-only operator raises
-    UnsupportedContext.  The true error of ``error_oracle`` is against
-    :func:`linalg.reference_sqrt_action` for ``sqrt`` and
+    UnsupportedContext.  The true error of ``error_oracle``, in both
+    rules, is against one reference action computed before the run:
+    :func:`linalg.reference_sqrt_action` for ``sqrt``,
     :func:`linalg.reference_invsqrt_action` for ``invsqrt`` (closed form
-    for tridiagonal Toeplitz M, else dense at desk scale).
+    for tridiagonal Toeplitz M, else dense at desk scale) and the exact
+    solve for ``inverse``.
     """
     stop = stop if stop is not None else ResidualRelative(1e-2)
     if k_max < 2:
         raise DomainError("k_max must be >= 2")
     if check_every < 1:
         raise DomainError("check_every must be >= 1")
-    op = linalg.as_operator(M)
-    k_max = min(k_max, op.shape[0])
-    rhs = np.asarray(b, dtype=np.complex128 if np.iscomplexobj(b) else np.float64)
-
+    if f not in _ORACLES:
+        raise DomainError(f"unknown function tag {f!r}")
     if isinstance(stop, BoundAbsolute):
         if f != "sqrt":
             raise DomainError(f"the stopping bounds bound the sqrt action, not f = {f!r}")
         if check_every != 1:
             raise DomainError("check_every applies to a residual stop; a bound stop "
                               "probes the k it needs")
+    elif not isinstance(stop, ResidualRelative):
+        raise DomainError(f"unknown stopping rule {stop!r}")
+    op = linalg.as_operator(M)
+    k_max = min(k_max, op.shape[0])
+    rhs = np.asarray(b, dtype=np.complex128 if np.iscomplexobj(b) else np.float64)
+    reference = _ORACLES[f](op, rhs) if error_oracle else None
+
+    if isinstance(stop, BoundAbsolute):
         state, k, bound, x_exact = find_stop_k(op, rhs, stop.tol, stop.bound_kind, quad_cfg,
                                                k_max, sigma_max_val)
         state = state.prefix(k)
-        result = arnoldi_fun_action(state, f)
-        error_norm = None
-        if error_oracle:
-            error_norm = float(np.linalg.norm(linalg.reference_sqrt_action(op, rhs) - result))
-        bounds = dict(dict.fromkeys(STOP_BOUNDS), **{stop.bound_kind: bound})
-        report = bnd.BoundReport(k=k, residual_norm=fom_residual_norm(state)[0],
-                                 xi_norm=fom_error(state, x_exact), sigma_max_used=None,
-                                 error_norm=error_norm, **bounds)
-        return AdaptiveResult(result=result, history=[report], k=k,
+        report = replace(prefix_report(state, x_exact, reference), **{stop.bound_kind: bound})
+        return AdaptiveResult(result=arnoldi_fun_action(state, f), history=[report], k=k,
                               converged=bound <= stop.tol, breakdown=state.breakdown)
-    if not isinstance(stop, ResidualRelative):
-        raise DomainError(f"unknown stopping rule {stop!r}")
 
     x_exact = op.solve(rhs)
     herm = hermitian
     if herm is None:
         herm = (f == "sqrt" and (known_spectrum is not None or sigma_max_val is not None)
                 and op.is_hermitian())
-    reference = None
-    if error_oracle:
-        if f == "sqrt":
-            reference = linalg.reference_sqrt_action(op, rhs)
-        elif f == "invsqrt":
-            reference = linalg.reference_invsqrt_action(op, rhs)
-        elif f == "inverse":
-            reference = x_exact
 
     state = arnoldi_start(rhs, capacity=min(k_max, 256))
     checked: list = []

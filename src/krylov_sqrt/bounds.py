@@ -472,26 +472,28 @@ def scaling_term(error_norm: float, xi_norm: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-iteration record of the bounds that were computed.
+    """Per-iteration record of the bounds that were computed; its fields,
+    in order, are the columns of a bound CSV.
 
     posterior/a-priori fields are +inf at k = 1, where the bound
     integrals diverge.  A field stays None where it was not computed:
-    ``sigma_max_used`` and ``apriori_gamma`` without a sigma_max, the
-    Hermitian fields for non-Hermitian inputs or without a lambda_max,
-    ``error_norm`` without an oracle.
+    ``error_norm`` without an oracle, every bound without its report
+    (:func:`arnoldi.prefix_report` computes none), ``sigma_max_used`` and
+    ``apriori_gamma`` without a sigma_max, the Hermitian fields for
+    non-Hermitian inputs or without a lambda_max.
     """
 
     k: int
     residual_norm: float
     xi_norm: float
-    sigma_max_used: float | None
-    posterior_ritz: float | None
-    posterior_modulus: float | None
-    apriori_gamma: float | None
     error_norm: float | None = None
+    posterior_ritz: float | None = None
+    posterior_modulus: float | None = None
+    apriori_gamma: float | None = None
     hermitian_loose: float | None = None
     hermitian_jensen: float | None = None
     lambda_bar: float | None = None
+    sigma_max_used: float | None = None
 
 
 def build_bound_report(ks, ritz, residual_norms, xi_norms, sigma_max_used: float | None,
@@ -536,7 +538,7 @@ def build_bound_report(ks, ritz, residual_norms, xi_norms, sigma_max_used: float
                 lam_bar = lambda_bar(top, lam_max, k)
                 loose = bound_hermitian_loose(lam_max, k, xi_norm)
                 jensen = bound_hermitian_jensen(lam_bar, k, xi_norm)
-        reports.append(BoundReport(k, residual_norms[j], xi_norm, sigma_max_used,
+        reports.append(BoundReport(k, residual_norms[j], xi_norm, error_norms and error_norms[j],
                                    *posterior.get(j, (math.inf, math.inf)), gamma,
-                                   error_norms and error_norms[j], loose, jensen, lam_bar))
+                                   loose, jensen, lam_bar, sigma_max_used))
     return reports

@@ -117,7 +117,7 @@ def _cmd_approx(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_matrix_market(os.path.join(args.out, "result.mtx"), result.result,
                         comment=f"f={args.f} k={result.k}")
-    rows = [exp._report_row(r) for r in result.history]
+    rows = [dataclasses.asdict(r) for r in result.history]
     exp.write_csv(os.path.join(args.out, "history.csv"), rows)
     final = result.history[-1]
     print(f"stopped at k = {result.k} (breakdown: {result.breakdown})")

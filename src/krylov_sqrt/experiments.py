@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -262,7 +262,7 @@ def run_bounds_vs_k(cfg: ExperimentConfig):
     reports = arn.prefix_reports(state, sample_ks(state.k, cfg.k_samples), x_exact, sigma,
                                  cfg.quadrature, ctx.hermitian, known_spectrum=ctx.known_eigs,
                                  reference=reference)
-    rows = [_report_row(rep) for rep in reports]
+    rows = [asdict(rep) for rep in reports]
     floor_k = None
     if reference is not None:
         floor = ROUNDING_FLOOR_RTOL * np.linalg.norm(reference)
@@ -295,19 +295,16 @@ def _convdiff_point(args):
     sigma = linalg.sigma_max(tri, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
     sigma_min = linalg.sigma_min(tri, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
     state, k_stop, val, x_exact = find_stop_k(tri, b, tol, bound_kind, quad_cfg, k_max=k_max or m)
-    at_stop = state.prefix(k_stop)
-    xi = arn.fom_error(at_stop, x_exact)
-    residual, _ = arn.fom_residual_norm(at_stop)
+    reference = linalg.reference_sqrt_action(tri, b) if oracle else None
+    rep = arn.prefix_report(state.prefix(k_stop), x_exact, reference)
     row = {
         "n": n, "matrix_order": m, "sigma_max": sigma, "sigma_min": sigma_min,
         "cond": sigma / sigma_min, "k_stop": k_stop,
-        "bound_at_stop": val, "xi_norm": xi,
-        "residual_rel": residual / math.sqrt(m),
+        "bound_at_stop": val, "xi_norm": rep.xi_norm,
+        "residual_rel": rep.residual_norm / math.sqrt(m),
     }
     if oracle:
-        reference = linalg.reference_sqrt_action(tri, b)
-        action = arn.arnoldi_fun_action(at_stop, "sqrt")
-        row["error"] = float(np.linalg.norm(reference - action))
+        row["error"] = rep.error_norm
     return row, state.k
 
 
@@ -336,13 +333,11 @@ def _scaling_point(args):
     b = np.ones(m)
     state, k_stop, _, x_exact = find_stop_k(tri, b, tol, bound_kind, quad_cfg, k_max=m)
     reference = linalg.reference_sqrt_action(tri, b)
-    rows = []
-    for k in sample_ks(k_stop, k_samples, k_min=4):
-        sub = state.prefix(int(k))
-        xi = arn.fom_error(sub, x_exact)
-        err = float(np.linalg.norm(reference - arn.arnoldi_fun_action(sub, "sqrt")))
-        rows.append({"n": n, "k": int(k), "error": err, "xi_norm": xi,
-                     "scaling_term": bnd.scaling_term(err, xi, int(k))})
+    reports = [arn.prefix_report(state.prefix(int(k)), x_exact, reference)
+               for k in sample_ks(k_stop, k_samples, k_min=4)]
+    rows = [{"n": n, "k": rep.k, "error": rep.error_norm, "xi_norm": rep.xi_norm,
+             "scaling_term": bnd.scaling_term(rep.error_norm, rep.xi_norm, rep.k)}
+            for rep in reports]
     slope = fit_loglog_slope([r["k"] for r in rows],
                              [r["scaling_term"] for r in rows], window)
     return rows, {"n": n, "k_stop": k_stop, "slope": slope, "arnoldi_steps": state.k}
@@ -368,27 +363,19 @@ def run_scaling_vs_k(cfg: ExperimentConfig):
 
 def run_scaling_vs_sigma(cfg: ExperimentConfig):
     ks = sorted(int(k) for k in cfg.k_values)
-    per_n = {}
+    rows = []
     for n in cfg.n_values:
         tri = matgen.convection_diffusion(n, cfg.eta, cfg.convention)
-        m = tri.shape[0]
-        b = np.ones(m)
-        state = arn.arnoldi(tri, b, min(max(ks), m))
+        b = np.ones(tri.shape[0])
+        state = arn.arnoldi(tri, b, min(max(ks), tri.shape[0]))
         x_exact = tri.solve(b)
         reference = linalg.reference_sqrt_action(tri, b)
         sigma = linalg.sigma_max(tri, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
-        per_n[n] = (state, x_exact, reference, sigma)
-    rows = []
-    for n in cfg.n_values:
-        state, x_exact, reference, sigma = per_n[n]
-        for k in ks:
-            if k > state.k:
-                continue
-            sub = state.prefix(k)
-            xi = arn.fom_error(sub, x_exact)
-            err = float(np.linalg.norm(reference - arn.arnoldi_fun_action(sub, "sqrt")))
-            rows.append({"k": k, "n": n, "sigma_max": sigma,
-                         "scaling_term": bnd.scaling_term(err, xi, k)})
+        reports = [arn.prefix_report(state.prefix(k), x_exact, reference)
+                   for k in ks if k <= state.k]
+        rows += [{"k": rep.k, "n": n, "sigma_max": sigma,
+                  "scaling_term": bnd.scaling_term(rep.error_norm, rep.xi_norm, rep.k)}
+                 for rep in reports]
     slopes = {}
     for k in ks:
         pts = [(r["sigma_max"], r["scaling_term"]) for r in rows if r["k"] == k]
@@ -417,18 +404,14 @@ def run_perturbed_validity(cfg: ExperimentConfig):
             pert = matgen.perturb_matrix(a, matgen.PerturbationSpec(eps=eps), inst_seed + 17)
             state = arn.arnoldi(pert.matrix, b, cfg.k_max)
             x_exact = pert.matrix.solve(b)
-            worst = 0.0
             for k in range(2, state.k + 1):
-                sub = state.prefix(k)
-                xi = arn.fom_error(sub, x_exact)
-                err = float(np.linalg.norm(reference - arn.arnoldi_fun_action(sub, "sqrt")))
+                rep = arn.prefix_report(state.prefix(k), x_exact, reference)
                 bound = bnd.bound_perturbed(sigma, pert.mu1, pert.mu2,
                                             pert.achieved_eps, float(np.linalg.norm(b)),
-                                            k, xi)
-                ratio = err / bound
-                worst = max(worst, ratio)
+                                            k, rep.xi_norm)
                 rows.append({"instance": inst, "eps": pert.achieved_eps, "k": k,
-                             "error": err, "bound": bound, "ratio": ratio})
+                             "error": rep.error_norm, "bound": bound,
+                             "ratio": rep.error_norm / bound})
     rows.sort(key=lambda r: (r["instance"], r["eps"], r["k"]))
     worst = max(r["ratio"] for r in rows)
     summary = {"experiment": cfg.experiment, "instances": cfg.instances,
@@ -451,6 +434,9 @@ _RUNNERS = {
 # CSV output
 
 
+_ERROR_DOC = ("true error of the Arnoldi sqrt action vs the reference action "
+              "(closed form for Toeplitz tridiagonal, Hermitian eigendecomposition "
+              "for exactly Hermitian dense, else dense Schur)")
 _COLUMN_DOCS = {
     "k": "Arnoldi iteration count",
     "n": "problem-size parameter (grid count for convection-diffusion)",
@@ -458,12 +444,8 @@ _COLUMN_DOCS = {
     "residual_norm": "FOM residual norm ||r_0^k||",
     "residual_rel": "FOM residual norm relative to ||b||",
     "xi_norm": "FOM error norm ||xi_0^k|| from the exact solve",
-    "error_norm": ("true error of the Arnoldi sqrt action vs the reference action "
-                   "(closed form for Toeplitz tridiagonal, Hermitian eigendecomposition "
-                   "for exactly Hermitian dense, else dense Schur)"),
-    "error": ("true error of the Arnoldi sqrt action vs the reference action "
-              "(closed form for Toeplitz tridiagonal, Hermitian eigendecomposition "
-              "for exactly Hermitian dense, else dense Schur)"),
+    "error_norm": _ERROR_DOC,
+    "error": _ERROR_DOC,
     "posterior_ritz": "a posteriori Ritz-product bound (inf at k=1)",
     "posterior_modulus": "a posteriori modulus bound (inf at k=1)",
     "apriori_gamma": "a priori Gamma-constant bound in sigma_max and k",
@@ -483,22 +465,6 @@ _COLUMN_DOCS = {
     "bound": "perturbed-matrix bound value",
     "ratio": "true error / bound (validity requires <= 1)",
 }
-
-
-def _report_row(rep: bnd.BoundReport) -> dict:
-    return {
-        "k": rep.k,
-        "residual_norm": rep.residual_norm,
-        "xi_norm": rep.xi_norm,
-        "error_norm": rep.error_norm,
-        "posterior_ritz": rep.posterior_ritz,
-        "posterior_modulus": rep.posterior_modulus,
-        "apriori_gamma": rep.apriori_gamma,
-        "hermitian_loose": rep.hermitian_loose,
-        "hermitian_jensen": rep.hermitian_jensen,
-        "lambda_bar": rep.lambda_bar,
-        "sigma_max_used": rep.sigma_max_used,
-    }
 
 
 def _fmt_cell(v) -> str:

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 
+from krylov_sqrt import arnoldi as arn
 from krylov_sqrt import bounds as bnd
 from krylov_sqrt import matgen
 
@@ -43,6 +44,15 @@ def record_quad_batches(monkeypatch) -> list:
 
     monkeypatch.setattr(bnd, "_quad_batch", recorded)
     return log
+
+
+def record_fun_coefficients(monkeypatch) -> list:
+    """Record (k, f) of every ``arnoldi.fun_coefficients`` call from here
+    on: one per action computed, whatever the path."""
+    calls, plain = [], arn.fun_coefficients
+    monkeypatch.setattr(arn, "fun_coefficients",
+                        lambda d, f="sqrt": calls.append((d.k, f)) or plain(d, f))
+    return calls
 
 
 def charpoly_coefficients(a: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from krylov_sqrt.errors import (
     UnsupportedContext,
 )
 
-from helpers import make_pd_matrix
+from helpers import make_pd_matrix, record_fun_coefficients
 
 
 def check_invariants(M, state):
@@ -470,6 +470,33 @@ class TestFomError:
         assert certified >= exact * (1.0 - 1e-10)
         # without mu the surrogate is just the residual norm (not certified)
         assert arn.fom_error_surrogate(state) == arn.fom_residual_norm(state)[0]
+
+
+class TestPrefixReport:
+    @pytest.mark.parametrize("f", ["sqrt", "invsqrt"])
+    def test_residual_errors_and_one_action_per_snapshot(self, monkeypatch, f):
+        # the FOM residual, xi and the true f-error of one prefix, no bound;
+        # each action is computed once per snapshot and f
+        calls = record_fun_coefficients(monkeypatch)
+        a, _, _ = make_pd_matrix(4, 30)
+        b = np.ones(30)
+        oracle = {"sqrt": linalg.reference_sqrt_action, "invsqrt": linalg.reference_invsqrt_action}
+        x_exact, reference = np.linalg.solve(a, b), oracle[f](a, b)
+        sub = arn.arnoldi(a, b, 12).prefix(10)
+        rep = arn.prefix_report(sub, x_exact, reference, f)
+        want_error = np.linalg.norm(reference - arn.arnoldi_fun_action(sub, f))
+        assert dataclasses.astuple(rep) == (
+            10, arn.fom_residual_norm(sub)[0], np.linalg.norm(x_exact - arn.fom_iterate(sub)),
+            want_error) + (None,) * 7
+        assert sorted(calls) == sorted([(10, f), (10, "inverse")])
+
+    def test_no_reference_no_action(self, monkeypatch):
+        calls = record_fun_coefficients(monkeypatch)
+        a, _, _ = make_pd_matrix(5, 20)
+        b = np.ones(20)
+        rep = arn.prefix_report(arn.arnoldi(a, b, 8), np.linalg.solve(a, b))
+        assert rep.k == 8 and rep.xi_norm > 0.0 and rep.error_norm is None
+        assert calls == [(8, "inverse")]
 
 
 class TestShiftedFom:

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import record_quad_batches
+from helpers import record_fun_coefficients, record_quad_batches
 
 from krylov_sqrt import arnoldi as arn
 from krylov_sqrt import bounds as bnd
@@ -417,6 +417,33 @@ class TestPerturbedValidity:
         assert {r["eps"] for r in rows} <= {1e-3, 1e-2}
 
 
+class TestRowsFromPrefixReports:
+    @pytest.mark.parametrize("raw, tags", [
+        ({"experiment": "scaling_vs_k", "n_values": [60, 80], "eta": 0.5, "k_samples": 12,
+          "stopping": {"rule": "bound", "tol": 0.05}}, ("sqrt",)),
+        ({"experiment": "scaling_vs_sigma", "n_values": [40, 56], "eta": 0.5,
+          "k_values": [6, 10]}, ("sqrt", "inverse")),
+        ({"experiment": "perturbed_validity", "seed": 9, "n": 40, "instances": 2,
+          "eps_values": [1e-3, 1e-2], "k_max": 8}, ("sqrt", "inverse")),
+        ({"experiment": "convdiff_table", "n_values": [40, 60], "eta": 0.5,
+          "stopping": {"rule": "bound", "tol": 0.05}}, ("sqrt",)),
+    ], ids=["scaling_vs_k", "scaling_vs_sigma", "perturbed_validity", "convdiff_table"])
+    def test_no_bound_report_and_one_action_per_sampled_k(self, monkeypatch, raw, tags):
+        # runners without bound columns read each row from one
+        # arnoldi.prefix_report: no bound is computed, and each sampled k
+        # reaches fun_coefficients once per tag (the FOM iterate too where
+        # no search has solved for it already)
+        calls, bound_calls = record_fun_coefficients(monkeypatch), []
+        for name in ("bound_posterior_batch", "build_bound_report"):
+            monkeypatch.setattr(bnd, name, lambda *a, _name=name, **kw: bound_calls.append(_name))
+        cfg = exp.config_from_dict(raw)
+        rows, _ = getattr(exp, f"run_{cfg.experiment}")(cfg)
+        sampled = [r["k_stop"] if "k_stop" in r else r["k"] for r in rows]
+        assert bound_calls == []
+        for tag in tags:
+            assert [k for k, f in calls if f == tag] == sampled
+
+
 class TestCsv:
     def test_round_trip_and_sidecar(self, tmp_path):
         rows = [{"k": 1, "value": math.inf, "note": None, "x": 0.1},
@@ -495,6 +522,10 @@ class TestCsv:
         _, _, csv_path = exp.run_experiment(exp.config_from_dict(raw), output_dir=str(tmp_path))
         with open(csv_path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+    def test_bound_report_fields_are_the_csv_columns(self, tmp_path):
+        _, _, csv_path = exp.run_experiment(small_bounds_cfg(tmp_path, k_max=8, k_samples=7))
+        assert exp.read_csv(csv_path)[0] == [f.name for f in dataclasses.fields(bnd.BoundReport)]
 
     def test_determinism_bitwise(self, tmp_path):
         cfg = small_bounds_cfg(tmp_path, k_max=8, k_samples=7)
