@@ -477,9 +477,9 @@ class BoundReport:
 
     posterior/a-priori fields are +inf at k = 1, where the bound
     integrals diverge.  A field stays None where it was not computed:
-    ``error_norm`` without an oracle, every bound without its report
-    (:func:`arnoldi.prefix_report` computes none), ``sigma_max_used`` and
-    ``apriori_gamma`` without a sigma_max, the Hermitian fields for
+    ``error_norm`` without an oracle, every bound field in a
+    :func:`arnoldi.prefix_report` (which computes none), ``sigma_max_used``
+    and ``apriori_gamma`` without a sigma_max, the Hermitian fields for
     non-Hermitian inputs or without a lambda_max.
     """
 
