@@ -35,9 +35,9 @@ BREAKDOWN_RTOL = 1e-14
 
 # Square-root actions of an H_k of order above this take the shifted-solve
 # quadrature when the Hermitian part of H_k is positive definite.  On one
-# BLAS thread the two paths cost the same near k = 90-200 (a skewed dense
-# matrix first, convection-diffusion last); at k = 30 the quadrature is
-# 6-11x slower, at k = 298 it takes 0.3-0.6x the time of the Schur path.
+# BLAS thread the paths cost the same near k = 80-95 (skewed dense first,
+# convection-diffusion last); the quadrature takes 5.5-6.5x the Schur time
+# at k = 30, 0.3x at k = 298.  Lower, it would move the k <= 200 errors.
 SHIFTED_ACTION_MIN_K = 200
 # Its quadrature: relative tolerance 1e-13 on the norm of H_k^{-1/2} e_1,
 # and a budget of intervals (about 20 are used) that keeps the d x nodes
@@ -58,7 +58,7 @@ class _Workspace:
         self.k = 0          # completed Arnoldi steps
         self.ncols = 1      # stored basis columns
         self.breakdown = False
-        self.lu = _HessenbergLU()
+        self.lu, self.coefficients = _HessenbergLU(), {}  # fun_coefficients by (k, f)
         # H_j + H_jᴴ is positive definite for j <= pd_order; known for j <= pd_checked
         self.pd_order = self.pd_checked = 0
 
@@ -87,7 +87,7 @@ class _Workspace:
         ws.k = k
         ws.ncols = ncols
         ws.breakdown = False
-        ws.lu = _HessenbergLU()
+        ws.lu, ws.coefficients = _HessenbergLU(), {}
         ws.pd_order, ws.pd_checked = min(self.pd_order, k), min(self.pd_checked, k)
         return ws
 
@@ -381,11 +381,15 @@ def arnoldi(M, b, steps: int) -> ArnoldiDecomposition:
     return arnoldi_extend(M, state, steps)
 
 
-def _shifted_invsqrt_e1(h: np.ndarray) -> np.ndarray:
+def _shifted_invsqrt_e1(h: np.ndarray, log_det: float) -> np.ndarray:
     """H^{-1/2} e_1 = (1/pi) int_0^inf s^{-1/2} (H + sI)^{-1} e_1 ds, with
-    the shifted solves of :func:`bounds.shifted_solve_e1`.  A missed
-    tolerance raises NoConvergence."""
-    q = bnd.quad_semi_infinite(lambda s: bnd.shifted_solve_e1(h, s) / np.sqrt(s),
+    the shifted solves of :func:`bounds.shifted_solve_e1`, over s = c x^3:
+    c = |det H|^{1/k} (``log_det`` = log|det H|) centres the integrand
+    3 sqrt(c x) (H + c x^3 I)^{-1} e_1 on the eigenvalues' geometric mean
+    (Hale, Higham and Trefethen, SINUM 2008).  A missed tolerance raises
+    NoConvergence."""
+    c = np.exp(log_det / h.shape[0])
+    q = bnd.quad_semi_infinite(lambda x: 3.0 * np.sqrt(c * x) * bnd.shifted_solve_e1(h, c * x**3),
                                SHIFTED_ACTION_QUAD)
     if not q.tolerance_met:
         raise NoConvergence(f"shifted-solve action missed its tolerance (estimated error "
@@ -416,7 +420,7 @@ def fun_coefficients(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndarra
         raise DomainError(f"unknown function tag {f!r}")
     h = decomp.hessenberg
     if decomp.k > SHIFTED_ACTION_MIN_K and decomp.bendixson_order == decomp.k:
-        y = decomp.b_norm * _shifted_invsqrt_e1(h)
+        y = decomp.b_norm * _shifted_invsqrt_e1(h, decomp._ws.factor().logdet(decomp.k)[0])
         return h @ y if f == "sqrt" else y
     spec = decomp.ritz_schur
     t, z = spec.schur
@@ -432,12 +436,12 @@ def arnoldi_fun_action(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndar
     ``inverse`` (the FOM iterate for M x = b).  The square roots of a
     large H_k with a positive definite Hermitian part come from a
     quadrature of shifted Hessenberg solves, any other from a Schur form
-    (see :func:`fun_coefficients`), computed once per snapshot and f.
+    (see :func:`fun_coefficients`), once per k and f for all prefix snapshots.
     """
-    coefficients = decomp.__dict__.setdefault("_coefficients", {})  # by f, per snapshot
-    if f not in coefficients:
-        coefficients[f] = fun_coefficients(decomp, f)
-    return decomp.basis_k @ coefficients[f]
+    coefficients = decomp._ws.coefficients
+    if (decomp.k, f) not in coefficients:
+        coefficients[decomp.k, f] = fun_coefficients(decomp, f)
+    return decomp.basis_k @ coefficients[decomp.k, f]
 
 
 def fom_residual_norm(decomp: ArnoldiDecomposition):
@@ -605,7 +609,8 @@ GROWTH_CHUNKS = 8
 # its FOM error xi, sigma_max and the quadrature config.  ``posterior_ritz``
 # comes from the determinants of the shifted H_k.
 STOP_BOUNDS = {
-    "posterior_ritz": lambda sub, xi, sigma, cfg: bnd.bound_posterior_det(sub.hessenberg, xi, cfg),
+    "posterior_ritz": lambda sub, xi, sigma, cfg: bnd.bound_posterior_det(
+        sub.hessenberg, xi, cfg, sub._ws.factor().logdet(sub.k)[0]),
     "posterior_modulus": lambda sub, xi, sigma, cfg: bnd.bound_posterior_modulus(sub.ritz, xi, cfg),
     "apriori_gamma": lambda sub, xi, sigma, cfg: bnd.bound_apriori_sqrt(sigma, sub.k, xi),
 }

@@ -135,11 +135,13 @@ def _quad_batch(integrand, count: int, cfg: QuadratureConfig | None = None) -> l
         return vals.reshape(vals.shape[:-1] + t.shape) * (2.0 * u / (one_minus * one_minus))
 
     # intervals, grouped by integral: owner is sorted
-    owner, left, width = np.arange(count), np.zeros(count), np.ones(count)
+    halves = min(2, cfg.max_subdivisions)
+    owner = np.repeat(np.arange(count), halves)
+    left, width = np.tile(np.arange(halves) / halves, count), np.full(owner.size, 1.0 / halves)
     value, err = _gauss_kronrod_21(transformed, owner, left, width)
     size = abs if value.ndim == 1 else np.linalg.norm
     total, total_err, tol = [None] * count, np.zeros(count), np.zeros(count)
-    active = owner  # the integrals whose intervals changed in the last pass
+    active = np.arange(count)  # the integrals whose intervals changed in the last pass
     while True:
         share = np.full(count, np.inf)  # error above which an interval is bisected
         for j, lo, hi in zip(active, np.searchsorted(owner, active),
@@ -179,9 +181,11 @@ def quad_semi_infinite(integrand, cfg: QuadratureConfig | None = None) -> QuadRe
     over the components.  The change of variable x = (t/(1-t))^2 maps the
     half line onto (0, 1); for an x^{-3/2} tail the transformed integrand
     stays bounded at t = 1, which plain bisection needs (no extrapolation
-    is used).  Each pass bisects every interval whose error estimate
-    exceeds its equal share of max(abs_tol, rel_tol |value|), evaluating
-    all new nodes in one integrand call.  ``max_subdivisions`` caps the
+    is used).  The first pass takes the halves (0, 1/2) and (1/2, 1) (just
+    (0, 1) when ``max_subdivisions`` is 1), as a pass on (0, 1) that
+    bisects would.  Each later pass bisects every interval whose error
+    estimate exceeds its equal share of max(abs_tol, rel_tol |value|),
+    evaluating all new nodes in one integrand call.  ``max_subdivisions`` caps the
     number of intervals; when it runs out first ``tolerance_met`` is unset.
     The one-integral case of the batch kernel behind
     :func:`bound_posterior_batch`, where each integral is bisected as here.
@@ -290,12 +294,15 @@ def _hyman(h: np.ndarray, shifts: np.ndarray):
     k = h.shape[0]
     X = np.zeros((k, shifts.size), dtype=np.result_type(h, shifts))
     X[-1] = 1.0
-    log_scale = np.zeros(shifts.size)
+    log_scale, mag = np.zeros(shifts.size), np.empty(shifts.size)
+    neg_sub = (-np.diagonal(h, -1)).tolist()
     for r in range(k - 1, 0, -1):
-        X[r - 1] = -(h[r, r:] @ X[r:] + shifts * X[r]) / h[r, r - 1]
-        big = np.abs(X[r - 1]) > _HYMAN_RESCALE
-        if big.any():
-            scale = np.abs(X[r - 1, big])  # the older entries are at most 1e100
+        row = np.multiply(shifts, X[r], out=X[r - 1])
+        row += h[r, r:] @ X[r:]
+        row /= neg_sub[r - 1]
+        if np.abs(row, out=mag).max() > _HYMAN_RESCALE:
+            big = mag > _HYMAN_RESCALE
+            scale = mag[big]  # the older entries are at most 1e100
             X[r - 1:, big] /= scale
             log_scale[big] += np.log(scale)
     return X, h[0] @ X + shifts * X[0], log_scale
@@ -329,7 +336,8 @@ def shifted_solve_e1(H, shifts) -> np.ndarray:
     return np.concatenate([X / alpha for X, alpha, _ in blocks], axis=1)
 
 
-def bound_posterior_det(H, xi_norm: float, cfg: QuadratureConfig | None = None) -> float:
+def bound_posterior_det(H, xi_norm: float, cfg: QuadratureConfig | None = None,
+                        log_det: float | None = None) -> float:
     """:func:`bound_posterior_ritz` of the Ritz values of H, from
     determinants instead: prod_i |l_i/(l_i+x)| = |det H / det(H + xI)|,
     evaluated by Hyman's method for all nodes of a quadrature pass at once.
@@ -337,12 +345,14 @@ def bound_posterior_det(H, xi_norm: float, cfg: QuadratureConfig | None = None) 
     H is an unreduced upper Hessenberg matrix of order k >= 2 whose
     eigenvalues lie in the open right half-plane.  The determinants do not
     show that, so the caller must certify it, as ``find_stop_k`` does with
-    :func:`linalg.bendixson_order`.
+    :func:`linalg.bendixson_order`.  A ``log_det`` = log|det H| that the
+    caller has (from an LU factor) saves the Hyman sweep at x = 0.
     """
     h = np.asarray(H)
     if h.shape[0] < 2:
         raise DivergentIntegral("posterior bound integral diverges for k < 2")
-    log_det0 = _hyman_log_alpha(h, np.zeros(1))[0]
+    log_det0 = (_hyman_log_alpha(h, np.zeros(1))[0] if log_det is None
+                else log_det - np.log(np.abs(np.diagonal(h, -1))).sum())
     return _certified_integrals(lambda xb, _: log_det0 - _hyman_log_alpha(h, xb),
                                 h.shape[0], _HYMAN_BLOCK_ELEMENTS, [xi_norm],
                                 [f"determinant bound integral at k = {h.shape[0]}"], cfg)[0]

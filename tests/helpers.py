@@ -46,6 +46,17 @@ def record_quad_batches(monkeypatch) -> list:
     return log
 
 
+def record_hyman_sweeps(monkeypatch) -> list:
+    """Record (k, m) of every Hyman sweep (``bounds._hyman`` call) from
+    here on: one back-substitution over the k rows of an order-k H for m
+    shifts, so a sweep makes k row steps however many shifts it takes."""
+    calls, plain = [], bnd._hyman
+    monkeypatch.setattr(bnd, "_hyman",
+                        lambda h, shifts: calls.append((h.shape[0], shifts.size))
+                        or plain(h, shifts))
+    return calls
+
+
 def record_fun_coefficients(monkeypatch) -> list:
     """Record (k, f) of every ``arnoldi.fun_coefficients`` call from here
     on: one per action computed, whatever the path."""

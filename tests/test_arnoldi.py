@@ -21,7 +21,7 @@ from krylov_sqrt.errors import (
     UnsupportedContext,
 )
 
-from helpers import make_pd_matrix, record_fun_coefficients
+from helpers import make_pd_matrix, record_fun_coefficients, record_hyman_sweeps
 
 
 def check_invariants(M, state):
@@ -232,7 +232,38 @@ def assert_paths_agree(monkeypatch, state, k, invsqrt_rtol=1e-11):
         assert np.linalg.norm(shifted - schur) <= rtol * np.linalg.norm(schur)
 
 
+def s_variable_invsqrt_e1(h: np.ndarray) -> np.ndarray:
+    """H^{-1/2} e_1 by the action's quadrature taken over s itself,
+    (1/pi) int_0^inf s^{-1/2} (H + sI)^{-1} e_1 ds."""
+    q = bnd.quad_semi_infinite(lambda s: bnd.shifted_solve_e1(h, s) / np.sqrt(s),
+                               arn.SHIFTED_ACTION_QUAD)
+    assert q.tolerance_met
+    return q.value / np.pi
+
+
+def skewed_dense_state(k: int):
+    spec = matgen.SpectrumSpec.uniform(600, 10.0, 1000.0)
+    a = matgen.spectrum_matrix(spec, 7).matrix.array + matgen.skew_part(600, 8, 30.0)
+    return arn.arnoldi(a, np.ones(600), k)
+
+
 class TestShiftedAction:
+    @pytest.mark.parametrize("k, sweeps_s_then_x", [(888, (8, 4)), (200, (5, 4))],
+                             ids=["convdiff_888", "skewed_dense_200"])
+    def test_log_balanced_matches_s_variable(self, monkeypatch, k, sweeps_s_then_x):
+        # s = c x^3 with c = |det H_k|^{1/k} from the LU factor: the same
+        # integral to the quadrature's 1e-13 (measured 3e-14 and 5e-17) in
+        # fewer Hyman sweeps (one per quadrature pass at these orders)
+        state = (arn.arnoldi(matgen.convection_diffusion(1000, 0.1), np.ones(999), k)
+                 if k == 888 else skewed_dense_state(k))
+        h = np.array(state.hessenberg)
+        sweeps = record_hyman_sweeps(monkeypatch)
+        want = s_variable_invsqrt_e1(h)
+        s_sweeps = len(sweeps)
+        got = arn._shifted_invsqrt_e1(h, state._ws.factor().logdet(k)[0])
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert (s_sweeps, len(sweeps) - s_sweeps) == sweeps_s_then_x
+
     def test_convdiff_above_crossover(self, monkeypatch):
         tri = matgen.convection_diffusion(1000, 0.1)
         state = arn.arnoldi(tri, np.ones(999), 889)

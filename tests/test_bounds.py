@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from helpers import make_pd_matrix, record_quad_batches
+from helpers import make_pd_matrix, record_hyman_sweeps, record_quad_batches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -310,6 +310,78 @@ class TestPosteriorBatch:
         assert [(q.value + q.estimated_error) / math.pi for q in (first, last)] == alone
 
 
+def start_on_one_interval(monkeypatch, cfg=None):
+    """Make the next quadrature batch start on (0, 1) alone, one interval
+    per integral, and bisect it, as the batch started before it took the
+    two halves: every integral must miss its tolerance there (else it
+    would have closed on one interval), and the halves are evaluated in
+    the order bisection lists them (all left halves, then all right) and
+    regrouped by integral."""
+    cfg = cfg or bnd.QuadratureConfig()
+    plain, done = bnd._gauss_kronrod_21, []
+
+    def first_pass(g, owner, left, width):
+        if done:
+            return plain(g, owner, left, width)
+        done.append(True)
+        count = owner.size // 2
+        ints = np.arange(count)
+        value, err = plain(g, ints, np.zeros(count), np.ones(count))
+        size = abs if value.ndim == 1 else np.linalg.norm
+        assert all(err[j] > max(cfg.abs_tol, cfg.rel_tol * size(value[j])) for j in ints)
+        value, err = plain(g, np.tile(ints, 2), np.repeat([0.0, 0.5], count),
+                           np.full(2 * count, 0.5))
+        regroup = np.argsort(np.tile(ints, 2), kind="stable")
+        return value[regroup], err[regroup]
+
+    monkeypatch.setattr(bnd, "_gauss_kronrod_21", first_pass)
+
+
+def beta_integrand(x):
+    return np.sqrt(x) / (1.0 + x) ** 2
+
+
+def mellin_integrand(x):
+    return np.sqrt(x) / (1.0 + x * x)
+
+
+class TestTwoHalfStart:
+    """The first pass takes the halves of (0, 1): bit-equal to a pass on
+    (0, 1) that bisects, with one integrand pass fewer."""
+
+    @pytest.mark.parametrize("integrand", [beta_integrand, mellin_integrand],
+                             ids=["beta", "mellin"])
+    def test_closed_forms(self, monkeypatch, quad_log, integrand):
+        two_halves = bnd.quad_semi_infinite(integrand)
+        start_on_one_interval(monkeypatch)
+        assert bnd.quad_semi_infinite(integrand) == two_halves
+        assert quad_log[0][0] == quad_log[1][0] - 1
+
+    def test_posterior_batch(self, monkeypatch):
+        items = [(kind, lam, 1.0) for lam in batch_spectra()[::9] for kind in KINDS]
+        two_halves = bnd.bound_posterior_batch(items)
+        start_on_one_interval(monkeypatch)
+        assert bnd.bound_posterior_batch(items) == two_halves
+
+    def test_determinant_bound(self, monkeypatch, convdiff_h90):
+        two_halves = bnd.bound_posterior_det(convdiff_h90, 0.7)
+        start_on_one_interval(monkeypatch)
+        assert bnd.bound_posterior_det(convdiff_h90, 0.7) == two_halves
+
+    def test_first_pass_intervals(self, monkeypatch):
+        # (owner, left, width) of the first pass: the two halves, or (0, 1)
+        # alone on a budget of one interval
+        passes, plain = [], bnd._gauss_kronrod_21
+        monkeypatch.setattr(bnd, "_gauss_kronrod_21", lambda g, *arrays: passes.append(
+            [a.tolist() for a in arrays]) or plain(g, *arrays))
+        bnd.quad_semi_infinite(beta_integrand)
+        assert passes[0] == [[0, 0], [0.0, 0.5], [0.5, 0.5]]
+        passes.clear()
+        one = bnd.QuadratureConfig(max_subdivisions=1)
+        assert not bnd.quad_semi_infinite(beta_integrand, one).tolerance_met
+        assert passes == [[[0], [0.0], [1.0]]]
+
+
 def mp_logdet(h: np.ndarray, x: float) -> float:
     """log|det(H + xI)| for an upper Hessenberg H in 40-digit arithmetic, by
     Gaussian elimination with partial pivoting (one row below each pivot)."""
@@ -374,6 +446,32 @@ class TestShiftedLogdet:
     def test_reduced_matrix_rejected(self):
         with pytest.raises(DomainError):
             bnd.shifted_logdet(np.diag([1.0, 2.0]), [1.0])
+
+    def test_row_step_bit_identical_to_one_expression(self, convdiff_h90):
+        # the in-place row step against each row written as one expression
+        rng = np.random.default_rng(11)
+        complex_h = np.triu(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)),
+                            -1)
+        shifts = np.geomspace(1e-6, 1e12, 19)  # the largest ones rescale
+        for h in (convdiff_h90, complex_h):
+            for got, want in zip(bnd._hyman(h, shifts), hyman_one_expression(h, shifts)):
+                assert np.array_equal(got, want)
+
+
+def hyman_one_expression(h: np.ndarray, shifts: np.ndarray):
+    """bounds._hyman with each row of the back-substitution one expression."""
+    k = h.shape[0]
+    X = np.zeros((k, shifts.size), dtype=np.result_type(h, shifts))
+    X[-1] = 1.0
+    log_scale = np.zeros(shifts.size)
+    for r in range(k - 1, 0, -1):
+        X[r - 1] = -(h[r, r:] @ X[r:] + shifts * X[r]) / h[r, r - 1]
+        big = np.abs(X[r - 1]) > 1e100
+        if big.any():
+            scale = np.abs(X[r - 1, big])
+            X[r - 1:, big] /= scale
+            log_scale[big] += np.log(scale)
+    return X, h[0] @ X + shifts * X[0], log_scale
 
 
 @pytest.fixture(scope="module")
@@ -440,6 +538,31 @@ class TestDeterminantBound:
         ritz = linalg.hessenberg_eigenvalues(convdiff_h90)
         got = bnd.bound_posterior_det(convdiff_h90, 0.7)
         assert got == pytest.approx(bnd.bound_posterior_ritz(ritz, 0.7), rel=1e-10)
+
+    @pytest.mark.parametrize("fixture", ["convdiff_h90", "convdiff_h888"])
+    def test_lu_logdet_matches_sweep(self, request, monkeypatch, fixture):
+        # log|det H_k| from a Hessenberg LU factor in place of Hyman's
+        # one-shift sweep at x = 0, which is the one sweep it saves.  The
+        # integrand subtracts the log subdiagonals from log|det H_k|, so the
+        # bound moves by the rounding of log|det H_k| itself, one ulp of
+        # about 10^4 at k = 888 (measured 1.1e-13 relative at k = 90,
+        # 4.1e-13 at k = 888)
+        h = request.getfixturevalue(fixture)
+        k = h.shape[0]
+        lu = arn._HessenbergLU()
+        lu.extend(h, k)
+        log_det = lu.logdet(k)[0]
+        sweeps = record_hyman_sweeps(monkeypatch)
+        swept = bnd.bound_posterior_det(h, 0.7)
+        passes = sweeps[1:]
+        from_lu = bnd.bound_posterior_det(h, 0.7, log_det=log_det)
+        assert from_lu == pytest.approx(swept, rel=1e-13 + 2.0 * np.spacing(log_det), abs=0.0)
+        assert sweeps[0] == (k, 1) and sweeps[len(passes) + 1:] == passes
+
+    def test_lu_logdet_matches_mpmath(self, convdiff_h90):
+        lu = arn._HessenbergLU()
+        lu.extend(convdiff_h90, 90)
+        assert lu.logdet(90)[0] == pytest.approx(mp_logdet(convdiff_h90, 0.0), rel=0.0, abs=2e-13)
 
     def test_errors(self, convdiff_h90):
         with pytest.raises(DivergentIntegral):

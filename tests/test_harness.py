@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import record_fun_coefficients, record_quad_batches
+from helpers import record_fun_coefficients, record_hyman_sweeps, record_quad_batches
 
 from krylov_sqrt import arnoldi as arn
 from krylov_sqrt import bounds as bnd
@@ -368,6 +368,21 @@ class TestConvdiffTable:
         err = np.linalg.norm(linalg.reference_sqrt_action(tri, b) - want)
         assert row["error"] == pytest.approx(err, rel=1e-9)
 
+    def test_hyman_sweeps_pinned(self, monkeypatch):
+        # the point of the test above makes 47 Hyman sweeps over 3566 rows
+        # (71 over 6656 before the two-half quadrature start, the LU's
+        # log|det H_k| and the log-balanced action), none of them the
+        # one-shift x = 0 sweep of a probe
+        sweeps = record_hyman_sweeps(monkeypatch)
+        cfg = exp.config_from_dict({
+            "experiment": "convdiff_table", "n_values": [300], "eta": 0.1,
+            "stopping": {"rule": "bound", "tol": 0.05},
+        })
+        (row,), _ = exp.run_convdiff_table(cfg)
+        assert row["k_stop"] == 259
+        assert (len(sweeps), sum(k for k, _ in sweeps)) == (47, 3566)
+        assert all(m > 1 for _, m in sweeps)
+
     def test_parallel_jobs_same_rows(self, tmp_path):
         base = {
             "experiment": "convdiff_table", "output_dir": str(tmp_path),
@@ -444,6 +459,22 @@ class TestRowsFromPrefixReports:
             assert [k for k, f in calls if f == tag] == sampled
 
 
+    @pytest.mark.parametrize("raw, k", [
+        ({"experiment": "convdiff_table", "n_values": [40], "eta": 0.5}, 29),
+        ({"experiment": "scaling_vs_k", "n_values": [60], "eta": 0.5, "k_samples": 12}, None),
+    ], ids=["convdiff_table", "scaling_vs_k"])
+    def test_fom_iterate_solved_once_per_k(self, monkeypatch, raw, k):
+        # the xi guide of the search and the rows read one FOM iterate per
+        # k, kept on the storage that every prefix snapshot shares
+        calls = record_fun_coefficients(monkeypatch)
+        cfg = exp.config_from_dict(dict(raw, stopping={"rule": "bound", "tol": 0.05}))
+        rows, _ = getattr(exp, f"run_{cfg.experiment}")(cfg)
+        solved = [j for j, f in calls if f == "inverse"]
+        assert len(solved) == len(set(solved))
+        assert set(r["k_stop"] if k else r["k"] for r in rows) <= set(solved)
+        assert k is None or rows[0]["k_stop"] == k
+
+
 class TestCsv:
     def test_round_trip_and_sidecar(self, tmp_path):
         rows = [{"k": 1, "value": math.inf, "note": None, "x": 0.1},
@@ -481,7 +512,7 @@ class TestCsv:
     @pytest.mark.parametrize("raw, steps, digest", [
         ({"experiment": "convdiff_table", "n_values": [40, 60, 120], "eta": 0.5},
          {"40": 32, "60": 47, "120": 94},
-         "bf9637e575247a25dc227bd8a96eed85ccdb40600bd2e87ad3577d56f8724835"),
+         "6d584a14616b6c07b9fcec5994dd63c09c607caf9f477d931f62a5b20b4d0ffe"),
         ({"experiment": "scaling_vs_k", "n_values": [60, 120], "eta": 0.1, "k_samples": 8},
          {"60": 53, "120": 106},
          "6cb6f98d7946c8e32c5c3680f546c128eb9b44f043657858c4c1320daf55cbfd"),
