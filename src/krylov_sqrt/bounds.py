@@ -294,15 +294,15 @@ def _hyman(h: np.ndarray, shifts: np.ndarray):
     k = h.shape[0]
     X = np.zeros((k, shifts.size), dtype=np.result_type(h, shifts))
     X[-1] = 1.0
-    log_scale, mag = np.zeros(shifts.size), np.empty(shifts.size)
+    log_scale = np.zeros(shifts.size)
     neg_sub = (-np.diagonal(h, -1)).tolist()
     for r in range(k - 1, 0, -1):
         row = np.multiply(shifts, X[r], out=X[r - 1])
-        row += h[r, r:] @ X[r:]
+        row += np.dot(h[r, r:], X[r:])
         row /= neg_sub[r - 1]
-        if np.abs(row, out=mag).max() > _HYMAN_RESCALE:
-            big = mag > _HYMAN_RESCALE
-            scale = mag[big]  # the older entries are at most 1e100
+        if not np.vdot(row, row).real <= _HYMAN_RESCALE**2:  # some entry may pass it, or NaN
+            big = np.abs(row) > _HYMAN_RESCALE
+            scale = np.abs(row[big])  # the older entries are at most 1e100
             X[r - 1:, big] /= scale
             log_scale[big] += np.log(scale)
     return X, h[0] @ X + shifts * X[0], log_scale
