@@ -557,7 +557,7 @@ def prefix_report(sub: ArnoldiDecomposition, x_exact, reference=None,
     """The BoundReport of one prefix snapshot without bounds: the FOM
     residual, the FOM error xi against ``x_exact`` and, with a
     ``reference`` action, the true error of the f-action (computed once
-    per snapshot and f, see :func:`arnoldi_fun_action`)."""
+    per k and f, see :func:`arnoldi_fun_action`)."""
     error_norm = None
     if reference is not None:
         error_norm = float(np.linalg.norm(reference - arnoldi_fun_action(sub, f)))

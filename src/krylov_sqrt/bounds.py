@@ -185,9 +185,9 @@ def quad_semi_infinite(integrand, cfg: QuadratureConfig | None = None) -> QuadRe
     (0, 1) when ``max_subdivisions`` is 1), as a pass on (0, 1) that
     bisects would.  Each later pass bisects every interval whose error
     estimate exceeds its equal share of max(abs_tol, rel_tol |value|),
-    evaluating all new nodes in one integrand call.  ``max_subdivisions`` caps the
-    number of intervals; when it runs out first ``tolerance_met`` is unset.
-    The one-integral case of the batch kernel behind
+    evaluating all new nodes in one integrand call.  ``max_subdivisions``
+    caps the number of intervals; when it runs out first ``tolerance_met``
+    is unset.  The one-integral case of the batch kernel behind
     :func:`bound_posterior_batch`, where each integral is bisected as here.
     """
     return _quad_batch(lambda x, _: integrand(x), 1, cfg)[0]
