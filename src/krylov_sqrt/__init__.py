@@ -11,10 +11,8 @@ from .arnoldi import (
     arnoldi_extend,
     arnoldi_fun_action,
     arnoldi_start,
-    fom_error_norm,
     fom_residual_norm,
     run_adaptive,
-    shifted_fom_quantities,
 )
 from .bounds import (
     BoundReport,
@@ -49,7 +47,6 @@ from .matgen import (
     SpectrumSpec,
     convection_diffusion,
     perturb_matrix,
-    random_orthogonal,
     rhs_vector,
     skew_part,
     spectrum_matrix,

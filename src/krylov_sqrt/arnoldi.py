@@ -27,7 +27,6 @@ from .errors import (
     NonFiniteEntry,
     SingularMatrix,
     SingularProjectedMatrix,
-    SingularShift,
 )
 
 # h_{j+1,j} at or below this fraction of ||M q_j|| is a happy breakdown.
@@ -477,11 +476,6 @@ def fom_error(decomp: ArnoldiDecomposition, x_exact) -> float:
     return float(np.linalg.norm(x_exact - fom_iterate(decomp)))
 
 
-def fom_error_norm(decomp: ArnoldiDecomposition, M, b) -> float:
-    """:func:`fom_error` with M⁻¹ b from an exact desk-scale solve."""
-    return fom_error(decomp, linalg.as_operator(M).solve(b))
-
-
 def fom_error_surrogate(decomp: ArnoldiDecomposition, min_sym_eig: float | None = None) -> float:
     """Solve-free stand-in for ||xi_0^k||, from the residual alone.
 
@@ -489,8 +483,8 @@ def fom_error_surrogate(decomp: ArnoldiDecomposition, min_sym_eig: float | None 
     M, returns ||r_0^k||/mu, a valid upper bound (||M^-1|| <= 1/mu for
     positive definite M).  Without it, returns the bare residual norm,
     which is NOT certified: it can undershoot the true error by the
-    conditioning of M.  Prefer :func:`fom_error_norm` wherever a dense
-    solve is affordable.
+    conditioning of M.  Prefer :func:`fom_error` wherever an exact solve
+    is affordable.
     """
     norm, _ = fom_residual_norm(decomp)
     if min_sym_eig is not None:
@@ -498,58 +492,6 @@ def fom_error_surrogate(decomp: ArnoldiDecomposition, min_sym_eig: float | None 
             raise DomainError("min_sym_eig must be positive")
         return norm / min_sym_eig
     return norm
-
-
-@dataclass(frozen=True)
-class ShiftedFomQuantities:
-    """Both sides of the shift identities, for direct comparison.
-
-    The formula side scales the unshifted quantities by the determinant
-    ratio det(H_k)/det(H_k - zI); the direct side recomputes residual and
-    error from scratch at the shift.
-    """
-
-    residual_formula: np.ndarray
-    residual_direct: np.ndarray
-    error_formula: np.ndarray
-    error_direct: np.ndarray
-
-
-def shifted_fom_quantities(decomp: ArnoldiDecomposition, M, b, z: complex) -> ShiftedFomQuantities:
-    if decomp.breakdown:
-        raise DomainError("shifted quantities need q_{k+1}; breakdown occurred")
-    a = linalg.as_array(M)
-    k = decomp.k
-    n = a.shape[0]
-    rhs = np.asarray(b)
-    In = np.eye(n, dtype=np.complex128)
-    h_z = decomp.hessenberg - z * np.eye(k)
-    shifted = _HessenbergLU()
-    shifted.extend(h_z, k)
-    try:
-        log_h, ph_h = decomp._ws.factor().logdet(k)
-        log_hz, ph_hz = shifted.logdet(k)
-        ratio = np.exp(log_h - log_hz) * ph_h * np.conj(ph_hz)
-
-        _, coef = fom_residual_norm(decomp)
-        r0 = coef * decomp.next_vector.astype(np.complex128)
-        xi0 = linalg.lu_solve(a, rhs) - fom_iterate(decomp)
-
-        a_z = a - z * In
-        x_z = decomp.basis_k @ shifted.solve_e1(k, decomp.b_norm)
-        xi_direct = linalg.lu_solve(a_z, rhs) - x_z
-        r_direct = rhs - a_z @ x_z
-
-        xi_formula = ratio * linalg.lu_solve(a_z, a @ xi0)
-        r_formula = ratio * r0
-    except (SingularMatrix, SingularProjectedMatrix) as exc:
-        raise SingularShift(f"singular shifted system at z = {z}") from exc
-    return ShiftedFomQuantities(
-        residual_formula=r_formula,
-        residual_direct=r_direct,
-        error_formula=xi_formula,
-        error_direct=xi_direct,
-    )
 
 
 def prefix_report(sub: ArnoldiDecomposition, x_exact, reference=None,
@@ -580,11 +522,8 @@ def prefix_reports(decomp: ArnoldiDecomposition, ks, x_exact, sigma_max_used: fl
     reports = [prefix_report(sub, x_exact, reference, f) for sub in subs]
     if f != "sqrt":
         return [replace(rep, sigma_max_used=sigma_max_used) for rep in reports]
-    return bnd.build_bound_report([rep.k for rep in reports], [sub.ritz for sub in subs],
-                                  [rep.residual_norm for rep in reports],
-                                  [rep.xi_norm for rep in reports], sigma_max_used, quad_cfg,
-                                  hermitian, known_spectrum,
-                                  error_norms=[rep.error_norm for rep in reports])
+    return bnd.build_bound_report(reports, [sub.ritz for sub in subs], sigma_max_used,
+                                  quad_cfg, hermitian, known_spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +553,11 @@ STOP_BOUNDS = {
     "posterior_modulus": lambda sub, xi, sigma, cfg: bnd.bound_posterior_modulus(sub.ritz, xi, cfg),
     "apriori_gamma": lambda sub, xi, sigma, cfg: bnd.bound_apriori_sqrt(sigma, sub.k, xi),
 }
+
+
+def _require_tol(tol: float) -> None:
+    if not tol > 0:  # NaN fails too
+        raise DomainError(f"the stopping tolerance must be positive, got {tol!r}")
 
 
 def _require_stop_kind(kind: str) -> None:
@@ -669,6 +613,7 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
     Returns (state, k_stop, bound_at_stop, x_exact); the action at k_stop
     is ``arnoldi_fun_action(state.prefix(k_stop))``.
     """
+    _require_tol(tol)
     _require_stop_kind(bound_kind)
     op = linalg.as_operator(M)
     n = op.shape[0]
@@ -746,6 +691,9 @@ class ResidualRelative:
 
     tol: float
 
+    def __post_init__(self):
+        _require_tol(self.tol)
+
 
 @dataclass(frozen=True)
 class BoundAbsolute:
@@ -756,6 +704,7 @@ class BoundAbsolute:
     bound_kind: str = "posterior_ritz"
 
     def __post_init__(self):
+        _require_tol(self.tol)
         _require_stop_kind(self.bound_kind)
 
 
@@ -789,7 +738,6 @@ def run_adaptive(
     check_every: int = 1,
     sigma_max_val: float | None = None,
     known_spectrum=None,
-    hermitian: bool | None = None,
     error_oracle: bool = False,
 ) -> AdaptiveResult:
     """The action f(M) b at the first k where the stopping rule holds, with
@@ -810,7 +758,7 @@ def run_adaptive(
     from ``sigma_max_val``.  A residual stop without it leaves
     ``sigma_max_used`` and ``apriori_gamma`` None, and the Hermitian fields
     too unless ``known_spectrum`` gives lambda_max; only then is M tested
-    for symmetry (unless ``hermitian`` is given).
+    for symmetry.
 
     M must have an exact solve (dense or tridiagonal) because the bounds
     consume the exact FOM error norm; a matvec-only operator raises
@@ -850,10 +798,8 @@ def run_adaptive(
                               converged=bound <= stop.tol, breakdown=state.breakdown)
 
     x_exact = op.solve(rhs)
-    herm = hermitian
-    if herm is None:
-        herm = (f == "sqrt" and (known_spectrum is not None or sigma_max_val is not None)
-                and op.is_hermitian())
+    herm = (f == "sqrt" and (known_spectrum is not None or sigma_max_val is not None)
+            and op.is_hermitian())
 
     state = arnoldi_start(rhs, capacity=min(k_max, 256))
     checked: list = []

@@ -10,7 +10,7 @@ in log space so hundreds of factors neither overflow nor underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,13 +86,6 @@ class QuadResult:
     value: float | np.ndarray
     estimated_error: float
     tolerance_met: bool
-
-
-def beta_fn(a: float, b: float) -> float:
-    """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), in log space."""
-    if a <= 0 or b <= 0:
-        raise DomainError("beta_fn requires positive arguments")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def _gauss_kronrod_21(g, owner: np.ndarray, left: np.ndarray, width: np.ndarray):
@@ -506,49 +499,48 @@ class BoundReport:
     sigma_max_used: float | None = None
 
 
-def build_bound_report(ks, ritz, residual_norms, xi_norms, sigma_max_used: float | None,
+def build_bound_report(reports, ritz, sigma_max_used: float | None,
                        cfg: QuadratureConfig | None = None, hermitian: bool = False,
-                       known_spectrum=None, lambda_max: float | None = None,
-                       error_norms=None) -> list:
-    """BoundReports of many prefixes, from ``ks``, ``ritz`` (the Ritz values
-    of each H_k), ``residual_norms``, ``xi_norms`` and ``error_norms`` (None
-    without an oracle), one entry per prefix.  The posterior integrals of
-    every prefix with k >= 2 are one :func:`bound_posterior_batch`.
+                       known_spectrum=None) -> list:
+    """The prefix ``reports`` (of :func:`arnoldi.prefix_report`) with their
+    bound fields filled from ``ritz``, the Ritz values of each H_k.  The
+    posterior integrals of every prefix with k >= 2 are one
+    :func:`bound_posterior_batch`.
 
     For Hermitian inputs lambda_bar uses the true spectrum when
     ``known_spectrum`` (eigenvalues of M) is given, otherwise the
-    computable Ritz-based mode with ``lambda_max`` (defaults to
-    sigma_max_used, exact for Hermitian positive definite M).  With
-    ``sigma_max_used`` None, ``apriori_gamma`` stays None, and so do the
-    computable-mode Hermitian fields unless ``lambda_max`` is given.
+    computable Ritz-based mode with lambda_max = sigma_max_used, exact for
+    Hermitian positive definite M.  With ``sigma_max_used`` None,
+    ``apriori_gamma`` stays None, and so do the computable-mode Hermitian
+    fields.
     """
     lams = [_ritz_values(r) for r in ritz]
-    big = [j for j, k in enumerate(ks) if k >= 2]
-    items = [(kind, lams[j], xi_norms[j]) for kind in ("posterior_ritz", "posterior_modulus")
-             for j in big]
+    big = [j for j, rep in enumerate(reports) if rep.k >= 2]
+    items = [(kind, lams[j], reports[j].xi_norm)
+             for kind in ("posterior_ritz", "posterior_modulus") for j in big]
     vals = bound_posterior_batch(items, cfg) if items else []
     posterior = {j: (vals[i], vals[i + len(big)]) for i, j in enumerate(big)}
     if known_spectrum is not None:
         eigs = np.sort(np.asarray(known_spectrum, dtype=float))[::-1]
-    reports = []
-    for j, k in enumerate(ks):
-        xi_norm = xi_norms[j]
+    out = []
+    for j, rep in enumerate(reports):
+        k, xi_norm = rep.k, rep.xi_norm
         gamma = None if sigma_max_used is None else (
             bound_apriori_sqrt(sigma_max_used, k, xi_norm) if k >= 2 else math.inf)
         loose = jensen = lam_bar = None
         if hermitian:
             if known_spectrum is not None:
-                lam_max = float(eigs[0]) if lambda_max is None else lambda_max
-                top = eigs[:k]
+                lam_max, top = float(eigs[0]), eigs[:k]
             else:
-                lam_max = sigma_max_used if lambda_max is None else lambda_max
+                lam_max = sigma_max_used
                 top = (None if lam_max is None
                        else np.sort(np.minimum(lams[j].real, lam_max))[::-1][:k])
             if top is not None:
                 lam_bar = lambda_bar(top, lam_max, k)
                 loose = bound_hermitian_loose(lam_max, k, xi_norm)
                 jensen = bound_hermitian_jensen(lam_bar, k, xi_norm)
-        reports.append(BoundReport(k, residual_norms[j], xi_norm, error_norms and error_norms[j],
-                                   *posterior.get(j, (math.inf, math.inf)), gamma,
-                                   loose, jensen, lam_bar, sigma_max_used))
-    return reports
+        ritz_bound, modulus = posterior.get(j, (math.inf, math.inf))
+        out.append(replace(rep, posterior_ritz=ritz_bound, posterior_modulus=modulus,
+                           apriori_gamma=gamma, hermitian_loose=loose, hermitian_jensen=jensen,
+                           lambda_bar=lam_bar, sigma_max_used=sigma_max_used))
+    return out

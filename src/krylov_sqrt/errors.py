@@ -13,10 +13,6 @@ class SingularProjectedMatrix(KrylovSqrtError):
     """det(H_k) underflowed relative to the subdiagonal scale."""
 
 
-class SingularShift(KrylovSqrtError):
-    """A shifted matrix M - zI or H_k - zI is numerically singular."""
-
-
 class NoConvergence(KrylovSqrtError):
     """An iterative kernel exhausted its iteration budget."""
 

@@ -27,15 +27,6 @@ from .matrixmarket import read_matrix_market
 __all__ = ["ExperimentConfig", "config_from_dict", "load_config", "run_experiment",
            "find_stop_k", "fit_loglog_slope", "write_csv", "read_csv", "EXPERIMENTS"]
 
-EXPERIMENTS = (
-    "bounds_vs_k",
-    "hermitian_compare",
-    "convdiff_table",
-    "scaling_vs_k",
-    "scaling_vs_sigma",
-    "perturbed_validity",
-)
-
 # A true error below this fraction of ||M^{1/2} b|| is set by rounding, and
 # the bounds, exact-arithmetic statements, can fall below it there.
 ROUNDING_FLOOR_RTOL = 1e-10
@@ -72,15 +63,17 @@ class ExperimentConfig:
 
 _COMMON_KEYS = {"version", "experiment", "seed", "output_dir", "quadrature",
                 "oracle", "jobs"}
-_EXPERIMENT_KEYS = {
-    "bounds_vs_k": {"matrix", "rhs", "k_max", "k_samples"},
-    "hermitian_compare": {"matrix", "rhs", "k_max", "k_samples"},
-    "convdiff_table": {"n_values", "eta", "convention", "stopping", "k_max"},
-    "scaling_vs_k": {"n_values", "eta", "convention", "stopping", "k_samples",
-                     "fit_window", "k_max"},
-    "scaling_vs_sigma": {"n_values", "eta", "convention", "k_values"},
-    "perturbed_validity": {"matrix", "n", "eps_values", "instances", "k_max", "rhs"},
+# The (required, optional) keys of each experiment besides _COMMON_KEYS.
+_SCHEMA = {
+    "bounds_vs_k": (("matrix", "k_max"), ("rhs", "k_samples")),
+    "hermitian_compare": (("matrix", "k_max"), ("rhs", "k_samples")),
+    "convdiff_table": (("n_values", "stopping"), ("eta", "convention", "k_max")),
+    "scaling_vs_k": (("n_values", "stopping"),
+                     ("eta", "convention", "k_samples", "fit_window", "k_max")),
+    "scaling_vs_sigma": (("n_values", "k_values"), ("eta", "convention")),
+    "perturbed_validity": (("eps_values", "k_max"), ("matrix", "n", "instances", "rhs")),
 }
+EXPERIMENTS = tuple(_SCHEMA)
 _MATRIX_KEYS = {
     "spectrum": {"type", "kind", "n", "lo", "hi", "cluster_center", "cluster_std",
                  "cluster_fraction", "outlier_center", "outlier_std", "skew",
@@ -108,7 +101,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    _reject_unknown(raw, _COMMON_KEYS | _EXPERIMENT_KEYS[experiment], f"{experiment} config")
+    required, optional = _SCHEMA[experiment]
+    _reject_unknown(raw, _COMMON_KEYS.union(required, optional), f"{experiment} config")
 
     kwargs: dict = {"experiment": experiment}
     for key in ("seed", "output_dir", "k_max", "k_samples", "eta", "convention",
@@ -135,32 +129,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError("rhs.kind must be 'ones' or 'eig_average'")
         kwargs["rhs"] = dict(raw["rhs"])
     if "stopping" in raw:
-        _reject_unknown(raw["stopping"], _STOPPING_KEYS, "stopping")
-        if raw["stopping"].get("rule") not in ("residual", "bound"):
-            raise ConfigError("stopping.rule must be 'residual' or 'bound'")
-        kwargs["stopping"] = dict(raw["stopping"])
+        stop = raw["stopping"]
+        _reject_unknown(stop, _STOPPING_KEYS, "stopping")
+        if stop.get("rule") != "bound":
+            raise ConfigError("stopping.rule must be 'bound'; no experiment runs a residual stop")
+        if not isinstance(stop.get("tol"), (int, float)) or not stop["tol"] > 0:  # NaN fails too
+            raise ConfigError(f"stopping.tol must be a positive number, got {stop.get('tol')!r}")
+        kwargs["stopping"] = dict(stop)
 
     try:
         cfg = ExperimentConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_requirements(cfg)
+    for key in required:
+        if getattr(cfg, key) in (None, ()):
+            raise ConfigError(f"{experiment} requires {key!r}")
     return cfg
-
-
-def _check_requirements(cfg: ExperimentConfig) -> None:
-    need = {
-        "bounds_vs_k": ("matrix", "k_max"),
-        "hermitian_compare": ("matrix", "k_max"),
-        "convdiff_table": ("n_values", "stopping"),
-        "scaling_vs_k": ("n_values", "stopping"),
-        "scaling_vs_sigma": ("n_values", "k_values"),
-        "perturbed_validity": ("eps_values", "k_max"),
-    }[cfg.experiment]
-    for key in need:
-        value = getattr(cfg, key)
-        if value is None or value == ():
-            raise ConfigError(f"{cfg.experiment} requires {key!r}")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -279,23 +263,35 @@ def run_hermitian_compare(cfg: ExperimentConfig):
     return run_bounds_vs_k(cfg)
 
 
-def _map_points(point, args: list, jobs: int) -> list:
-    """[point(a) for a in args], on ``jobs`` worker processes when > 1."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(point, args))
-    return [point(a) for a in args]
+def _map_points(point, cfg: ExperimentConfig) -> list:
+    """[point(cfg, n) for n in cfg.n_values], on ``cfg.jobs`` worker
+    processes when > 1."""
+    if cfg.jobs > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            return list(pool.map(point, [cfg] * len(cfg.n_values), cfg.n_values))
+    return [point(cfg, n) for n in cfg.n_values]
 
 
-def _convdiff_point(args):
-    (n, eta, convention, tol, bound_kind, quad_cfg, oracle, k_max) = args
-    tri = matgen.convection_diffusion(n, eta, convention)
+def _stopping(cfg: ExperimentConfig):
+    """(tol, bound kind) of the config's bound stop."""
+    return float(cfg.stopping["tol"]), cfg.stopping.get("bound_kind", "posterior_ritz")
+
+
+def _search(cfg: ExperimentConfig, n: int):
+    """The convection-diffusion matrix at n, b = ones, and the
+    :func:`find_stop_k` search of the config's bound stop on them, capped
+    at ``cfg.k_max``: (tri, b, state, k_stop, bound at k_stop, x_exact)."""
+    tri = matgen.convection_diffusion(n, cfg.eta, cfg.convention)
+    b = np.ones(tri.shape[0])
+    return (tri, b) + find_stop_k(tri, b, *_stopping(cfg), cfg.quadrature, k_max=cfg.k_max)
+
+
+def _convdiff_point(cfg: ExperimentConfig, n: int):
+    tri, b, state, k_stop, val, x_exact = _search(cfg, n)
     m = tri.shape[0]
-    b = np.ones(m)
     sigma = linalg.sigma_max(tri, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
     sigma_min = linalg.sigma_min(tri, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
-    state, k_stop, val, x_exact = find_stop_k(tri, b, tol, bound_kind, quad_cfg, k_max=k_max or m)
-    reference = linalg.reference_sqrt_action(tri, b) if oracle else None
+    reference = linalg.reference_sqrt_action(tri, b) if cfg.oracle else None
     rep = arn.prefix_report(state.prefix(k_stop), x_exact, reference)
     row = {
         "n": n, "matrix_order": m, "sigma_max": sigma, "sigma_min": sigma_min,
@@ -303,19 +299,14 @@ def _convdiff_point(args):
         "bound_at_stop": val, "xi_norm": rep.xi_norm,
         "residual_rel": rep.residual_norm / math.sqrt(m),
     }
-    if oracle:
+    if cfg.oracle:
         row["error"] = rep.error_norm
     return row, state.k
 
 
 def run_convdiff_table(cfg: ExperimentConfig):
-    tol = float(cfg.stopping["tol"])
-    bound_kind = cfg.stopping.get("bound_kind", "posterior_ritz")
-    if cfg.stopping["rule"] != "bound":
-        raise ConfigError("convdiff_table uses the bound stopping rule")
-    args = [(n, cfg.eta, cfg.convention, tol, bound_kind, cfg.quadrature,
-             cfg.oracle, cfg.k_max) for n in cfg.n_values]
-    out = _map_points(_convdiff_point, args, cfg.jobs)
+    tol, bound_kind = _stopping(cfg)
+    out = _map_points(_convdiff_point, cfg)
     rows = sorted((row for row, _ in out), key=lambda r: r["n"])
     summary = {"experiment": cfg.experiment, "eta": cfg.eta,
                "convention": cfg.convention, "tol": tol, "bound_kind": bound_kind,
@@ -326,29 +317,22 @@ def run_convdiff_table(cfg: ExperimentConfig):
     return rows, summary
 
 
-def _scaling_point(args):
-    (n, eta, convention, tol, bound_kind, quad_cfg, k_samples, window) = args
-    tri = matgen.convection_diffusion(n, eta, convention)
-    m = tri.shape[0]
-    b = np.ones(m)
-    state, k_stop, _, x_exact = find_stop_k(tri, b, tol, bound_kind, quad_cfg, k_max=m)
+def _scaling_point(cfg: ExperimentConfig, n: int):
+    tri, b, state, k_stop, _, x_exact = _search(cfg, n)
     reference = linalg.reference_sqrt_action(tri, b)
     reports = [arn.prefix_report(state.prefix(int(k)), x_exact, reference)
-               for k in sample_ks(k_stop, k_samples, k_min=4)]
+               for k in sample_ks(k_stop, cfg.k_samples, k_min=4)]
     rows = [{"n": n, "k": rep.k, "error": rep.error_norm, "xi_norm": rep.xi_norm,
              "scaling_term": bnd.scaling_term(rep.error_norm, rep.xi_norm, rep.k)}
             for rep in reports]
     slope = fit_loglog_slope([r["k"] for r in rows],
-                             [r["scaling_term"] for r in rows], window)
+                             [r["scaling_term"] for r in rows], cfg.fit_window)
     return rows, {"n": n, "k_stop": k_stop, "slope": slope, "arnoldi_steps": state.k}
 
 
 def run_scaling_vs_k(cfg: ExperimentConfig):
-    tol = float(cfg.stopping["tol"])
-    bound_kind = cfg.stopping.get("bound_kind", "posterior_ritz")
-    args = [(n, cfg.eta, cfg.convention, tol, bound_kind, cfg.quadrature,
-             cfg.k_samples, tuple(cfg.fit_window)) for n in cfg.n_values]
-    out = _map_points(_scaling_point, args, cfg.jobs)
+    tol, _ = _stopping(cfg)
+    out = _map_points(_scaling_point, cfg)
     rows = [r for point_rows, _ in out for r in point_rows]
     rows.sort(key=lambda r: (r["n"], r["k"]))
     slopes = {str(s["n"]): s["slope"] for _, s in out}

@@ -145,6 +145,8 @@ class TridiagonalMatrix:
         self.shape = (m, m)
         self.dtype = np.dtype(float)
         self.bands = (self.lower, self.diag, self.upper)
+        if not all(np.isfinite(band).all() for band in self.bands):
+            raise NonFiniteEntry("band entries must be finite")
 
     def matvec(self, v):
         w = self.diag * v

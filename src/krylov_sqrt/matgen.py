@@ -85,17 +85,11 @@ class PerturbationSpec:
 
 
 def _orthogonal_from_rng(rng, n: int) -> np.ndarray:
+    """Real orthogonal matrix: QR of a Gaussian with the R diagonal
+    sign-fixed, which makes Q the unique Haar representative per draw."""
     g = rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     return q * np.sign(np.diag(r))
-
-
-def random_orthogonal(n: int, seed: int) -> np.ndarray:
-    """Real orthogonal matrix: QR of a seeded Gaussian with the R diagonal
-    sign-fixed, which makes Q the unique Haar representative per seed."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    return _orthogonal_from_rng(np.random.default_rng(np.random.SeedSequence(seed)), n)
 
 
 def draw_eigenvalues(spec: SpectrumSpec, rng) -> np.ndarray:
@@ -169,8 +163,8 @@ def convection_diffusion(n: int, eta: float, convention: str = "interior") -> Tr
     """
     if n < 3:
         raise DomainError("n must be >= 3")
-    if eta <= 0:
-        raise DomainError("eta must be positive")
+    if not 0 < eta < np.inf:  # NaN fails too
+        raise DomainError(f"eta must be positive and finite, got {eta!r}")
     if convention not in ("interior", "full"):
         raise DomainError(f"unknown grid convention {convention!r}")
     h = 1.0 / n

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -103,6 +104,49 @@ def durand_kerner(coeffs: np.ndarray, iterations: int = 300) -> np.ndarray:
         if np.max(np.abs(delta)) < 1e-14 * max(1.0, np.max(np.abs(roots))):
             break
     return roots
+
+
+@dataclass(frozen=True)
+class ShiftedFomQuantities:
+    """Both sides of the shift identities of the FOM residual and error,
+    for direct comparison.
+
+    The formula side scales the unshifted quantities by the determinant
+    ratio det(H_k)/det(H_k - zI); the direct side recomputes residual and
+    error from scratch at the shift.
+    """
+
+    residual_formula: np.ndarray
+    residual_direct: np.ndarray
+    error_formula: np.ndarray
+    error_direct: np.ndarray
+
+
+def shifted_fom_quantities(decomp, a: np.ndarray, b: np.ndarray,
+                           z: complex) -> ShiftedFomQuantities:
+    """The shift identities at z for the FOM residual and error of an
+    Arnoldi decomposition of the dense matrix ``a``: the unshifted side is
+    the package's (determinant-formula residual, FOM iterate), while the
+    determinants come from ``np.linalg.slogdet`` and every shifted or dense
+    solve from ``np.linalg.solve``, not from the package's Hessenberg LU."""
+    k, n = decomp.k, a.shape[0]
+    h_z = decomp.hessenberg - z * np.eye(k)
+    sign_h, log_h = np.linalg.slogdet(decomp.hessenberg)
+    sign_hz, log_hz = np.linalg.slogdet(h_z)
+    ratio = np.exp(log_h - log_hz) * sign_h / sign_hz
+
+    _, coef = arn.fom_residual_norm(decomp)
+    r0 = coef * decomp.next_vector
+    xi0 = np.linalg.solve(a, b) - arn.fom_iterate(decomp)
+
+    a_z = a - z * np.eye(n)
+    x_z = decomp.basis_k @ np.linalg.solve(h_z, decomp.b_norm * np.eye(k)[:, 0])
+    return ShiftedFomQuantities(
+        residual_formula=ratio * r0,
+        residual_direct=b - a_z @ x_z,
+        error_formula=ratio * np.linalg.solve(a_z, a @ xi0),
+        error_direct=np.linalg.solve(a_z, b) - x_z,
+    )
 
 
 def eig_sqrt_action(a: np.ndarray, b: np.ndarray) -> np.ndarray:

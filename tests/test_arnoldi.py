@@ -16,12 +16,16 @@ from krylov_sqrt.errors import (
     NonFiniteEntry,
     SingularMatrix,
     SingularProjectedMatrix,
-    SingularShift,
     TooLarge,
     UnsupportedContext,
 )
 
-from helpers import make_pd_matrix, record_fun_coefficients, record_hyman_sweeps
+from helpers import (
+    make_pd_matrix,
+    record_fun_coefficients,
+    record_hyman_sweeps,
+    shifted_fom_quantities,
+)
 
 
 def check_invariants(M, state):
@@ -466,22 +470,22 @@ class TestHessenbergLU:
 
 class TestFomError:
     def test_breakdown_error_zero(self):
-        state = arn.arnoldi(np.diag([1.0, 2.0]), np.array([1.0, 0.0]), 2)
-        assert arn.fom_error_norm(state, np.diag([1.0, 2.0]),
-                                  np.array([1.0, 0.0])) <= 1e-12
+        m, b = np.diag([1.0, 2.0]), np.array([1.0, 0.0])
+        state = arn.arnoldi(m, b, 2)
+        assert arn.fom_error(state, np.linalg.solve(m, b)) <= 1e-12
 
     def test_hand_computed_2x2(self):
         m = np.diag([1.0, 2.0])
         b = np.array([1.0, 1.0]) / np.sqrt(2.0)
         state = arn.arnoldi(m, b, 1)
         want = np.linalg.norm([1.0 / 3.0, -1.0 / 6.0]) / np.sqrt(2.0)
-        assert arn.fom_error_norm(state, m, b) == pytest.approx(want, rel=1e-12)
+        assert arn.fom_error(state, np.linalg.solve(m, b)) == pytest.approx(want, rel=1e-12)
 
     def test_full_space_error_vanishes(self):
         a, _, _ = make_pd_matrix(7, 40)
         b = np.ones(40)
         state = arn.arnoldi(a, b, 40)
-        assert arn.fom_error_norm(state, a, b) <= 1e-10 * np.linalg.norm(b)
+        assert arn.fom_error(state, np.linalg.solve(a, b)) <= 1e-10 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_error_dominates_residual_over_sigma(self, seed):
@@ -490,13 +494,13 @@ class TestFomError:
         state = arn.arnoldi(a, b, 6)
         residual_norm, _ = arn.fom_residual_norm(state)
         sigma = linalg.sigma_max(a, tol=1e-10, max_iter=100_000)
-        assert arn.fom_error_norm(state, a, b) >= residual_norm / sigma * (1.0 - 1e-8)
+        assert arn.fom_error(state, np.linalg.solve(a, b)) >= residual_norm / sigma * (1.0 - 1e-8)
 
     def test_surrogate_with_mu_is_upper_bound(self):
         a, eigs, _ = make_pd_matrix(2, 30)
         b = np.ones(30)
         state = arn.arnoldi(a, b, 6)
-        exact = arn.fom_error_norm(state, a, b)
+        exact = arn.fom_error(state, np.linalg.solve(a, b))
         certified = arn.fom_error_surrogate(state, min_sym_eig=eigs[-1])
         assert certified >= exact * (1.0 - 1e-10)
         # without mu the surrogate is just the residual norm (not certified)
@@ -535,7 +539,7 @@ class TestShiftedFom:
         a, _, _ = make_pd_matrix(9, 20)
         b = np.ones(20)
         state = arn.arnoldi(a, b, 4)
-        q = arn.shifted_fom_quantities(state, a, b, 0.0)
+        q = shifted_fom_quantities(state, a, b, 0.0)
         np.testing.assert_allclose(q.residual_formula, q.residual_direct, atol=1e-10)
         np.testing.assert_allclose(q.error_formula, q.error_direct, atol=1e-10)
 
@@ -544,19 +548,11 @@ class TestShiftedFom:
         a, _, _ = make_pd_matrix(10, 20)
         b = np.ones(20)
         state = arn.arnoldi(a, b, 4)
-        q = arn.shifted_fom_quantities(state, a, b, z)
+        q = shifted_fom_quantities(state, a, b, z)
         scale_r = np.linalg.norm(q.residual_direct)
         scale_e = np.linalg.norm(q.error_direct)
         assert np.linalg.norm(q.residual_formula - q.residual_direct) <= 1e-8 * scale_r
         assert np.linalg.norm(q.error_formula - q.error_direct) <= 1e-8 * scale_e
-
-    def test_singular_shift_raises(self):
-        a = np.diag([1.0, 2.0, 3.0, 4.0])
-        b = np.ones(4)
-        state = arn.arnoldi(a, b, 2)
-        ritz = linalg.hessenberg_eigenvalues(state.hessenberg).values
-        with pytest.raises(SingularShift):
-            arn.shifted_fom_quantities(state, a, b, complex(ritz[0]))
 
 
 class TestRunAdaptive:
@@ -657,6 +653,17 @@ class TestRunAdaptive:
         # the run never filled these fields, so a stop on them burned every step
         with pytest.raises(DomainError, match="posterior_ritz, posterior_modulus, apriori_gamma"):
             arn.BoundAbsolute(tol=0.1, bound_kind=kind)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+    def test_invalid_tolerance_rejected_before_any_step(self, monkeypatch, tol):
+        # a NaN or negative tol used to run to k_max, no k passing the test
+        steps, plain = [], arn.arnoldi_extend
+        monkeypatch.setattr(arn, "arnoldi_extend", lambda *a: steps.append(a) or plain(*a))
+        for make in (arn.ResidualRelative, arn.BoundAbsolute,
+                     lambda t: arn.find_stop_k(2.0 * np.eye(4), np.ones(4), t)):
+            with pytest.raises(DomainError, match="tolerance"):
+                make(tol)
+        assert steps == []
 
     def test_bound_stop_rejects_check_every(self):
         a, _, _ = make_pd_matrix(12, 60)

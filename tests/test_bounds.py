@@ -17,6 +17,7 @@ from helpers import make_pd_matrix, record_hyman_sweeps, record_quad_batches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import beta
 
 from krylov_sqrt import arnoldi as arn
 from krylov_sqrt import bounds as bnd
@@ -32,18 +33,6 @@ from krylov_sqrt.errors import (
 mpmath.mp.dps = 50
 
 TIGHT = bnd.QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
-
-
-class TestGammaBeta:
-    def test_beta_definition_identity(self):
-        want = math.gamma(0.75) * math.gamma(1.25) / math.gamma(2.0)
-        assert bnd.beta_fn(0.75, 1.25) == pytest.approx(want, rel=1e-13)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            bnd.beta_fn(-1.0, 2.0)
-        with pytest.raises(DomainError):
-            bnd.beta_fn(1.0, 0.0)
 
 
 class TestQuadSemiInfinite:
@@ -65,7 +54,7 @@ class TestQuadSemiInfinite:
         def integrand(x):
             return np.sqrt(x) * sigma**k / (sigma**2 + x * x) ** (k / 2.0)
 
-        want = sigma**1.5 / 2.0 * bnd.beta_fn(0.75, (2 * k - 3) / 4.0)
+        want = sigma**1.5 / 2.0 * beta(0.75, (2 * k - 3) / 4.0)
         assert bnd.quad_semi_infinite(integrand).value == pytest.approx(want, rel=1e-6)
 
     def test_budget_flag(self):
@@ -750,8 +739,8 @@ class TestScalingTerm:
 
 class TestBoundReport:
     def test_k1_fields_infinite(self):
-        (rep,) = bnd.build_bound_report(ks=[1], ritz=[[2.0]], residual_norms=[0.5],
-                                        xi_norms=[0.4], sigma_max_used=10.0)
+        (rep,) = bnd.build_bound_report([bnd.BoundReport(1, 0.5, 0.4)], ritz=[[2.0]],
+                                        sigma_max_used=10.0)
         assert rep.posterior_ritz == math.inf
         assert rep.posterior_modulus == math.inf
         assert rep.apriori_gamma == math.inf
@@ -760,11 +749,10 @@ class TestBoundReport:
     def test_hermitian_known_vs_computable_modes(self):
         eigs = np.array([100.0, 50.0, 20.0, 10.0, 5.0])
         ritz = np.array([99.0, 48.0, 18.0])
-        (known,) = bnd.build_bound_report(ks=[3], ritz=[ritz], residual_norms=[1.0],
-                                          xi_norms=[1.0], sigma_max_used=100.0,
+        prefix = [bnd.BoundReport(3, 1.0, 1.0)]
+        (known,) = bnd.build_bound_report(prefix, ritz=[ritz], sigma_max_used=100.0,
                                           hermitian=True, known_spectrum=eigs)
-        (computable,) = bnd.build_bound_report(ks=[3], ritz=[ritz], residual_norms=[1.0],
-                                               xi_norms=[1.0], sigma_max_used=100.0,
+        (computable,) = bnd.build_bound_report(prefix, ritz=[ritz], sigma_max_used=100.0,
                                                hermitian=True)
         # Ritz values interlace below the true spectrum, so the computable
         # average cannot exceed the spectrum-known one

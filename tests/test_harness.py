@@ -60,6 +60,19 @@ class TestConfigValidation:
             exp.config_from_dict({"experiment": "convdiff_table",
                                   "n_values": [40]})  # no stopping rule
 
+    @pytest.mark.parametrize("experiment", ["convdiff_table", "scaling_vs_k"])
+    def test_residual_rule_rejected(self, experiment):
+        # convdiff_table refused it only when run, scaling_vs_k ran a bound search
+        with pytest.raises(ConfigError, match="stopping.rule"):
+            exp.config_from_dict({"experiment": experiment, "n_values": [40],
+                                  "stopping": {"rule": "residual", "tol": 0.05}})
+
+    @pytest.mark.parametrize("stopping", [{"tol": math.nan}, {"tol": 0.0}, {"tol": -1.0}, {}])
+    def test_invalid_tolerance_rejected(self, stopping):
+        with pytest.raises(ConfigError, match="stopping.tol"):
+            exp.config_from_dict({"experiment": "convdiff_table", "n_values": [40],
+                                  "stopping": dict(stopping, rule="bound")})
+
     def test_quadrature_passthrough(self):
         cfg = exp.config_from_dict({
             "experiment": "bounds_vs_k", "k_max": 4,
@@ -407,6 +420,16 @@ class TestScaling:
         ks = [r["k"] for r in rows]
         assert ks == sorted(ks)
 
+    def test_scaling_vs_k_applies_k_max(self):
+        # the point used to search up to the matrix order whatever k_max said
+        raw = {"experiment": "scaling_vs_k", "n_values": [40], "eta": 0.5, "k_samples": 12,
+               "stopping": {"rule": "bound", "tol": 1e-6}}
+        _, free = exp.run_scaling_vs_k(exp.config_from_dict(raw))
+        rows, capped = exp.run_scaling_vs_k(exp.config_from_dict(dict(raw, k_max=12)))
+        assert free["k_stop"]["40"] > 12
+        assert capped["k_stop"]["40"] == capped["arnoldi_steps"]["40"] == 12
+        assert max(r["k"] for r in rows) == 12
+
     def test_scaling_vs_sigma_slopes(self, tmp_path):
         cfg = exp.config_from_dict({
             "experiment": "scaling_vs_sigma", "output_dir": str(tmp_path),
@@ -695,6 +718,38 @@ class TestCli:
         assert cli_main(["approx", "--matrix-file", mtx, "--stop", "residual",
                          "--out", str(tmp_path / "r")]) == 0
 
+    @pytest.mark.parametrize("stop,tol", [("bound", "nan"), ("bound", "-1"),
+                                          ("residual", "nan"), ("residual", "0")])
+    def test_approx_rejects_invalid_tolerance(self, tmp_path, capsys, monkeypatch, stop, tol):
+        # --stop bound --tol nan used to run to --kmax, print 0 and exit 2
+        mtx = str(tmp_path / "m.mtx")
+        cli_main(["matgen", "--kind", "uniform", "--n", "30", "--seed", "3", "--out", mtx])
+        steps, plain = [], arn.arnoldi_extend
+        monkeypatch.setattr(arn, "arnoldi_extend", lambda *a: steps.append(a) or plain(*a))
+        code = cli_main(["approx", "--matrix-file", mtx, "--stop", stop, "--tol", tol,
+                         "--out", str(tmp_path / "r")])
+        assert code == 1 and steps == [] and "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_matgen_rejects_nonfinite_eta(self, tmp_path, eta):
+        # it used to write a NaN matrix and exit 0
+        mtx = tmp_path / "m.mtx"
+        assert cli_main(["matgen", "--kind", "convdiff", "--n", "30", "--eta", eta,
+                         "--out", str(mtx)]) == 1
+        assert not mtx.exists()
+
+    def test_experiment_rejects_nonfinite_eta_and_tolerance(self, tmp_path):
+        # eta NaN used to end in a LinAlgError traceback from sigma_max
+        base = {"experiment": "convdiff_table", "n_values": [40],
+                "stopping": {"rule": "bound", "tol": 0.05}}
+        for raw, extra in ((dict(base, eta=math.nan), []),
+                           (dict(base, stopping={"rule": "bound", "tol": math.nan}), []),
+                           (base, ["--tol", "nan"])):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(raw))
+            assert cli_main(["experiment", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "o"), *extra]) == 1
+
     def test_approx_budget_exit_code(self, tmp_path):
         mtx = str(tmp_path / "m.mtx")
         cli_main(["matgen", "--kind", "uniform", "--n", "24", "--skew",
@@ -770,7 +825,10 @@ class TestCli:
             assert '<g class="series"' in open(out).read()
 
     def test_console_script_installed(self):
+        # the child imports the package this process imports, installed or not
+        src = os.path.dirname(os.path.dirname(cli_main.__code__.co_filename))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-m", "krylov_sqrt.cli", "--help"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert out.returncode == 0
         assert "approx" in out.stdout

@@ -56,6 +56,17 @@ class TestDenseMatrix:
         assert linalg.DenseMatrix(m.array).array is m.array
 
 
+class TestTridiagonalMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("band", [0, 1, 2])
+    def test_rejects_nonfinite_bands(self, band, bad):
+        # a NaN band used to reach the solves, which returned NaN silently
+        bands = [np.full(3, -1.0), np.full(4, 2.0), np.full(3, -0.5)]
+        bands[band][1] = bad
+        with pytest.raises(NonFiniteEntry):
+            linalg.TridiagonalMatrix(*bands)
+
+
 def _random_band_tridiagonal():
     rng = np.random.default_rng(7)
     return linalg.TridiagonalMatrix(rng.standard_normal(11), 4.0 + rng.standard_normal(12),

@@ -16,20 +16,26 @@ from krylov_sqrt.errors import (
 from krylov_sqrt.matrixmarket import read_matrix_market, write_matrix_market
 
 
+def eigenvectors(n: int, seed: int) -> np.ndarray:
+    return matgen.spectrum_matrix(matgen.SpectrumSpec.uniform(n, 1.0, 10.0), seed).eigenvectors
+
+
 class TestRandomOrthogonal:
+    """The random orthogonal eigenvector basis of a spectrum matrix."""
+
     def test_n_one_is_sign(self):
-        q = matgen.random_orthogonal(1, 3)
+        q = eigenvectors(1, 3)
         assert q.shape == (1, 1) and abs(q[0, 0]) == pytest.approx(1.0)
 
     def test_orthonormal_n100(self):
-        q = matgen.random_orthogonal(100, 42)
+        q = eigenvectors(100, 42)
         assert np.linalg.norm(q.T @ q - np.eye(100)) <= 1e-12 * 100
 
     def test_deterministic(self):
-        a = matgen.random_orthogonal(40, 7)
-        b = matgen.random_orthogonal(40, 7)
+        a = eigenvectors(40, 7)
+        b = eigenvectors(40, 7)
         np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, matgen.random_orthogonal(40, 8))
+        assert not np.array_equal(a, eigenvectors(40, 8))
 
 
 class TestSpectrumMatrix:
@@ -164,6 +170,9 @@ class TestConvectionDiffusion:
             matgen.convection_diffusion(2, 0.1)
         with pytest.raises(DomainError):
             matgen.convection_diffusion(10, 0.0)
+        for eta in (np.nan, np.inf, -np.inf):  # nan <= 0 is False, so NaN used to pass
+            with pytest.raises(DomainError, match="eta"):
+                matgen.convection_diffusion(10, eta)
         with pytest.raises(DomainError):
             matgen.convection_diffusion(10, 0.1, "staggered")
 
