@@ -607,17 +607,20 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
     > tol at k_stop - 1 (or k_stop = 1).  A happy breakdown at step k
     counts as a crossing with bound 0 at k (the action is exact there),
     so the bracket below it is still searched.  Equivalent to checking
-    every k whenever the bound crosses tol once.  When no k up to the cap
-    reaches tol, returns the cap and the bound there.
+    every k whenever the bound crosses tol once.  When no k up to the cap,
+    min(k_max, n) (n when k_max is None), reaches tol, returns the cap and
+    the bound there; a k_max below 2 raises DomainError.
 
     Returns (state, k_stop, bound_at_stop, x_exact); the action at k_stop
     is ``arnoldi_fun_action(state.prefix(k_stop))``.
     """
     _require_tol(tol)
     _require_stop_kind(bound_kind)
+    if k_max is not None and k_max < 2:
+        raise DomainError("k_max must be >= 2")
     op = linalg.as_operator(M)
     n = op.shape[0]
-    k_cap = min(k_max or n, n)
+    k_cap = n if k_max is None else min(k_max, n)
     x_exact = op.solve(b)
     if sigma is None and bound_kind == "apriori_gamma":
         sigma = linalg.sigma_max(op, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 import sys
 
@@ -134,22 +135,20 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = exp.load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.kmax is not None:
-        overrides["k_max"] = args.kmax
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
+    with open(args.config, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    for key, value in (("seed", args.seed), ("k_max", args.kmax), ("jobs", args.jobs)):
+        if value is not None:
+            raw[key] = value
     if args.no_oracle:
-        overrides["oracle"] = False
+        raw["oracle"] = False
     if args.tol is not None:
-        if cfg.stopping is None:
+        if not isinstance(raw.get("stopping"), dict):
             raise ConfigError("--tol override needs a stopping rule in the config")
-        overrides["stopping"] = dict(cfg.stopping, tol=args.tol)
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+        raw["stopping"] = dict(raw["stopping"], tol=args.tol)
+    cfg = exp.config_from_dict(raw)  # the overrides are validated with the file
     rows, summary, csv_path = exp.run_experiment(cfg, output_dir=args.out)
     print(f"wrote {csv_path} ({len(rows)} rows)")
     for key, value in sorted(summary.items()):

@@ -24,7 +24,7 @@ from .arnoldi import SIGMA_MAX_ITER, SIGMA_TOL, find_stop_k
 from .errors import ConfigError, DomainError
 from .matrixmarket import read_matrix_market
 
-__all__ = ["ExperimentConfig", "config_from_dict", "load_config", "run_experiment",
+__all__ = ["ExperimentConfig", "config_from_dict", "run_experiment",
            "find_stop_k", "fit_loglog_slope", "write_csv", "read_csv", "EXPERIMENTS"]
 
 # A true error below this fraction of ||M^{1/2} b|| is set by rounding, and
@@ -104,6 +104,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     required, optional = _SCHEMA[experiment]
     _reject_unknown(raw, _COMMON_KEYS.union(required, optional), f"{experiment} config")
 
+    for key in ("k_max", "jobs"):
+        value = raw.get(key, 1)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+
     kwargs: dict = {"experiment": experiment}
     for key in ("seed", "output_dir", "k_max", "k_samples", "eta", "convention",
                 "instances", "n", "oracle", "jobs"):
@@ -145,11 +150,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if getattr(cfg, key) in (None, ()):
             raise ConfigError(f"{experiment} requires {key!r}")
     return cfg
-
-
-def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

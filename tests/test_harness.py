@@ -73,6 +73,15 @@ class TestConfigValidation:
             exp.config_from_dict({"experiment": "convdiff_table", "n_values": [40],
                                   "stopping": dict(stopping, rule="bound")})
 
+    @pytest.mark.parametrize("key,value", [("k_max", 0), ("k_max", -5), ("k_max", 2.5),
+                                           ("k_max", True), ("k_max", None), ("jobs", 0),
+                                           ("jobs", -2), ("jobs", 1.5)])
+    def test_k_max_and_jobs_must_be_positive_integers(self, key, value):
+        # k_max 0 used to mean no cap and -5 to build 2 steps; jobs 0 ran serially
+        with pytest.raises(ConfigError, match=key):
+            exp.config_from_dict({"experiment": "convdiff_table", "n_values": [40],
+                                  "stopping": {"rule": "bound", "tol": 0.05}, key: value})
+
     def test_quadrature_passthrough(self):
         cfg = exp.config_from_dict({
             "experiment": "bounds_vs_k", "k_max": 4,
@@ -220,6 +229,13 @@ class TestFindStopK:
         tri = matgen.convection_diffusion(40, 0.5)
         with pytest.raises(UnsupportedContext, match="exact solve"):
             exp.find_stop_k((tri.matvec, 39), np.ones(39), 0.05)
+
+    @pytest.mark.parametrize("k_max", [1, 0, -5])
+    def test_rejects_k_max_below_two(self, k_max):
+        # 0 used to mean no cap, and 1 or -5 built 2 steps
+        tri = matgen.convection_diffusion(40, 0.5)
+        with pytest.raises(DomainError, match="k_max"):
+            exp.find_stop_k(tri, np.ones(39), 0.05, k_max=k_max)
 
     def test_budget_exhausted_returns_cap(self):
         tri = matgen.convection_diffusion(40, 0.5)
@@ -774,6 +790,39 @@ class TestCli:
         assert cli_main(["plot", "--csv", csv_path, "--kind", "bounds_vs_k",
                          "--out", str(tmp_path / "fig.svg")]) == 0
 
+    @pytest.mark.parametrize("experiment,flag,value,key", [
+        ("convdiff_table", "--kmax", "-5", "k_max"),   # it exited 0 with k_stop 2
+        ("convdiff_table", "--kmax", "1", "k_max"),
+        ("convdiff_table", "--jobs", "0", "jobs"),     # it ran serially
+        ("convdiff_table", "--jobs", "-2", "jobs"),
+        ("scaling_vs_sigma", "--kmax", "8", "k_max"),  # not in its schema: it was ignored
+    ])
+    def test_experiment_overrides_are_validated(self, tmp_path, capsys, experiment, flag,
+                                                value, key):
+        raw = {"experiment": experiment, "n_values": [120]}
+        if experiment == "convdiff_table":
+            raw["stopping"] = {"rule": "bound", "tol": 0.05}
+        else:
+            raw["k_values"] = [4]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["experiment", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o"), flag, value]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_experiment_overrides_reach_the_run(self, tmp_path):
+        cfg = {"experiment": "bounds_vs_k", "seed": 4, "k_max": 12, "k_samples": 11,
+               "matrix": {"type": "convdiff", "n": 40, "eta": 0.5}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(out),
+                         "--kmax", "6", "--no-oracle", "--jobs", "1"]) == 0
+        summary = json.loads((out / "bounds_vs_k_summary.json").read_text())
+        _, rows = exp.read_csv(str(out / "bounds_vs_k.csv"))
+        assert summary["k_reached"] == 6
+        assert all(row["error_norm"] is None for row in rows)
+
     def test_validation_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"experiment": "nope"}))
@@ -801,6 +850,41 @@ class TestCli:
                          "--tol", "0.1", "--kmax", "3",
                          "--out", str(tmp_path / "r3")])
         assert code == 3
+
+    def test_approx_symmetric_storage_file(self, tmp_path):
+        from krylov_sqrt.matrixmarket import read_matrix_market
+        a = matgen.spectrum_matrix(matgen.SpectrumSpec.uniform(12, 1.0, 100.0), 3).matrix.array
+        i, j = np.tril_indices(12)
+        mtx = tmp_path / "s.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                       f"12 12 {i.size}\n"
+                       + "".join(f"{r + 1} {c + 1} {float(a[r, c])!r}\n" for r, c in zip(i, j)))
+        np.testing.assert_array_equal(read_matrix_market(mtx), np.tril(a) + np.tril(a, -1).T)
+        out = tmp_path / "r"
+        assert cli_main(["approx", "--matrix-file", str(mtx), "--tol", "1e-8",
+                         "--out", str(out)]) == 0
+        want = arn.run_adaptive(read_matrix_market(mtx), np.ones(12), k_max=200,
+                                stop=arn.ResidualRelative(1e-8))
+        np.testing.assert_array_equal(read_matrix_market(out / "result.mtx").ravel(),
+                                      want.result)
+
+    def test_approx_rejects_comment_inside_data(self, tmp_path, capsys):
+        mtx = tmp_path / "m.mtx"
+        mtx.write_text("%%MatrixMarket matrix array real general\n2 2\n2.0\n0.0\n"
+                       "% inside\n0.0\n3.0\n")
+        assert cli_main(["approx", "--matrix-file", str(mtx),
+                         "--out", str(tmp_path / "r")]) == 1
+        assert "MatrixMarket" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_io_and_fft_unloaded(self):
+        # each adds tens of ms to every import; they load on first use
+        src = os.path.dirname(os.path.dirname(cli_main.__code__.co_filename))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, krylov_sqrt, krylov_sqrt.cli; "
+                "print(sorted({'scipy.io', 'scipy.fft'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path))
+        assert out.returncode == 0 and out.stdout.strip() == "[]"
 
     def test_matgen_clustered(self, tmp_path):
         mtx = str(tmp_path / "c.mtx")

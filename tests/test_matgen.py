@@ -290,17 +290,21 @@ class TestMatrixMarket:
         write_matrix_market(path, a, comment="first\nsecond")
         lines = path.read_text().splitlines()
         assert lines[1:3] == ["%first", "%second"]
-        # blank and comment lines before the size line and inside the data
+        # blank and comment lines before the size line, blank lines inside the data
         lines[3:3] = ["", "% before sizes", "   "]
-        lines[8:8] = ["", "% inside the data", ""]
+        lines[8:8] = ["", "   ", ""]
         path.write_text("\n".join(lines) + "\n\n")
         back = read_matrix_market(path)
-        assert back.dtype == a.dtype and back.tobytes() == a.tobytes()  # signed zeros too
+        assert back.dtype == a.dtype
+        got, want = back.view(np.float64), a.view(np.float64)  # real and imaginary parts
+        nonzero = want != 0
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+        assert (got[~nonzero] == 0.0).all()  # a -0.0 may read back as +0.0
 
     def test_coordinate_with_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "c.mtx"
-        path.write_text("%%MatrixMarket matrix coordinate complex general\n%c\n\n3 2 2\n"
-                        "1 1 1.5 -2.0\n\n% mid\n3 2 0.1 1e-300\n")
+        path.write_text("%%MatrixMarket matrix coordinate complex general\n%c\n\n% mid\n3 2 2\n"
+                        "1 1 1.5 -2.0\n\n\n3 2 0.1 1e-300\n")
         want = np.zeros((3, 2), dtype=complex)
         want[0, 0], want[2, 1] = 1.5 - 2.0j, 0.1 + 1e-300j
         np.testing.assert_array_equal(read_matrix_market(path), want)
@@ -318,6 +322,45 @@ class TestMatrixMarket:
         path = tmp_path / "bad.mtx"
         path.write_text(text)
         with pytest.raises(DomainError):
+            read_matrix_market(path)
+
+    @pytest.mark.parametrize("text", [
+        "%%MatrixMarket matrix array real general\n1 2\n1.0\n% inside\n2.0\n",
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n% x\n2 2 2.0\n",
+    ])
+    def test_rejects_comment_inside_data(self, tmp_path, text):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        with pytest.raises(DomainError):
+            read_matrix_market(path)
+
+    @pytest.mark.parametrize("text,want", [
+        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 4.0\n2 1 -1.5\n",
+         [[4.0, -1.5], [-1.5, 0.0]]),
+        ("%%MatrixMarket matrix array real skew-symmetric\n2 2\n3.0\n",
+         [[0.0, -3.0], [3.0, 0.0]]),
+        ("%%MatrixMarket matrix array complex hermitian\n2 2\n1 0\n2 3\n4 0\n",
+         [[1, 2 - 3j], [2 + 3j, 4]]),
+    ])
+    def test_symmetric_storage_expanded(self, tmp_path, text, want):
+        path = tmp_path / "s.mtx"
+        path.write_text(text)
+        back = read_matrix_market(path)
+        assert back.dtype == (complex if "complex" in text else float)
+        np.testing.assert_array_equal(back, want)
+
+    def test_integer_field_reads_float64(self, tmp_path):
+        path = tmp_path / "i.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate integer general\n2 2 2\n"
+                        "1 1 3\n2 2 -7\n")
+        back = read_matrix_market(path)
+        assert back.dtype == np.float64
+        np.testing.assert_array_equal(back, [[3.0, 0.0], [0.0, -7.0]])
+
+    def test_rejects_pattern_field(self, tmp_path):
+        path = tmp_path / "p.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n")
+        with pytest.raises(DomainError, match="pattern"):
             read_matrix_market(path)
 
     def test_rejects_garbage(self, tmp_path):
