@@ -530,12 +530,6 @@ def prefix_reports(decomp: ArnoldiDecomposition, ks, x_exact, sigma_max_used: fl
 # stopping
 
 
-# Tolerance and iteration budget of the sigma_max estimate behind an
-# ``apriori_gamma`` stop; convection-diffusion top singular values
-# cluster, so the default 10n power-iteration cap is far too small.
-SIGMA_TOL = 1e-10
-SIGMA_MAX_ITER = 2_000_000
-
 # Guided probes allowed to leave the search open before every other probe
 # becomes a plain bisection step (keeps the worst case at O(log k) probes).
 GUIDED_PROBES = 3
@@ -544,52 +538,35 @@ GUIDED_PROBES = 3
 # crossing inside what is built.
 GROWTH_CHUNKS = 8
 
-# The bounds a stop can use, by kind: each is the bound at one prefix from
-# its FOM error xi, sigma_max and the quadrature config.  ``posterior_ritz``
-# comes from the determinants of the shifted H_k.
-STOP_BOUNDS = {
-    "posterior_ritz": lambda sub, xi, sigma, cfg: bnd.bound_posterior_det(
-        sub.hessenberg, xi, cfg, sub._ws.factor().logdet(sub.k)[0]),
-    "posterior_modulus": lambda sub, xi, sigma, cfg: bnd.bound_posterior_modulus(sub.ritz, xi, cfg),
-    "apriori_gamma": lambda sub, xi, sigma, cfg: bnd.bound_apriori_sqrt(sigma, sub.k, xi),
-}
-
 
 def _require_tol(tol: float) -> None:
     if not tol > 0:  # NaN fails too
         raise DomainError(f"the stopping tolerance must be positive, got {tol!r}")
 
 
-def _require_stop_kind(kind: str) -> None:
-    if kind not in STOP_BOUNDS:
-        raise DomainError(f"unsupported stopping bound {kind!r}; "
-                          f"choose from {', '.join(STOP_BOUNDS)}")
+def find_stop_k(M, b, tol: float, *, quad_cfg: bnd.QuadratureConfig | None = None,
+                k_max: int | None = None):
+    """First k with the a posteriori Ritz-product bound <= tol on one
+    growing decomposition, located by probes that the cheap FOM error
+    guides; the driver of every bound stop.  The modulus and a priori
+    bounds lie above it on every certified prefix, so a stop on them would
+    come later and certify nothing more.
 
+    The bound is xi_k * C_k: xi_k = ||x_exact - x_FOM|| costs one O(k²)
+    solve with the shared Hessenberg LU factor, while C_k (the bound
+    integral over pi) costs a quadrature and drifts slowly with k.  Each
+    probe evaluates the true bound at one k and records C = bound/xi there.
 
-def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
-                quad_cfg: bnd.QuadratureConfig | None = None,
-                k_max: int | None = None, sigma: float | None = None):
-    """First k with the bound of kind ``bound_kind`` (a key of
-    ``STOP_BOUNDS``) <= tol on one growing decomposition, located by probes
-    that the cheap FOM error guides; the driver of every bound stop.  An
-    ``apriori_gamma`` search estimates sigma_max unless ``sigma`` is given.
-
-    Every stopping bound is xi_k * C_k: xi_k = ||x_exact - x_FOM|| costs
-    one O(k²) solve with the shared Hessenberg LU factor, while C_k (the
-    bound integral over pi, or the a priori constant) costs a quadrature
-    and drifts slowly with k.  Each probe evaluates the true bound at one
-    k and records C = bound/xi there.
-
-    A ``posterior_ritz`` probe takes the integral from determinants of the
-    shifted H_k, O(k²) per node, which cannot see whether every Ritz value
-    lies in the open right half-plane, as the bounds need.  A probe above
-    the order certified so far runs one Cholesky factorization of
-    H_K + H_Kᴴ for the whole decomposition built
+    A probe takes the integral from determinants of the shifted H_k,
+    O(k²) per node (:func:`bounds.bound_posterior_det`), which cannot see
+    whether every Ritz value lies in the open right half-plane, as the
+    bound needs.  A probe above the order certified so far runs one
+    Cholesky factorization of H_K + H_Kᴴ for the whole decomposition built
     (:attr:`ArnoldiDecomposition.bendixson_order`), which certifies every
     k up to the largest order whose leading block is positive definite,
     and the action at k_stop reads the same certificate.  A probe above
-    that order, of any kind, computes the Ritz values for the check, and
-    InvalidSpectrum is raised as by :func:`bounds.bound_posterior_ritz`.
+    that order computes the Ritz values for the check, and InvalidSpectrum
+    is raised as by :func:`bounds.bound_posterior_ritz`.
 
     - Checkpoints double (2, 4, 8, ..., the cap) until a probe is <= tol.
       The decomposition grows toward the checkpoint in chunks of
@@ -615,16 +592,12 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
     is ``arnoldi_fun_action(state.prefix(k_stop))``.
     """
     _require_tol(tol)
-    _require_stop_kind(bound_kind)
     if k_max is not None and k_max < 2:
         raise DomainError("k_max must be >= 2")
     op = linalg.as_operator(M)
     n = op.shape[0]
     k_cap = n if k_max is None else min(k_max, n)
     x_exact = op.solve(b)
-    if sigma is None and bound_kind == "apriori_gamma":
-        sigma = linalg.sigma_max(op, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
-    sigma = sigma if sigma is not None else 0.0
 
     state = arnoldi_start(b, capacity=min(64, k_cap))
 
@@ -672,7 +645,8 @@ def find_stop_k(M, b, tol: float, bound_kind: str = "posterior_ritz",
         sub = state.prefix(k)
         if sub.bendixson_order < k:
             bnd.require_right_half_plane(sub.ritz.values)
-        val = STOP_BOUNDS[bound_kind](sub, xi(k), sigma, quad_cfg)
+        val = bnd.bound_posterior_det(sub.hessenberg, xi(k), quad_cfg,
+                                      sub._ws.factor().logdet(k)[0])
         if xi(k) > 0.0:
             scale = val / xi(k)
         if val <= tol:
@@ -700,15 +674,13 @@ class ResidualRelative:
 
 @dataclass(frozen=True)
 class BoundAbsolute:
-    """Stop at the first k whose bound of kind ``bound_kind`` (a key of
-    ``STOP_BOUNDS``) is <= tol; the bounds diverge at k = 1."""
+    """Stop at the first k whose a posteriori Ritz-product bound is <= tol
+    (:func:`find_stop_k`); the bound diverges at k = 1."""
 
     tol: float
-    bound_kind: str = "posterior_ritz"
 
     def __post_init__(self):
         _require_tol(self.tol)
-        _require_stop_kind(self.bound_kind)
 
 
 # The true-error oracle of each f: the reference action f(M) b.
@@ -749,7 +721,7 @@ def run_adaptive(
     A ``BoundAbsolute`` rule runs :func:`find_stop_k`, with no Ritz solve
     per step; ``f`` other than ``sqrt`` (the bounds bound the sqrt action)
     or ``check_every`` other than 1 raises DomainError.  Its history is the
-    :func:`prefix_report` at k with the stopping kind's field set to the
+    :func:`prefix_report` at k with ``posterior_ritz`` set to the
     value the search compared with tol (0 at a happy breakdown); every
     other bound field is None.  A ``ResidualRelative`` rule extends Arnoldi
     ``check_every`` steps at a time and stops on the FOM residual alone; a
@@ -757,11 +729,10 @@ def run_adaptive(
     subspace.  Its history reports every checked k, built after the loop
     by :func:`prefix_reports` (one batch of bound quadratures).
 
-    sigma_max is computed for an ``apriori_gamma`` stop only, or taken
-    from ``sigma_max_val``.  A residual stop without it leaves
-    ``sigma_max_used`` and ``apriori_gamma`` None, and the Hermitian fields
-    too unless ``known_spectrum`` gives lambda_max; only then is M tested
-    for symmetry.
+    sigma_max is never computed: a residual stop reads ``sigma_max_val``,
+    and without it leaves ``sigma_max_used`` and ``apriori_gamma`` None,
+    and the Hermitian fields too unless ``known_spectrum`` gives
+    lambda_max; only then is M tested for symmetry.
 
     M must have an exact solve (dense or tridiagonal) because the bounds
     consume the exact FOM error norm; a matvec-only operator raises
@@ -793,10 +764,10 @@ def run_adaptive(
     reference = _ORACLES[f](op, rhs) if error_oracle else None
 
     if isinstance(stop, BoundAbsolute):
-        state, k, bound, x_exact = find_stop_k(op, rhs, stop.tol, stop.bound_kind, quad_cfg,
-                                               k_max, sigma_max_val)
+        state, k, bound, x_exact = find_stop_k(op, rhs, stop.tol, quad_cfg=quad_cfg,
+                                               k_max=k_max)
         state = state.prefix(k)
-        report = replace(prefix_report(state, x_exact, reference), **{stop.bound_kind: bound})
+        report = replace(prefix_report(state, x_exact, reference), posterior_ritz=bound)
         return AdaptiveResult(result=arnoldi_fun_action(state, f), history=[report], k=k,
                               converged=bound <= stop.tol, breakdown=state.breakdown)
 

@@ -56,8 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--f", default="sqrt", choices=("sqrt", "invsqrt", "inverse"))
     p_approx.add_argument("--stop", default="residual", choices=("residual", "bound"))
     p_approx.add_argument("--tol", type=float, default=1e-2)
-    p_approx.add_argument("--bound-kind", choices=tuple(arn.STOP_BOUNDS),
-                          help="bound of --stop bound (default posterior_ritz)")
     p_approx.add_argument("--kmax", type=int, default=200)
     p_approx.add_argument("--check-every", type=int, default=1,
                           help="steps between checks of --stop residual")
@@ -107,12 +105,8 @@ def _cmd_approx(args) -> int:
         b = read_matrix_market(args.rhs_file).ravel()
     else:
         b = np.ones(M.shape[0])
-    if args.stop == "residual":
-        if args.bound_kind is not None:
-            raise ConfigError("--bound-kind applies to --stop bound, not --stop residual")
-        stop = arn.ResidualRelative(args.tol)
-    else:
-        stop = arn.BoundAbsolute(args.tol, args.bound_kind or "posterior_ritz")
+    rule = arn.ResidualRelative if args.stop == "residual" else arn.BoundAbsolute
+    stop = rule(args.tol)
     result = arn.run_adaptive(M, b, f=args.f, stop=stop, k_max=args.kmax,
                               check_every=args.check_every)
     os.makedirs(args.out, exist_ok=True)
@@ -123,7 +117,7 @@ def _cmd_approx(args) -> int:
     final = result.history[-1]
     print(f"stopped at k = {result.k} (breakdown: {result.breakdown})")
     if isinstance(stop, arn.BoundAbsolute):
-        print(f"final {stop.bound_kind} = {getattr(final, stop.bound_kind):.6e}")
+        print(f"final posterior_ritz = {final.posterior_ritz:.6e}")
     else:
         print(f"final relative residual = {final.residual_norm / np.linalg.norm(b):.6e}")
         if args.f == "sqrt" and np.isfinite(final.posterior_ritz):
@@ -136,7 +130,10 @@ def _cmd_approx(args) -> int:
 
 def _cmd_experiment(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{args.config}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     for key, value in (("seed", args.seed), ("k_max", args.kmax), ("jobs", args.jobs)):

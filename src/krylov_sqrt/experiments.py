@@ -20,7 +20,7 @@ import numpy as np
 from . import arnoldi as arn
 from . import bounds as bnd
 from . import linalg, matgen
-from .arnoldi import SIGMA_MAX_ITER, SIGMA_TOL, find_stop_k
+from .arnoldi import find_stop_k
 from .errors import ConfigError, DomainError
 from .matrixmarket import read_matrix_market
 
@@ -30,6 +30,10 @@ __all__ = ["ExperimentConfig", "config_from_dict", "run_experiment",
 # A true error below this fraction of ||M^{1/2} b|| is set by rounding, and
 # the bounds, exact-arithmetic statements, can fall below it there.
 ROUNDING_FLOOR_RTOL = 1e-10
+# Tolerance and iteration budget of the sigma_max and sigma_min estimates: convection-
+# diffusion top singular values cluster, so the default 10n power-iteration cap is too small.
+SIGMA_TOL = 1e-10
+SIGMA_MAX_ITER = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +90,22 @@ _STOPPING_KEYS = {"rule", "tol", "bound_kind"}
 _QUAD_KEYS = {"rel_tol", "abs_tol", "max_subdivisions"}
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# (keys, test, what a value must be) for the top-level scalars and arrays.
+_VALUE_RULES = (
+    (("k_max", "jobs", "k_samples", "instances", "n"), lambda v: type(v) is int and v >= 1,
+     "an integer >= 1"),
+    (("seed",), lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    (("eta",), _is_number, "a number"),
+    (("oracle",), lambda v: isinstance(v, bool), "true or false"),
+    (("n_values", "k_values", "eps_values", "fit_window"),
+     lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)), "an array of numbers"),
+)
+
+
 def _reject_unknown(d: dict, allowed: set, where: str) -> None:
     unknown = set(d) - allowed
     if unknown:
@@ -104,10 +124,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     required, optional = _SCHEMA[experiment]
     _reject_unknown(raw, _COMMON_KEYS.union(required, optional), f"{experiment} config")
 
-    for key in ("k_max", "jobs"):
-        value = raw.get(key, 1)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    for keys, valid, what in _VALUE_RULES:
+        for key in keys:
+            if key in raw and not valid(raw[key]):
+                raise ConfigError(f"{key} must be {what}, got {raw[key]!r}")
 
     kwargs: dict = {"experiment": experiment}
     for key in ("seed", "output_dir", "k_max", "k_samples", "eta", "convention",
@@ -140,12 +160,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError("stopping.rule must be 'bound'; no experiment runs a residual stop")
         if not isinstance(stop.get("tol"), (int, float)) or not stop["tol"] > 0:  # NaN fails too
             raise ConfigError(f"stopping.tol must be a positive number, got {stop.get('tol')!r}")
+        if stop.get("bound_kind", "posterior_ritz") != "posterior_ritz":
+            raise ConfigError(f"stopping.bound_kind {stop['bound_kind']!r} is not 'posterior_ritz'")
         kwargs["stopping"] = dict(stop)
 
-    try:
-        cfg = ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = ExperimentConfig(**kwargs)
     for key in required:
         if getattr(cfg, key) in (None, ()):
             raise ConfigError(f"{experiment} requires {key!r}")
@@ -272,18 +291,14 @@ def _map_points(point, cfg: ExperimentConfig) -> list:
     return [point(cfg, n) for n in cfg.n_values]
 
 
-def _stopping(cfg: ExperimentConfig):
-    """(tol, bound kind) of the config's bound stop."""
-    return float(cfg.stopping["tol"]), cfg.stopping.get("bound_kind", "posterior_ritz")
-
-
 def _search(cfg: ExperimentConfig, n: int):
     """The convection-diffusion matrix at n, b = ones, and the
     :func:`find_stop_k` search of the config's bound stop on them, capped
     at ``cfg.k_max``: (tri, b, state, k_stop, bound at k_stop, x_exact)."""
     tri = matgen.convection_diffusion(n, cfg.eta, cfg.convention)
     b = np.ones(tri.shape[0])
-    return (tri, b) + find_stop_k(tri, b, *_stopping(cfg), cfg.quadrature, k_max=cfg.k_max)
+    return (tri, b) + find_stop_k(tri, b, float(cfg.stopping["tol"]),
+                                  quad_cfg=cfg.quadrature, k_max=cfg.k_max)
 
 
 def _convdiff_point(cfg: ExperimentConfig, n: int):
@@ -305,11 +320,11 @@ def _convdiff_point(cfg: ExperimentConfig, n: int):
 
 
 def run_convdiff_table(cfg: ExperimentConfig):
-    tol, bound_kind = _stopping(cfg)
     out = _map_points(_convdiff_point, cfg)
     rows = sorted((row for row, _ in out), key=lambda r: r["n"])
     summary = {"experiment": cfg.experiment, "eta": cfg.eta,
-               "convention": cfg.convention, "tol": tol, "bound_kind": bound_kind,
+               "convention": cfg.convention, "tol": float(cfg.stopping["tol"]),
+               "bound_kind": "posterior_ritz",
                "arnoldi_steps": {str(row["n"]): steps for row, steps in out},
                "table_column_note": (
                    "cond = sigma_max/sigma_min reproduces the reference table's "
@@ -331,13 +346,12 @@ def _scaling_point(cfg: ExperimentConfig, n: int):
 
 
 def run_scaling_vs_k(cfg: ExperimentConfig):
-    tol, _ = _stopping(cfg)
     out = _map_points(_scaling_point, cfg)
     rows = [r for point_rows, _ in out for r in point_rows]
     rows.sort(key=lambda r: (r["n"], r["k"]))
     slopes = {str(s["n"]): s["slope"] for _, s in out}
     mean_slope = float(np.mean([s["slope"] for _, s in out]))
-    summary = {"experiment": cfg.experiment, "eta": cfg.eta, "tol": tol,
+    summary = {"experiment": cfg.experiment, "eta": cfg.eta, "tol": float(cfg.stopping["tol"]),
                "fit_window": list(cfg.fit_window), "slopes": slopes,
                "fitted_slope": mean_slope,
                "k_stop": {str(s["n"]): s["k_stop"] for _, s in out},

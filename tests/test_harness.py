@@ -82,6 +82,39 @@ class TestConfigValidation:
             exp.config_from_dict({"experiment": "convdiff_table", "n_values": [40],
                                   "stopping": {"rule": "bound", "tol": 0.05}, key: value})
 
+    @pytest.mark.parametrize("experiment,key,value", [
+        ("convdiff_table", "eta", "0.5"),            # each ended in a TypeError traceback
+        ("convdiff_table", "n_values", 40),
+        ("bounds_vs_k", "k_samples", 2.5),
+        ("perturbed_validity", "instances", 0),      # max() of no rows
+        ("bounds_vs_k", "oracle", "false"),          # a truthy string: the oracle ran
+        ("perturbed_validity", "n", 0),
+        ("perturbed_validity", "eps_values", [0.1, "0.2"]),
+        ("scaling_vs_sigma", "k_values", [4, True]),
+        ("scaling_vs_k", "fit_window", "0.25"),
+        ("bounds_vs_k", "seed", -1),
+        ("bounds_vs_k", "seed", 1.0),
+    ])
+    def test_value_types_checked(self, experiment, key, value):
+        stop = {"rule": "bound", "tol": 0.05}
+        raw = dict({"convdiff_table": {"n_values": [40], "stopping": stop},
+                    "scaling_vs_k": {"n_values": [40], "stopping": stop},
+                    "scaling_vs_sigma": {"n_values": [40], "k_values": [4]},
+                    "bounds_vs_k": {"matrix": {"type": "convdiff", "n": 40}, "k_max": 12},
+                    "perturbed_validity": {"eps_values": [0.1], "k_max": 12}}[experiment],
+                   experiment=experiment)
+        exp.config_from_dict(raw)
+        with pytest.raises(ConfigError, match=key):
+            exp.config_from_dict(dict(raw, **{key: value}))
+
+    def test_bound_kind_must_be_posterior_ritz(self):
+        raw = {"experiment": "convdiff_table", "n_values": [40]}
+        stop = {"rule": "bound", "tol": 0.05}
+        exp.config_from_dict(dict(raw, stopping=dict(stop, bound_kind="posterior_ritz")))
+        for kind in ("posterior_modulus", "apriori_gamma", "nonsense"):
+            with pytest.raises(ConfigError, match="bound_kind"):
+                exp.config_from_dict(dict(raw, stopping=dict(stop, bound_kind=kind)))
+
     def test_quadrature_passthrough(self):
         cfg = exp.config_from_dict({
             "experiment": "bounds_vs_k", "k_max": 4,
@@ -327,9 +360,9 @@ class TestFindStopK:
         # the guide stops the growth toward the cap (299) a chunk past the
         # guided point; the probes are those of a build to the cap
         probes = []
-        probe = arn.STOP_BOUNDS["posterior_ritz"]
-        monkeypatch.setitem(arn.STOP_BOUNDS, "posterior_ritz",
-                            lambda sub, *a: probes.append(sub.k) or probe(sub, *a))
+        probe = bnd.bound_posterior_det
+        monkeypatch.setattr(bnd, "bound_posterior_det",
+                            lambda h, *a: probes.append(h.shape[0]) or probe(h, *a))
         tri = matgen.convection_diffusion(300, 0.1)
         state, k_stop, _, _ = exp.find_stop_k(tri, np.ones(tri.shape[0]), 0.05)
         assert k_stop == 259 and state.k <= 280
@@ -340,11 +373,11 @@ class TestFindStopK:
         # midpoint steps must still find the exact step in O(log k) probes
         probes = []
 
-        def step_bound(sub, xi, sigma, quad_cfg):
-            probes.append(sub.k)
-            return 1.0 if sub.k < 200 else 0.0
+        def step_bound(h, xi, quad_cfg, log_det):
+            probes.append(h.shape[0])
+            return 1.0 if h.shape[0] < 200 else 0.0
 
-        monkeypatch.setitem(arn.STOP_BOUNDS, "posterior_ritz", step_bound)
+        monkeypatch.setattr(bnd, "bound_posterior_det", step_bound)
         tri = matgen.convection_diffusion(300, 0.5)
         _, k_stop, val, _ = exp.find_stop_k(tri, np.ones(tri.shape[0]), 0.05)
         assert (k_stop, val) == (200, 0.0)
@@ -374,10 +407,10 @@ class TestConvdiffTable:
         # bound from determinants, and the action at k_stop, above the
         # crossover order, comes from shifted Hessenberg solves
         calls = {"probe": [], "ritz": [], "lu": [], "sqrt": []}
-        probe, ritz = arn.STOP_BOUNDS["posterior_ritz"], linalg.hessenberg_eigenvalues
+        probe, ritz = bnd.bound_posterior_det, linalg.hessenberg_eigenvalues
         factor, sqrt = linalg.lu_factor_quiet, linalg.dense_sqrt
-        monkeypatch.setitem(arn.STOP_BOUNDS, "posterior_ritz",
-                            lambda sub, *a: calls["probe"].append(sub.k) or probe(sub, *a))
+        monkeypatch.setattr(bnd, "bound_posterior_det",
+                            lambda h, *a: calls["probe"].append(h.shape[0]) or probe(h, *a))
         monkeypatch.setattr(linalg, "hessenberg_eigenvalues",
                             lambda h, **kw: calls["ritz"].append(h.shape[0]) or ritz(h, **kw))
         monkeypatch.setattr(linalg, "lu_factor_quiet",
@@ -712,7 +745,7 @@ class TestCli:
                                       want.result)
 
     def test_approx_rejects_hermitian_bound_kind(self, tmp_path, capsys):
-        # it used to run all 24 steps, then crash formatting the None field
+        # --stop bound has one bound, posterior_ritz; --bound-kind is gone
         mtx = str(tmp_path / "m.mtx")
         cli_main(["matgen", "--kind", "uniform", "--n", "24", "--skew", "--seed", "3",
                   "--out", mtx])
@@ -720,16 +753,20 @@ class TestCli:
             cli_main(["approx", "--matrix-file", mtx, "--stop", "bound", "--bound-kind",
                       "hermitian_jensen", "--out", str(tmp_path / "r")])
         assert exit_info.value.code == 1
-        assert "posterior_ritz" in capsys.readouterr().err
+        assert "unrecognized arguments: --bound-kind" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r")
+        assert cli_main(["approx", "--matrix-file", mtx, "--stop", "bound", "--tol", "1e-3",
+                         "--kmax", "24", "--out", str(tmp_path / "r")]) == 0
+        assert "final posterior_ritz = " in capsys.readouterr().out
 
     def test_approx_residual_stop_rejects_bound_kind(self, tmp_path, capsys):
-        # --bound-kind used to be read by --stop bound only, and ignored here
         mtx = str(tmp_path / "m.mtx")
         cli_main(["matgen", "--kind", "uniform", "--n", "24", "--seed", "3", "--out", mtx])
-        code = cli_main(["approx", "--matrix-file", mtx, "--stop", "residual", "--bound-kind",
-                         "posterior_modulus", "--out", str(tmp_path / "r")])
-        err = capsys.readouterr().err
-        assert code == 1 and "--bound-kind" in err and "--stop residual" in err
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["approx", "--matrix-file", mtx, "--stop", "residual", "--bound-kind",
+                      "posterior_modulus", "--out", str(tmp_path / "r")])
+        assert exit_info.value.code == 1
+        assert "unrecognized arguments: --bound-kind" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "r")
         assert cli_main(["approx", "--matrix-file", mtx, "--stop", "residual",
                          "--out", str(tmp_path / "r")]) == 0
@@ -822,6 +859,14 @@ class TestCli:
         _, rows = exp.read_csv(str(out / "bounds_vs_k.csv"))
         assert summary["k_reached"] == 6
         assert all(row["error_norm"] is None for row in rows)
+
+    def test_experiment_rejects_malformed_json(self, tmp_path, capsys):
+        # a truncated file used to end in a JSONDecodeError traceback
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text('{"experiment": ')
+        assert cli_main(["experiment", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.json" in err and "line 1 column 16" in err
 
     def test_validation_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
