@@ -711,8 +711,6 @@ def run_adaptive(
     k_max: int = 100,
     quad_cfg=None,
     check_every: int = 1,
-    sigma_max_val: float | None = None,
-    known_spectrum=None,
     error_oracle: bool = False,
 ) -> AdaptiveResult:
     """The action f(M) b at the first k where the stopping rule holds, with
@@ -727,12 +725,9 @@ def run_adaptive(
     ``check_every`` steps at a time and stops on the FOM residual alone; a
     happy breakdown stops it, the action being exact on the invariant
     subspace.  Its history reports every checked k, built after the loop
-    by :func:`prefix_reports` (one batch of bound quadratures).
-
-    sigma_max is never computed: a residual stop reads ``sigma_max_val``,
-    and without it leaves ``sigma_max_used`` and ``apriori_gamma`` None,
-    and the Hermitian fields too unless ``known_spectrum`` gives
-    lambda_max; only then is M tested for symmetry.
+    by :func:`prefix_reports` (one batch of bound quadratures).  Neither
+    stop computes sigma_max, so ``apriori_gamma``, ``sigma_max_used`` and
+    the Hermitian fields stay None.
 
     M must have an exact solve (dense or tridiagonal) because the bounds
     consume the exact FOM error norm; a matvec-only operator raises
@@ -772,9 +767,6 @@ def run_adaptive(
                               converged=bound <= stop.tol, breakdown=state.breakdown)
 
     x_exact = op.solve(rhs)
-    herm = (f == "sqrt" and (known_spectrum is not None or sigma_max_val is not None)
-            and op.is_hermitian())
-
     state = arnoldi_start(rhs, capacity=min(k_max, 256))
     checked: list = []
     converged = False
@@ -784,7 +776,6 @@ def run_adaptive(
         converged = state.breakdown or fom_residual_norm(state)[0] / state.b_norm <= stop.tol
     # the action first: a Schur form it computes gives the last row its Ritz values
     result = arnoldi_fun_action(state, f)
-    history = prefix_reports(state, checked, x_exact, sigma_max_val, quad_cfg, herm,
-                             known_spectrum, reference, f)
+    history = prefix_reports(state, checked, x_exact, None, quad_cfg, reference=reference, f=f)
     return AdaptiveResult(result=result, history=history, k=state.k,
                           converged=converged, breakdown=state.breakdown)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -34,7 +33,7 @@ EXIT_BUDGET = 2
 EXIT_NUMERICAL = 3
 
 _VALIDATION_ERRORS = (ConfigError, DomainError, DimensionMismatch, TooLarge,
-                      UnsupportedContext, NonFiniteEntry, FileNotFoundError)
+                      UnsupportedContext, NonFiniteEntry, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,13 +128,7 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    raw = exp.read_json(args.config)
     for key, value in (("seed", args.seed), ("k_max", args.kmax), ("jobs", args.jobs)):
         if value is not None:
             raw[key] = value

@@ -24,16 +24,12 @@ from .arnoldi import find_stop_k
 from .errors import ConfigError, DomainError
 from .matrixmarket import read_matrix_market
 
-__all__ = ["ExperimentConfig", "config_from_dict", "run_experiment",
-           "find_stop_k", "fit_loglog_slope", "write_csv", "read_csv", "EXPERIMENTS"]
+__all__ = ["ExperimentConfig", "config_from_dict", "run_experiment", "find_stop_k",
+           "fit_loglog_slope", "write_csv", "read_csv", "read_json", "EXPERIMENTS"]
 
 # A true error below this fraction of ||M^{1/2} b|| is set by rounding, and
 # the bounds, exact-arithmetic statements, can fall below it there.
 ROUNDING_FLOOR_RTOL = 1e-10
-# Tolerance and iteration budget of the sigma_max and sigma_min estimates: convection-
-# diffusion top singular values cluster, so the default 10n power-iteration cap is too small.
-SIGMA_TOL = 1e-10
-SIGMA_MAX_ITER = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +90,24 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# (keys, test, what a value must be) for the top-level scalars and arrays.
+# (keys, test, what a value must be).  A dotted key names a value inside
+# an object-valued key, whose rule comes first.
 _VALUE_RULES = (
-    (("k_max", "jobs", "k_samples", "instances", "n"), lambda v: type(v) is int and v >= 1,
-     "an integer >= 1"),
+    (("matrix", "rhs", "stopping", "quadrature"), lambda v: isinstance(v, dict), "an object"),
+    (("k_max", "jobs", "k_samples", "instances", "n", "matrix.n", "rhs.count",
+      "quadrature.max_subdivisions"), lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     (("seed",), lambda v: type(v) is int and v >= 0, "an integer >= 0"),
-    (("eta",), _is_number, "a number"),
-    (("oracle",), lambda v: isinstance(v, bool), "true or false"),
-    (("n_values", "k_values", "eps_values", "fit_window"),
+    (("eta", "matrix.eta", "matrix.lo", "matrix.hi", "matrix.cluster_center",
+      "matrix.cluster_std", "matrix.cluster_fraction", "matrix.outlier_center",
+      "matrix.outlier_std", "matrix.skew_scale", "quadrature.rel_tol", "quadrature.abs_tol"),
+     _is_number, "a number"),
+    (("stopping.tol",), lambda v: _is_number(v) and v > 0, "a positive number"),  # NaN fails
+    (("stopping.bound_kind",), lambda v: v == "posterior_ritz", "'posterior_ritz'"),
+    (("oracle", "matrix.skew"), lambda v: isinstance(v, bool), "true or false"),
+    (("output_dir", "matrix.path"), lambda v: isinstance(v, str), "a string"),
+    (("n_values", "k_values"), lambda v: isinstance(v, (list, tuple))
+     and all(type(x) is int for x in v), "an array of integers"),
+    (("eps_values", "fit_window"),
      lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)), "an array of numbers"),
 )
 
@@ -126,8 +132,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     for keys, valid, what in _VALUE_RULES:
         for key in keys:
-            if key in raw and not valid(raw[key]):
-                raise ConfigError(f"{key} must be {what}, got {raw[key]!r}")
+            parent, _, name = key.rpartition(".")
+            obj = raw.get(parent, {}) if parent else raw
+            if name in obj and not valid(obj[name]):
+                raise ConfigError(f"{key} must be {what}, got {obj[name]!r}")
 
     kwargs: dict = {"experiment": experiment}
     for key in ("seed", "output_dir", "k_max", "k_samples", "eta", "convention",
@@ -158,10 +166,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         _reject_unknown(stop, _STOPPING_KEYS, "stopping")
         if stop.get("rule") != "bound":
             raise ConfigError("stopping.rule must be 'bound'; no experiment runs a residual stop")
-        if not isinstance(stop.get("tol"), (int, float)) or not stop["tol"] > 0:  # NaN fails too
-            raise ConfigError(f"stopping.tol must be a positive number, got {stop.get('tol')!r}")
-        if stop.get("bound_kind", "posterior_ritz") != "posterior_ritz":
-            raise ConfigError(f"stopping.bound_kind {stop['bound_kind']!r} is not 'posterior_ritz'")
+        if "tol" not in stop:
+            raise ConfigError("stopping.tol is required")
         kwargs["stopping"] = dict(stop)
 
     cfg = ExperimentConfig(**kwargs)
@@ -257,7 +263,7 @@ def run_bounds_vs_k(cfg: ExperimentConfig):
     M = ctx.operator
     n = M.shape[0]
     k_max = min(cfg.k_max, n)
-    sigma = linalg.sigma_max(M, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
+    sigma = linalg.sigma_max(M)
     x_exact = M.solve(b)
     reference = linalg.reference_sqrt_action(M, b) if cfg.oracle else None
 
@@ -304,8 +310,8 @@ def _search(cfg: ExperimentConfig, n: int):
 def _convdiff_point(cfg: ExperimentConfig, n: int):
     tri, b, state, k_stop, val, x_exact = _search(cfg, n)
     m = tri.shape[0]
-    sigma = linalg.sigma_max(tri, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
-    sigma_min = linalg.sigma_min(tri, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
+    sigma = linalg.sigma_max(tri)
+    sigma_min = linalg.sigma_min(tri)
     reference = linalg.reference_sqrt_action(tri, b) if cfg.oracle else None
     rep = arn.prefix_report(state.prefix(k_stop), x_exact, reference)
     row = {
@@ -360,7 +366,7 @@ def run_scaling_vs_k(cfg: ExperimentConfig):
 
 
 def run_scaling_vs_sigma(cfg: ExperimentConfig):
-    ks = sorted(int(k) for k in cfg.k_values)
+    ks = sorted(cfg.k_values)
     rows = []
     for n in cfg.n_values:
         tri = matgen.convection_diffusion(n, cfg.eta, cfg.convention)
@@ -368,7 +374,7 @@ def run_scaling_vs_sigma(cfg: ExperimentConfig):
         state = arn.arnoldi(tri, b, min(max(ks), tri.shape[0]))
         x_exact = tri.solve(b)
         reference = linalg.reference_sqrt_action(tri, b)
-        sigma = linalg.sigma_max(tri, tol=SIGMA_TOL, max_iter=SIGMA_MAX_ITER)
+        sigma = linalg.sigma_max(tri)
         reports = [arn.prefix_report(state.prefix(k), x_exact, reference)
                    for k in ks if k <= state.k]
         rows += [{"k": rep.k, "n": n, "sigma_max": sigma,
@@ -451,8 +457,8 @@ _COLUMN_DOCS = {
     "hermitian_jensen": "Hermitian bound sharpened with lambda_bar",
     "lambda_bar": "averaged eigenvalue (top-k plus lambda_max)/(k+1)",
     "sigma_max_used": "largest singular value used by the a priori bound",
-    "sigma_max": ("largest singular value (exact at desk scale: banded, Hermitian "
-                  "eigendecomposition or dense SVD; else power iteration)"),
+    "sigma_max": ("largest singular value (exact: banded, Hermitian "
+                  "eigendecomposition or dense SVD)"),
     "sigma_min": "smallest singular value (inverse iteration)",
     "cond": "2-norm condition number sigma_max/sigma_min",
     "k_stop": "first k satisfying the stopping rule",
@@ -506,23 +512,39 @@ def _sidecar_path(csv_path: str) -> str:
 def read_csv(path: str):
     """Read back a harness CSV: '' -> None, 'inf' -> math.inf."""
     with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        columns = next(reader)
-        rows = []
-        for rec in reader:
-            row = {}
-            for c, cell in zip(columns, rec):
-                if cell == "":
-                    row[c] = None
-                elif cell == "inf":
-                    row[c] = math.inf
-                else:
-                    try:
-                        row[c] = float(cell)
-                    except ValueError:
-                        row[c] = cell
-            rows.append(row)
+        try:
+            records = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not an ASCII CSV: {exc}") from exc
+    if not records:
+        raise DomainError(f"{path} is empty")
+    columns, rows = records[0], []
+    for rec in records[1:]:
+        row = {}
+        for c, cell in zip(columns, rec):
+            if cell == "":
+                row[c] = None
+            elif cell == "inf":
+                row[c] = math.inf
+            else:
+                try:
+                    row[c] = float(cell)
+                except ValueError:
+                    row[c] = cell
+        rows.append(row)
     return columns, rows
+
+
+def read_json(path: str) -> dict:
+    """The JSON object in a file, else ConfigError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            value = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: not a JSON object")
+    return value
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None):

@@ -1,21 +1,18 @@
 """The operator protocol and the dense, deterministic, desk-scale kernels.
 
 Every matrix enters through :func:`as_operator`, the one place that looks
-at the input's type.  An operator has ``shape``, ``dtype`` (None when
-unknown), ``matvec``, ``rmatvec``, ``solve(rhs, adjoint=False)``,
-``is_hermitian(rtol)``, ``to_dense()`` and ``bands`` (``(lower, diag,
-upper)`` or None), and is a :class:`DenseMatrix`, a
-:class:`TridiagonalMatrix` or a :class:`MatvecOperator`.
+at the input's type.  An operator has ``shape``, ``matvec``,
+``solve(rhs, adjoint=False)``, ``is_hermitian()``, ``to_dense()`` and
+``bands`` (``(lower, diag, upper)`` or None), and is a
+:class:`DenseMatrix`, a :class:`TridiagonalMatrix` or a
+:class:`MatvecOperator`.
 
 Factorizations and small-matrix eigenvalue/square-root evaluation are
 delegated to LAPACK through numpy/scipy; this module owns input
-validation, the error contracts, and the extremal singular-value
-estimators (largest: exact for tridiagonal input and for dense input
-at desk scale, power iteration otherwise; smallest: inverse power
-iteration), and the error oracle (closed form for tridiagonal Toeplitz
-input; for other dense input at desk scale, the eigendecomposition of an
-exactly Hermitian matrix, which also gives its sigma_max, else the
-Schur square root).  Every kernel is a pure function of its inputs.
+validation, the error contracts, the extremal singular values (largest:
+exact, and refused for a matvec-only operator; smallest: inverse power
+iteration) and the error oracles.  Every kernel is a pure function of
+its inputs.
 """
 
 from __future__ import annotations
@@ -53,6 +50,12 @@ PIVOT_RTOL = 1e-14
 # |Im(lambda)| below this (relative to max(1, |lambda|)) counts as real.
 BRANCH_CUT_IMAG_TOL = 1e-12
 
+# Relative tolerances: of is_hermitian on ||M - Mᴴ||_F / ||M||_F, and of
+# the change in sigma_min's estimate that stops it (within 5-7 steps on
+# convection-diffusion matrices, against a cap of 10n).
+HERMITIAN_RTOL = 1e-12
+SIGMA_MIN_RTOL = 1e-10
+
 
 class DenseMatrix:
     """Square dense matrix in its native dtype.
@@ -76,15 +79,12 @@ class DenseMatrix:
         if not np.isfinite(a).all():
             raise NonFiniteEntry("matrix entries must be finite")
         a.flags.writeable = False
-        self.array, self.shape, self.dtype = a, a.shape, a.dtype
+        self.array, self.shape = a, a.shape
         self._lu = None
         self._eigh = None
 
     def matvec(self, v) -> np.ndarray:
         return self.array @ v
-
-    def rmatvec(self, v) -> np.ndarray:
-        return (np.conj(v) @ self.array).conj()  # Mᴴ v without copying M
 
     def solve(self, rhs, adjoint: bool = False) -> np.ndarray:
         """Solve M x = rhs (Mᴴ x = rhs with ``adjoint``) by LU with partial
@@ -105,9 +105,9 @@ class DenseMatrix:
         trans = (2 if np.iscomplexobj(self.array) else 1) if adjoint else 0
         return sla.lu_solve(self._lu, rhs, trans=trans, check_finite=False)
 
-    def is_hermitian(self, rtol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         a = self.array
-        return np.linalg.norm(a - a.conj().T) <= rtol * np.linalg.norm(a)
+        return np.linalg.norm(a - a.conj().T) <= HERMITIAN_RTOL * np.linalg.norm(a)
 
     def eigh(self):
         """(lambda ascending, V) with M = V diag(lambda) Vᴴ when the stored
@@ -143,7 +143,6 @@ class TridiagonalMatrix:
         if self.lower.shape[0] != m - 1 or self.upper.shape[0] != m - 1:
             raise DimensionMismatch("band lengths must be (m-1, m, m-1)")
         self.shape = (m, m)
-        self.dtype = np.dtype(float)
         self.bands = (self.lower, self.diag, self.upper)
         if not all(np.isfinite(band).all() for band in self.bands):
             raise NonFiniteEntry("band entries must be finite")
@@ -154,12 +153,6 @@ class TridiagonalMatrix:
         w[:-1] += self.upper * v[1:]
         return w
 
-    def rmatvec(self, v):
-        w = self.diag * v
-        w[1:] += self.upper * v[:-1]
-        w[:-1] += self.lower * v[1:]
-        return w
-
     def solve(self, rhs, adjoint: bool = False):
         ab = np.zeros((3, self.shape[0]))
         if adjoint:
@@ -168,9 +161,9 @@ class TridiagonalMatrix:
             ab[0, 1:], ab[1, :], ab[2, :-1] = self.upper, self.diag, self.lower
         return sla.solve_banded((1, 1), ab, rhs, check_finite=False)
 
-    def is_hermitian(self, rtol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         scale = np.linalg.norm(np.concatenate([self.diag, self.lower, self.upper]))
-        return np.linalg.norm(self.lower - self.upper) <= rtol * scale
+        return np.linalg.norm(self.lower - self.upper) <= HERMITIAN_RTOL * scale
 
     def to_dense(self) -> np.ndarray:
         return np.diag(self.diag) + np.diag(self.lower, -1) + np.diag(self.upper, 1)
@@ -179,27 +172,20 @@ class TridiagonalMatrix:
 class MatvecOperator:
     """A matrix seen only through its products with vectors.
 
-    ``rmatvec`` is optional.  Whatever needs the entries or an exact
-    solve raises UnsupportedContext.
+    Whatever needs the entries or an exact solve raises
+    UnsupportedContext.
     """
 
-    dtype = None  # unknown until a product is seen
     bands = None
 
-    def __init__(self, matvec, n: int, rmatvec=None):
+    def __init__(self, matvec, n: int):
         self.matvec = matvec
         self.shape = (n, n)
-        self._rmatvec = rmatvec
-
-    def rmatvec(self, v):
-        if self._rmatvec is None:
-            raise UnsupportedContext("the operator has no rmatvec (product with Mᴴ)")
-        return self._rmatvec(v)
 
     def solve(self, rhs, adjoint: bool = False):
         raise UnsupportedContext("an exact solve is needed, and a matvec-only operator has none")
 
-    def is_hermitian(self, rtol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         raise UnsupportedContext("a matvec-only operator cannot be tested for symmetry")
 
     def to_dense(self):
@@ -232,15 +218,15 @@ def as_operator(M):
     """Normalize a matrix to the operator protocol.
 
     Accepts an operator of this module, ``(callable, n)``, an object with
-    ``matvec`` and ``shape`` (and optionally ``rmatvec``), or anything
-    ``np.asarray`` turns into a square matrix.
+    ``matvec`` and ``shape``, or anything ``np.asarray`` turns into a
+    square matrix.
     """
     if isinstance(M, (DenseMatrix, TridiagonalMatrix, MatvecOperator)):
         return M
     if isinstance(M, tuple) and len(M) == 2 and callable(M[0]):
         return MatvecOperator(M[0], int(M[1]))
     if hasattr(M, "matvec"):
-        return MatvecOperator(M.matvec, M.shape[0], getattr(M, "rmatvec", None))
+        return MatvecOperator(M.matvec, M.shape[0])
     if callable(M):
         raise DimensionMismatch("bare callables must be passed as (callable, n)")
     return DenseMatrix(M)
@@ -421,54 +407,22 @@ def _toeplitz_fun_action(sub: float, dia: float, sup: float, m: int, b, fn) -> n
     return d * scipy.fft.dst(fn(lam) * w, type=1, norm="ortho")
 
 
-def sigma_max(M, tol: float = 1e-8, max_iter: int | None = None) -> float:
-    """Largest singular value.
-
-    Exact at desk scale: for a tridiagonal matrix (``bands``) the square
-    root of the largest eigenvalue of the pentadiagonal MᵀM, from a banded
-    symmetric eigensolver; for a dense matrix of order at most
-    ``DENSE_ORACLE_MAX_N``, max |lambda| from the kept
-    :meth:`DenseMatrix.eigh` when it is exactly Hermitian (the oracle
-    reuses it), else the leading value of a dense SVD.  ``tol`` and
-    ``max_iter`` are unused there.
-
-    Any other input (a matvec-only operator, or a larger dense matrix)
-    runs power iteration on MᴴM from a deterministic
-    all-ones start; the estimate is the Rayleigh-quotient square root
-    ||Mv||, which is monotone nondecreasing, so it is a lower estimate.
-    Convergence is declared when the estimate's per-step relative change
-    drops below ``tol``; for matrices with clustered top singular values
-    this stalls close to (but slightly below) the true value, so tighten
-    ``tol`` and raise ``max_iter`` when sharp accuracy is needed.
-    """
+def sigma_max(M) -> float:
+    """Largest singular value, exact: for a tridiagonal matrix (``bands``)
+    from the pentadiagonal MᵀM; for a dense matrix, max |lambda| from the
+    kept :meth:`DenseMatrix.eigh` when it is exactly Hermitian, else from a
+    dense SVD.  A matvec-only operator raises UnsupportedContext: an
+    iterative estimate is a lower one, and the a priori bound needs an
+    upper one."""
     op = as_operator(M)
     if op.bands is not None:
         return _tridiagonal_sigma_max(*op.bands)
-    n = op.shape[0]
-    if n <= DENSE_ORACLE_MAX_N and isinstance(op, DenseMatrix):
-        eig = op.eigh()
-        if eig:
-            return float(np.max(np.abs(eig[0])))
-        return float(sla.svdvals(op.array, check_finite=False)[0])
-    if max_iter is None:
-        max_iter = 10 * n
-    v = np.ones(n) / np.sqrt(n)
-    sigma = 0.0
-    for _ in range(max_iter):
-        u = op.matvec(v)
-        sigma_new = float(np.linalg.norm(u))
-        if sigma_new == 0.0:
-            raise NoConvergence("iterate annihilated; M appears to be zero")
-        w = op.rmatvec(u)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v is a maximal singular vector of a nilpotent-like M.
-            return sigma_new
-        v = w / nw
-        if sigma_new - sigma <= tol * sigma_new and sigma > 0.0:
-            return sigma_new
-        sigma = sigma_new
-    raise NoConvergence(f"sigma_max power iteration did not settle in {max_iter} steps")
+    if not isinstance(op, DenseMatrix):
+        raise UnsupportedContext("a matvec-only operator has no exact sigma_max")
+    eig = op.eigh()
+    if eig:
+        return float(np.max(np.abs(eig[0])))
+    return float(sla.svdvals(op.array, check_finite=False)[0])
 
 
 def _tridiagonal_sigma_max(lower, diag, upper) -> float:
@@ -490,7 +444,7 @@ def _tridiagonal_sigma_max(lower, diag, upper) -> float:
     return float(np.sqrt(top[0]))
 
 
-def sigma_min(M, tol: float = 1e-10, max_iter: int | None = None) -> float:
+def sigma_min(M) -> float:
     """Smallest singular value by inverse power iteration on (MᴴM)⁻¹.
 
     Companion to :func:`sigma_max`; together they give the 2-norm
@@ -498,11 +452,9 @@ def sigma_min(M, tol: float = 1e-10, max_iter: int | None = None) -> float:
     """
     op = as_operator(M)
     n = op.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
     v = np.ones(n) / np.sqrt(n)
     sigma = np.inf
-    for _ in range(max_iter):
+    for _ in range(10 * n):
         u = op.solve(v, adjoint=True)
         nu = float(np.linalg.norm(u))
         if nu == 0.0:
@@ -511,18 +463,18 @@ def sigma_min(M, tol: float = 1e-10, max_iter: int | None = None) -> float:
         w = op.solve(u)
         nw = np.linalg.norm(w)
         v = w / nw
-        if sigma - sigma_new <= tol * sigma_new and np.isfinite(sigma):
+        if sigma - sigma_new <= SIGMA_MIN_RTOL * sigma_new and np.isfinite(sigma):
             return sigma_new
         sigma = sigma_new
-    raise NoConvergence(f"sigma_min inverse iteration did not settle in {max_iter} steps")
+    raise NoConvergence(f"sigma_min inverse iteration did not settle in {10 * n} steps")
 
 
-def is_hermitian(M, rtol: float = 1e-12) -> bool:
-    """Route-to-Hermitian-bounds test: ||M - Mᴴ||_F <= rtol * ||M||_F.
+def is_hermitian(M) -> bool:
+    """Route-to-Hermitian-bounds test: ||M - Mᴴ||_F <= HERMITIAN_RTOL ||M||_F.
 
     No symmetrization is ever applied; this is detection only.
     """
-    return as_operator(M).is_hermitian(rtol)
+    return as_operator(M).is_hermitian()
 
 
 def min_symmetric_eig(M) -> float:

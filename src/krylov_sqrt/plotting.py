@@ -8,11 +8,10 @@ identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 import math
 
 from .errors import DomainError
-from .experiments import read_csv
+from .experiments import read_csv, read_json
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 28, 52
@@ -166,9 +165,7 @@ def render_plot(csv_path: str, kind: str, out_path: str,
     svg.append("</g>")
 
     if summary_path is not None:
-        with open(summary_path, "r", encoding="ascii") as fh:
-            summary = json.load(fh)
-        slope = summary.get("fitted_slope")
+        slope = read_json(summary_path).get("fitted_slope")
         if slope is not None:
             svg.append(f'<text class="annotation" x="{MARGIN_L + 12}" '
                        f'y="{MARGIN_T + 16}" font-family="monospace" '

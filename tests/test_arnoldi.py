@@ -493,7 +493,7 @@ class TestFomError:
         b = np.ones(30)
         state = arn.arnoldi(a, b, 6)
         residual_norm, _ = arn.fom_residual_norm(state)
-        sigma = linalg.sigma_max(a, tol=1e-10, max_iter=100_000)
+        sigma = linalg.sigma_max(a)
         assert arn.fom_error(state, np.linalg.solve(a, b)) >= residual_norm / sigma * (1.0 - 1e-8)
 
     def test_surrogate_with_mu_is_upper_bound(self):
@@ -524,6 +524,17 @@ class TestPrefixReport:
             10, arn.fom_residual_norm(sub)[0], np.linalg.norm(x_exact - arn.fom_iterate(sub)),
             want_error) + (None,) * 7
         assert sorted(calls) == sorted([(10, f), (10, "inverse")])
+
+    def test_hermitian_reports_jensen_chain(self):
+        _, eigs, sm = make_pd_matrix(15, 40, skew=False)
+        a = sm.matrix.array.real
+        b = np.ones(40)
+        reports = arn.prefix_reports(arn.arnoldi(a, b, 10), range(1, 11), np.linalg.solve(a, b),
+                                     None, hermitian=True, known_spectrum=eigs)
+        for rep in reports:
+            assert rep.hermitian_jensen is not None
+            assert rep.hermitian_jensen <= rep.hermitian_loose + 1e-12
+            assert rep.lambda_bar <= eigs[0] + 1e-9
 
     def test_no_reference_no_action(self, monkeypatch):
         calls = record_fun_coefficients(monkeypatch)
@@ -634,16 +645,6 @@ class TestRunAdaptive:
         assert res.history[0].posterior_ritz == np.inf  # k = 1 diverges
         assert all(np.isfinite(r.posterior_ritz) for r in res.history[1:])
 
-    def test_hermitian_reports_jensen_chain(self):
-        _, eigs, sm = make_pd_matrix(15, 40, skew=False)
-        a = sm.matrix.array.real
-        res = arn.run_adaptive(a, np.ones(40), stop=arn.ResidualRelative(1e-12),
-                               k_max=10, known_spectrum=eigs)
-        for rep in res.history:
-            assert rep.hermitian_jensen is not None
-            assert rep.hermitian_jensen <= rep.hermitian_loose + 1e-12
-            assert rep.lambda_bar <= eigs[0] + 1e-9
-
     def test_invalid_rule(self):
         # a bound stop takes no kind: it stops on the Ritz-product bound alone
         with pytest.raises(TypeError):
@@ -742,23 +743,18 @@ class TestRunAdaptive:
         want = linalg.reference_sqrt_action(a, b)
         assert rep.error_norm == pytest.approx(np.linalg.norm(want - res.result), rel=1e-12)
 
-    def test_residual_stop_computes_sigma_max_on_request(self, monkeypatch):
-        _, eigs, sm = make_pd_matrix(15, 40, skew=False)
+    def test_residual_stop_computes_no_sigma_max(self, monkeypatch):
+        _, _, sm = make_pd_matrix(15, 40, skew=False)
         a = sm.matrix.array.real
         sigmas = []
         sigma_max = linalg.sigma_max
-        monkeypatch.setattr(linalg, "sigma_max", lambda *p, **kw: sigmas.append(1) or
-                            sigma_max(*p, **kw))
-        rule = arn.ResidualRelative(1e-12)
-        lazy = arn.run_adaptive(a, np.ones(40), stop=rule, k_max=6)
-        for rep in lazy.history:
-            assert (rep.apriori_gamma, rep.sigma_max_used, rep.hermitian_loose) == (None,) * 3
-            assert rep.posterior_ritz is not None
-        given = arn.run_adaptive(a, np.ones(40), stop=rule, k_max=6, sigma_max_val=eigs[0])
+        monkeypatch.setattr(linalg, "sigma_max", lambda *p: sigmas.append(1) or sigma_max(*p))
+        res = arn.run_adaptive(a, np.ones(40), stop=arn.ResidualRelative(1e-12), k_max=6)
         assert sigmas == []
-        assert given.history[-1].sigma_max_used == eigs[0]
-        assert given.history[-1].apriori_gamma is not None
-        assert given.history[-1].hermitian_jensen is not None
+        for rep in res.history:
+            assert (rep.apriori_gamma, rep.sigma_max_used, rep.hermitian_loose,
+                    rep.hermitian_jensen, rep.lambda_bar) == (None,) * 5
+            assert rep.posterior_ritz is not None
 
     @pytest.mark.parametrize("f", ["invsqrt", "inverse"])
     def test_bound_stop_needs_sqrt(self, f):

@@ -82,7 +82,7 @@ class TestConfigValidation:
             exp.config_from_dict({"experiment": "convdiff_table", "n_values": [40],
                                   "stopping": {"rule": "bound", "tol": 0.05}, key: value})
 
-    @pytest.mark.parametrize("experiment,key,value", [
+    @pytest.mark.parametrize("base,key,value", [
         ("convdiff_table", "eta", "0.5"),            # each ended in a TypeError traceback
         ("convdiff_table", "n_values", 40),
         ("bounds_vs_k", "k_samples", 2.5),
@@ -94,18 +94,45 @@ class TestConfigValidation:
         ("scaling_vs_k", "fit_window", "0.25"),
         ("bounds_vs_k", "seed", -1),
         ("bounds_vs_k", "seed", 1.0),
+        ("bounds_vs_k", "matrix", 5),                # AttributeError
+        ("bounds_vs_k", "rhs", []),                  # AttributeError
+        ("convdiff_table", "stopping", 5),           # TypeError: not iterable
+        ("bounds_vs_k", "matrix.n", "10"),           # TypeError from a comparison
+        ("spectrum_bounds_vs_k", "matrix.lo", "1"),  # TypeError from a comparison
+        ("bounds_vs_k", "quadrature.rel_tol", "x"),  # TypeError from a comparison
+        ("file_bounds_vs_k", "matrix.path", 5),      # TypeError: Unknown source type
+        ("convdiff_table", "n_values", [40.5]),      # TypeError from np.full
+        ("spectrum_bounds_vs_k", "rhs.count", 2.5),  # TypeError from a slice
+        ("convdiff_table", "stopping.tol", True),    # ran with tol 1
+        ("scaling_vs_sigma", "k_values", [6.5, 10]),  # ran with k = 6
+        ("bounds_vs_k", "quadrature.max_subdivisions", 50.0),  # ran
+        ("spectrum_bounds_vs_k", "matrix.skew", 1),  # ran with a skew part
     ])
-    def test_value_types_checked(self, experiment, key, value):
+    def test_value_types_checked(self, tmp_path, capsys, base, key, value):
         stop = {"rule": "bound", "tol": 0.05}
-        raw = dict({"convdiff_table": {"n_values": [40], "stopping": stop},
-                    "scaling_vs_k": {"n_values": [40], "stopping": stop},
-                    "scaling_vs_sigma": {"n_values": [40], "k_values": [4]},
-                    "bounds_vs_k": {"matrix": {"type": "convdiff", "n": 40}, "k_max": 12},
-                    "perturbed_validity": {"eps_values": [0.1], "k_max": 12}}[experiment],
-                   experiment=experiment)
+        spectrum = {"type": "spectrum", "kind": "uniform", "n": 40, "lo": 1.0, "hi": 1000.0}
+        raw = dict({"experiment": base}, **{
+            "convdiff_table": {"n_values": [40], "stopping": stop},
+            "scaling_vs_k": {"n_values": [40], "stopping": stop},
+            "scaling_vs_sigma": {"n_values": [40], "k_values": [4]},
+            "bounds_vs_k": {"matrix": {"type": "convdiff", "n": 40}, "k_max": 12},
+            "spectrum_bounds_vs_k": {"experiment": "bounds_vs_k", "matrix": spectrum,
+                                     "rhs": {"kind": "eig_average"}, "k_max": 12},
+            "file_bounds_vs_k": {"experiment": "bounds_vs_k", "k_max": 12,
+                                 "matrix": {"type": "file", "path": "m.mtx"}},
+            "perturbed_validity": {"eps_values": [0.1], "k_max": 12}}[base])
         exp.config_from_dict(raw)
+        parent, _, name = key.rpartition(".")
+        (raw.setdefault(parent, {}) if parent else raw)[name] = value
         with pytest.raises(ConfigError, match=key):
-            exp.config_from_dict(dict(raw, **{key: value}))
+            exp.config_from_dict(raw)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["experiment", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_bound_kind_must_be_posterior_ritz(self):
         raw = {"experiment": "convdiff_table", "n_values": [40]}
@@ -868,10 +895,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bad.json" in err and "line 1 column 16" in err
 
-    def test_validation_exit_code(self, tmp_path):
+    def test_validation_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"experiment": "nope"}))
         assert cli_main(["experiment", "--config", str(cfg_path)]) == 1
+        # a file that cannot be read or written: each ended in a traceback
+        mtx, csv_path, svg = tmp_path / "m.mtx", tmp_path / "ok.csv", tmp_path / "fig.svg"
+        assert cli_main(["matgen", "--kind", "convdiff", "--n", "10", "--out", str(mtx)]) == 0
+        csv_path.write_text("k,error_norm\n2,0.5\n3,0.25\n")
+        (tmp_path / "truncated.json").write_text('{"fitted_slope": ')
+        (tmp_path / "list.json").write_text("[1]")
+        (tmp_path / "latin1.csv").write_bytes(b"k,error_norm\n2,0.5\n3,0.25\xe9\n")
+        (tmp_path / "empty.csv").write_text("")
+        plot = ["plot", "--kind", "bounds_vs_k", "--out", str(svg), "--csv"]
+        capsys.readouterr()
+        for argv, named in (
+                (["experiment", "--config", str(tmp_path)], tmp_path),  # IsADirectoryError
+                (plot + [str(tmp_path)], tmp_path),                      # IsADirectoryError
+                (["approx", "--matrix-file", str(mtx), "--out", str(mtx)], mtx),  # FileExistsError
+                (plot + [str(csv_path), "--summary", str(tmp_path / "truncated.json")],
+                 "truncated.json"),                                       # JSONDecodeError
+                (plot + [str(csv_path), "--summary", str(tmp_path / "list.json")],
+                 "list.json"),                                            # AttributeError
+                (["experiment", "--config", str(tmp_path / "list.json")], "list.json"),
+                (plot + [str(tmp_path / "latin1.csv")], "latin1.csv"),   # UnicodeDecodeError
+                (plot + [str(tmp_path / "empty.csv")], "empty.csv")):    # StopIteration
+            assert cli_main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and str(named) in err
+            assert not svg.exists()
 
     def test_matrix_file_flag(self, tmp_path):
         mtx = str(tmp_path / "m.mtx")

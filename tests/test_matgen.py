@@ -154,13 +154,12 @@ class TestConvectionDiffusion:
         assert linalg.min_symmetric_eig(
             matgen.convection_diffusion(40, 0.05).to_dense()) > 0.0
 
-    def test_matvec_rmatvec_solve_match_dense(self):
+    def test_matvec_solve_match_dense(self):
         tri = matgen.convection_diffusion(24, 0.7)
         dense = tri.to_dense()
         rng = np.random.default_rng(0)
         v = rng.standard_normal(23)
         np.testing.assert_allclose(tri.matvec(v.copy()), dense @ v, rtol=1e-13)
-        np.testing.assert_allclose(tri.rmatvec(v.copy()), dense.T @ v, rtol=1e-13)
         np.testing.assert_allclose(tri.solve(v), np.linalg.solve(dense, v), rtol=1e-10)
         np.testing.assert_allclose(tri.solve(v, adjoint=True),
                                    np.linalg.solve(dense.T, v), rtol=1e-10)
