@@ -8,6 +8,15 @@ extension calls a decomposition behaves like an immutable value: the
 exposed basis/Hessenberg arrays are read-only views, extension never
 rewrites completed columns, and extending a stale snapshot transparently
 copies the underlying buffers.
+
+The per-prefix quantities are array-valued over a list of k:
+:func:`fom_reports` reads the kept LU factor of the Hessenberg matrix once
+and gives every k's FOM residual from cumulative sums over its pivots, the
+FOM coefficients of up to PREFIX_BLOCK prefixes from one triangular solve,
+and the FOM error xi and the true error of an action from one product
+with the basis per block.  :func:`prefix_reports` adds the bounds;
+:func:`prefix_report`, :func:`fom_residual_norm` and :func:`fom_error` are
+the one-k cases of the same code.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     DomainError,
+    KrylovSqrtError,
     NoConvergence,
     NonFiniteEntry,
     SingularMatrix,
@@ -107,7 +117,8 @@ class _Workspace:
 
 class _HessenbergLU:
     """LU factors, with partial pivoting, of every leading block H_k of an
-    upper Hessenberg matrix, from one pass.
+    upper Hessenberg matrix, from one pass; its methods answer a list of k
+    at once.
 
     Column j has nonzeros in rows j and j+1 only, so pivot step j swaps at
     most those two rows and leaves the rows above final.  The factors of
@@ -178,32 +189,64 @@ class _HessenbergLU:
         self.row_norms.extend(np.sqrt(np.max(np.where(in_block, sq, 0.0), axis=0)))
         self._row_sq = sq[:, -1]
 
-    def _diagonal(self, k: int) -> np.ndarray:
-        return np.append(np.diagonal(self.U)[: k - 1], self.pivots[k - 1])
+    def _pivots(self, ks):
+        """(lo, hi, pivot k) for each k in ks (ascending): lo and hi are the
+        smallest and largest |d| over the factor diagonal d of H_k (the
+        first k-1 diagonal entries of U, then pivot k), from running minima
+        and maxima."""
+        u = np.abs(np.diagonal(self.U)[: ks[-1] - 1])
+        p = np.array([self.pivots[k - 1] for k in ks])
+        return (np.minimum(np.append(np.inf, np.minimum.accumulate(u))[ks - 1], np.abs(p)),
+                np.maximum(np.append(0.0, np.maximum.accumulate(u))[ks - 1], np.abs(p)), p)
 
-    def solve_e1(self, k: int, scale: float) -> np.ndarray:
-        """y with H_k y = scale e_1.  Raises SingularMatrix when a pivot is
-        at most ``linalg.PIVOT_RTOL`` times the largest row norm of H_k."""
-        d = self._diagonal(k)
-        if np.min(np.abs(d)) <= linalg.PIVOT_RTOL * self.row_norms[k - 1]:
+    def log_det_ratios(self, ks, exempt=False):
+        """For each k in ks (ascending): log|det H_k| - sum_{i<k}
+        log|h_{i+1,i}| and the unit-modulus phase of det H_k.  Raises
+        SingularProjectedMatrix when the smallest |pivot| of an H_k not
+        ``exempt`` is at most 1e-14 times its largest.
+
+        Step i leaves |u_ii / h_{i+1,i}| = 1 after a swap and 1/|mult_i|
+        otherwise, never below 1, so the first is a cumulative sum of
+        nonnegative logs plus log|pivot k|, with no difference of two sums
+        of about 10^4 at k ~ 1000.  The sign of the row swaps is a
+        cumulative count."""
+        ks = np.asarray(ks)
+        K = int(ks[-1])
+        lo, hi, p = self._pivots(ks)
+        if np.any((lo <= 1e-14 * hi) & ~np.asarray(exempt)):
+            raise SingularProjectedMatrix("projected matrix is numerically singular")
+        u = np.diagonal(self.U)[: K - 1]
+        swap = np.array(self.swap[: K - 1], dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot: singular
+            steps = np.where(swap, 0.0, -np.log(np.abs(np.array(self.mult[: K - 1]))))
+            ratio = np.append(0.0, np.cumsum(steps))[ks - 1] + np.log(np.abs(p))
+            phase = np.append(1.0, np.cumprod(u / np.abs(u)))[ks - 1] * (p / np.abs(p))
+        return ratio, np.where(np.append(0, np.cumsum(swap))[ks - 1] % 2, -phase, phase)
+
+    def solve_e1(self, ks, scale: float, order: int | None = None) -> np.ndarray:
+        """The K x m array whose column j is y with H_k y = scale e_1 for
+        k = ks[j] (ascending), zero below row k, from one triangular solve
+        with U_{K-1}, K = ``order`` (at least ks[-1], the default).  Raises
+        SingularMatrix when a pivot of some H_k is at most
+        ``linalg.PIVOT_RTOL`` times the largest row norm of H_k."""
+        ks = np.asarray(ks)
+        K, m = order or int(ks[-1]), ks.size
+        lo, _, p = self._pivots(ks)
+        if np.any(lo <= linalg.PIVOT_RTOL * np.array([self.row_norms[k - 1] for k in ks])):
             raise SingularMatrix("pivot below threshold; matrix is numerically singular")
         # the steps carry scale e_1 down; row j keeps the carry unless swapped
-        swap = np.array(self.swap[: k - 1], dtype=bool)
-        carry = np.cumprod(np.append(scale, np.where(swap, 1.0, -np.array(self.mult[: k - 1]))))
-        y = np.append(np.where(swap, 0.0, carry[:-1]), carry[-1] / d[-1])
+        swap = np.array(self.swap[: K - 1], dtype=bool)
+        carry = np.cumprod(np.append(scale, np.where(swap, 1.0, -np.array(self.mult[: K - 1]))))
+        last = carry[ks - 1] / p  # row k-1 of each y
         U = self.U
-        y[:-1] -= U[: k - 1, k - 1] * y[-1]
-        y[:-1] = sla.solve_triangular(U[: k - 1, : k - 1], y[:-1], check_finite=False)
+        rhs = np.where(swap, 0.0, carry[:-1])[:, None] - U[: K - 1, ks - 1] * last
+        y = np.zeros((K, m), dtype=np.result_type(rhs, last))
+        if K > 1:  # rows at or below k-1 of column j are zero, and stay zero
+            y[:-1] = sla.solve_triangular(U[: K - 1, : K - 1],
+                                          np.where(np.arange(K - 1)[:, None] < ks - 1, rhs, 0.0),
+                                          check_finite=False)
+        y[ks - 1, np.arange(m)] = last
         return y
-
-    def logdet(self, k: int):
-        """(log|det H_k|, unit-modulus phase of det H_k)."""
-        d = self._diagonal(k)
-        mag = np.abs(d)
-        if np.min(mag) == 0.0 or np.min(mag) <= 1e-14 * np.max(mag):
-            raise SingularProjectedMatrix("projected matrix is numerically singular")
-        sign = -1.0 if sum(self.swap[: k - 1]) % 2 else 1.0
-        return float(np.sum(np.log(mag))), complex(np.prod(d / mag)) * sign
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -263,8 +306,7 @@ class ArnoldiDecomposition:
     @property
     def subdiagonals(self) -> np.ndarray:
         """h_{j+1,j} for j = 1..k as a real vector."""
-        h = self._ws.H
-        return np.array([abs(h[j + 1, j]) for j in range(self.k)])
+        return np.abs(np.diagonal(self._ws.H, -1)[: self.k])
 
     def prefix(self, k: int) -> "ArnoldiDecomposition":
         """Snapshot of the first k steps (buffers are append-only, so the
@@ -380,14 +422,15 @@ def arnoldi(M, b, steps: int) -> ArnoldiDecomposition:
     return arnoldi_extend(M, state, steps)
 
 
-def _shifted_invsqrt_e1(h: np.ndarray, log_det: float) -> np.ndarray:
+def _shifted_invsqrt_e1(h: np.ndarray, log_det_ratio: float) -> np.ndarray:
     """H^{-1/2} e_1 = (1/pi) int_0^inf s^{-1/2} (H + sI)^{-1} e_1 ds, with
     the shifted solves of :func:`bounds.shifted_solve_e1`, over s = c x^3:
-    c = |det H|^{1/k} (``log_det`` = log|det H|) centres the integrand
+    c = |det H|^{1/k} (``log_det_ratio`` = log|det H| - sum_i
+    log|h_{i+1,i}|, see :meth:`_HessenbergLU.log_det_ratios`) centres the integrand
     3 sqrt(c x) (H + c x^3 I)^{-1} e_1 on the eigenvalues' geometric mean
     (Hale, Higham and Trefethen, SINUM 2008).  A missed tolerance raises
     NoConvergence."""
-    c = np.exp(log_det / h.shape[0])
+    c = np.exp((log_det_ratio + np.log(np.abs(np.diagonal(h, -1))).sum()) / h.shape[0])
     q = bnd.quad_semi_infinite(lambda x: 3.0 * np.sqrt(c * x) * bnd.shifted_solve_e1(h, c * x**3),
                                SHIFTED_ACTION_QUAD)
     if not q.tolerance_met:
@@ -414,18 +457,67 @@ def fun_coefficients(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndarra
     if decomp.k == 0:
         raise DomainError("decomposition has no completed steps")
     if f == "inverse":
-        return decomp._ws.factor().solve_e1(decomp.k, decomp.b_norm)
+        return decomp._ws.factor().solve_e1([decomp.k], decomp.b_norm)[:, 0]
     if f not in ("sqrt", "invsqrt"):
         raise DomainError(f"unknown function tag {f!r}")
     h = decomp.hessenberg
     if decomp.k > SHIFTED_ACTION_MIN_K and decomp.bendixson_order == decomp.k:
-        y = decomp.b_norm * _shifted_invsqrt_e1(h, decomp._ws.factor().logdet(decomp.k)[0])
+        log_det_ratio = decomp._ws.factor().log_det_ratios([decomp.k])[0][0]
+        y = decomp.b_norm * _shifted_invsqrt_e1(h, log_det_ratio)
         return h @ y if f == "sqrt" else y
     spec = decomp.ritz_schur
     t, z = spec.schur
     s = linalg.schur_sqrt(t, spec.values)
     e = decomp.b_norm * z[0].conj()  # Zᴴ (||b|| e_1)
     return z @ (s @ e if f == "sqrt" else linalg.lu_solve(s, e))
+
+
+# Columns of one block of prefix actions: bounds the n x block temporaries
+# of a long prefix list (a residual-stop history of thousands of rows).
+PREFIX_BLOCK = 64
+
+
+def _coefficients(subs: list, f: str, order: int | None = None) -> np.ndarray:
+    """The K x m array whose column j is ||b|| f(H_k) e_1 of the snapshot
+    subs[j] (ascending k, all of one decomposition), zero below row k;
+    K = ``order``, at least the largest k (the default).  Columns are
+    computed once per k and f for all prefix snapshots: the missing
+    inverse ones from one triangular solve of order K
+    (:meth:`_HessenbergLU.solve_e1`), any other from
+    :func:`fun_coefficients`."""
+    if subs[0].k == 0:
+        raise DomainError("decomposition has no completed steps")
+    ws = subs[-1]._ws
+    cache = ws.coefficients
+    missing = [sub for sub in subs if (sub.k, f) not in cache]
+    if f != "inverse":
+        for sub in missing:
+            cache[sub.k, f] = fun_coefficients(sub, f)
+    elif missing:
+        y = ws.factor().solve_e1([sub.k for sub in missing], subs[-1].b_norm, order)
+        cache.update(((sub.k, f), y[: sub.k, j]) for j, sub in enumerate(missing))
+    columns = [cache[sub.k, f] for sub in subs]
+    out = np.zeros((order or subs[-1].k, len(subs)), dtype=np.result_type(*columns))
+    for j, c in enumerate(columns):
+        out[: c.size, j] = c
+    return out
+
+
+def _distances(subs: list, target, f: str) -> list:
+    """||target - ||b|| Q_k f(H_k) e_1|| for each snapshot in ``subs``
+    (ascending k), in blocks of at most PREFIX_BLOCK snapshots: the actions
+    of a block are one product of Q_K, K the largest k of the list, with
+    the block's coefficient columns.  The blocks are of equal size (none
+    of a few columns, which BLAS rounds apart from a wide product), and
+    every product and triangular solve has the list's order K (BLAS
+    rounds a zero-padded order apart too), so no result depends on the
+    blocking.  Each norm is that of one contiguous vector, as for a lone k."""
+    out, q, target = [], subs[-1].basis_k, np.asarray(target)[:, None]
+    size = -(-len(subs) // -(-len(subs) // PREFIX_BLOCK))
+    for lo in range(0, len(subs), size):
+        diff = target - q @ _coefficients(subs[lo : lo + size], f, q.shape[1])
+        out += [float(np.linalg.norm(col)) for col in diff.T]
+    return out
 
 
 def arnoldi_fun_action(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndarray:
@@ -437,10 +529,24 @@ def arnoldi_fun_action(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndar
     quadrature of shifted Hessenberg solves, any other from a Schur form
     (see :func:`fun_coefficients`), once per k and f for all prefix snapshots.
     """
-    coefficients = decomp._ws.coefficients
-    if (decomp.k, f) not in coefficients:
-        coefficients[decomp.k, f] = fun_coefficients(decomp, f)
-    return decomp.basis_k @ coefficients[decomp.k, f]
+    return decomp.basis_k @ _coefficients([decomp], f)[:, 0]
+
+
+def _residuals(decomp: ArnoldiDecomposition, ks):
+    """FOM residual norms and coefficients at each k in ks (ascending) by
+    the determinant formula: the residual for M x = b at step k is
+    coefficient * q_{k+1} with coefficient
+    = (-1)^k (prod_j h_{j+1,j}) ||b|| / det(H_k), accumulated in log
+    space as h_{k+1,k} ||b|| over the ratio form of log|det H_k|.  A zero
+    subdiagonal up to h_{k+1,k} gives residual 0."""
+    ks = np.asarray(ks)
+    subs = decomp.subdiagonals
+    zero = np.logical_or.accumulate(subs == 0.0)[ks - 1]
+    ratio, phase = decomp._ws.factor().log_det_ratios(ks, exempt=zero)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = (-1.0) ** ks * np.exp(np.log(subs[ks - 1]) + np.log(decomp.b_norm) - ratio)
+        coef = np.where(zero, 0.0, coef * np.conj(phase))
+    return np.abs(coef), coef
 
 
 def fom_residual_norm(decomp: ArnoldiDecomposition):
@@ -448,17 +554,13 @@ def fom_residual_norm(decomp: ArnoldiDecomposition):
 
     The residual for M x = b at step k is coefficient * q_{k+1} with
     coefficient = (-1)^k (prod_j h_{j+1,j}) ||b|| / det(H_k); the products
-    are accumulated in log space.
+    are accumulated in log space.  The one-k case of the residuals of
+    :func:`fom_reports`.
     """
     if decomp.k == 0:
         raise DomainError("decomposition has no completed steps")
-    subs = decomp.subdiagonals
-    if np.any(subs == 0.0):
-        return 0.0, 0.0 + 0.0j
-    log_mag, phase = decomp._ws.factor().logdet(decomp.k)
-    log_coef = float(np.sum(np.log(subs))) + np.log(decomp.b_norm) - log_mag
-    coef = (-1.0) ** decomp.k * np.exp(log_coef) * np.conj(phase)
-    return float(abs(coef)), complex(coef)
+    norm, coef = _residuals(decomp, [decomp.k])
+    return float(norm[0]), complex(coef[0])
 
 
 def fom_iterate(decomp: ArnoldiDecomposition) -> np.ndarray:
@@ -471,9 +573,10 @@ def fom_error(decomp: ArnoldiDecomposition, x_exact) -> float:
 
     This is the FOM error norm that enters every square-root bound; it
     costs one O(k²) solve with the shared Hessenberg LU factor and one
-    basis product, no Ritz values.
+    basis product, no Ritz values.  The one-k case of the errors of
+    :func:`fom_reports`.
     """
-    return float(np.linalg.norm(x_exact - fom_iterate(decomp)))
+    return _distances([decomp], x_exact, "inverse")[0]
 
 
 def fom_error_surrogate(decomp: ArnoldiDecomposition, min_sym_eig: float | None = None) -> float:
@@ -494,16 +597,54 @@ def fom_error_surrogate(decomp: ArnoldiDecomposition, min_sym_eig: float | None 
     return norm
 
 
+def _reports(subs: list, x_exact, reference, f: str) -> list:
+    """The bound-free BoundReports of the snapshots ``subs`` (ascending k)
+    of one decomposition.  On any failure the snapshots are retried one
+    at a time, so the error raised is the one of the smallest failing k."""
+    try:
+        errors = ([None] * len(subs) if reference is None
+                  else _distances(subs, reference, f))
+        residuals = _residuals(subs[-1], [sub.k for sub in subs])[0]
+        xis = _distances(subs, x_exact, "inverse")
+    except KrylovSqrtError:
+        if len(subs) > 1:
+            for sub in subs:
+                _reports([sub], x_exact, reference, f)
+        raise
+    return [bnd.BoundReport(sub.k, float(r), xi, e)
+            for sub, r, xi, e in zip(subs, residuals, xis, errors)]
+
+
+def _prefix_snapshots(decomp: ArnoldiDecomposition, ks, x_exact, reference, f):
+    """(the bound-free reports of ks in their order, the snapshot of each k)."""
+    subs = {k: decomp.prefix(k) for k in sorted({int(k) for k in ks})}
+    rows = dict(zip(subs, _reports(list(subs.values()), x_exact, reference, f))) if subs else {}
+    return [rows[int(k)] for k in ks], subs
+
+
+def fom_reports(decomp: ArnoldiDecomposition, ks, x_exact, reference=None,
+                f: str = "sqrt") -> list:
+    """The BoundReports of the prefixes k in ``ks`` without bounds: the FOM
+    residual, the FOM error xi against ``x_exact`` and, with a
+    ``reference`` action, the true error of the f-action.
+
+    One pass over the kept Hessenberg LU factor serves every k: the
+    residuals are cumulative sums over its pivots
+    (:meth:`_HessenbergLU.log_det_ratios`), the FOM coefficients of up to
+    PREFIX_BLOCK prefixes one triangular solve, and xi and the error one
+    product with Q_K each per block, K the largest k of the list.  The f-action
+    coefficients are computed once per k and f (see
+    :func:`arnoldi_fun_action`).  A failure raises the error of the
+    smallest failing k, as :func:`prefix_report` at that k would.
+    """
+    return _prefix_snapshots(decomp, ks, x_exact, reference, f)[0]
+
+
 def prefix_report(sub: ArnoldiDecomposition, x_exact, reference=None,
                   f: str = "sqrt") -> bnd.BoundReport:
-    """The BoundReport of one prefix snapshot without bounds: the FOM
-    residual, the FOM error xi against ``x_exact`` and, with a
-    ``reference`` action, the true error of the f-action (computed once
-    per k and f, see :func:`arnoldi_fun_action`)."""
-    error_norm = None
-    if reference is not None:
-        error_norm = float(np.linalg.norm(reference - arnoldi_fun_action(sub, f)))
-    return bnd.BoundReport(sub.k, fom_residual_norm(sub)[0], fom_error(sub, x_exact), error_norm)
+    """The BoundReport of one prefix snapshot without bounds: the one-k
+    case of :func:`fom_reports`."""
+    return fom_reports(sub, [sub.k], x_exact, reference, f)[0]
 
 
 def prefix_reports(decomp: ArnoldiDecomposition, ks, x_exact, sigma_max_used: float | None,
@@ -511,18 +652,17 @@ def prefix_reports(decomp: ArnoldiDecomposition, ks, x_exact, sigma_max_used: fl
                    reference=None, f: str = "sqrt") -> list:
     """BoundReports for the prefixes k in ``ks`` of an Arnoldi decomposition.
 
-    Each prefix's residual and errors come from :func:`prefix_report`, its
-    bounds from the Ritz values of H_k (the Schur form's, when the action
-    made one).  The bound fields bound the sqrt action only: for any other
-    ``f`` they stay None, with no Ritz solve or quadrature.  The bound
-    integrals of all prefixes are one batch of adaptive quadratures
+    The residuals and errors are those of :func:`fom_reports`, the bounds
+    come from the Ritz values of each H_k (the Schur form's, when the
+    action made one).  The bound fields bound the sqrt action only: for
+    any other ``f`` they stay None, with no Ritz solve or quadrature.  The
+    bound integrals of all prefixes are one batch of adaptive quadratures
     (:func:`bounds.build_bound_report`), as many passes as the hardest.
     """
-    subs = [decomp.prefix(int(k)) for k in ks]
-    reports = [prefix_report(sub, x_exact, reference, f) for sub in subs]
+    reports, subs = _prefix_snapshots(decomp, ks, x_exact, reference, f)
     if f != "sqrt":
         return [replace(rep, sigma_max_used=sigma_max_used) for rep in reports]
-    return bnd.build_bound_report(reports, [sub.ritz for sub in subs], sigma_max_used,
+    return bnd.build_bound_report(reports, [subs[int(k)].ritz for k in ks], sigma_max_used,
                                   quad_cfg, hermitian, known_spectrum)
 
 
@@ -646,7 +786,7 @@ def find_stop_k(M, b, tol: float, *, quad_cfg: bnd.QuadratureConfig | None = Non
         if sub.bendixson_order < k:
             bnd.require_right_half_plane(sub.ritz.values)
         val = bnd.bound_posterior_det(sub.hessenberg, xi(k), quad_cfg,
-                                      sub._ws.factor().logdet(k)[0])
+                                      sub._ws.factor().log_det_ratios([k])[0][0])
         if xi(k) > 0.0:
             scale = val / xi(k)
         if val <= tol:

@@ -10,7 +10,7 @@ in log space so hundreds of factors neither overflow nor underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -330,7 +330,7 @@ def shifted_solve_e1(H, shifts) -> np.ndarray:
 
 
 def bound_posterior_det(H, xi_norm: float, cfg: QuadratureConfig | None = None,
-                        log_det: float | None = None) -> float:
+                        log_det_ratio: float | None = None) -> float:
     """:func:`bound_posterior_ritz` of the Ritz values of H, from
     determinants instead: prod_i |l_i/(l_i+x)| = |det H / det(H + xI)|,
     evaluated by Hyman's method for all nodes of a quadrature pass at once.
@@ -338,14 +338,14 @@ def bound_posterior_det(H, xi_norm: float, cfg: QuadratureConfig | None = None,
     H is an unreduced upper Hessenberg matrix of order k >= 2 whose
     eigenvalues lie in the open right half-plane.  The determinants do not
     show that, so the caller must certify it, as ``find_stop_k`` does with
-    :func:`linalg.bendixson_order`.  A ``log_det`` = log|det H| that the
-    caller has (from an LU factor) saves the Hyman sweep at x = 0.
+    :func:`linalg.bendixson_order`.  A ``log_det_ratio``
+    = log|det H| - sum_i log|h_{i+1,i}| that the caller has (from an LU
+    factor) saves the Hyman sweep at x = 0.
     """
     h = np.asarray(H)
     if h.shape[0] < 2:
         raise DivergentIntegral("posterior bound integral diverges for k < 2")
-    log_det0 = (_hyman_log_alpha(h, np.zeros(1))[0] if log_det is None
-                else log_det - np.log(np.abs(np.diagonal(h, -1))).sum())
+    log_det0 = _hyman_log_alpha(h, np.zeros(1))[0] if log_det_ratio is None else log_det_ratio
     return _certified_integrals(lambda xb, _: log_det0 - _hyman_log_alpha(h, xb),
                                 h.shape[0], _HYMAN_BLOCK_ELEMENTS, [xi_norm],
                                 [f"determinant bound integral at k = {h.shape[0]}"], cfg)[0]
@@ -481,7 +481,7 @@ class BoundReport:
     posterior/a-priori fields are +inf at k = 1, where the bound
     integrals diverge.  A field stays None where it was not computed:
     ``error_norm`` without an oracle, every bound field in a
-    :func:`arnoldi.prefix_report` (which computes none), ``sigma_max_used``
+    :func:`arnoldi.fom_reports` row (which computes none), ``sigma_max_used``
     and ``apriori_gamma`` without a sigma_max, the Hermitian fields for
     non-Hermitian inputs or without a lambda_max.
     """
@@ -498,11 +498,16 @@ class BoundReport:
     lambda_bar: float | None = None
     sigma_max_used: float | None = None
 
+    def row(self) -> dict:
+        """The fields by name, in column order: a shallow dict (where
+        ``dataclasses.asdict`` would deep-copy every value)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 def build_bound_report(reports, ritz, sigma_max_used: float | None,
                        cfg: QuadratureConfig | None = None, hermitian: bool = False,
                        known_spectrum=None) -> list:
-    """The prefix ``reports`` (of :func:`arnoldi.prefix_report`) with their
+    """The prefix ``reports`` (of :func:`arnoldi.fom_reports`) with their
     bound fields filled from ``ritz``, the Ritz values of each H_k.  The
     posterior integrals of every prefix with k >= 2 are one
     :func:`bound_posterior_batch`.

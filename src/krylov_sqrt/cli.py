@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation error, 2 iteration budget exhausted,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -111,7 +110,7 @@ def _cmd_approx(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_matrix_market(os.path.join(args.out, "result.mtx"), result.result,
                         comment=f"f={args.f} k={result.k}")
-    rows = [dataclasses.asdict(r) for r in result.history]
+    rows = [r.row() for r in result.history]
     exp.write_csv(os.path.join(args.out, "history.csv"), rows)
     final = result.history[-1]
     print(f"stopped at k = {result.k} (breakdown: {result.breakdown})")

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import arnoldi as arn
 from . import bounds as bnd
 from . import linalg, matgen
 from .arnoldi import find_stop_k
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, SingularMatrix
 from .matrixmarket import read_matrix_market
 
 __all__ = ["ExperimentConfig", "config_from_dict", "run_experiment", "find_stop_k",
@@ -257,6 +257,21 @@ def fit_loglog_slope(ks, values, window=(0.25, 1.0)) -> float:
 # experiments
 
 
+def _exact_solution(M, b) -> np.ndarray:
+    """M⁻¹ b: V (Vᴴ b / lambda) from the eigendecomposition that an exactly
+    Hermitian DenseMatrix keeps (:meth:`linalg.DenseMatrix.eigh`, which
+    sigma_max has read), else the operator's LU solve.  An eigenvalue of
+    modulus at most ``linalg.PIVOT_RTOL`` times the largest raises
+    SingularMatrix."""
+    eig = M.eigh() if isinstance(M, linalg.DenseMatrix) else None
+    if not eig:
+        return M.solve(b)
+    lam, v = eig
+    if np.min(np.abs(lam)) <= linalg.PIVOT_RTOL * np.max(np.abs(lam)):
+        raise SingularMatrix("eigenvalue below threshold; matrix is numerically singular")
+    return v @ ((v.conj().T @ b) / lam)
+
+
 def run_bounds_vs_k(cfg: ExperimentConfig):
     ctx = build_matrix(cfg.matrix, cfg.seed)
     b = build_rhs(cfg.rhs, ctx)
@@ -264,14 +279,14 @@ def run_bounds_vs_k(cfg: ExperimentConfig):
     n = M.shape[0]
     k_max = min(cfg.k_max, n)
     sigma = linalg.sigma_max(M)
-    x_exact = M.solve(b)
+    x_exact = _exact_solution(M, b)
     reference = linalg.reference_sqrt_action(M, b) if cfg.oracle else None
 
     state = arn.arnoldi(M, b, k_max)
     reports = arn.prefix_reports(state, sample_ks(state.k, cfg.k_samples), x_exact, sigma,
                                  cfg.quadrature, ctx.hermitian, known_spectrum=ctx.known_eigs,
                                  reference=reference)
-    rows = [asdict(rep) for rep in reports]
+    rows = [rep.row() for rep in reports]
     floor_k = None
     if reference is not None:
         floor = ROUNDING_FLOOR_RTOL * np.linalg.norm(reference)
@@ -341,8 +356,8 @@ def run_convdiff_table(cfg: ExperimentConfig):
 def _scaling_point(cfg: ExperimentConfig, n: int):
     tri, b, state, k_stop, _, x_exact = _search(cfg, n)
     reference = linalg.reference_sqrt_action(tri, b)
-    reports = [arn.prefix_report(state.prefix(int(k)), x_exact, reference)
-               for k in sample_ks(k_stop, cfg.k_samples, k_min=4)]
+    reports = arn.fom_reports(state, sample_ks(k_stop, cfg.k_samples, k_min=4), x_exact,
+                              reference)
     rows = [{"n": n, "k": rep.k, "error": rep.error_norm, "xi_norm": rep.xi_norm,
              "scaling_term": bnd.scaling_term(rep.error_norm, rep.xi_norm, rep.k)}
             for rep in reports]
@@ -375,8 +390,7 @@ def run_scaling_vs_sigma(cfg: ExperimentConfig):
         x_exact = tri.solve(b)
         reference = linalg.reference_sqrt_action(tri, b)
         sigma = linalg.sigma_max(tri)
-        reports = [arn.prefix_report(state.prefix(k), x_exact, reference)
-                   for k in ks if k <= state.k]
+        reports = arn.fom_reports(state, [k for k in ks if k <= state.k], x_exact, reference)
         rows += [{"k": rep.k, "n": n, "sigma_max": sigma,
                   "scaling_term": bnd.scaling_term(rep.error_norm, rep.xi_norm, rep.k)}
                  for rep in reports]
@@ -408,12 +422,11 @@ def run_perturbed_validity(cfg: ExperimentConfig):
             pert = matgen.perturb_matrix(a, matgen.PerturbationSpec(eps=eps), inst_seed + 17)
             state = arn.arnoldi(pert.matrix, b, cfg.k_max)
             x_exact = pert.matrix.solve(b)
-            for k in range(2, state.k + 1):
-                rep = arn.prefix_report(state.prefix(k), x_exact, reference)
+            for rep in arn.fom_reports(state, range(2, state.k + 1), x_exact, reference):
                 bound = bnd.bound_perturbed(sigma, pert.mu1, pert.mu2,
                                             pert.achieved_eps, float(np.linalg.norm(b)),
-                                            k, rep.xi_norm)
-                rows.append({"instance": inst, "eps": pert.achieved_eps, "k": k,
+                                            rep.k, rep.xi_norm)
+                rows.append({"instance": inst, "eps": pert.achieved_eps, "k": rep.k,
                              "error": rep.error_norm, "bound": bound,
                              "ratio": rep.error_norm / bound})
     rows.sort(key=lambda r: (r["instance"], r["eps"], r["k"]))

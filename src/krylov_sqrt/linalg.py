@@ -270,9 +270,16 @@ def hessenberg_eigenvalues(H, schur: bool = False) -> RitzSpectrum:
 
     Computed by the LAPACK shifted-QR algorithm (real input uses the
     Francis double-shift path, producing exact conjugate pairs).  Without
-    Schur vectors the QR iteration does less work.
+    Schur vectors the QR iteration does less work.  H is read as an
+    ndarray in place (``?gees`` works on a copy); it must be square,
+    finite and upper Hessenberg.
     """
-    h = as_array(H)
+    h = np.asarray(H)
+    h = h.astype(np.complex128 if np.iscomplexobj(h) else np.float64, copy=False)
+    if h.ndim != 2 or h.shape[0] < 1 or h.shape[0] != h.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise NonFiniteEntry("matrix entries must be finite")
     k = h.shape[0]
     if k > 2 and np.any(np.tril(h, -2) != 0):
         raise DimensionMismatch("matrix has nonzeros below the first subdiagonal")

@@ -35,15 +35,15 @@ def write_matrix_market(path, M, comment: str | None = None) -> None:
 
 def read_matrix_market(path) -> np.ndarray:
     """A MatrixMarket file as a dense float64 or complex128 ndarray; a
-    malformed or ``pattern`` file raises DomainError."""
+    malformed or ``pattern`` file raises DomainError naming the path."""
     import scipy.io
     import scipy.sparse
 
     try:
         if scipy.io.mminfo(path)[4] == "pattern":
-            raise DomainError("a pattern MatrixMarket file has no values")
+            raise DomainError(f"{path}: a pattern MatrixMarket file has no values")
         a = scipy.io.mmread(path)
     except ValueError as exc:
-        raise DomainError(f"malformed MatrixMarket file: {exc}") from exc
+        raise DomainError(f"{path}: malformed MatrixMarket file: {exc}") from exc
     a = a.toarray() if scipy.sparse.issparse(a) else a
     return np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)

@@ -59,11 +59,16 @@ def record_hyman_sweeps(monkeypatch) -> list:
 
 
 def record_fun_coefficients(monkeypatch) -> list:
-    """Record (k, f) of every ``arnoldi.fun_coefficients`` call from here
-    on: one per action computed, whatever the path."""
-    calls, plain = [], arn.fun_coefficients
+    """Record (k, f) of every action computed from here on, whatever the
+    path: a ``sqrt``/``invsqrt`` ``arnoldi.fun_coefficients`` call, or a k
+    of a Hessenberg LU solve (``_HessenbergLU.solve_e1``, which serves every
+    ``inverse``) as (k, "inverse")."""
+    calls, plain, solve = [], arn.fun_coefficients, arn._HessenbergLU.solve_e1
     monkeypatch.setattr(arn, "fun_coefficients",
-                        lambda d, f="sqrt": calls.append((d.k, f)) or plain(d, f))
+                        lambda d, f="sqrt": (f != "inverse" and calls.append((d.k, f)))
+                        or plain(d, f))
+    monkeypatch.setattr(arn._HessenbergLU, "solve_e1", lambda lu, ks, *args: calls.extend(
+        (int(k), "inverse") for k in ks) or solve(lu, ks, *args))
     return calls
 
 

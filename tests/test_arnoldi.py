@@ -264,7 +264,7 @@ class TestShiftedAction:
         sweeps = record_hyman_sweeps(monkeypatch)
         want = s_variable_invsqrt_e1(h)
         s_sweeps = len(sweeps)
-        got = arn._shifted_invsqrt_e1(h, state._ws.factor().logdet(k)[0])
+        got = arn._shifted_invsqrt_e1(h, state._ws.factor().log_det_ratios([k])[0][0])
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         assert (s_sweeps, len(sweeps) - s_sweeps) == sweeps_s_then_x
 
@@ -389,11 +389,12 @@ class TestHessenbergLU:
         state = arn.arnoldi(M, np.ones(M.shape[0]), M.shape[0])
         lu = arn._HessenbergLU()
         lu.extend(state.hessenberg, state.k)
+        ratios, phases = lu.log_det_ratios(range(1, state.k + 1))  # every k from one pass
+        log_subs = np.append(0.0, np.cumsum(np.log(state.subdiagonals)))
         for k in range(1, state.k + 1):
             sign, want = np.linalg.slogdet(state.hessenberg[:k, :k])
-            log_mag, phase = lu.logdet(k)
-            assert log_mag == pytest.approx(want, rel=1e-12, abs=1e-12)
-            assert abs(phase - sign) <= 1e-10
+            assert ratios[k - 1] + log_subs[k - 1] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert abs(phases[k - 1] - sign) <= 1e-10
 
     def test_extension_matches_one_pass(self):
         a = complex_dense(40)
@@ -430,9 +431,9 @@ class TestHessenbergLU:
             assert abs(lu.pivots[1]) == pytest.approx(delta, rel=0.05, abs=0.0)
             if singular:
                 with pytest.raises(SingularMatrix):
-                    lu.solve_e1(2, 1.0)
+                    lu.solve_e1([2], 1.0)
             else:
-                np.testing.assert_allclose(h[:2, :2] @ lu.solve_e1(2, 1.0), [1.0, 0.0],
+                np.testing.assert_allclose(h[:2, :2] @ lu.solve_e1([2], 1.0)[:, 0], [1.0, 0.0],
                                            atol=1e-12)
             assert lu.row_norms[2] == pytest.approx(np.linalg.norm(h, axis=1).max())
 
@@ -452,7 +453,7 @@ class TestHessenbergLU:
         fresh = arn._HessenbergLU()
         fresh.extend(h, 30)
         np.testing.assert_array_equal(arn.fom_iterate(other),
-                                      other.basis_k @ fresh.solve_e1(30, other.b_norm))
+                                      other.basis_k @ fresh.solve_e1([30], other.b_norm)[:, 0])
         assert short.bendixson_order == 10  # the prefix is shared, and certified
 
     def test_singular_prefix_raises_named_errors(self, monkeypatch):
@@ -543,6 +544,104 @@ class TestPrefixReport:
         rep = arn.prefix_report(arn.arnoldi(a, b, 8), np.linalg.solve(a, b))
         assert rep.k == 8 and rep.xi_norm > 0.0 and rep.error_norm is None
         assert calls == [(8, "inverse")]
+
+
+def hessenberg_state(h: np.ndarray):
+    """The decomposition of an upper Hessenberg matrix with positive
+    subdiagonal from b = e_1, whose Hessenberg matrix is h itself."""
+    b = np.zeros(h.shape[0])
+    b[0] = 1.0
+    state = arn.arnoldi(h, b, h.shape[0])
+    np.testing.assert_array_equal(state.hessenberg, h)
+    return state
+
+
+class TestFomReports:
+    @pytest.mark.parametrize("name", ["skewed-dense", "hermitian-dense", "convdiff"])
+    def test_batch_equals_one_k_case(self, name):
+        # every k of one batch against a lone k on a fresh decomposition,
+        # whose coefficients come from their own solve
+        if name == "convdiff":
+            a = matgen.convection_diffusion(150, 0.1).to_dense()
+        else:
+            a = make_pd_matrix(12, 80, skew=name == "skewed-dense")[0]
+        b = np.ones(a.shape[0])
+        x_exact, reference = np.linalg.solve(a, b), linalg.reference_sqrt_action(a, b)
+        ks = range(1, 61)
+        batch = arn.fom_reports(arn.arnoldi(a, b, 60), ks, x_exact, reference)
+        state = arn.arnoldi(a, b, 60)
+        for k, rep in zip(ks, batch):
+            one = arn.prefix_report(state.prefix(k), x_exact, reference)
+            assert rep.k == one.k == k
+            assert rep.residual_norm == pytest.approx(one.residual_norm, rel=1e-12, abs=0.0)
+            assert abs(rep.xi_norm - one.xi_norm) <= 1e-13 * np.linalg.norm(x_exact)
+            assert abs(rep.error_norm - one.error_norm) <= 1e-13 * np.linalg.norm(reference)
+
+    def test_reports_keep_the_order_of_ks(self):
+        a = make_pd_matrix(3, 40)[0]
+        b = np.ones(40)
+        state = arn.arnoldi(a, b, 20)
+        reports = arn.fom_reports(state, [9, 3, 9, 15], np.linalg.solve(a, b))
+        assert [rep.k for rep in reports] == [9, 3, 9, 15] and reports[0] == reports[2]
+        assert arn.fom_reports(state, [], np.linalg.solve(a, b)) == []
+
+    def test_one_solve_for_many_prefixes(self, monkeypatch):
+        # 24 prefixes read the factor once: one triangular solve (of order
+        # the largest k, less one), one pass of cumulative sums, no per-k solve
+        a = make_pd_matrix(6, 120)[0]
+        b = np.ones(120)
+        state = arn.arnoldi(a, b, 50)
+        ks = list(range(4, 52, 2))
+        solves, passes, lu_solves = [], [], []
+        triangular = arn.sla.solve_triangular
+        monkeypatch.setattr(arn.sla, "solve_triangular",
+                            lambda u, y, **kw: solves.append((u.shape[0], y.shape[1]))
+                            or triangular(u, y, **kw))
+        ratios, solve_e1 = arn._HessenbergLU.log_det_ratios, arn._HessenbergLU.solve_e1
+        monkeypatch.setattr(arn._HessenbergLU, "log_det_ratios",
+                            lambda lu, ks, **kw: passes.append(list(ks)) or ratios(lu, ks, **kw))
+        monkeypatch.setattr(arn._HessenbergLU, "solve_e1",
+                            lambda lu, ks, *args: lu_solves.append(list(ks))
+                            or solve_e1(lu, ks, *args))
+        reports = arn.prefix_reports(state, ks, np.linalg.solve(a, b), None)
+        assert [rep.k for rep in reports] == ks
+        assert solves == [(49, 24)] and passes == lu_solves == [ks]
+
+    def test_singular_prefix_raises_as_the_one_k_path(self):
+        # H_2 has a last pivot of 1.2e-14: SingularMatrix by the pivot rule
+        # of the FOM solve, while its residual passes the 1e-14 rule.  H_4
+        # has two equal columns: SingularProjectedMatrix from its residual.
+        # A batch raises what the lone k = 2 raises, however it is ordered.
+        delta = 1.2e-14
+        h = np.array([[1.0, 1.0, 1e6, 1.0, 0.0],
+                      [1.0, 1.0 + delta, 1e6, 1.0, 0.0],
+                      [0.0, 1.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0, 1.0],
+                      [0.0, 0.0, 0.0, 1.0, 2.0]])
+        state = hessenberg_state(h)
+        x_exact = np.ones(5)
+        with pytest.raises(SingularMatrix) as one:
+            arn.prefix_report(state.prefix(2), x_exact)
+        with pytest.raises(SingularProjectedMatrix):
+            arn.prefix_report(state.prefix(4), x_exact)
+        for ks in ([1, 2, 3, 4, 5], [5, 4, 2], [4, 2]):
+            with pytest.raises(SingularMatrix) as batch:
+                arn.fom_reports(state, ks, x_exact)
+            assert str(batch.value) == str(one.value)
+        with pytest.raises(SingularProjectedMatrix):
+            arn.fom_reports(state, [1, 4, 5], x_exact)
+
+    def test_blocks_match_one_block_bitwise(self, monkeypatch):
+        # 150 prefixes in blocks of at most PREFIX_BLOCK = 64 columns (three
+        # of 50) and in one block of 150, each on a fresh decomposition
+        tri = matgen.convection_diffusion(200, 0.1)
+        b = np.ones(tri.shape[0])
+        x_exact, reference = tri.solve(b), linalg.reference_sqrt_action(tri, b)
+        assert arn.PREFIX_BLOCK == 64
+        blocked = arn.fom_reports(arn.arnoldi(tri, b, 150), range(1, 151), x_exact, reference)
+        monkeypatch.setattr(arn, "PREFIX_BLOCK", 150)
+        whole = arn.fom_reports(arn.arnoldi(tri, b, 150), range(1, 151), x_exact, reference)
+        assert blocked == whole
 
 
 class TestShiftedFom:

@@ -391,6 +391,24 @@ def mp_logdet(h: np.ndarray, x: float) -> float:
         return float(log_det)
 
 
+def mp_log_det_ratio(h: np.ndarray) -> float:
+    """log|det H| - sum_i log|h_{i+1,i}| for an unreduced upper Hessenberg
+    H in 40-digit arithmetic: the elimination of :func:`mp_logdet` at
+    x = 0, carrying only the columns not yet eliminated."""
+    k = h.shape[0]
+    with mpmath.workdps(40):
+        top, acc = [mpmath.mpmathify(v) for v in h[0].tolist()], mpmath.mpf(0)
+        for j in range(k - 1):
+            low = [mpmath.mpmathify(v) for v in h[j + 1, j:].tolist()]
+            acc -= mpmath.log(abs(low[0]))
+            if abs(low[0]) > abs(top[0]):
+                top, low = low, top
+            acc += mpmath.log(abs(top[0]))
+            m = low[0] / top[0]
+            top = [low[c] - m * top[c] for c in range(1, k - j)]
+        return float(acc + mpmath.log(abs(top[0])))
+
+
 @pytest.fixture(scope="module")
 def convdiff_h90():
     tri = matgen.convection_diffusion(120, 0.5)
@@ -528,30 +546,46 @@ class TestDeterminantBound:
         got = bnd.bound_posterior_det(convdiff_h90, 0.7)
         assert got == pytest.approx(bnd.bound_posterior_ritz(ritz, 0.7), rel=1e-10)
 
-    @pytest.mark.parametrize("fixture", ["convdiff_h90", "convdiff_h888"])
-    def test_lu_logdet_matches_sweep(self, request, monkeypatch, fixture):
-        # log|det H_k| from a Hessenberg LU factor in place of Hyman's
-        # one-shift sweep at x = 0, which is the one sweep it saves.  The
-        # integrand subtracts the log subdiagonals from log|det H_k|, so the
-        # bound moves by the rounding of log|det H_k| itself, one ulp of
-        # about 10^4 at k = 888 (measured 1.1e-13 relative at k = 90,
-        # 4.1e-13 at k = 888)
+    @pytest.mark.parametrize("fixture, rel", [("convdiff_h90", 1e-13), ("convdiff_h888", 2e-12)],
+                             ids=["convdiff_h90", "convdiff_h888"])
+    def test_lu_logdet_matches_sweep(self, request, monkeypatch, fixture, rel):
+        # log|det H_k| - sum log|h_{i+1,i}| from a Hessenberg LU factor (the
+        # ratio form) in place of Hyman's one-shift sweep at x = 0, which is
+        # the one sweep it saves.  The bound moves by the difference of the
+        # two constants, which is the sweep's own rounding: measured 9.1e-15
+        # relative at k = 90 and 8.5e-13 at k = 888, where the ratio form is
+        # 1.2e-13 from a 40-digit value (test_ratio_form_matches_mpmath)
         h = request.getfixturevalue(fixture)
         k = h.shape[0]
         lu = arn._HessenbergLU()
         lu.extend(h, k)
-        log_det = lu.logdet(k)[0]
+        log_det_ratio = lu.log_det_ratios([k])[0][0]
         sweeps = record_hyman_sweeps(monkeypatch)
         swept = bnd.bound_posterior_det(h, 0.7)
         passes = sweeps[1:]
-        from_lu = bnd.bound_posterior_det(h, 0.7, log_det=log_det)
-        assert from_lu == pytest.approx(swept, rel=1e-13 + 2.0 * np.spacing(log_det), abs=0.0)
+        from_lu = bnd.bound_posterior_det(h, 0.7, log_det_ratio=log_det_ratio)
+        assert from_lu == pytest.approx(swept, rel=rel, abs=0.0)
         assert sweeps[0] == (k, 1) and sweeps[len(passes) + 1:] == passes
 
     def test_lu_logdet_matches_mpmath(self, convdiff_h90):
         lu = arn._HessenbergLU()
         lu.extend(convdiff_h90, 90)
-        assert lu.logdet(90)[0] == pytest.approx(mp_logdet(convdiff_h90, 0.0), rel=0.0, abs=2e-13)
+        log_det = lu.log_det_ratios([90])[0][0] + np.log(np.diagonal(convdiff_h90, -1)).sum()
+        assert log_det == pytest.approx(mp_logdet(convdiff_h90, 0.0), rel=0.0, abs=2e-13)
+
+    @pytest.mark.parametrize("fixture", ["convdiff_h90", "convdiff_h888"])
+    def test_ratio_form_matches_mpmath(self, request, fixture):
+        # the constant of the stopping search's determinant bound.  Summed
+        # as log|u_ii / h_{i+1,i}| (each >= 0) plus the last pivot, it is
+        # 1.2e-14 (k = 90) and 1.2e-13 (k = 888) from a 40-digit value on one
+        # BLAS thread; as log|det H_k| minus the sum of log|h_{i+1,i}|, two
+        # sums of about 10^4 at k = 888, it was 9.2e-14 and 8.0e-13
+        h = request.getfixturevalue(fixture)
+        k = h.shape[0]
+        lu = arn._HessenbergLU()
+        lu.extend(h, k)
+        got = lu.log_det_ratios([k])[0][0]
+        assert got == pytest.approx(mp_log_det_ratio(h), rel=0.0, abs=3e-13)
 
     def test_errors(self, convdiff_h90):
         with pytest.raises(DivergentIntegral):

@@ -187,6 +187,28 @@ class TestBoundsVsK:
             bnd.bound_posterior_modulus(ritz, row["xi_norm"])
         assert calls == max(c for c, _ in batches[1:])
 
+    @pytest.mark.parametrize("skew", [False, True])
+    def test_exact_solution_from_the_kept_eigh(self, monkeypatch, skew):
+        # an exactly Hermitian matrix takes x_exact from the eigendecomposition
+        # that sigma_max keeps, with no LU; any other keeps its LU.  xi agrees
+        # with the LU route's to 1e-13 ||x_exact||
+        orders, factor = [], linalg.lu_factor_quiet
+        monkeypatch.setattr(linalg, "lu_factor_quiet",
+                            lambda a: orders.append(a.shape[0]) or factor(a))
+        cfg = exp.config_from_dict({
+            "experiment": "bounds_vs_k", "seed": 4, "k_max": 30, "matrix": {
+                "type": "spectrum", "kind": "uniform", "n": 90, "lo": 1.0, "hi": 1000.0,
+                "skew": skew}})
+        rows, summary = exp.run_bounds_vs_k(cfg)
+        assert summary["hermitian"] is not skew and orders == ([90] if skew else [])
+        ctx = exp.build_matrix(cfg.matrix, cfg.seed)
+        b = exp.build_rhs(cfg.rhs, ctx)
+        x_lu = np.linalg.solve(linalg.as_array(ctx.operator), b)
+        state = arn.arnoldi(ctx.operator, b, 30)
+        for row in rows:
+            want = arn.fom_error(state.prefix(int(row["k"])), x_lu)
+            assert abs(row["xi_norm"] - want) <= 1e-13 * np.linalg.norm(x_lu)
+
     def test_rounding_floor_k(self, tmp_path):
         # the bound falls below the true error at k = 28 and 30, where
         # rounding sets both; the floor is marked from k = 21 on
@@ -611,11 +633,11 @@ class TestCsv:
     @pytest.mark.parametrize("raw, steps, digest", [
         ({"experiment": "convdiff_table", "n_values": [40, 60, 120], "eta": 0.5},
          {"40": 32, "60": 47, "120": 94},
-         "6d584a14616b6c07b9fcec5994dd63c09c607caf9f477d931f62a5b20b4d0ffe"),
+         "e186dafae12102c145ec676c24d7bef63da007c55aa4f06504946c4250b96f63"),
         ({"experiment": "scaling_vs_k", "n_values": [60, 120], "eta": 0.1, "k_samples": 8},
          {"60": 53, "120": 106},
-         "6cb6f98d7946c8e32c5c3680f546c128eb9b44f043657858c4c1320daf55cbfd"),
-    ])
+         "5d5882cd2cf35102e31bc10dfe6919f1b92dd8f69fdebd273c7db14dccab19cd"),
+    ], ids=["convdiff_table", "scaling_vs_k"])
     def test_search_steps_in_summary_leave_csv_bytes(self, tmp_path, raw, steps, digest):
         # the decomposition order after each search goes to the summary
         # only; the CSV bytes are pinned (they are those of a build to the
@@ -631,20 +653,20 @@ class TestCsv:
     @pytest.mark.parametrize("raw, digest", [
         ({"experiment": "scaling_vs_sigma", "n_values": [40, 56, 72], "eta": 0.5,
           "k_values": [6, 10]},
-         "3d94b13073c42c820f0f689382619112e497f612013f697d65b70b38b52c31c4"),
+         "b83130e020110c7879c33cd3c98a0618f0eee29bd70e147cdfcd36643d666c88"),
         ({"experiment": "perturbed_validity", "seed": 9, "n": 40, "instances": 2,
           "eps_values": [1e-3, 1e-2], "k_max": 8},
-         "cbcad45b2d74a7228ec0673403b601aee693367359e110c0a03c64486c3df84b"),
+         "de926a1e4aec8c6aee52ef5e2092baab11b3351f129dfd9befb7c774d4ee41a4"),
         ({"experiment": "bounds_vs_k", "seed": 5, "k_max": 25,
           "matrix": {"type": "spectrum", "kind": "uniform", "n": 80, "lo": 1.0,
                      "hi": 1000.0, "skew": True}},
-         "d5e82b68cc68bb23c8a49ca78758616cd206e717fc3a996072480fc09b0970ab"),
+         "3a0197202febb83b5767a95df83b55986812bb3da4a9a2990c334e8e2010d5b1"),
         ({"experiment": "hermitian_compare", "seed": 6, "k_max": 25,
           "matrix": {"type": "spectrum", "kind": "clustered", "n": 80, "cluster_center": 10.0,
                      "cluster_std": 1.0, "cluster_fraction": 0.95,
                      "outlier_center": 1000.0, "outlier_std": 100.0},
           "rhs": {"kind": "eig_average", "count": 40}},
-         "d64b5c6ee7eaff964bde045b225445ce0af772d0572305781ef171b0412f40dc"),
+         "e04b794ba3c6ec409c1d126884b5e421c10b25c7ce63694adcb4059ba4e13906"),
     ], ids=["scaling_vs_sigma", "perturbed_validity", "bounds_vs_k", "hermitian_compare"])
     def test_csv_bytes_pinned(self, tmp_path, raw, digest):
         # experiments without a search: their CSV bytes are pinned as they
@@ -907,6 +929,10 @@ class TestCli:
         (tmp_path / "list.json").write_text("[1]")
         (tmp_path / "latin1.csv").write_bytes(b"k,error_norm\n2,0.5\n3,0.25\xe9\n")
         (tmp_path / "empty.csv").write_text("")
+        short = tmp_path / "short.mtx"  # declares four entries, holds two
+        short.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n")
+        rhs = tmp_path / "rhs.mtx"
+        rhs.write_text("%%MatrixMarket matrix array real general\n11 1\n1.0\n")
         plot = ["plot", "--kind", "bounds_vs_k", "--out", str(svg), "--csv"]
         capsys.readouterr()
         for argv, named in (
@@ -919,7 +945,10 @@ class TestCli:
                  "list.json"),                                            # AttributeError
                 (["experiment", "--config", str(tmp_path / "list.json")], "list.json"),
                 (plot + [str(tmp_path / "latin1.csv")], "latin1.csv"),   # UnicodeDecodeError
-                (plot + [str(tmp_path / "empty.csv")], "empty.csv")):    # StopIteration
+                (plot + [str(tmp_path / "empty.csv")], "empty.csv"),     # StopIteration
+                (["approx", "--matrix-file", str(short), "--out", str(tmp_path / "r1")], short),
+                (["approx", "--matrix-file", str(mtx), "--rhs-file", str(rhs),
+                  "--out", str(tmp_path / "r2")], rhs)):                 # truncated files
             assert cli_main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1 and str(named) in err
