@@ -118,38 +118,60 @@ class _Workspace:
 class _HessenbergLU:
     """LU factors, with partial pivoting, of every leading block H_k of an
     upper Hessenberg matrix, from one pass; its methods answer a list of k
-    at once.
+    at once, by indexing arrays that the pass fills.
 
     Column j has nonzeros in rows j and j+1 only, so pivot step j swaps at
     most those two rows and leaves the rows above final.  The factors of
-    H_k are the first k-1 steps plus the diagonal of row k-1 before its own
-    step (``pivots``).  U lives in a buffer whose capacity doubles, so an
-    extension copies no earlier column, and ``row_norms[k-1]`` is the
-    largest row norm of H_k.
+    H_k are the first k-1 steps (``mult``, ``swap``) plus the diagonal of
+    row k-1 before its own step (``pivots``).  U and every per-step and
+    per-k array live in buffers whose capacity doubles, so an extension
+    copies no earlier column.  Entry k-1 of a per-k array describes H_k:
+    ``pivots[k-1]``, ``row_norms[k-1]`` (the largest row norm of H_k) and,
+    over the first k-1 diagonal entries u_ii of U, the running minimum and
+    maximum of |u_ii|, the cumulative sum of log|u_ii / h_{i+1,i}|, the
+    product of the phases u_ii/|u_ii| and the parity of the row swaps.
     """
 
-    def __init__(self):
-        self._buf = np.zeros((0, 0))
-        self.mult, self.swap, self.pivots, self.row_norms = [], [], [], []
-        self._row_sq = np.zeros(0)  # squared row norms of the factored columns
+    # per-step and per-k arrays of the factor's dtype, and of their own
+    _TYPED = ("_mult", "_pivots", "_phase")
+    _FIXED = (("_swap", bool), ("_parity", bool), ("_row_norms", float), ("_lo", float),
+              ("_hi", float), ("_log_ratio", float))
 
-    @property
-    def U(self) -> np.ndarray:
-        k = len(self.pivots)
-        return self._buf[:k, :k]
+    def __init__(self):
+        self._k = 0  # factored columns
+        self._buf = np.zeros((0, 0))
+        self._row_sq = np.zeros(0)  # squared row norms of the factored columns
+        self._grow(0, self._buf.dtype)
+
+    U = property(lambda self: self._buf[: self._k, : self._k])
+    mult = property(lambda self: self._mult[: max(self._k - 1, 0)])
+    swap = property(lambda self: self._swap[: max(self._k - 1, 0)])
+    pivots = property(lambda self: self._pivots[: self._k])
+    row_norms = property(lambda self: self._row_norms[: self._k])
+
+    def _grow(self, size: int, dtype):
+        """Move U and every array to buffers of capacity ``size``, U and
+        the typed arrays in ``dtype`` (the factor's)."""
+        k0 = self._k
+        buf = np.zeros((size, size), dtype=dtype)
+        buf[:k0, :k0] = self.U
+        self._buf = buf
+        for name, kind in [(name, dtype) for name in self._TYPED] + list(self._FIXED):
+            grown = np.zeros(size, dtype=kind)
+            if k0:
+                grown[:k0] = getattr(self, name)[:k0]
+            setattr(self, name, grown)
 
     def extend(self, H: np.ndarray, K: int):
         """Factor the leading K columns of H (at least K rows): the new
-        columns take the earlier steps, then the steps go on."""
-        k0 = len(self.pivots)
+        columns take the earlier steps, then the steps go on, and the per-k
+        arrays are carried on from entry k0-1 by one accumulation each."""
+        k0 = self._k
         if K <= k0:
             return
         dtype = np.result_type(self._buf, H)
         if K > self._buf.shape[0] or dtype != self._buf.dtype:
-            size = min(max(K, 2 * self._buf.shape[0]), H.shape[1])
-            buf = np.zeros((size, size), dtype=dtype)
-            buf[:k0, :k0] = self.U
-            self._buf = buf
+            self._grow(min(max(K, 2 * self._buf.shape[0]), H.shape[1]), dtype)
         U = self._buf
         U[:K, k0:K] = H[:K, k0:K]
         if k0:
@@ -158,46 +180,59 @@ class _HessenbergLU:
         for j in range(k0 - 1):
             self._step(U, j, k0, K)
         for j in range(max(k0 - 1, 0), K - 1):
-            if j == len(self.pivots):
-                self.pivots.append(U[j, j])
+            if j >= k0:
+                self._pivots[j] = U[j, j]
             top, low = U[j, j], U[j + 1, j]
             swap = bool(abs(low) > abs(top))
             top, low = (low, top) if swap else (top, low)
-            self.swap.append(swap)
-            self.mult.append(low / top if top != 0.0 else 0.0)
+            self._swap[j] = swap
+            self._mult[j] = low / top if top != 0.0 else 0.0
             self._step(U, j, j, K)
-        self.pivots.append(U[K - 1, K - 1])
+        self._pivots[K - 1] = U[K - 1, K - 1]
+        self._k = K
+        if k0 == 0:
+            self._lo[0], self._hi[0], self._log_ratio[0], self._phase[0] = np.inf, 0.0, 0.0, 1.0
+        # entries s..K-1 from u_ii, i = s-1..K-2; step i leaves |u_ii / h_{i+1,i}|
+        # = 1 after a swap and 1/|mult_i| otherwise
+        s = max(k0, 1)
+        d, swap = np.diagonal(U)[s - 1 : K - 1], self._swap[s - 1 : K - 1]
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot: singular
+            self._lo[s:K] = self._hi[s:K] = np.abs(d)
+            self._log_ratio[s:K] = np.where(swap, 0.0, -np.log(np.abs(self._mult[s - 1 : K - 1])))
+            self._phase[s:K] = d / np.abs(d)
+            self._parity[s:K] = swap
+            for ufunc, table in ((np.minimum, self._lo), (np.maximum, self._hi),
+                                 (np.add, self._log_ratio), (np.multiply, self._phase),
+                                 (np.logical_xor, self._parity)):
+                ufunc.accumulate(table[s - 1 : K], out=table[s - 1 : K])
 
     def _step(self, U: np.ndarray, j: int, lo: int, hi: int):
         """Pivot step j on columns lo:hi: rows j and j+1 swap when
         ``swap[j]``, then row j+1 loses mult[j] times row j."""
         top, low = U[j, lo:hi], U[j + 1, lo:hi]
-        if self.swap[j]:
-            new_low = top - self.mult[j] * low
+        if self._swap[j]:
+            new_low = top - self._mult[j] * low
             top[:] = low
             low[:] = new_low
         else:
-            low -= self.mult[j] * top
+            low -= self._mult[j] * top
 
     def _extend_row_norms(self, H: np.ndarray, k0: int, K: int):
-        """Append the largest row norm of H_k for k = k0+1..K, carrying the
+        """Fill the largest row norm of H_k for k = k0+1..K, carrying the
         squared row norms of the columns before k0."""
         rows = min(K + 1, H.shape[0])
         sq = np.cumsum(np.abs(H[:rows, k0:K]) ** 2, axis=1)
         sq[: self._row_sq.size] += self._row_sq[:rows, None]
         in_block = np.arange(rows)[:, None] < np.arange(k0 + 1, K + 1)  # row i of H_k: i < k
-        self.row_norms.extend(np.sqrt(np.max(np.where(in_block, sq, 0.0), axis=0)))
+        self._row_norms[k0:K] = np.sqrt(np.max(np.where(in_block, sq, 0.0), axis=0))
         self._row_sq = sq[:, -1]
 
-    def _pivots(self, ks):
-        """(lo, hi, pivot k) for each k in ks (ascending): lo and hi are the
-        smallest and largest |d| over the factor diagonal d of H_k (the
-        first k-1 diagonal entries of U, then pivot k), from running minima
-        and maxima."""
-        u = np.abs(np.diagonal(self.U)[: ks[-1] - 1])
-        p = np.array([self.pivots[k - 1] for k in ks])
-        return (np.minimum(np.append(np.inf, np.minimum.accumulate(u))[ks - 1], np.abs(p)),
-                np.maximum(np.append(0.0, np.maximum.accumulate(u))[ks - 1], np.abs(p)), p)
+    def _pivots_of(self, ks: np.ndarray):
+        """(lo, hi, pivot k) for each k in ks: lo and hi are the smallest
+        and largest |d| over the factor diagonal d of H_k (the first k-1
+        diagonal entries of U, then pivot k)."""
+        p = self._pivots[ks - 1]
+        return np.minimum(self._lo[ks - 1], np.abs(p)), np.maximum(self._hi[ks - 1], np.abs(p)), p
 
     def log_det_ratios(self, ks, exempt=False):
         """For each k in ks (ascending): log|det H_k| - sum_{i<k}
@@ -205,46 +240,45 @@ class _HessenbergLU:
         SingularProjectedMatrix when the smallest |pivot| of an H_k not
         ``exempt`` is at most 1e-14 times its largest.
 
-        Step i leaves |u_ii / h_{i+1,i}| = 1 after a swap and 1/|mult_i|
-        otherwise, never below 1, so the first is a cumulative sum of
-        nonnegative logs plus log|pivot k|, with no difference of two sums
-        of about 10^4 at k ~ 1000.  The sign of the row swaps is a
-        cumulative count."""
+        The first is the cumulative sum of log|u_ii / h_{i+1,i}| (each at
+        least 0, so no difference of two sums of about 10^4 at k ~ 1000)
+        plus log|pivot k|; the sign of the row swaps is their parity."""
         ks = np.asarray(ks)
-        K = int(ks[-1])
-        lo, hi, p = self._pivots(ks)
+        lo, hi, p = self._pivots_of(ks)
         if np.any((lo <= 1e-14 * hi) & ~np.asarray(exempt)):
             raise SingularProjectedMatrix("projected matrix is numerically singular")
-        u = np.diagonal(self.U)[: K - 1]
-        swap = np.array(self.swap[: K - 1], dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot: singular
-            steps = np.where(swap, 0.0, -np.log(np.abs(np.array(self.mult[: K - 1]))))
-            ratio = np.append(0.0, np.cumsum(steps))[ks - 1] + np.log(np.abs(p))
-            phase = np.append(1.0, np.cumprod(u / np.abs(u)))[ks - 1] * (p / np.abs(p))
-        return ratio, np.where(np.append(0, np.cumsum(swap))[ks - 1] % 2, -phase, phase)
+            ratio = self._log_ratio[ks - 1] + np.log(np.abs(p))
+            phase = self._phase[ks - 1] * (p / np.abs(p))
+        return ratio, np.where(self._parity[ks - 1], -phase, phase)
 
     def solve_e1(self, ks, scale: float, order: int | None = None) -> np.ndarray:
         """The K x m array whose column j is y with H_k y = scale e_1 for
         k = ks[j] (ascending), zero below row k, from one triangular solve
-        with U_{K-1}, K = ``order`` (at least ks[-1], the default).  Raises
-        SingularMatrix when a pivot of some H_k is at most
-        ``linalg.PIVOT_RTOL`` times the largest row norm of H_k."""
+        (LAPACK ?trtrs on U's buffer, in place) with U_{K-1}, K = ``order``
+        (at least ks[-1], the default).  Raises SingularMatrix when a pivot
+        of some H_k is at most ``linalg.PIVOT_RTOL`` times the largest row
+        norm of H_k."""
         ks = np.asarray(ks)
         K, m = order or int(ks[-1]), ks.size
-        lo, _, p = self._pivots(ks)
-        if np.any(lo <= linalg.PIVOT_RTOL * np.array([self.row_norms[k - 1] for k in ks])):
+        lo, _, p = self._pivots_of(ks)
+        if np.any(lo <= linalg.PIVOT_RTOL * self._row_norms[ks - 1]):
             raise SingularMatrix("pivot below threshold; matrix is numerically singular")
         # the steps carry scale e_1 down; row j keeps the carry unless swapped
-        swap = np.array(self.swap[: K - 1], dtype=bool)
-        carry = np.cumprod(np.append(scale, np.where(swap, 1.0, -np.array(self.mult[: K - 1]))))
+        swap = self._swap[: K - 1]
+        carry = np.cumprod(np.append(scale, np.where(swap, 1.0, -self._mult[: K - 1])))
         last = carry[ks - 1] / p  # row k-1 of each y
-        U = self.U
-        rhs = np.where(swap, 0.0, carry[:-1])[:, None] - U[: K - 1, ks - 1] * last
+        rhs = np.where(swap, 0.0, carry[:-1])[:, None] - self._buf[: K - 1, ks - 1] * last
         y = np.zeros((K, m), dtype=np.result_type(rhs, last))
         if K > 1:  # rows at or below k-1 of column j are zero, and stay zero
-            y[:-1] = sla.solve_triangular(U[: K - 1, : K - 1],
-                                          np.where(np.arange(K - 1)[:, None] < ks - 1, rhs, 0.0),
-                                          check_finite=False)
+            # the rows of the C-ordered buffer are the columns of Uᵀ, read
+            # in Fortran order with the capacity as leading dimension
+            trtrs = sla.lapack.ztrtrs if np.iscomplexobj(self._buf) else sla.lapack.dtrtrs
+            y[:-1], info = trtrs(self._buf[: K - 1].T,
+                                 np.where(np.arange(K - 1)[:, None] < ks - 1, rhs, 0.0),
+                                 lower=1, trans=1)
+            if info:
+                raise SingularMatrix("zero pivot in the Hessenberg factor")
         y[ks - 1, np.arange(m)] = last
         return y
 

@@ -5,12 +5,17 @@ a priori bound in sigma_max(M) and k, sharpened Hermitian variants using
 the averaged eigenvalue lambda_bar, the perturbed-matrix bound, and the
 semi-infinite quadrature these need.  All Ritz products are accumulated
 in log space so hundreds of factors neither overflow nor underflow.
+
+A batch of bound integrals (:func:`bound_posterior_batch`) costs its
+arithmetic: a quadrature pass updates all integrals with a few array
+operations, and a block of nodes sums the log factors only up to the
+largest k among its integrals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -116,8 +121,16 @@ def _quad_batch(integrand, count: int, cfg: QuadratureConfig | None = None) -> l
     index of the integral each abscissa belongs to.  Each integral keeps
     its own intervals, tolerance and ``max_subdivisions`` budget, and
     closes when a pass bisects none of its intervals; a pass evaluates the
-    new nodes of all open integrals in one integrand call."""
+    new nodes of all open integrals in one integrand call, and a few array
+    operations update every integral's total, error, tolerance and share:
+    a total sums a zero-padded intervals-by-integrals array in interval
+    order, so a lone integral's is that of its intervals, bit for bit."""
     cfg = cfg or QuadratureConfig()
+
+    def by_integral(a: np.ndarray, slot: tuple, shape: tuple) -> np.ndarray:
+        padded = np.zeros(shape + a.shape[1:], dtype=a.dtype)
+        padded[slot] = a
+        return padded.sum(axis=0)
 
     def transformed(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         one_minus = 1.0 - t
@@ -132,26 +145,23 @@ def _quad_batch(integrand, count: int, cfg: QuadratureConfig | None = None) -> l
     owner = np.repeat(np.arange(count), halves)
     left, width = np.tile(np.arange(halves) / halves, count), np.full(owner.size, 1.0 / halves)
     value, err = _gauss_kronrod_21(transformed, owner, left, width)
-    size = abs if value.ndim == 1 else np.linalg.norm
-    total, total_err, tol = [None] * count, np.zeros(count), np.zeros(count)
-    active = np.arange(count)  # the integrals whose intervals changed in the last pass
+    size = np.abs if value.ndim == 1 else (lambda v: np.linalg.norm(v, axis=1))
+    is_open = np.ones(count, dtype=bool)  # the integrals bisected in the last pass
     while True:
-        share = np.full(count, np.inf)  # error above which an interval is bisected
-        for j, lo, hi in zip(active, np.searchsorted(owner, active),
-                             np.searchsorted(owner, active, "right")):
-            total[j], total_err[j] = value[lo:hi].sum(axis=0), err[lo:hi].sum()
-            tol[j] = max(cfg.abs_tol, cfg.rel_tol * size(total[j]))
-            if total_err[j] > tol[j]:
-                share[j] = tol[j] / (hi - lo)
+        intervals = np.bincount(owner, minlength=count)
+        slot = (np.arange(owner.size) - (np.cumsum(intervals) - intervals)[owner], owner)
+        total, total_err = (by_integral(a, slot, (intervals.max(), count)) for a in (value, err))
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * size(total))
+        # error above which an interval is bisected
+        share = np.where(is_open & (total_err > tol), tol / intervals, np.inf)
         worst = np.flatnonzero(err > share[owner])
         worst = worst[np.argsort(err[worst])[::-1]]
         worst = worst[np.argsort(owner[worst], kind="stable")]  # by integral, largest first
         rank = np.arange(worst.size) - np.searchsorted(owner[worst], owner[worst])
-        budget = cfg.max_subdivisions - np.bincount(owner, minlength=count)
-        worst = worst[rank < budget[owner[worst]]]
-        active = np.unique(owner[worst])
-        if active.size == 0:
+        worst = worst[rank < (cfg.max_subdivisions - intervals)[owner[worst]]]
+        if worst.size == 0:
             break
+        is_open = np.bincount(owner[worst], minlength=count) > 0
         keep = np.ones(err.size, dtype=bool)
         keep[worst] = False
         half = 0.5 * width[worst]
@@ -161,8 +171,9 @@ def _quad_batch(integrand, count: int, cfg: QuadratureConfig | None = None) -> l
         regroup = np.argsort(np.concatenate([owner[keep], child[0]]), kind="stable")
         owner, left, width, value, err = (np.concatenate([a[keep], c])[regroup] for a, c in
                                           zip((owner, left, width, value, err), child))
-    return [QuadResult(value=float(v) if value.ndim == 1 else v, estimated_error=float(e),
-                       tolerance_met=bool(e <= t)) for v, e, t in zip(total, total_err, tol)]
+    values = total.tolist() if total.ndim == 1 else total
+    return [QuadResult(value=v, estimated_error=e, tolerance_met=m) for v, e, m in
+            zip(values, total_err.tolist(), (total_err <= tol).tolist())]
 
 
 def quad_semi_infinite(integrand, cfg: QuadratureConfig | None = None) -> QuadResult:
@@ -192,13 +203,13 @@ def _ritz_values(ritz) -> np.ndarray:
     return np.asarray(ritz, dtype=np.complex128).ravel()
 
 
-def _certified_integrals(log_gamma, k: int, block: int, xi_norms, labels,
+def _certified_integrals(log_gamma, k: int, block: int, xi_norms, label,
                          cfg: QuadratureConfig | None) -> list:
     """(I_j + estimated error) * xi_j / pi for each integral j of a batch, I_j
     the integral over (0, inf) of sqrt(x) |gamma_j(x)|, with
     ``log_gamma(x, owner)`` mapping a block of nodes to log|gamma| there;
-    blocks keep its k-by-nodes temporary at ``block`` elements.  A missed
-    tolerance raises NoConvergence naming the integral by its label."""
+    blocks keep its temporary of at most k rows at ``block`` elements.  A
+    missed tolerance raises NoConvergence naming integral j by ``label(j)``."""
     step = max(1, block // k)
 
     def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -208,50 +219,70 @@ def _certified_integrals(log_gamma, k: int, block: int, xi_norms, labels,
             out[s:s + step] = np.sqrt(xb) * np.exp(log_gamma(xb, owner[s:s + step]))
         return out
 
-    out = []
-    for q, xi_norm, label in zip(_quad_batch(integrand, len(xi_norms), cfg), xi_norms, labels):
+    results = _quad_batch(integrand, len(xi_norms), cfg)
+    for j, q in enumerate(results):
         if not q.tolerance_met:
-            raise NoConvergence(f"{label} missed its tolerance (estimated error "
+            raise NoConvergence(f"{label(j)} missed its tolerance (estimated error "
                                 f"{q.estimated_error:.3e} on {q.value:.6e})")
-        out.append((q.value + q.estimated_error) / math.pi * xi_norm)
-    return out
+    return [(q.value + q.estimated_error) / math.pi * xi for q, xi in zip(results, xi_norms)]
 
 
-def _product_factors(kind: str, ritz):
-    """(1/|l_i|^2, linear_i) of the ``kind`` bound's integrand
-    sqrt(x) prod_i (1 + x (linear_i + x/|l_i|^2))^{-1/2}: linear_i is
-    2 Re l_i/|l_i|^2 for ``posterior_ritz``, 0 for ``posterior_modulus``."""
-    lam = _ritz_values(ritz)
-    if lam.size < 2:
-        raise DivergentIntegral(f"{kind} bound integral diverges for k < 2")
+def _product_factors(items):
+    """(k_j, 1/|l_i|^2, linear_i) of each (kind, ritz, _) item, the factors
+    zero-padded to the largest k in k-by-items arrays, for the integrand
+    sqrt(x) prod_i (1 + x (linear_i + x/|l_i|^2))^{-1/2} of the ``kind``
+    bound: linear_i is 2 Re l_i/|l_i|^2 for ``posterior_ritz``, 0 for
+    ``posterior_modulus``.  Every item is checked at once; the first that
+    fails raises its error."""
+    lams = [_ritz_values(ritz) for _, ritz, _ in items]
+    orders = np.array([lam.size for lam in lams])
+    lam = np.concatenate(lams)
+    owner = np.repeat(np.arange(len(items)), orders)
+    ritz_kind = np.array([kind == "posterior_ritz" for kind, _, _ in items])
     mod2 = np.abs(lam) ** 2
-    if kind == "posterior_ritz":
-        require_right_half_plane(lam)
-        return 1.0 / mod2, 2.0 * lam.real * (1.0 / mod2)
-    if kind != "posterior_modulus":
-        raise DomainError(f"unknown posterior bound kind {kind!r}")
-    if np.any(mod2 == 0.0):
+    bad = np.bincount(owner, np.where(ritz_kind[owner], lam.real <= 0.0, mod2 == 0.0),
+                      minlength=len(items))
+    ok = (orders >= 2) & (bad == 0) & (ritz_kind | [kind == "posterior_modulus"
+                                                    for kind, _, _ in items])
+    if not ok.all():
+        j = int(np.argmin(ok))
+        kind, lam = items[j][0], lams[j]
+        if lam.size < 2:
+            raise DivergentIntegral(f"{kind} bound integral diverges for k < 2")
+        if kind == "posterior_ritz":
+            require_right_half_plane(lam)
+        if kind != "posterior_modulus":
+            raise DomainError(f"unknown posterior bound kind {kind!r}")
         raise InvalidSpectrum("all Ritz values must be nonzero")
-    return 1.0 / mod2, np.zeros_like(mod2)
+    inv_mod2, linear = np.zeros((2, orders.max(), len(items)))
+    pad = np.arange(orders.max()) < orders[:, None]  # items by k, as lam is ordered
+    inv = 1.0 / mod2
+    inv_mod2.T[pad] = inv
+    linear.T[pad] = np.where(ritz_kind[owner], 2.0 * lam.real * inv, 0.0)
+    return orders, inv_mod2, linear
 
 
 def bound_posterior_batch(items, cfg: QuadratureConfig | None = None) -> list:
     """The bound of each (kind, ritz, xi_norm) item, kind ``posterior_ritz``
     or ``posterior_modulus``, every integral adaptive on its own in one batch
-    (see :func:`quad_semi_infinite`).  A node sums its integral's log factors
-    zero-padded to the largest k (log1p(0) adds exactly 0), so an item's
-    bound equals its one-item call to rounding.  A missed tolerance raises
-    NoConvergence naming the kind and k of the integral."""
-    factors = [_product_factors(kind, ritz) for kind, ritz, _ in items]
-    k = max(inv.size for inv, _ in factors)
-    inv_mod2, linear = np.zeros((k, len(items))), np.zeros((k, len(items)))
-    for j, (inv, lin) in enumerate(factors):
-        inv_mod2[: inv.size, j], linear[: lin.size, j] = inv, lin
-    return _certified_integrals(
-        lambda xb, ob: -0.5 * np.log1p(xb * (linear[:, ob] + xb * inv_mod2[:, ob])).sum(axis=0),
-        k, _BLOCK_ELEMENTS, [xi for _, _, xi in items],
-        [f"{kind} integral at k = {inv.size}" for (kind, _, _), (inv, _) in zip(items, factors)],
-        cfg)
+    (see :func:`quad_semi_infinite`).  A block of nodes sums the log factors
+    of its integrals up to the largest k among them, the shorter ones
+    zero-padded (log1p(0) adds exactly 0), so an item's bound equals its
+    one-item call to rounding.  A missed tolerance raises NoConvergence
+    naming the kind and k of the integral."""
+    orders, inv_mod2, linear = _product_factors(items)
+
+    def log_gamma(xb: np.ndarray, ob: np.ndarray) -> np.ndarray:
+        rows = orders[ob].max()
+        t = inv_mod2[:rows, ob]
+        t *= xb
+        t += linear[:rows, ob]
+        t *= xb
+        return -0.5 * np.log1p(t, out=t).sum(axis=0)
+
+    return _certified_integrals(log_gamma, int(orders.max()), _BLOCK_ELEMENTS,
+                                [xi for _, _, xi in items],
+                                lambda j: f"{items[j][0]} integral at k = {orders[j]}", cfg)
 
 
 def require_right_half_plane(lam: np.ndarray) -> None:
@@ -348,7 +379,8 @@ def bound_posterior_det(H, xi_norm: float, cfg: QuadratureConfig | None = None,
     log_det0 = _hyman_log_alpha(h, np.zeros(1))[0] if log_det_ratio is None else log_det_ratio
     return _certified_integrals(lambda xb, _: log_det0 - _hyman_log_alpha(h, xb),
                                 h.shape[0], _HYMAN_BLOCK_ELEMENTS, [xi_norm],
-                                [f"determinant bound integral at k = {h.shape[0]}"], cfg)[0]
+                                lambda _: f"determinant bound integral at k = {h.shape[0]}",
+                                cfg)[0]
 
 
 def bound_posterior_modulus(ritz, xi_norm: float, cfg: QuadratureConfig | None = None) -> float:
@@ -380,9 +412,9 @@ def lambda_bar(top_eigs, lambda_max: float, k: int) -> float:
     eigs = np.asarray(top_eigs, dtype=float).ravel()
     if eigs.size != k or k < 1:
         raise DomainError(f"expected {k} leading eigenvalues, got {eigs.size}")
-    if np.any(eigs <= 0.0) or lambda_max <= 0.0:
+    if (eigs <= 0.0).any() or lambda_max <= 0.0:
         raise DomainError("eigenvalues must be positive")
-    if np.any(np.diff(eigs) > 0.0):
+    if (eigs[1:] > eigs[:-1]).any():
         raise DomainError("top_eigs must be sorted in descending order")
     if lambda_max < eigs[0] * (1.0 - 1e-12):
         raise DomainError("lambda_max must dominate the leading eigenvalue")
@@ -545,7 +577,8 @@ def build_bound_report(reports, ritz, sigma_max_used: float | None,
                 loose = bound_hermitian_loose(lam_max, k, xi_norm)
                 jensen = bound_hermitian_jensen(lam_bar, k, xi_norm)
         ritz_bound, modulus = posterior.get(j, (math.inf, math.inf))
-        out.append(replace(rep, posterior_ritz=ritz_bound, posterior_modulus=modulus,
-                           apriori_gamma=gamma, hermitian_loose=loose, hermitian_jensen=jensen,
-                           lambda_bar=lam_bar, sigma_max_used=sigma_max_used))
+        out.append(BoundReport(k, rep.residual_norm, xi_norm, rep.error_norm,
+                               posterior_ritz=ritz_bound, posterior_modulus=modulus,
+                               apriori_gamma=gamma, hermitian_loose=loose, hermitian_jensen=jensen,
+                               lambda_bar=lam_bar, sigma_max_used=sigma_max_used))
     return out

@@ -208,8 +208,7 @@ class RitzSpectrum:
     @classmethod
     def from_unsorted(cls, values, schur=None) -> "RitzSpectrum":
         v = np.asarray(values, dtype=np.complex128).ravel()
-        order = np.lexsort((-v.imag, -v.real, -np.abs(v)))
-        v = np.array(v[order], copy=True)
+        v = v[np.lexsort((-v.imag, -v.real, -np.abs(v)))]  # a copy
         v.flags.writeable = False
         return cls(values=v, k=v.size, schur=schur)
 
@@ -219,10 +218,18 @@ def as_operator(M):
 
     Accepts an operator of this module, ``(callable, n)``, an object with
     ``matvec`` and ``shape``, or anything ``np.asarray`` turns into a
-    square matrix.
+    square matrix.  A SciPy sparse matrix or array raises
+    UnsupportedContext (``scipy.sparse`` is looked up, not imported: an
+    input of its classes has loaded it).
     """
     if isinstance(M, (DenseMatrix, TridiagonalMatrix, MatvecOperator)):
         return M
+    import sys  # loaded by the interpreter: no import time
+
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is not None and sparse.issparse(M):
+        raise UnsupportedContext(f"a SciPy sparse {type(M).__name__} is not supported; pass "
+                                 "M.toarray() or a (matvec, n) operator")
     if isinstance(M, tuple) and len(M) == 2 and callable(M[0]):
         return MatvecOperator(M[0], int(M[1]))
     if hasattr(M, "matvec"):
@@ -264,6 +271,18 @@ def _schur(a: np.ndarray, vectors: bool = True):
     return out[0], out[-3], (out[2] if gees is sla.lapack.zgees else out[2] + 1j * out[3])
 
 
+# (rows, cols) of the entries below the first subdiagonal of a 64 x 64
+# matrix, row by row: those of any smaller order are a prefix.
+_BELOW_SUBDIAGONAL = np.tril_indices(64, -2)
+
+
+def _below_subdiagonal(k: int) -> tuple:
+    """``np.tril_indices(k, -2)``, for k <= 64 sliced from the kept set."""
+    rows, cols = _BELOW_SUBDIAGONAL if k <= 64 else np.tril_indices(k, -2)
+    count = (k - 1) * (k - 2) // 2
+    return rows[:count], cols[:count]
+
+
 def hessenberg_eigenvalues(H, schur: bool = False) -> RitzSpectrum:
     """All eigenvalues of an upper Hessenberg matrix, sorted by modulus;
     with ``schur``, also the Schur form (T, Z) they were read from.
@@ -280,8 +299,7 @@ def hessenberg_eigenvalues(H, schur: bool = False) -> RitzSpectrum:
         raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise NonFiniteEntry("matrix entries must be finite")
-    k = h.shape[0]
-    if k > 2 and np.any(np.tril(h, -2) != 0):
+    if h.shape[0] > 2 and h[_below_subdiagonal(h.shape[0])].any():
         raise DimensionMismatch("matrix has nonzeros below the first subdiagonal")
     t, z, w = _schur(h, vectors=schur)
     return RitzSpectrum.from_unsorted(w, schur=(t, z) if schur else None)
@@ -299,7 +317,9 @@ def bendixson_order(H) -> int:
     """
     a = np.asarray(H)
     potrf = sla.lapack.zpotrf if np.iscomplexobj(a) else sla.lapack.dpotrf
-    info = potrf(a + a.conj().T, clean=0, overwrite_a=1)[1]
+    s = np.conjugate(a.T, order="F")  # the one k x k temporary, in ?potrf's order
+    s += a
+    info = potrf(s, clean=0, overwrite_a=1)[1]
     return a.shape[0] if info == 0 else info - 1  # info < 0 cannot occur here
 
 
@@ -308,10 +328,12 @@ def schur_sqrt(t: np.ndarray, eigs: np.ndarray) -> np.ndarray:
     recurrence of Higham (LAA 1987) blocked by Deadman, Higham and Ralha
     (2013).  An eigenvalue with nonpositive real part and (relatively) zero
     imaginary part raises SpectrumOnBranchCut."""
-    on_cut = (eigs.real <= 0.0) & (
-        np.abs(eigs.imag) <= BRANCH_CUT_IMAG_TOL * np.maximum(1.0, np.abs(eigs)))
-    if np.any(on_cut):
-        raise SpectrumOnBranchCut(f"eigenvalue {eigs[on_cut][0]} lies on the closed negative real axis")
+    left = eigs.real <= 0.0
+    if left.any():
+        on_cut = left & (np.abs(eigs.imag) <= BRANCH_CUT_IMAG_TOL * np.maximum(1.0, np.abs(eigs)))
+        if on_cut.any():
+            raise SpectrumOnBranchCut(f"eigenvalue {eigs[on_cut][0]} lies on the closed "
+                                      "negative real axis")
     return sla.sqrtm(t)
 
 

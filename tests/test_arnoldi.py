@@ -408,6 +408,16 @@ class TestHessenbergLU:
                           (grown.swap, whole.swap), (grown.pivots, whole.pivots)):
             np.testing.assert_array_equal(got, want)
 
+    def test_zero_pivot_above_the_asked_orders_is_singular(self):
+        # H_1 = [1] is fine, but a solve of order 3 runs through u_11 = 0
+        # (a reduced H): a named error, not LAPACK's info or LinAlgError
+        h = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        lu = arn._HessenbergLU()
+        lu.extend(h, 3)
+        np.testing.assert_array_equal(lu.solve_e1([1], 2.0)[:, 0], [2.0])
+        with pytest.raises(SingularMatrix):
+            lu.solve_e1([1], 2.0, order=3)
+
     def test_adaptive_run_extends_one_factor(self, monkeypatch):
         a, _, _ = make_pd_matrix(21, 40)
         factored = []
@@ -593,10 +603,10 @@ class TestFomReports:
         state = arn.arnoldi(a, b, 50)
         ks = list(range(4, 52, 2))
         solves, passes, lu_solves = [], [], []
-        triangular = arn.sla.solve_triangular
-        monkeypatch.setattr(arn.sla, "solve_triangular",
-                            lambda u, y, **kw: solves.append((u.shape[0], y.shape[1]))
-                            or triangular(u, y, **kw))
+        trtrs = arn.sla.lapack.dtrtrs
+        monkeypatch.setattr(arn.sla.lapack, "dtrtrs",
+                            lambda u, y, **kw: solves.append((u.shape[1], y.shape[1]))
+                            or trtrs(u, y, **kw))
         ratios, solve_e1 = arn._HessenbergLU.log_det_ratios, arn._HessenbergLU.solve_e1
         monkeypatch.setattr(arn._HessenbergLU, "log_det_ratios",
                             lambda lu, ks, **kw: passes.append(list(ks)) or ratios(lu, ks, **kw))

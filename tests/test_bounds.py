@@ -298,6 +298,53 @@ class TestPosteriorBatch:
         assert not hard.tolerance_met and first.tolerance_met and last.tolerance_met
         assert [(q.value + q.estimated_error) / math.pi for q in (first, last)] == alone
 
+    # 24 prefixes in 2..30 with both kinds, as a prefix report batches them
+    REPORT_KS = [k for k in range(2, 31) if k not in (5, 11, 17, 23, 29)]
+
+    def report_items(self, skewed_ritz) -> list:
+        return [(kind, skewed_ritz[k], 0.5 + k / 10) for kind in KINDS for k in self.REPORT_KS]
+
+    def test_report_shaped_batch_matches_one_item_calls(self, skewed_ritz):
+        items = self.report_items(skewed_ritz)
+        assert len(items) == 48
+        for (kind, lam, xi), value in zip(items, bnd.bound_posterior_batch(items)):
+            assert value == pytest.approx(KINDS[kind](lam, xi), rel=1e-14)
+
+    def test_blocks_stop_at_their_largest_k(self, monkeypatch, skewed_ritz):
+        # every node block's k-by-nodes temporary (the array log1p takes)
+        # has the rows of the largest k among its integrals, no more
+        items = self.report_items(skewed_ritz)
+        orders = np.array([lam.k for _, lam, _ in items])
+        blocks, rows = [], []
+        certified, log1p = bnd._certified_integrals, np.log1p
+        monkeypatch.setattr(bnd, "_certified_integrals", lambda log_gamma, *args: certified(
+            lambda xb, ob: blocks.append(ob.copy()) or log_gamma(xb, ob), *args))
+        monkeypatch.setattr(np, "log1p", lambda t, **kw: rows.append(t.shape[0]) or log1p(t, **kw))
+        monkeypatch.setattr(bnd, "_BLOCK_ELEMENTS", 4096)  # several blocks per pass
+        bnd.bound_posterior_batch(items)
+        assert rows == [orders[ob].max() for ob in blocks]
+        assert min(rows) < max(rows) == 30
+
+    def test_vector_integrands_match_their_one_integral_calls(self, convdiff_h90):
+        # two shifted-solve actions of H_90 (the integrand of the action
+        # above the crossover, at two centres) in one batch
+        cfg = arn.SHIFTED_ACTION_QUAD
+        actions = [lambda x, c=c: 3.0 * np.sqrt(c * x) * bnd.shifted_solve_e1(convdiff_h90, c * x**3)
+                   for c in (0.2, 5.0)]
+
+        def integrand(x, owner):
+            out = np.empty((convdiff_h90.shape[0], x.size))
+            for j, action in enumerate(actions):
+                if np.any(owner == j):  # a closed integral has no new nodes
+                    out[:, owner == j] = action(x[owner == j])
+            return out
+
+        for got, action in zip(bnd._quad_batch(integrand, 2, cfg), actions):
+            alone = bnd.quad_semi_infinite(action, cfg)
+            assert got.tolerance_met and alone.tolerance_met
+            np.testing.assert_allclose(got.value, alone.value, rtol=1e-14, atol=0.0)
+            assert got.estimated_error == pytest.approx(alone.estimated_error, rel=1e-14)
+
 
 def start_on_one_interval(monkeypatch, cfg=None):
     """Make the next quadrature batch start on (0, 1) alone, one interval

@@ -666,7 +666,7 @@ class TestCsv:
                      "cluster_std": 1.0, "cluster_fraction": 0.95,
                      "outlier_center": 1000.0, "outlier_std": 100.0},
           "rhs": {"kind": "eig_average", "count": 40}},
-         "e04b794ba3c6ec409c1d126884b5e421c10b25c7ce63694adcb4059ba4e13906"),
+         "3679868ce997135e35c009513088eceeaeec0c06dd12a7a64280ad24c3ba7b66"),
     ], ids=["scaling_vs_sigma", "perturbed_validity", "bounds_vs_k", "hermitian_compare"])
     def test_csv_bytes_pinned(self, tmp_path, raw, digest):
         # experiments without a search: their CSV bytes are pinned as they

@@ -153,6 +153,20 @@ class TestOperatorProtocol:
         with pytest.raises(DimensionMismatch):
             linalg.as_operator(np.ones((3, 4)))
 
+    @pytest.mark.parametrize("kind", ["csr_matrix", "csr_array"])
+    def test_scipy_sparse_input_is_a_named_error(self, kind):
+        # np.asarray would make it an object array, and NumPy's bare
+        # ValueError would come out of the first dense step
+        import scipy.sparse
+
+        from krylov_sqrt import arnoldi as arn
+
+        a = getattr(scipy.sparse, kind)(matgen.convection_diffusion(20, 0.1).to_dense())
+        with pytest.raises(UnsupportedContext, match=kind):
+            linalg.as_operator(a)
+        with pytest.raises(UnsupportedContext, match=kind):
+            arn.run_adaptive(a, np.ones(20))
+
 
 class TestRitzSpectrum:
     def test_sort_by_modulus_then_real_then_imag(self):
@@ -218,6 +232,18 @@ class TestHessenbergEigenvalues:
         with pytest.raises(DimensionMismatch):
             linalg.hessenberg_eigenvalues(np.ones((4, 4)))
 
+    @pytest.mark.parametrize("k", [3, 7, 64, 65])
+    def test_rejects_each_entry_below_the_subdiagonal(self, k):
+        # k = 3 has one such entry, h[2, 0]; the check of k <= 64 reads a
+        # kept index set, a larger k builds its own
+        linalg.hessenberg_eigenvalues(np.triu(np.ones((k, k)), -1))
+        rows, cols = np.tril_indices(k, -2)
+        for i, j in list(zip(rows, cols))[:: max(1, rows.size // 40)] + [(k - 1, 0), (k - 1, k - 3)]:
+            h = np.triu(np.ones((k, k)), -1)
+            h[i, j] = 1e-300
+            with pytest.raises(DimensionMismatch):
+                linalg.hessenberg_eigenvalues(h)
+
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_schur_only_when_asked(self, dtype):
         rng = np.random.default_rng(8)
@@ -246,6 +272,24 @@ class TestBendixsonOrder:
         h = np.array([[1.0, 1j], [1j, 1.0]])  # H + Hᴴ = 2I
         assert linalg.bendixson_order(h) == 2
         assert linalg.bendixson_order(h + 3.0 * np.array([[0, 1], [0, 0]])) == 1
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_potrf_of_the_sum(self, dtype):
+        # against ?potrf of H + Hᴴ formed apart, on C-ordered input and on a
+        # view of a larger buffer (as a decomposition's H is), left as it was
+        rng = np.random.default_rng(7)
+        potrf = sla.lapack.zpotrf if dtype is complex else sla.lapack.dpotrf
+        for shift in np.linspace(-2.0, 6.0, 9):
+            a = rng.standard_normal((30, 31)) + (1j * rng.standard_normal((30, 31))
+                                                 if dtype is complex else 0.0)
+            h = np.triu(a[:, :30], -1) + shift * np.eye(30)
+            info = potrf(h + h.conj().T, clean=0)[1]
+            want = 30 if info == 0 else info - 1
+            a[:, :30] = h
+            for got in (h, a[:, :30]):
+                before = got.copy()
+                assert linalg.bendixson_order(got) == want
+                np.testing.assert_array_equal(got, before)
 
 
 class TestDenseSqrt:
