@@ -3,20 +3,17 @@
 Every step orthogonalizes twice with classical Gram-Schmidt (CGS2); the
 second pass removes what rounding left of the first, so the basis stays
 orthogonal to working precision and a happy breakdown shows as an
-h_{j+1,j} at rounding level.  Between
-extension calls a decomposition behaves like an immutable value: the
-exposed basis/Hessenberg arrays are read-only views, extension never
-rewrites completed columns, and extending a stale snapshot transparently
-copies the underlying buffers.
+h_{j+1,j} at rounding level.  A decomposition is append-only: only its
+newest snapshot can be extended, extension never rewrites completed
+columns, and every older snapshot stays valid as a read-only view.
 
 The per-prefix quantities are array-valued over a list of k:
 :func:`fom_reports` reads the kept LU factor of the Hessenberg matrix once
 and gives every k's FOM residual from cumulative sums over its pivots, the
-FOM coefficients of up to PREFIX_BLOCK prefixes from one triangular solve,
-and the FOM error xi and the true error of an action from one product
-with the basis per block.  :func:`prefix_reports` adds the bounds;
-:func:`prefix_report`, :func:`fom_residual_norm` and :func:`fom_error` are
-the one-k cases of the same code.
+FOM coefficients of every prefix from one triangular solve, and the FOM
+error xi and the true error of an action from one product with the basis.
+:func:`prefix_reports` adds the bounds; :func:`fom_residual_norm` and
+:func:`fom_error` are the one-k cases of the same code.
 """
 
 from __future__ import annotations
@@ -64,9 +61,7 @@ class _Workspace:
         self.Q = np.zeros((n, capacity + 1), dtype=q1.dtype)
         self.H = np.zeros((capacity + 1, capacity), dtype=q1.dtype)
         self.Q[:, 0] = q1
-        self.k = 0          # completed Arnoldi steps
-        self.ncols = 1      # stored basis columns
-        self.breakdown = False
+        self.k = 0  # completed Arnoldi steps
         self.lu, self.coefficients = _HessenbergLU(), {}  # fun_coefficients by (k, f)
         # H_j + H_jᴴ is positive definite for j <= pd_order; known for j <= pd_checked
         self.pd_order = self.pd_checked = 0
@@ -80,7 +75,7 @@ class _Workspace:
             return
         Q = np.zeros((self.Q.shape[0], capacity + 1), dtype=self.Q.dtype)
         H = np.zeros((capacity + 1, capacity), dtype=self.H.dtype)
-        Q[:, : self.ncols] = self.Q[:, : self.ncols]
+        Q[:, : self.k + 1] = self.Q[:, : self.k + 1]
         H[: self.k + 1, : self.k] = self.H[: self.k + 1, : self.k]
         self.Q, self.H = Q, H
 
@@ -88,17 +83,6 @@ class _Workspace:
         if not np.iscomplexobj(self.Q):
             self.Q = self.Q.astype(np.complex128)
             self.H = self.H.astype(np.complex128)
-
-    def clone_at(self, k: int, ncols: int) -> "_Workspace":
-        ws = _Workspace.__new__(_Workspace)
-        ws.Q = self.Q[:, : max(ncols, 1)].copy()
-        ws.H = self.H[: k + 1, :k].copy()
-        ws.k = k
-        ws.ncols = ncols
-        ws.breakdown = False
-        ws.lu, ws.coefficients = _HessenbergLU(), {}
-        ws.pd_order, ws.pd_checked = min(self.pd_order, k), min(self.pd_checked, k)
-        return ws
 
     def factor(self) -> "_HessenbergLU":
         """The LU factor of H, brought up to the completed steps."""
@@ -302,7 +286,6 @@ class ArnoldiDecomposition:
     k: int
     breakdown: bool
     _ws: _Workspace = field(repr=False)
-    _ncols: int = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -311,7 +294,7 @@ class ArnoldiDecomposition:
     @property
     def basis(self) -> np.ndarray:
         """All stored basis vectors: n x (k+1), or n x k after breakdown."""
-        return _readonly(self._ws.Q[:, : self._ncols])
+        return _readonly(self._ws.Q[:, : self.k + (not self.breakdown)])
 
     @property
     def basis_k(self) -> np.ndarray:
@@ -349,9 +332,7 @@ class ArnoldiDecomposition:
             raise DomainError(f"prefix wants 1 <= k <= {self.k}, got {k}")
         if k == self.k:
             return self
-        return ArnoldiDecomposition(
-            b_norm=self.b_norm, k=k, breakdown=False, _ws=self._ws, _ncols=k + 1
-        )
+        return ArnoldiDecomposition(b_norm=self.b_norm, k=k, breakdown=False, _ws=self._ws)
 
     @property
     def bendixson_order(self) -> int:
@@ -387,7 +368,7 @@ def arnoldi_start(b, capacity: int = 32) -> ArnoldiDecomposition:
         raise DomainError("b must be nonzero")
     dtype = np.complex128 if np.iscomplexobj(b) else np.float64
     ws = _Workspace((b / b_norm).astype(dtype), capacity)
-    return ArnoldiDecomposition(b_norm=b_norm, k=0, breakdown=False, _ws=ws, _ncols=1)
+    return ArnoldiDecomposition(b_norm=b_norm, k=0, breakdown=False, _ws=ws)
 
 
 def arnoldi_extend(apply_M, state: ArnoldiDecomposition, steps: int) -> ArnoldiDecomposition:
@@ -395,8 +376,9 @@ def arnoldi_extend(apply_M, state: ArnoldiDecomposition, steps: int) -> ArnoldiD
     Gram-Schmidt applied twice (CGS2).
 
     Stops early with the breakdown flag set when h_{j+1,j} falls at or
-    below BREAKDOWN_RTOL * ||M q_j||.  The input snapshot stays valid; the
-    returned snapshot reflects the extended state.
+    below BREAKDOWN_RTOL * ||M q_j||.  Only the newest snapshot of a
+    decomposition can be extended (any older one raises DomainError); it
+    stays valid, and the returned snapshot reflects the extended state.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
@@ -408,9 +390,9 @@ def arnoldi_extend(apply_M, state: ArnoldiDecomposition, steps: int) -> ArnoldiD
         raise DimensionMismatch(f"operator dimension {n} != basis dimension {state.n}")
 
     ws = state._ws
-    if ws.k != state.k or ws.breakdown:
-        # extending a stale snapshot: give it its own buffers
-        ws = ws.clone_at(state.k, state._ncols)
+    if ws.k != state.k:
+        raise DomainError(f"only the newest snapshot (k = {ws.k}) of a decomposition can be "
+                          f"extended, not the one at k = {state.k}")
     needed = state.k + steps
     if needed > ws.capacity:
         ws.grow(max(needed, min(2 * ws.capacity, n)))  # no more than n steps exist
@@ -443,11 +425,7 @@ def arnoldi_extend(apply_M, state: ArnoldiDecomposition, steps: int) -> ArnoldiD
         Q[:, j] = w / h_next
 
     ws.k = j
-    ws.ncols = j if breakdown else j + 1
-    ws.breakdown = breakdown
-    return ArnoldiDecomposition(
-        b_norm=state.b_norm, k=j, breakdown=breakdown, _ws=ws, _ncols=ws.ncols
-    )
+    return ArnoldiDecomposition(b_norm=state.b_norm, k=j, breakdown=breakdown, _ws=ws)
 
 
 def arnoldi(M, b, steps: int) -> ArnoldiDecomposition:
@@ -506,19 +484,14 @@ def fun_coefficients(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndarra
     return z @ (s @ e if f == "sqrt" else linalg.lu_solve(s, e))
 
 
-# Columns of one block of prefix actions: bounds the n x block temporaries
-# of a long prefix list (a residual-stop history of thousands of rows).
-PREFIX_BLOCK = 64
-
-
-def _coefficients(subs: list, f: str, order: int | None = None) -> np.ndarray:
+def _coefficients(subs: list, f: str) -> np.ndarray:
     """The K x m array whose column j is ||b|| f(H_k) e_1 of the snapshot
-    subs[j] (ascending k, all of one decomposition), zero below row k;
-    K = ``order``, at least the largest k (the default).  Columns are
-    computed once per k and f for all prefix snapshots: the missing
-    inverse ones from one triangular solve of order K
-    (:meth:`_HessenbergLU.solve_e1`), any other from
-    :func:`fun_coefficients`."""
+    subs[j] (ascending k, all of one decomposition), zero below row k, K
+    the largest k.  Columns are computed once per k and f for all prefix
+    snapshots: the missing inverse ones from one triangular solve of order
+    K (:meth:`_HessenbergLU.solve_e1`; BLAS rounds a zero-padded order
+    apart, so the order is the list's, not that of the missing ks), any
+    other from :func:`fun_coefficients`."""
     if subs[0].k == 0:
         raise DomainError("decomposition has no completed steps")
     ws = subs[-1]._ws
@@ -528,10 +501,10 @@ def _coefficients(subs: list, f: str, order: int | None = None) -> np.ndarray:
         for sub in missing:
             cache[sub.k, f] = fun_coefficients(sub, f)
     elif missing:
-        y = ws.factor().solve_e1([sub.k for sub in missing], subs[-1].b_norm, order)
+        y = ws.factor().solve_e1([sub.k for sub in missing], subs[-1].b_norm, subs[-1].k)
         cache.update(((sub.k, f), y[: sub.k, j]) for j, sub in enumerate(missing))
     columns = [cache[sub.k, f] for sub in subs]
-    out = np.zeros((order or subs[-1].k, len(subs)), dtype=np.result_type(*columns))
+    out = np.zeros((subs[-1].k, len(subs)), dtype=np.result_type(*columns))
     for j, c in enumerate(columns):
         out[: c.size, j] = c
     return out
@@ -539,19 +512,10 @@ def _coefficients(subs: list, f: str, order: int | None = None) -> np.ndarray:
 
 def _distances(subs: list, target, f: str) -> list:
     """||target - ||b|| Q_k f(H_k) e_1|| for each snapshot in ``subs``
-    (ascending k), in blocks of at most PREFIX_BLOCK snapshots: the actions
-    of a block are one product of Q_K, K the largest k of the list, with
-    the block's coefficient columns.  The blocks are of equal size (none
-    of a few columns, which BLAS rounds apart from a wide product), and
-    every product and triangular solve has the list's order K (BLAS
-    rounds a zero-padded order apart too), so no result depends on the
-    blocking.  Each norm is that of one contiguous vector, as for a lone k."""
-    out, q, target = [], subs[-1].basis_k, np.asarray(target)[:, None]
-    size = -(-len(subs) // -(-len(subs) // PREFIX_BLOCK))
-    for lo in range(0, len(subs), size):
-        diff = target - q @ _coefficients(subs[lo : lo + size], f, q.shape[1])
-        out += [float(np.linalg.norm(col)) for col in diff.T]
-    return out
+    (ascending k): the actions are one product of Q_K, K the largest k,
+    with the coefficient columns, an n x m temporary no larger than Q_K."""
+    diff = np.asarray(target)[:, None] - subs[-1].basis_k @ _coefficients(subs, f)
+    return [float(np.linalg.norm(col)) for col in diff.T]
 
 
 def arnoldi_fun_action(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndarray:
@@ -650,7 +614,13 @@ def _reports(subs: list, x_exact, reference, f: str) -> list:
 
 
 def _prefix_snapshots(decomp: ArnoldiDecomposition, ks, x_exact, reference, f):
-    """(the bound-free reports of ks in their order, the snapshot of each k)."""
+    """(the bound-free reports of ks in their order, the snapshot of each k).
+    An ``x_exact`` or ``reference`` that is not an n-vector raises
+    DimensionMismatch."""
+    for name, v in (("x_exact", x_exact), ("reference", reference)):
+        if v is not None and np.shape(v) != (decomp.n,):
+            raise DimensionMismatch(f"{name} must be a vector of length {decomp.n}, "
+                                    f"got shape {np.shape(v)}")
     subs = {k: decomp.prefix(k) for k in sorted({int(k) for k in ks})}
     rows = dict(zip(subs, _reports(list(subs.values()), x_exact, reference, f))) if subs else {}
     return [rows[int(k)] for k in ks], subs
@@ -664,21 +634,13 @@ def fom_reports(decomp: ArnoldiDecomposition, ks, x_exact, reference=None,
 
     One pass over the kept Hessenberg LU factor serves every k: the
     residuals are cumulative sums over its pivots
-    (:meth:`_HessenbergLU.log_det_ratios`), the FOM coefficients of up to
-    PREFIX_BLOCK prefixes one triangular solve, and xi and the error one
-    product with Q_K each per block, K the largest k of the list.  The f-action
-    coefficients are computed once per k and f (see
-    :func:`arnoldi_fun_action`).  A failure raises the error of the
-    smallest failing k, as :func:`prefix_report` at that k would.
+    (:meth:`_HessenbergLU.log_det_ratios`), the FOM coefficients one
+    triangular solve, and xi and the error one product with Q_K each, K
+    the largest k of the list.  The f-action coefficients are computed
+    once per k and f (see :func:`arnoldi_fun_action`).  A failure raises
+    the error of the smallest failing k, as the list of that k alone would.
     """
     return _prefix_snapshots(decomp, ks, x_exact, reference, f)[0]
-
-
-def prefix_report(sub: ArnoldiDecomposition, x_exact, reference=None,
-                  f: str = "sqrt") -> bnd.BoundReport:
-    """The BoundReport of one prefix snapshot without bounds: the one-k
-    case of :func:`fom_reports`."""
-    return fom_reports(sub, [sub.k], x_exact, reference, f)[0]
 
 
 def prefix_reports(decomp: ArnoldiDecomposition, ks, x_exact, sigma_max_used: float | None,
@@ -893,7 +855,7 @@ def run_adaptive(
     A ``BoundAbsolute`` rule runs :func:`find_stop_k`, with no Ritz solve
     per step; ``f`` other than ``sqrt`` (the bounds bound the sqrt action)
     or ``check_every`` other than 1 raises DomainError.  Its history is the
-    :func:`prefix_report` at k with ``posterior_ritz`` set to the
+    :func:`fom_reports` row of k with ``posterior_ritz`` set to the
     value the search compared with tol (0 at a happy breakdown); every
     other bound field is None.  A ``ResidualRelative`` rule extends Arnoldi
     ``check_every`` steps at a time and stops on the FOM residual alone; a
@@ -936,7 +898,7 @@ def run_adaptive(
         state, k, bound, x_exact = find_stop_k(op, rhs, stop.tol, quad_cfg=quad_cfg,
                                                k_max=k_max)
         state = state.prefix(k)
-        report = replace(prefix_report(state, x_exact, reference), posterior_ritz=bound)
+        report = replace(fom_reports(state, [k], x_exact, reference)[0], posterior_ritz=bound)
         return AdaptiveResult(result=arnoldi_fun_action(state, f), history=[report], k=k,
                               converged=bound <= stop.tol, breakdown=state.breakdown)
 

@@ -77,10 +77,12 @@ class QuadratureConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
+        if not (self.rel_tol > 0 and self.abs_tol > 0):  # NaN fails too
+            raise DomainError(f"quadrature tolerances must be positive: rel_tol {self.rel_tol!r}, "
+                              f"abs_tol {self.abs_tol!r}")
+        if not isinstance(self.max_subdivisions, int) or self.max_subdivisions < 1:
+            raise DomainError(f"max_subdivisions must be an integer >= 1, not "
+                              f"{self.max_subdivisions!r}")
 
 
 @dataclass(frozen=True)
@@ -357,6 +359,8 @@ def shifted_solve_e1(H, shifts) -> np.ndarray:
     h, x = np.asarray(H), np.asarray(shifts, dtype=float)
     step = max(1, _HYMAN_BLOCK_ELEMENTS // h.shape[0])
     blocks = [_hyman(h, x[i:i + step]) for i in range(0, x.size, step)]
+    if not blocks:
+        return np.zeros((h.shape[0], 0), dtype=np.result_type(h, x))
     return np.concatenate([X / alpha for X, alpha, _ in blocks], axis=1)
 
 

@@ -216,7 +216,7 @@ def build_matrix(mcfg: dict, seed: int) -> MatrixContext:
     if mtype == "file":
         a = read_matrix_market(mcfg["path"])
         m = linalg.DenseMatrix(a)
-        return MatrixContext(operator=m, hermitian=m.is_hermitian(),
+        return MatrixContext(operator=m, hermitian=linalg.is_hermitian(m),
                              label=os.path.basename(mcfg["path"]))
     raise ConfigError(f"unknown matrix type {mtype!r}")
 
@@ -328,7 +328,7 @@ def _convdiff_point(cfg: ExperimentConfig, n: int):
     sigma = linalg.sigma_max(tri)
     sigma_min = linalg.sigma_min(tri)
     reference = linalg.reference_sqrt_action(tri, b) if cfg.oracle else None
-    rep = arn.prefix_report(state.prefix(k_stop), x_exact, reference)
+    rep = arn.fom_reports(state, [k_stop], x_exact, reference)[0]
     row = {
         "n": n, "matrix_order": m, "sigma_max": sigma, "sigma_min": sigma_min,
         "cond": sigma / sigma_min, "k_stop": k_stop,
@@ -416,7 +416,7 @@ def run_perturbed_validity(cfg: ExperimentConfig):
         ctx = build_matrix(base, inst_seed)
         a = linalg.as_array(ctx.operator)
         b = build_rhs(cfg.rhs, ctx)
-        sigma = float(np.linalg.norm(a, 2))
+        sigma = linalg.sigma_max(ctx.operator)
         reference = linalg.reference_sqrt_action(a, b)
         for eps in cfg.eps_values:
             pert = matgen.perturb_matrix(a, matgen.PerturbationSpec(eps=eps), inst_seed + 17)
@@ -498,13 +498,13 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def write_csv(path: str, rows: list, columns: list | None = None) -> list:
-    """RFC-4180 CSV with 17-significant-digit floats plus a sidecar
-    ``<name>.columns.json`` documenting every column."""
+def write_csv(path: str, rows: list) -> list:
+    """RFC-4180 CSV of the columns of the first row, with 17-significant-
+    digit floats, plus a sidecar ``<name>.columns.json`` documenting every
+    column."""
     if not rows:
         raise DomainError("refusing to write an empty CSV")
-    if columns is None:
-        columns = list(rows[0].keys())
+    columns = list(rows[0].keys())
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)

@@ -1,11 +1,11 @@
 """The operator protocol and the dense, deterministic, desk-scale kernels.
 
 Every matrix enters through :func:`as_operator`, the one place that looks
-at the input's type.  An operator has ``shape``, ``matvec``,
-``solve(rhs, adjoint=False)``, ``is_hermitian()``, ``to_dense()`` and
-``bands`` (``(lower, diag, upper)`` or None), and is a
-:class:`DenseMatrix`, a :class:`TridiagonalMatrix` or a
-:class:`MatvecOperator`.
+at the input's type.  An operator has five members, ``shape``,
+``matvec``, ``solve(rhs)``, ``to_dense()`` and ``bands``
+(``(lower, diag, upper)`` or None), and is a :class:`DenseMatrix`, a
+:class:`TridiagonalMatrix` or a :class:`MatvecOperator`; the exact
+:func:`is_hermitian` is built on them.
 
 Factorizations and small-matrix eigenvalue/square-root evaluation are
 delegated to LAPACK through numpy/scipy; this module owns input
@@ -50,10 +50,8 @@ PIVOT_RTOL = 1e-14
 # |Im(lambda)| below this (relative to max(1, |lambda|)) counts as real.
 BRANCH_CUT_IMAG_TOL = 1e-12
 
-# Relative tolerances: of is_hermitian on ||M - Mᴴ||_F / ||M||_F, and of
-# the change in sigma_min's estimate that stops it (within 5-7 steps on
-# convection-diffusion matrices, against a cap of 10n).
-HERMITIAN_RTOL = 1e-12
+# Relative change in sigma_min's estimate that stops it (within 5-7 steps
+# on convection-diffusion matrices, against a cap of 10n).
 SIGMA_MIN_RTOL = 1e-10
 
 
@@ -86,9 +84,8 @@ class DenseMatrix:
     def matvec(self, v) -> np.ndarray:
         return self.array @ v
 
-    def solve(self, rhs, adjoint: bool = False) -> np.ndarray:
-        """Solve M x = rhs (Mᴴ x = rhs with ``adjoint``) by LU with partial
-        pivoting.
+    def solve(self, rhs) -> np.ndarray:
+        """Solve M x = rhs by LU with partial pivoting.
 
         Raises SingularMatrix when a pivot falls below ``PIVOT_RTOL``
         times the largest row norm of M.
@@ -102,12 +99,7 @@ class DenseMatrix:
             if scale == 0.0 or np.min(np.abs(np.diag(lu))) <= PIVOT_RTOL * scale:
                 raise SingularMatrix("pivot below threshold; matrix is numerically singular")
             self._lu = (lu, piv)
-        trans = (2 if np.iscomplexobj(self.array) else 1) if adjoint else 0
-        return sla.lu_solve(self._lu, rhs, trans=trans, check_finite=False)
-
-    def is_hermitian(self) -> bool:
-        a = self.array
-        return np.linalg.norm(a - a.conj().T) <= HERMITIAN_RTOL * np.linalg.norm(a)
+        return sla.lu_solve(self._lu, rhs, check_finite=False)
 
     def eigh(self):
         """(lambda ascending, V) with M = V diag(lambda) Vᴴ when the stored
@@ -115,11 +107,10 @@ class DenseMatrix:
         :func:`sigma_max` both read it (Higham, *Functions of Matrices*,
         2008, §6.1)."""
         if self._eigh is None:
-            a = self.array
             self._eigh = ()
-            if np.array_equal(a, a.conj().T):
+            if is_hermitian(self):
                 try:
-                    self._eigh = np.linalg.eigh(a)
+                    self._eigh = np.linalg.eigh(self.array)
                 except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
                     raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
         return self._eigh or None
@@ -131,8 +122,8 @@ class DenseMatrix:
 class TridiagonalMatrix:
     """Real tridiagonal matrix in banded storage.
 
-    Solves, adjoint solves included, use banded LU; ``to_dense`` builds
-    the full matrix for the dense kernels.
+    Solves use banded LU, and an exactly zero pivot raises SingularMatrix;
+    ``to_dense`` builds the full matrix for the dense kernels.
     """
 
     def __init__(self, lower, diag, upper):
@@ -153,17 +144,13 @@ class TridiagonalMatrix:
         w[:-1] += self.upper * v[1:]
         return w
 
-    def solve(self, rhs, adjoint: bool = False):
+    def solve(self, rhs):
         ab = np.zeros((3, self.shape[0]))
-        if adjoint:
-            ab[0, 1:], ab[1, :], ab[2, :-1] = self.lower, self.diag, self.upper
-        else:
-            ab[0, 1:], ab[1, :], ab[2, :-1] = self.upper, self.diag, self.lower
-        return sla.solve_banded((1, 1), ab, rhs, check_finite=False)
-
-    def is_hermitian(self) -> bool:
-        scale = np.linalg.norm(np.concatenate([self.diag, self.lower, self.upper]))
-        return np.linalg.norm(self.lower - self.upper) <= HERMITIAN_RTOL * scale
+        ab[0, 1:], ab[1, :], ab[2, :-1] = self.upper, self.diag, self.lower
+        try:
+            return sla.solve_banded((1, 1), ab, rhs, check_finite=False)
+        except np.linalg.LinAlgError as exc:  # an exactly zero pivot
+            raise SingularMatrix(f"tridiagonal matrix is singular: {exc}") from exc
 
     def to_dense(self) -> np.ndarray:
         return np.diag(self.diag) + np.diag(self.lower, -1) + np.diag(self.upper, 1)
@@ -182,11 +169,8 @@ class MatvecOperator:
         self.matvec = matvec
         self.shape = (n, n)
 
-    def solve(self, rhs, adjoint: bool = False):
+    def solve(self, rhs):
         raise UnsupportedContext("an exact solve is needed, and a matvec-only operator has none")
-
-    def is_hermitian(self) -> bool:
-        raise UnsupportedContext("a matvec-only operator cannot be tested for symmetry")
 
     def to_dense(self):
         raise UnsupportedContext("a matvec-only operator has no dense form")
@@ -474,17 +458,24 @@ def _tridiagonal_sigma_max(lower, diag, upper) -> float:
 
 
 def sigma_min(M) -> float:
-    """Smallest singular value by inverse power iteration on (MᴴM)⁻¹.
+    """Smallest singular value by inverse power iteration on (MᴴM)⁻¹; the
+    adjoint is an operator of its own: the banded Mᵀ of a tridiagonal M,
+    else a second LU of the dense Mᴴ.
 
     Companion to :func:`sigma_max`; together they give the 2-norm
     condition number reported by the experiment harness.
     """
     op = as_operator(M)
+    if op.bands is not None:
+        lower, diag, upper = op.bands
+        adjoint = TridiagonalMatrix(upper, diag, lower)
+    else:
+        adjoint = DenseMatrix(op.to_dense().conj().T)
     n = op.shape[0]
     v = np.ones(n) / np.sqrt(n)
     sigma = np.inf
     for _ in range(10 * n):
-        u = op.solve(v, adjoint=True)
+        u = adjoint.solve(v)
         nu = float(np.linalg.norm(u))
         if nu == 0.0:
             raise NoConvergence("inverse iterate vanished")
@@ -499,11 +490,15 @@ def sigma_min(M) -> float:
 
 
 def is_hermitian(M) -> bool:
-    """Route-to-Hermitian-bounds test: ||M - Mᴴ||_F <= HERMITIAN_RTOL ||M||_F.
-
-    No symmetrization is ever applied; this is detection only.
-    """
-    return as_operator(M).is_hermitian()
+    """Whether M == Mᴴ exactly (lower == upper for a real tridiagonal M,
+    else on the dense form, which a matvec-only operator lacks): the route
+    to the Hermitian bounds and :meth:`DenseMatrix.eigh`.  No
+    symmetrization is ever applied."""
+    op = as_operator(M)
+    if op.bands is not None:
+        return bool(np.array_equal(op.bands[0], op.bands[2]))
+    a = op.to_dense()
+    return bool(np.array_equal(a, a.conj().T))
 
 
 def min_symmetric_eig(M) -> float:

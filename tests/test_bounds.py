@@ -85,6 +85,14 @@ class TestQuadSemiInfinite:
         with pytest.raises(DomainError):
             bnd.QuadratureConfig(rel_tol=0.0)
 
+    @pytest.mark.parametrize("kwargs", [{"rel_tol": math.nan}, {"abs_tol": math.nan},
+                                        {"max_subdivisions": 2.5}, {"max_subdivisions": 0}])
+    def test_config_rejects_nan_and_a_fractional_budget(self, kwargs):
+        # nan <= 0 is False, so a NaN tolerance used to pass and surface
+        # after the work as a missed tolerance; a budget of 2.5 ran
+        with pytest.raises(DomainError, match=next(iter(kwargs))):
+            bnd.QuadratureConfig(**kwargs)
+
 
 class TestPosteriorRitz:
     def test_pair_of_ones(self):
@@ -570,6 +578,13 @@ class TestShiftedSolve:
         h = np.triu(rng.standard_normal((10, 10)), -1) + 4.0 * np.eye(10)
         h[6, 5] = 1e-12 * np.linalg.norm(h, 2)
         assert_solves(h, self.SHIFTS, 1e-12)
+
+    def test_no_shifts(self, convdiff_h90):
+        # a k x 0 array, as shifted_logdet gives shape (0,)
+        for h in (convdiff_h90, convdiff_h90 + 0j):
+            out = bnd.shifted_solve_e1(h, np.zeros(0))
+            assert out.shape == (90, 0) and out.dtype == h.dtype
+        assert bnd.shifted_logdet(convdiff_h90, np.zeros(0)).shape == (0,)
 
     def test_huge_shift_is_rescaled(self, convdiff_h90):
         # without rescaling the Hyman vector would reach about 1e725

@@ -1,11 +1,15 @@
-"""README examples stay runnable: its CLI lines parse, its config loads
-and its Python example gives the numbers the README quotes."""
+"""README examples stay runnable: its CLI lines parse, its config loads,
+its Python example gives the numbers the README quotes, and the package
+names it quotes exist."""
 
+import importlib
 import json
 import os
+import pkgutil
 import re
 import shlex
 
+import krylov_sqrt
 from krylov_sqrt import experiments as exp
 from krylov_sqrt.cli import _build_parser
 
@@ -39,3 +43,20 @@ def test_python_example_runs():
     out = namespace["out"]
     assert out.k == 888 and out.converged
     assert out.history[-1].posterior_ritz <= 0.05
+
+
+def test_quoted_names_resolve():
+    # `module.name` for a package module, and a bare `NAME_LIKE_THIS`
+    # constant of any package module (not `H_888`), must exist
+    modules = {m.name: importlib.import_module(f"krylov_sqrt.{m.name}")
+               for m in pkgutil.iter_modules(krylov_sqrt.__path__)}
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    qualified = [(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)`", text)
+                 if mod in modules]
+    constants = re.findall(r"`([A-Z][A-Z0-9]*(?:_[A-Z][A-Z0-9]*)+)`", text)
+    assert len(qualified) >= 7 and len(constants) >= 2
+    missing = [f"{mod}.{name}" for mod, name in qualified if not hasattr(modules[mod], name)]
+    missing += [name for name in constants
+                if not any(hasattr(module, name) for module in modules.values())]
+    assert missing == []

@@ -852,6 +852,37 @@ class TestCli:
             assert cli_main(["experiment", "--config", str(cfg_path),
                              "--out", str(tmp_path / "o"), *extra]) == 1
 
+    @pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
+    def test_experiment_rejects_nan_quadrature_before_the_search(self, tmp_path, monkeypatch,
+                                                                 key):
+        # json reads the NaN literal; it used to pass the config and fail in
+        # the search as a missed tolerance
+        text = ('{"experiment": "convdiff_table", "n_values": [40], "stopping": '
+                f'{{"rule": "bound", "tol": 0.05}}, "quadrature": {{"{key}": NaN}}}}')
+        searches = []
+        monkeypatch.setattr(exp, "find_stop_k", lambda *a, **kw: searches.append(a))
+        with pytest.raises(DomainError, match=key):
+            exp.config_from_dict(json.loads(text))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert cli_main(["experiment", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert searches == []
+
+    def test_file_matrix_routing_is_exact(self, tmp_path):
+        # a file matrix within 1e-12 of Hermitian but not equal to its
+        # adjoint takes neither the Hermitian bounds nor the eigh oracle
+        from krylov_sqrt.matrixmarket import write_matrix_market
+        a = matgen.spectrum_matrix(matgen.SpectrumSpec.uniform(12, 1.0, 100.0), 3).matrix.array
+        near = a.copy()
+        near[0, 1] *= 1.0 + 1e-13
+        for m, hermitian in ((a, True), (near, False)):
+            mtx = str(tmp_path / "m.mtx")
+            write_matrix_market(mtx, m)
+            ctx = exp.build_matrix({"type": "file", "path": mtx}, 0)
+            assert ctx.hermitian is hermitian
+            assert (ctx.operator.eigh() is not None) is hermitian
+
     def test_approx_budget_exit_code(self, tmp_path):
         mtx = str(tmp_path / "m.mtx")
         cli_main(["matgen", "--kind", "uniform", "--n", "24", "--skew",

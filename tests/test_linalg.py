@@ -3,6 +3,8 @@ singular values.  Independent oracles: direct multiplication,
 characteristic-polynomial roots (LU minors + Durand-Kerner), dense SVD,
 and symmetric eigendecompositions."""
 
+import inspect
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -101,16 +103,15 @@ class TestOperatorProtocol:
         np.testing.assert_allclose(op.matvec(v), a @ v, rtol=1e-13)
         if name == "matvec-only":
             assert op.bands is None
-            for call in (lambda: op.solve(v), lambda: op.solve(v, adjoint=True),
-                         op.to_dense, op.is_hermitian):
+            for call in (lambda: op.solve(v), op.to_dense, lambda: linalg.is_hermitian(op),
+                         lambda: linalg.sigma_min(op)):
                 with pytest.raises(UnsupportedContext):
                     call()
             return
         np.testing.assert_allclose(op.solve(v), np.linalg.solve(a, v), rtol=1e-10)
-        np.testing.assert_allclose(op.solve(v, adjoint=True), np.linalg.solve(a.conj().T, v),
-                                   rtol=1e-10)
         np.testing.assert_array_equal(op.to_dense(), a)
-        assert op.is_hermitian() == bool(np.array_equal(a, a.conj().T))
+        assert linalg.is_hermitian(op) == bool(np.array_equal(a, a.conj().T))
+        assert linalg.sigma_min(op) == pytest.approx(sla.svdvals(a)[-1], rel=1e-10)
         if op.bands is None:
             assert name.startswith("dense")
         else:
@@ -119,19 +120,36 @@ class TestOperatorProtocol:
             np.testing.assert_array_equal(np.diag(a), diag)
             np.testing.assert_array_equal(np.diag(a, 1), upper)
 
+    def test_five_members_and_a_one_argument_solve(self):
+        # what every representation must provide, and no more in common
+        ops = {type(op): op for op, _ in _operators().values()}
+        assert set(ops) == {linalg.DenseMatrix, linalg.TridiagonalMatrix, linalg.MatvecOperator}
+        public = [{name for name in dir(op) if not name.startswith("_")} for op in ops.values()]
+        assert set.intersection(*public) == {"shape", "matvec", "solve", "to_dense", "bands"}
+        for op in ops.values():
+            assert list(inspect.signature(op.solve).parameters) == ["rhs"]
+
     def test_dense_solve_factors_once(self, monkeypatch):
         calls = []
         factor = linalg.lu_factor_quiet
         monkeypatch.setattr(linalg, "lu_factor_quiet", lambda a: calls.append(1) or factor(a))
         m = linalg.DenseMatrix(np.diag([2.0, 4.0]))
         np.testing.assert_allclose(m.solve(np.ones(2)), [0.5, 0.25])
-        np.testing.assert_allclose(m.solve(np.ones(2), adjoint=True), [0.5, 0.25])
+        np.testing.assert_allclose(m.solve(np.array([2.0, 4.0])), [1.0, 1.0])
         assert len(calls) == 1
 
     def test_singular_dense_solve_raises(self):
         m = linalg.DenseMatrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(SingularMatrix):
             m.solve(np.ones(2))
+
+    def test_singular_tridiagonal_solve_raises(self):
+        # an exactly zero pivot is SingularMatrix, not SciPy's LinAlgError
+        tri = linalg.TridiagonalMatrix([0.0], [0.0, 1.0], [0.0])
+        with pytest.raises(SingularMatrix):
+            tri.solve(np.ones(2))
+        with pytest.raises(SingularMatrix):
+            linalg.sigma_min(tri)
 
     def test_dense_solve_rejects_rhs_length(self):
         with pytest.raises(DimensionMismatch):
@@ -678,6 +696,17 @@ class TestMinSymmetricEig:
 
 
 class TestIsHermitian:
+    def test_exact_on_both_representations(self):
+        # within 1e-12 of Hermitian is not Hermitian: the test is M == Mᴴ
+        a, _, _ = make_pd_matrix(31, 20, skew=False)
+        near = a.copy()
+        near[0, 1] *= 1.0 + 1e-13
+        assert linalg.is_hermitian(a) and not linalg.is_hermitian(near)
+        assert linalg.DenseMatrix(near).eigh() is None
+        lower, diag = np.full(9, -1.0), np.full(10, 2.0)
+        assert linalg.is_hermitian(linalg.TridiagonalMatrix(lower, diag, lower.copy()))
+        assert not linalg.is_hermitian(linalg.TridiagonalMatrix(lower, diag, lower * (1 + 1e-13)))
+
     def test_detects(self):
         a, _, _ = make_pd_matrix(31, 20, skew=False)
         assert linalg.is_hermitian(a)
