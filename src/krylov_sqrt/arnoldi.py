@@ -10,8 +10,10 @@ columns, and every older snapshot stays valid as a read-only view.
 The per-prefix quantities are array-valued over a list of k:
 :func:`fom_reports` reads the kept LU factor of the Hessenberg matrix once
 and gives every k's FOM residual from cumulative sums over its pivots, the
-FOM coefficients of every prefix from one triangular solve, and the FOM
-error xi and the true error of an action from one product with the basis.
+FOM coefficients of every prefix from one triangular solve of the list's
+largest order, kept for no later list (so a report depends on its list
+alone), and the FOM error xi and the true error of an action from one
+product with the basis.  A snapshot keeps its square-root coefficients.
 :func:`prefix_reports` adds the bounds; :func:`fom_residual_norm` and
 :func:`fom_error` are the one-k cases of the same code.
 """
@@ -62,7 +64,7 @@ class _Workspace:
         self.H = np.zeros((capacity + 1, capacity), dtype=q1.dtype)
         self.Q[:, 0] = q1
         self.k = 0  # completed Arnoldi steps
-        self.lu, self.coefficients = _HessenbergLU(), {}  # fun_coefficients by (k, f)
+        self.lu = _HessenbergLU()
         # H_j + H_jᴴ is positive definite for j <= pd_order; known for j <= pd_checked
         self.pd_order = self.pd_checked = 0
 
@@ -236,15 +238,14 @@ class _HessenbergLU:
             phase = self._phase[ks - 1] * (p / np.abs(p))
         return ratio, np.where(self._parity[ks - 1], -phase, phase)
 
-    def solve_e1(self, ks, scale: float, order: int | None = None) -> np.ndarray:
+    def solve_e1(self, ks, scale: float) -> np.ndarray:
         """The K x m array whose column j is y with H_k y = scale e_1 for
         k = ks[j] (ascending), zero below row k, from one triangular solve
-        (LAPACK ?trtrs on U's buffer, in place) with U_{K-1}, K = ``order``
-        (at least ks[-1], the default).  Raises SingularMatrix when a pivot
-        of some H_k is at most ``linalg.PIVOT_RTOL`` times the largest row
-        norm of H_k."""
+        (LAPACK ?trtrs on U's buffer, in place) with U_{K-1}, K = ks[-1].
+        Raises SingularMatrix when a pivot of some H_k is at most
+        ``linalg.PIVOT_RTOL`` times the largest row norm of H_k."""
         ks = np.asarray(ks)
-        K, m = order or int(ks[-1]), ks.size
+        K, m = int(ks[-1]), ks.size
         lo, _, p = self._pivots_of(ks)
         if np.any(lo <= linalg.PIVOT_RTOL * self._row_norms[ks - 1]):
             raise SingularMatrix("pivot below threshold; matrix is numerically singular")
@@ -354,6 +355,12 @@ class ArnoldiDecomposition:
         spec = linalg.hessenberg_eigenvalues(self.hessenberg, schur=True)
         self.__dict__.setdefault("ritz", spec)
         return spec
+
+    @functools.cached_property
+    def _actions(self) -> dict:
+        """The sqrt and invsqrt coefficients of this snapshot by f, filled
+        on first use (H_k never changes); FOM columns are never kept."""
+        return {}
 
 
 def arnoldi_start(b, capacity: int = 32) -> ArnoldiDecomposition:
@@ -487,23 +494,18 @@ def fun_coefficients(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndarra
 def _coefficients(subs: list, f: str) -> np.ndarray:
     """The K x m array whose column j is ||b|| f(H_k) e_1 of the snapshot
     subs[j] (ascending k, all of one decomposition), zero below row k, K
-    the largest k.  Columns are computed once per k and f for all prefix
-    snapshots: the missing inverse ones from one triangular solve of order
-    K (:meth:`_HessenbergLU.solve_e1`; BLAS rounds a zero-padded order
-    apart, so the order is the list's, not that of the missing ks), any
-    other from :func:`fun_coefficients`."""
+    the largest k.  The inverse columns come from one triangular solve of
+    order K (:meth:`_HessenbergLU.solve_e1`) on every call, so a column
+    depends on the list alone; any other from :func:`fun_coefficients`,
+    memoized on each snapshot (:attr:`ArnoldiDecomposition._actions`)."""
     if subs[0].k == 0:
         raise DomainError("decomposition has no completed steps")
-    ws = subs[-1]._ws
-    cache = ws.coefficients
-    missing = [sub for sub in subs if (sub.k, f) not in cache]
-    if f != "inverse":
-        for sub in missing:
-            cache[sub.k, f] = fun_coefficients(sub, f)
-    elif missing:
-        y = ws.factor().solve_e1([sub.k for sub in missing], subs[-1].b_norm, subs[-1].k)
-        cache.update(((sub.k, f), y[: sub.k, j]) for j, sub in enumerate(missing))
-    columns = [cache[sub.k, f] for sub in subs]
+    if f == "inverse":
+        return subs[-1]._ws.factor().solve_e1([sub.k for sub in subs], subs[-1].b_norm)
+    for sub in subs:
+        if f not in sub._actions:
+            sub._actions[f] = fun_coefficients(sub, f)
+    columns = [sub._actions[f] for sub in subs]
     out = np.zeros((subs[-1].k, len(subs)), dtype=np.result_type(*columns))
     for j, c in enumerate(columns):
         out[: c.size, j] = c
@@ -525,7 +527,8 @@ def arnoldi_fun_action(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndar
     ``inverse`` (the FOM iterate for M x = b).  The square roots of a
     large H_k with a positive definite Hermitian part come from a
     quadrature of shifted Hessenberg solves, any other from a Schur form
-    (see :func:`fun_coefficients`), once per k and f for all prefix snapshots.
+    (see :func:`fun_coefficients`), once per snapshot and f; the FOM
+    iterate is solved on every call.
     """
     return decomp.basis_k @ _coefficients([decomp], f)[:, 0]
 
@@ -577,22 +580,16 @@ def fom_error(decomp: ArnoldiDecomposition, x_exact) -> float:
     return _distances([decomp], x_exact, "inverse")[0]
 
 
-def fom_error_surrogate(decomp: ArnoldiDecomposition, min_sym_eig: float | None = None) -> float:
-    """Solve-free stand-in for ||xi_0^k||, from the residual alone.
-
-    With ``min_sym_eig`` = smallest eigenvalue mu of the Hermitian part of
-    M, returns ||r_0^k||/mu, a valid upper bound (||M^-1|| <= 1/mu for
-    positive definite M).  Without it, returns the bare residual norm,
-    which is NOT certified: it can undershoot the true error by the
-    conditioning of M.  Prefer :func:`fom_error` wherever an exact solve
-    is affordable.
+def fom_error_surrogate(decomp: ArnoldiDecomposition, min_sym_eig: float) -> float:
+    """Solve-free upper bound on ||xi_0^k||: ||r_0^k||/mu, from the
+    residual alone, for ``min_sym_eig`` = mu the smallest eigenvalue of
+    the Hermitian part of M (||M^-1|| <= 1/mu for positive definite M).
+    A mu <= 0 certifies nothing and raises DomainError.  Prefer
+    :func:`fom_error` wherever an exact solve is affordable.
     """
-    norm, _ = fom_residual_norm(decomp)
-    if min_sym_eig is not None:
-        if min_sym_eig <= 0:
-            raise DomainError("min_sym_eig must be positive")
-        return norm / min_sym_eig
-    return norm
+    if not min_sym_eig > 0:  # NaN fails too
+        raise DomainError("min_sym_eig must be positive")
+    return fom_residual_norm(decomp)[0] / min_sym_eig
 
 
 def _reports(subs: list, x_exact, reference, f: str) -> list:
@@ -636,8 +633,8 @@ def fom_reports(decomp: ArnoldiDecomposition, ks, x_exact, reference=None,
     residuals are cumulative sums over its pivots
     (:meth:`_HessenbergLU.log_det_ratios`), the FOM coefficients one
     triangular solve, and xi and the error one product with Q_K each, K
-    the largest k of the list.  The f-action coefficients are computed
-    once per k and f (see :func:`arnoldi_fun_action`).  A failure raises
+    the largest k of the list, whatever was asked before.  The f-action
+    coefficients are computed once per snapshot and f.  A failure raises
     the error of the smallest failing k, as the list of that k alone would.
     """
     return _prefix_snapshots(decomp, ks, x_exact, reference, f)[0]

@@ -21,7 +21,7 @@ from . import arnoldi as arn
 from . import bounds as bnd
 from . import linalg, matgen
 from .arnoldi import find_stop_k
-from .errors import ConfigError, DomainError, SingularMatrix
+from .errors import ConfigError, DomainError
 from .matrixmarket import read_matrix_market
 
 __all__ = ["ExperimentConfig", "config_from_dict", "run_experiment", "find_stop_k",
@@ -257,21 +257,6 @@ def fit_loglog_slope(ks, values, window=(0.25, 1.0)) -> float:
 # experiments
 
 
-def _exact_solution(M, b) -> np.ndarray:
-    """M⁻¹ b: V (Vᴴ b / lambda) from the eigendecomposition that an exactly
-    Hermitian DenseMatrix keeps (:meth:`linalg.DenseMatrix.eigh`, which
-    sigma_max has read), else the operator's LU solve.  An eigenvalue of
-    modulus at most ``linalg.PIVOT_RTOL`` times the largest raises
-    SingularMatrix."""
-    eig = M.eigh() if isinstance(M, linalg.DenseMatrix) else None
-    if not eig:
-        return M.solve(b)
-    lam, v = eig
-    if np.min(np.abs(lam)) <= linalg.PIVOT_RTOL * np.max(np.abs(lam)):
-        raise SingularMatrix("eigenvalue below threshold; matrix is numerically singular")
-    return v @ ((v.conj().T @ b) / lam)
-
-
 def run_bounds_vs_k(cfg: ExperimentConfig):
     ctx = build_matrix(cfg.matrix, cfg.seed)
     b = build_rhs(cfg.rhs, ctx)
@@ -279,7 +264,7 @@ def run_bounds_vs_k(cfg: ExperimentConfig):
     n = M.shape[0]
     k_max = min(cfg.k_max, n)
     sigma = linalg.sigma_max(M)
-    x_exact = _exact_solution(M, b)
+    x_exact = M.solve(b)
     reference = linalg.reference_sqrt_action(M, b) if cfg.oracle else None
 
     state = arn.arnoldi(M, b, k_max)

@@ -122,8 +122,8 @@ class DenseMatrix:
 class TridiagonalMatrix:
     """Real tridiagonal matrix in banded storage.
 
-    Solves use banded LU, and an exactly zero pivot raises SingularMatrix;
-    ``to_dense`` builds the full matrix for the dense kernels.
+    Solves follow the contract of :meth:`DenseMatrix.solve`; ``to_dense``
+    builds the full matrix for the dense kernels.
     """
 
     def __init__(self, lower, diag, upper):
@@ -145,12 +145,22 @@ class TridiagonalMatrix:
         return w
 
     def solve(self, rhs):
-        ab = np.zeros((3, self.shape[0]))
-        ab[0, 1:], ab[1, :], ab[2, :-1] = self.upper, self.diag, self.lower
-        try:
-            return sla.solve_banded((1, 1), ab, rhs, check_finite=False)
-        except np.linalg.LinAlgError as exc:  # an exactly zero pivot
-            raise SingularMatrix(f"tridiagonal matrix is singular: {exc}") from exc
+        """Solve M x = rhs by LU with partial pivoting (LAPACK ?gtsv, the
+        bands cast to the rhs's dtype, no factor kept).  Raises
+        SingularMatrix when a diagonal entry of U falls below
+        ``PIVOT_RTOL`` times the largest row norm of M, as the dense solve."""
+        rhs = np.asarray(rhs)
+        if rhs.shape[0] != self.shape[0]:
+            raise DimensionMismatch(f"rhs length {rhs.shape[0]} != matrix order {self.shape[0]}")
+        if self.shape[0] == 1:  # SciPy's ?gtsv wrapper rejects order 1
+            u, x = self.diag, (rhs / self.diag[0] if self.diag[0] else None)
+        else:  # a zero u_ii (info > 0) is refused below
+            gtsv = sla.get_lapack_funcs("gtsv", (self.diag, rhs))
+            _, u, _, x, _ = gtsv(self.lower, self.diag, self.upper, rhs)
+        rows = self.diag**2 + np.append(0.0, self.lower**2) + np.append(self.upper**2, 0.0)
+        if np.min(np.abs(u)) <= PIVOT_RTOL * np.sqrt(np.max(rows)):
+            raise SingularMatrix("pivot below threshold; matrix is numerically singular")
+        return x
 
     def to_dense(self) -> np.ndarray:
         return np.diag(self.diag) + np.diag(self.lower, -1) + np.diag(self.upper, 1)

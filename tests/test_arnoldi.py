@@ -417,14 +417,15 @@ class TestHessenbergLU:
             np.testing.assert_array_equal(got, want)
 
     def test_zero_pivot_above_the_asked_orders_is_singular(self):
-        # H_1 = [1] is fine, but a solve of order 3 runs through u_11 = 0
-        # (a reduced H): a named error, not LAPACK's info or LinAlgError
+        # H_1 = [1] is fine, but a list that asks for k = 3 runs through
+        # u_11 = 0 (a reduced H): a named error, not LAPACK's info or
+        # LinAlgError, though k = 1 alone would pass
         h = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         lu = arn._HessenbergLU()
         lu.extend(h, 3)
         np.testing.assert_array_equal(lu.solve_e1([1], 2.0)[:, 0], [2.0])
         with pytest.raises(SingularMatrix):
-            lu.solve_e1([1], 2.0, order=3)
+            lu.solve_e1([1, 3], 2.0)
 
     def test_adaptive_run_extends_one_factor(self, monkeypatch):
         a, _, _ = make_pd_matrix(21, 40)
@@ -503,15 +504,18 @@ class TestFomError:
         exact = arn.fom_error(state, np.linalg.solve(a, b))
         certified = arn.fom_error_surrogate(state, min_sym_eig=eigs[-1])
         assert certified >= exact * (1.0 - 1e-10)
-        # without mu the surrogate is just the residual norm (not certified)
-        assert arn.fom_error_surrogate(state) == arn.fom_residual_norm(state)[0]
+        # a mu <= 0 certifies nothing: refused, not a bare residual norm
+        for mu in (0.0, -1.0, np.nan):
+            with pytest.raises(DomainError):
+                arn.fom_error_surrogate(state, min_sym_eig=mu)
 
 
 class TestPrefixReport:
     @pytest.mark.parametrize("f", ["sqrt", "invsqrt"])
     def test_residual_errors_and_one_action_per_snapshot(self, monkeypatch, f):
         # the FOM residual, xi and the true f-error of one prefix, no bound;
-        # each action is computed once per snapshot and f
+        # the f-action is computed once per snapshot, the FOM iterate on
+        # every call
         calls = record_fun_coefficients(monkeypatch)
         a, _, _ = make_pd_matrix(4, 30)
         b = np.ones(30)
@@ -523,7 +527,7 @@ class TestPrefixReport:
         assert dataclasses.astuple(rep) == (
             10, arn.fom_residual_norm(sub)[0], np.linalg.norm(x_exact - arn.fom_iterate(sub)),
             want_error) + (None,) * 7
-        assert sorted(calls) == sorted([(10, f), (10, "inverse")])
+        assert calls == [(10, f), (10, "inverse"), (10, "inverse")]
 
     def test_hermitian_reports_jensen_chain(self):
         _, eigs, sm = make_pd_matrix(15, 40, skew=False)
@@ -589,6 +593,25 @@ class TestFomReports:
         reports = arn.fom_reports(state, [9, 3, 9, 15], np.linalg.solve(a, b))
         assert [rep.k for rep in reports] == [9, 3, 9, 15] and reports[0] == reports[2]
         assert arn.fom_reports(state, [], np.linalg.solve(a, b)) == []
+
+    def test_reports_do_not_depend_on_what_was_asked_before(self):
+        # the FOM column of k = 147 is solved at its own list's order, so
+        # its xi is the same bits on a fresh decomposition, after a 150-k
+        # list, and after a bound search and that list on the search's
+        # decomposition; a column kept from the 150-k list moved it by
+        # 5.0e-14 ||x_exact||
+        tri = matgen.convection_diffusion(201, 0.1)
+        b = np.ones(200)
+        x_exact = tri.solve(b)
+
+        def xi_147(state):
+            return arn.fom_reports(state, [147], x_exact)[0].xi_norm
+
+        want = xi_147(arn.arnoldi(tri, b, 150))
+        searched = arn.find_stop_k(tri, b, 0.05, k_max=150)[0]
+        for state in (arn.arnoldi(tri, b, 150), searched):
+            arn.fom_reports(state, range(1, 151), x_exact)
+            assert state.k == 150 and xi_147(state) == want
 
     def test_one_solve_for_many_prefixes(self, monkeypatch):
         # 24 prefixes read the factor once: one triangular solve (of order
@@ -939,6 +962,24 @@ class TestRunAdaptive:
                     lambda: arn.run_adaptive(tri, np.ones(2), stop=arn.BoundAbsolute(0.1)),
                     lambda: arn.find_stop_k(tri, np.ones(2), 0.1)):
             with pytest.raises(SingularMatrix):
+                run()
+
+    def test_near_singular_tridiagonal_is_refused(self):
+        # U's last diagonal entry is 4.4e-16: under the dense pivot rule
+        tri = linalg.TridiagonalMatrix([1.0], [1.0, 1.0 + 4.5e-16], [1.0])
+        b = np.array([1.0, 0.0])
+        for run in (lambda: tri.solve(b), lambda: arn.run_adaptive(tri, b),
+                    lambda: arn.run_adaptive(tri, b, stop=arn.BoundAbsolute(0.1)),
+                    lambda: arn.find_stop_k(tri, b, 0.1), lambda: linalg.sigma_min(tri)):
+            with pytest.raises(SingularMatrix):
+                run()
+
+    def test_rhs_of_another_length_is_refused(self):
+        # order 19 against 20 entries: a named error, not SciPy's ValueError
+        tri = matgen.convection_diffusion(20, 0.1)
+        for run in (lambda: tri.solve(np.ones(20)), lambda: arn.run_adaptive(tri, np.ones(20)),
+                    lambda: arn.find_stop_k(tri, np.ones(20), 0.1)):
+            with pytest.raises(DimensionMismatch):
                 run()
 
     def test_matvec_only_needs_exact_solve(self):

@@ -188,10 +188,11 @@ class TestBoundsVsK:
         assert calls == max(c for c, _ in batches[1:])
 
     @pytest.mark.parametrize("skew", [False, True])
-    def test_exact_solution_from_the_kept_eigh(self, monkeypatch, skew):
-        # an exactly Hermitian matrix takes x_exact from the eigendecomposition
-        # that sigma_max keeps, with no LU; any other keeps its LU.  xi agrees
-        # with the LU route's to 1e-13 ||x_exact||
+    def test_exact_solution_from_one_lu(self, monkeypatch, skew):
+        # x_exact is the operator's solve, one LU of order n, whether or
+        # not the matrix is Hermitian (sigma_max's eigendecomposition
+        # serves no solve); the rows are the reports against it, and
+        # within 1e-13 ||x_exact|| of the one-k FOM error
         orders, factor = [], linalg.lu_factor_quiet
         monkeypatch.setattr(linalg, "lu_factor_quiet",
                             lambda a: orders.append(a.shape[0]) or factor(a))
@@ -200,14 +201,17 @@ class TestBoundsVsK:
                 "type": "spectrum", "kind": "uniform", "n": 90, "lo": 1.0, "hi": 1000.0,
                 "skew": skew}})
         rows, summary = exp.run_bounds_vs_k(cfg)
-        assert summary["hermitian"] is not skew and orders == ([90] if skew else [])
+        assert summary["hermitian"] is not skew and orders == [90]
         ctx = exp.build_matrix(cfg.matrix, cfg.seed)
         b = exp.build_rhs(cfg.rhs, ctx)
-        x_lu = np.linalg.solve(linalg.as_array(ctx.operator), b)
+        x_exact = linalg.DenseMatrix(linalg.as_array(ctx.operator)).solve(b)
         state = arn.arnoldi(ctx.operator, b, 30)
+        ks = [int(row["k"]) for row in rows]
+        assert [row["xi_norm"] for row in rows] == [
+            rep.xi_norm for rep in arn.fom_reports(state, ks, x_exact)]
         for row in rows:
-            want = arn.fom_error(state.prefix(int(row["k"])), x_lu)
-            assert abs(row["xi_norm"] - want) <= 1e-13 * np.linalg.norm(x_lu)
+            want = arn.fom_error(state.prefix(int(row["k"])), x_exact)
+            assert abs(row["xi_norm"] - want) <= 1e-13 * np.linalg.norm(x_exact)
 
     def test_rounding_floor_k(self, tmp_path):
         # the bound falls below the true error at k = 28 and 30, where
@@ -568,7 +572,7 @@ class TestRowsFromPrefixReports:
         # runners without bound columns read each row from one
         # arnoldi.prefix_report: no bound is computed, and each sampled k
         # reaches fun_coefficients once per tag (the FOM iterate too where
-        # no search has solved for it already)
+        # no search probes other ks)
         calls, bound_calls = record_fun_coefficients(monkeypatch), []
         for name in ("bound_posterior_batch", "build_bound_report"):
             monkeypatch.setattr(bnd, name, lambda *a, _name=name, **kw: bound_calls.append(_name))
@@ -584,16 +588,22 @@ class TestRowsFromPrefixReports:
         ({"experiment": "convdiff_table", "n_values": [40], "eta": 0.5}, 29),
         ({"experiment": "scaling_vs_k", "n_values": [60], "eta": 0.5, "k_samples": 12}, None),
     ], ids=["convdiff_table", "scaling_vs_k"])
-    def test_fom_iterate_solved_once_per_k(self, monkeypatch, raw, k):
-        # the xi guide of the search and the rows read one FOM iterate per
-        # k, kept on the storage that every prefix snapshot shares
-        calls = record_fun_coefficients(monkeypatch)
+    def test_rows_do_not_depend_on_the_search(self, raw, k):
+        # the rows after a bound search are the reports of a fresh
+        # decomposition of the same order for the same ks, bit for bit:
+        # the probes of the xi guide leave nothing behind
         cfg = exp.config_from_dict(dict(raw, stopping={"rule": "bound", "tol": 0.05}))
-        rows, _ = getattr(exp, f"run_{cfg.experiment}")(cfg)
-        solved = [j for j, f in calls if f == "inverse"]
-        assert len(solved) == len(set(solved))
-        assert set(r["k_stop"] if k else r["k"] for r in rows) <= set(solved)
-        assert k is None or rows[0]["k_stop"] == k
+        rows, summary = getattr(exp, f"run_{cfg.experiment}")(cfg)
+        n = raw["n_values"][0]
+        tri = matgen.convection_diffusion(n, 0.5)
+        b = np.ones(tri.shape[0])
+        steps = summary["arnoldi_steps"][str(n)]
+        ks = [r["k_stop"] if k else r["k"] for r in rows]
+        fresh = arn.fom_reports(arn.arnoldi(tri, b, steps), ks, tri.solve(b),
+                                linalg.reference_sqrt_action(tri, b))
+        assert k is None or ks == [k]
+        assert [(r["xi_norm"], r["error"]) for r in rows] == [
+            (rep.xi_norm, rep.error_norm) for rep in fresh]
 
 
 class TestCsv:
@@ -636,7 +646,7 @@ class TestCsv:
          "e186dafae12102c145ec676c24d7bef63da007c55aa4f06504946c4250b96f63"),
         ({"experiment": "scaling_vs_k", "n_values": [60, 120], "eta": 0.1, "k_samples": 8},
          {"60": 53, "120": 106},
-         "5d5882cd2cf35102e31bc10dfe6919f1b92dd8f69fdebd273c7db14dccab19cd"),
+         "785b8431ac867cf9128231fbdd40d588c5da123a4c7b242e38ae8d2db5901397"),
     ], ids=["convdiff_table", "scaling_vs_k"])
     def test_search_steps_in_summary_leave_csv_bytes(self, tmp_path, raw, steps, digest):
         # the decomposition order after each search goes to the summary
@@ -666,7 +676,7 @@ class TestCsv:
                      "cluster_std": 1.0, "cluster_fraction": 0.95,
                      "outlier_center": 1000.0, "outlier_std": 100.0},
           "rhs": {"kind": "eig_average", "count": 40}},
-         "3679868ce997135e35c009513088eceeaeec0c06dd12a7a64280ad24c3ba7b66"),
+         "bcef27683bbd6f00459bed070e95e23543875657527147cf0798c93f7f0f4d0d"),
     ], ids=["scaling_vs_sigma", "perturbed_validity", "bounds_vs_k", "hermitian_compare"])
     def test_csv_bytes_pinned(self, tmp_path, raw, digest):
         # experiments without a search: their CSV bytes are pinned as they

@@ -67,6 +67,51 @@ class TestTridiagonalMatrix:
         with pytest.raises(NonFiniteEntry):
             linalg.TridiagonalMatrix(*bands)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_solve_is_banded_lu_bit_for_bit(self, dtype):
+        # LAPACK ?gtsv is what SciPy's banded solve runs for one band on
+        # each side: the same bits, the bands cast for a complex rhs
+        tri = matgen.convection_diffusion(201, 0.1)
+        ab = np.array([np.append(0.0, tri.upper), tri.diag, np.append(tri.lower, 0.0)])
+        b = np.ones(200, dtype=dtype) * (1.0 + 0.5j if dtype is complex else 1.0)
+        x = tri.solve(b)
+        assert x.dtype == b.dtype
+        np.testing.assert_array_equal(x, sla.solve_banded((1, 1), ab, b))
+
+    def test_complex_rhs_matches_dense_solve(self):
+        rng = np.random.default_rng(5)
+        tri = _random_band_tridiagonal()
+        b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        np.testing.assert_allclose(tri.solve(b), linalg.DenseMatrix(tri.to_dense()).solve(b),
+                                   rtol=1e-12)
+
+    def test_order_one(self):
+        # SciPy's ?gtsv wrapper rejects order 1: a division, under the same rule
+        np.testing.assert_array_equal(linalg.TridiagonalMatrix([], [4.0], []).solve([2.0]), [0.5])
+        with pytest.raises(SingularMatrix):
+            linalg.TridiagonalMatrix([], [0.0], []).solve([1.0])
+
+    def test_pivot_rule_of_the_dense_solve(self):
+        # U's last diagonal entry is 4.4e-16, under PIVOT_RTOL times the
+        # largest row norm (sqrt 2): refused, as the dense solve refuses it;
+        # it returned +-2.25e15 when only an exact zero was refused
+        tri = linalg.TridiagonalMatrix([1.0], [1.0, 1.0 + 4.5e-16], [1.0])
+        for op in (tri, linalg.DenseMatrix(tri.to_dense())):
+            with pytest.raises(SingularMatrix):
+                op.solve([1.0, 0.0])
+        with pytest.raises(SingularMatrix):
+            linalg.sigma_min(tri)
+        # just above the rule it solves
+        tri = linalg.TridiagonalMatrix([1.0], [1.0, 1.0 + 2e-14], [1.0])
+        np.testing.assert_allclose(tri.to_dense() @ tri.solve([1.0, 0.0]), [1.0, 0.0],
+                                   atol=1e-12 * np.linalg.norm(tri.solve([1.0, 0.0])))
+
+    def test_rhs_length_checked_before_any_work(self, monkeypatch):
+        tri = matgen.convection_diffusion(20, 0.1)
+        monkeypatch.setattr(sla, "get_lapack_funcs", lambda *a: pytest.fail("LAPACK reached"))
+        with pytest.raises(DimensionMismatch):
+            tri.solve(np.ones(20))
+
 
 def _random_band_tridiagonal():
     rng = np.random.default_rng(7)
