@@ -8,9 +8,10 @@ newest snapshot can be extended, extension never rewrites completed
 columns, and every older snapshot stays valid as a read-only view.
 
 The per-prefix quantities are array-valued over a list of k:
-:func:`fom_reports` reads the kept LU factor of the Hessenberg matrix once
-and gives every k's FOM residual from cumulative sums over its pivots, the
-FOM coefficients of every prefix from one triangular solve of the list's
+:func:`fom_reports` reads the kept LU factor of the Hessenberg matrix, one
+singularity rule for every H_k, and gives every k's FOM residual from the
+last entry of its FOM coefficients (the Arnoldi relation), the FOM
+coefficients of every prefix from one triangular solve of the list's
 largest order, kept for no later list (so a report depends on its list
 alone), and the FOM error xi and the true error of an action from one
 product with the basis.  A snapshot keeps its square-root coefficients.
@@ -35,7 +36,6 @@ from .errors import (
     NoConvergence,
     NonFiniteEntry,
     SingularMatrix,
-    SingularProjectedMatrix,
 )
 
 # h_{j+1,j} at or below this fraction of ||M q_j|| is a happy breakdown.
@@ -103,25 +103,17 @@ class _Workspace:
 
 class _HessenbergLU:
     """LU factors, with partial pivoting, of every leading block H_k of an
-    upper Hessenberg matrix, from one pass; its methods answer a list of k
-    at once, by indexing arrays that the pass fills.
+    upper Hessenberg matrix, from one pass; a list of k is read from the
+    factor when asked, by vectorized scans over its steps.
 
     Column j has nonzeros in rows j and j+1 only, so pivot step j swaps at
     most those two rows and leaves the rows above final.  The factors of
     H_k are the first k-1 steps (``mult``, ``swap``) plus the diagonal of
-    row k-1 before its own step (``pivots``).  U and every per-step and
-    per-k array live in buffers whose capacity doubles, so an extension
-    copies no earlier column.  Entry k-1 of a per-k array describes H_k:
-    ``pivots[k-1]``, ``row_norms[k-1]`` (the largest row norm of H_k) and,
-    over the first k-1 diagonal entries u_ii of U, the running minimum and
-    maximum of |u_ii|, the cumulative sum of log|u_ii / h_{i+1,i}|, the
-    product of the phases u_ii/|u_ii| and the parity of the row swaps.
+    row k-1 before its own step (``pivots``); ``row_norms[k-1]`` is the
+    largest row norm of H_k, which the one singularity rule reads
+    (:meth:`_check`).  U and the per-step and per-k arrays live in buffers
+    whose capacity doubles, so an extension copies no earlier column.
     """
-
-    # per-step and per-k arrays of the factor's dtype, and of their own
-    _TYPED = ("_mult", "_pivots", "_phase")
-    _FIXED = (("_swap", bool), ("_parity", bool), ("_row_norms", float), ("_lo", float),
-              ("_hi", float), ("_log_ratio", float))
 
     def __init__(self):
         self._k = 0  # factored columns
@@ -136,13 +128,14 @@ class _HessenbergLU:
     row_norms = property(lambda self: self._row_norms[: self._k])
 
     def _grow(self, size: int, dtype):
-        """Move U and every array to buffers of capacity ``size``, U and
-        the typed arrays in ``dtype`` (the factor's)."""
+        """Move U and every array to buffers of capacity ``size``, U, the
+        multipliers and the pivots in ``dtype`` (the factor's)."""
         k0 = self._k
         buf = np.zeros((size, size), dtype=dtype)
         buf[:k0, :k0] = self.U
         self._buf = buf
-        for name, kind in [(name, dtype) for name in self._TYPED] + list(self._FIXED):
+        for name, kind in (("_mult", dtype), ("_pivots", dtype), ("_swap", bool),
+                           ("_row_norms", float)):
             grown = np.zeros(size, dtype=kind)
             if k0:
                 grown[:k0] = getattr(self, name)[:k0]
@@ -150,8 +143,7 @@ class _HessenbergLU:
 
     def extend(self, H: np.ndarray, K: int):
         """Factor the leading K columns of H (at least K rows): the new
-        columns take the earlier steps, then the steps go on, and the per-k
-        arrays are carried on from entry k0-1 by one accumulation each."""
+        columns take the earlier steps, then the steps go on."""
         k0 = self._k
         if K <= k0:
             return
@@ -176,21 +168,6 @@ class _HessenbergLU:
             self._step(U, j, j, K)
         self._pivots[K - 1] = U[K - 1, K - 1]
         self._k = K
-        if k0 == 0:
-            self._lo[0], self._hi[0], self._log_ratio[0], self._phase[0] = np.inf, 0.0, 0.0, 1.0
-        # entries s..K-1 from u_ii, i = s-1..K-2; step i leaves |u_ii / h_{i+1,i}|
-        # = 1 after a swap and 1/|mult_i| otherwise
-        s = max(k0, 1)
-        d, swap = np.diagonal(U)[s - 1 : K - 1], self._swap[s - 1 : K - 1]
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot: singular
-            self._lo[s:K] = self._hi[s:K] = np.abs(d)
-            self._log_ratio[s:K] = np.where(swap, 0.0, -np.log(np.abs(self._mult[s - 1 : K - 1])))
-            self._phase[s:K] = d / np.abs(d)
-            self._parity[s:K] = swap
-            for ufunc, table in ((np.minimum, self._lo), (np.maximum, self._hi),
-                                 (np.add, self._log_ratio), (np.multiply, self._phase),
-                                 (np.logical_xor, self._parity)):
-                ufunc.accumulate(table[s - 1 : K], out=table[s - 1 : K])
 
     def _step(self, U: np.ndarray, j: int, lo: int, hi: int):
         """Pivot step j on columns lo:hi: rows j and j+1 swap when
@@ -213,47 +190,56 @@ class _HessenbergLU:
         self._row_norms[k0:K] = np.sqrt(np.max(np.where(in_block, sq, 0.0), axis=0))
         self._row_sq = sq[:, -1]
 
-    def _pivots_of(self, ks: np.ndarray):
-        """(lo, hi, pivot k) for each k in ks: lo and hi are the smallest
-        and largest |d| over the factor diagonal d of H_k (the first k-1
-        diagonal entries of U, then pivot k)."""
+    def _check(self, ks: np.ndarray) -> np.ndarray:
+        """Pivot k of each k in ks (ascending).  Raises SingularMatrix when
+        a pivot of some H_k (the first k-1 diagonal entries of U, then
+        pivot k) is at most ``linalg.PIVOT_RTOL`` times the largest row
+        norm of H_k: the one singularity rule of every reading."""
         p = self._pivots[ks - 1]
-        return np.minimum(self._lo[ks - 1], np.abs(p)), np.maximum(self._hi[ks - 1], np.abs(p)), p
+        diag = np.abs(np.diagonal(self._buf)[: ks[-1] - 1])
+        lo = np.minimum.accumulate(np.append(np.inf, diag))[ks - 1]
+        if np.any(np.minimum(lo, np.abs(p)) <= linalg.PIVOT_RTOL * self._row_norms[ks - 1]):
+            raise SingularMatrix("pivot below threshold; matrix is numerically singular")
+        return p
 
-    def log_det_ratios(self, ks, exempt=False):
-        """For each k in ks (ascending): log|det H_k| - sum_{i<k}
-        log|h_{i+1,i}| and the unit-modulus phase of det H_k.  Raises
-        SingularProjectedMatrix when the smallest |pivot| of an H_k not
-        ``exempt`` is at most 1e-14 times its largest.
+    def _carry(self, K: int, scale: float) -> np.ndarray:
+        """scale e_1 carried down the first K-1 steps: entry j is what
+        reaches row j, which keeps it unless step j swaps."""
+        return np.cumprod(np.append(scale, np.where(self._swap[: K - 1], 1.0,
+                                                    -self._mult[: K - 1])))
 
-        The first is the cumulative sum of log|u_ii / h_{i+1,i}| (each at
-        least 0, so no difference of two sums of about 10^4 at k ~ 1000)
-        plus log|pivot k|; the sign of the row swaps is their parity."""
+    def last_entries(self, ks, scale: float) -> np.ndarray:
+        """e_kᵀ y with H_k y = scale e_1 for each k in ks (ascending): the
+        carry that reaches row k-1 over pivot k.  Raises SingularMatrix
+        by :meth:`_check`."""
         ks = np.asarray(ks)
-        lo, hi, p = self._pivots_of(ks)
-        if np.any((lo <= 1e-14 * hi) & ~np.asarray(exempt)):
-            raise SingularProjectedMatrix("projected matrix is numerically singular")
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot: singular
-            ratio = self._log_ratio[ks - 1] + np.log(np.abs(p))
-            phase = self._phase[ks - 1] * (p / np.abs(p))
-        return ratio, np.where(self._parity[ks - 1], -phase, phase)
+        p = self._check(ks)
+        return self._carry(int(ks[-1]), scale)[ks - 1] / p
+
+    def log_det_ratios(self, ks) -> np.ndarray:
+        """log|det H_k| - sum_{i<k} log|h_{i+1,i}| for each k in ks
+        (ascending).  Raises SingularMatrix by :meth:`_check`.
+
+        It is the cumulative sum over the steps of log|u_ii / h_{i+1,i}|
+        (0 after a swap, else -log|mult_i|; each at least 0, so no
+        difference of two sums of about 10^4 at k ~ 1000) plus
+        log|pivot k|."""
+        ks = np.asarray(ks)
+        p, K = self._check(ks), int(ks[-1])
+        steps = np.where(self._swap[: K - 1], 0.0, -np.log(np.abs(self._mult[: K - 1])))
+        return np.cumsum(np.append(0.0, steps))[ks - 1] + np.log(np.abs(p))
 
     def solve_e1(self, ks, scale: float) -> np.ndarray:
         """The K x m array whose column j is y with H_k y = scale e_1 for
         k = ks[j] (ascending), zero below row k, from one triangular solve
         (LAPACK ?trtrs on U's buffer, in place) with U_{K-1}, K = ks[-1].
-        Raises SingularMatrix when a pivot of some H_k is at most
-        ``linalg.PIVOT_RTOL`` times the largest row norm of H_k."""
+        Row k-1 of each column is :meth:`last_entries`, which raises
+        SingularMatrix for a numerically singular H_k."""
         ks = np.asarray(ks)
         K, m = int(ks[-1]), ks.size
-        lo, _, p = self._pivots_of(ks)
-        if np.any(lo <= linalg.PIVOT_RTOL * self._row_norms[ks - 1]):
-            raise SingularMatrix("pivot below threshold; matrix is numerically singular")
-        # the steps carry scale e_1 down; row j keeps the carry unless swapped
-        swap = self._swap[: K - 1]
-        carry = np.cumprod(np.append(scale, np.where(swap, 1.0, -self._mult[: K - 1])))
-        last = carry[ks - 1] / p  # row k-1 of each y
-        rhs = np.where(swap, 0.0, carry[:-1])[:, None] - self._buf[: K - 1, ks - 1] * last
+        last = self.last_entries(ks, scale)
+        rhs = (np.where(self._swap[: K - 1], 0.0, self._carry(K, scale)[:-1])[:, None]
+               - self._buf[: K - 1, ks - 1] * last)
         y = np.zeros((K, m), dtype=np.result_type(rhs, last))
         if K > 1:  # rows at or below k-1 of column j are zero, and stay zero
             # the rows of the C-ordered buffer are the columns of Uᵀ, read
@@ -301,13 +287,6 @@ class ArnoldiDecomposition:
     def basis_k(self) -> np.ndarray:
         """The projection basis Q_k (first k columns)."""
         return _readonly(self._ws.Q[:, : self.k])
-
-    @property
-    def next_vector(self) -> np.ndarray:
-        """q_{k+1}, the residual direction (absent after breakdown)."""
-        if self.breakdown:
-            raise DomainError("no q_{k+1} exists after a breakdown")
-        return _readonly(self._ws.Q[:, self.k])
 
     @property
     def hessenberg(self) -> np.ndarray:
@@ -444,11 +423,11 @@ def arnoldi(M, b, steps: int) -> ArnoldiDecomposition:
 def _shifted_invsqrt_e1(h: np.ndarray, log_det_ratio: float) -> np.ndarray:
     """H^{-1/2} e_1 = (1/pi) int_0^inf s^{-1/2} (H + sI)^{-1} e_1 ds, with
     the shifted solves of :func:`bounds.shifted_solve_e1`, over s = c x^3:
-    c = |det H|^{1/k} (``log_det_ratio`` = log|det H| - sum_i
-    log|h_{i+1,i}|, see :meth:`_HessenbergLU.log_det_ratios`) centres the integrand
-    3 sqrt(c x) (H + c x^3 I)^{-1} e_1 on the eigenvalues' geometric mean
-    (Hale, Higham and Trefethen, SINUM 2008).  A missed tolerance raises
-    NoConvergence."""
+    c = |det H|^{1/k} centres the integrand 3 sqrt(c x) (H + c x^3 I)^{-1}
+    e_1 on the eigenvalues' geometric mean (Hale, Higham and Trefethen,
+    SINUM 2008).  ``log_det_ratio`` is log|det H| - sum_i log|h_{i+1,i}|,
+    the array :meth:`_HessenbergLU.log_det_ratios` returns for [k].  A
+    missed tolerance raises NoConvergence."""
     c = np.exp((log_det_ratio + np.log(np.abs(np.diagonal(h, -1))).sum()) / h.shape[0])
     q = bnd.quad_semi_infinite(lambda x: 3.0 * np.sqrt(c * x) * bnd.shifted_solve_e1(h, c * x**3),
                                SHIFTED_ACTION_QUAD)
@@ -481,7 +460,7 @@ def fun_coefficients(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndarra
         raise DomainError(f"unknown function tag {f!r}")
     h = decomp.hessenberg
     if decomp.k > SHIFTED_ACTION_MIN_K and decomp.bendixson_order == decomp.k:
-        log_det_ratio = decomp._ws.factor().log_det_ratios([decomp.k])[0][0]
+        log_det_ratio = decomp._ws.factor().log_det_ratios([decomp.k])[0]
         y = decomp.b_norm * _shifted_invsqrt_e1(h, log_det_ratio)
         return h @ y if f == "sqrt" else y
     spec = decomp.ritz_schur
@@ -534,29 +513,24 @@ def arnoldi_fun_action(decomp: ArnoldiDecomposition, f: str = "sqrt") -> np.ndar
 
 
 def _residuals(decomp: ArnoldiDecomposition, ks):
-    """FOM residual norms and coefficients at each k in ks (ascending) by
-    the determinant formula: the residual for M x = b at step k is
-    coefficient * q_{k+1} with coefficient
-    = (-1)^k (prod_j h_{j+1,j}) ||b|| / det(H_k), accumulated in log
-    space as h_{k+1,k} ||b|| over the ratio form of log|det H_k|.  A zero
-    subdiagonal up to h_{k+1,k} gives residual 0."""
+    """FOM residual norms and coefficients at each k in ks (ascending): by
+    the Arnoldi relation the residual for M x = b at step k is
+    coefficient * q_{k+1} with coefficient -h_{k+1,k} e_kᵀ y_k, y_k the
+    FOM coefficients ||b|| H_k⁻¹ e_1 (Saad, Iterative Methods for Sparse
+    Linear Systems, Prop. 6.7), whose last entries
+    (:meth:`_HessenbergLU.last_entries`) need no triangular solve."""
     ks = np.asarray(ks)
-    subs = decomp.subdiagonals
-    zero = np.logical_or.accumulate(subs == 0.0)[ks - 1]
-    ratio, phase = decomp._ws.factor().log_det_ratios(ks, exempt=zero)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = (-1.0) ** ks * np.exp(np.log(subs[ks - 1]) + np.log(decomp.b_norm) - ratio)
-        coef = np.where(zero, 0.0, coef * np.conj(phase))
+    coef = -decomp.subdiagonals[ks - 1] * decomp._ws.factor().last_entries(ks, decomp.b_norm)
     return np.abs(coef), coef
 
 
 def fom_residual_norm(decomp: ArnoldiDecomposition):
-    """FOM residual via the determinant formula; returns (norm, coefficient).
+    """FOM residual from the last FOM coefficient; returns (norm, coefficient).
 
     The residual for M x = b at step k is coefficient * q_{k+1} with
-    coefficient = (-1)^k (prod_j h_{j+1,j}) ||b|| / det(H_k); the products
-    are accumulated in log space.  The one-k case of the residuals of
-    :func:`fom_reports`.
+    coefficient = -h_{k+1,k} e_kᵀ y_k, y_k = ||b|| H_k⁻¹ e_1.  A
+    numerically singular H_k raises SingularMatrix, as the FOM iterate
+    does.  The one-k case of the residuals of :func:`fom_reports`.
     """
     if decomp.k == 0:
         raise DomainError("decomposition has no completed steps")
@@ -629,13 +603,13 @@ def fom_reports(decomp: ArnoldiDecomposition, ks, x_exact, reference=None,
     residual, the FOM error xi against ``x_exact`` and, with a
     ``reference`` action, the true error of the f-action.
 
-    One pass over the kept Hessenberg LU factor serves every k: the
-    residuals are cumulative sums over its pivots
-    (:meth:`_HessenbergLU.log_det_ratios`), the FOM coefficients one
-    triangular solve, and xi and the error one product with Q_K each, K
-    the largest k of the list, whatever was asked before.  The f-action
-    coefficients are computed once per snapshot and f.  A failure raises
-    the error of the smallest failing k, as the list of that k alone would.
+    The kept Hessenberg LU factor serves every k: the residuals are the
+    last FOM coefficients (:meth:`_HessenbergLU.last_entries`, a cumulative
+    product over its steps), the FOM coefficients one triangular solve,
+    and xi and the error one product with Q_K each, K the largest k of the
+    list, whatever was asked before.  The f-action coefficients are
+    computed once per snapshot and f.  A failure raises the error of the
+    smallest failing k, as the list of that k alone would.
     """
     return _prefix_snapshots(decomp, ks, x_exact, reference, f)[0]
 
@@ -779,7 +753,7 @@ def find_stop_k(M, b, tol: float, *, quad_cfg: bnd.QuadratureConfig | None = Non
         if sub.bendixson_order < k:
             bnd.require_right_half_plane(sub.ritz.values)
         val = bnd.bound_posterior_det(sub.hessenberg, xi(k), quad_cfg,
-                                      sub._ws.factor().log_det_ratios([k])[0][0])
+                                      sub._ws.factor().log_det_ratios([k])[0])
         if xi(k) > 0.0:
             scale = val / xi(k)
         if val <= tol:
@@ -843,7 +817,6 @@ def run_adaptive(
     stop=None,
     k_max: int = 100,
     quad_cfg=None,
-    check_every: int = 1,
     error_oracle: bool = False,
 ) -> AdaptiveResult:
     """The action f(M) b at the first k where the stopping rule holds, with
@@ -851,16 +824,15 @@ def run_adaptive(
 
     A ``BoundAbsolute`` rule runs :func:`find_stop_k`, with no Ritz solve
     per step; ``f`` other than ``sqrt`` (the bounds bound the sqrt action)
-    or ``check_every`` other than 1 raises DomainError.  Its history is the
-    :func:`fom_reports` row of k with ``posterior_ritz`` set to the
-    value the search compared with tol (0 at a happy breakdown); every
-    other bound field is None.  A ``ResidualRelative`` rule extends Arnoldi
-    ``check_every`` steps at a time and stops on the FOM residual alone; a
-    happy breakdown stops it, the action being exact on the invariant
-    subspace.  Its history reports every checked k, built after the loop
-    by :func:`prefix_reports` (one batch of bound quadratures).  Neither
-    stop computes sigma_max, so ``apriori_gamma``, ``sigma_max_used`` and
-    the Hermitian fields stay None.
+    raises DomainError.  Its history is the :func:`fom_reports` row of k
+    with ``posterior_ritz`` set to the value the search compared with tol
+    (0 at a happy breakdown); every other bound field is None.  A
+    ``ResidualRelative`` rule checks the FOM residual after every Arnoldi
+    step and stops on it alone; a happy breakdown stops it, the action
+    being exact on the invariant subspace.  Its history reports every k,
+    built after the loop by :func:`prefix_reports` (one batch of bound
+    quadratures).  Neither stop computes sigma_max, so ``apriori_gamma``,
+    ``sigma_max_used`` and the Hermitian fields stay None.
 
     M must have an exact solve (dense or tridiagonal) because the bounds
     consume the exact FOM error norm; a matvec-only operator raises
@@ -874,16 +846,11 @@ def run_adaptive(
     stop = stop if stop is not None else ResidualRelative(1e-2)
     if k_max < 2:
         raise DomainError("k_max must be >= 2")
-    if check_every < 1:
-        raise DomainError("check_every must be >= 1")
     if f not in _ORACLES:
         raise DomainError(f"unknown function tag {f!r}")
     if isinstance(stop, BoundAbsolute):
         if f != "sqrt":
             raise DomainError(f"the stopping bounds bound the sqrt action, not f = {f!r}")
-        if check_every != 1:
-            raise DomainError("check_every applies to a residual stop; a bound stop "
-                              "probes the k it needs")
     elif not isinstance(stop, ResidualRelative):
         raise DomainError(f"unknown stopping rule {stop!r}")
     op = linalg.as_operator(M)
@@ -901,14 +868,13 @@ def run_adaptive(
 
     x_exact = op.solve(rhs)
     state = arnoldi_start(rhs, capacity=min(k_max, 256))
-    checked: list = []
     converged = False
     while not converged and state.k < k_max:
-        state = arnoldi_extend(op, state, min(check_every, k_max - state.k))
-        checked.append(state.k)
+        state = arnoldi_extend(op, state, 1)
         converged = state.breakdown or fom_residual_norm(state)[0] / state.b_norm <= stop.tol
     # the action first: a Schur form it computes gives the last row its Ritz values
     result = arnoldi_fun_action(state, f)
-    history = prefix_reports(state, checked, x_exact, None, quad_cfg, reference=reference, f=f)
+    history = prefix_reports(state, range(1, state.k + 1), x_exact, None, quad_cfg,
+                             reference=reference, f=f)
     return AdaptiveResult(result=result, history=history, k=state.k,
                           converged=converged, breakdown=state.breakdown)

@@ -55,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--stop", default="residual", choices=("residual", "bound"))
     p_approx.add_argument("--tol", type=float, default=1e-2)
     p_approx.add_argument("--kmax", type=int, default=200)
-    p_approx.add_argument("--check-every", type=int, default=1,
-                          help="steps between checks of --stop residual")
     p_approx.add_argument("--out", default=".", help="output directory")
 
     p_exp = sub.add_parser("experiment", help="run a configured experiment")
@@ -105,8 +103,7 @@ def _cmd_approx(args) -> int:
         b = np.ones(M.shape[0])
     rule = arn.ResidualRelative if args.stop == "residual" else arn.BoundAbsolute
     stop = rule(args.tol)
-    result = arn.run_adaptive(M, b, f=args.f, stop=stop, k_max=args.kmax,
-                              check_every=args.check_every)
+    result = arn.run_adaptive(M, b, f=args.f, stop=stop, k_max=args.kmax)
     os.makedirs(args.out, exist_ok=True)
     write_matrix_market(os.path.join(args.out, "result.mtx"), result.result,
                         comment=f"f={args.f} k={result.k}")

@@ -9,10 +9,6 @@ class SingularMatrix(KrylovSqrtError):
     """A direct solve hit a pivot that is numerically zero."""
 
 
-class SingularProjectedMatrix(KrylovSqrtError):
-    """det(H_k) underflowed relative to the subdiagonal scale."""
-
-
 class NoConvergence(KrylovSqrtError):
     """An iterative kernel exhausted its iteration budget."""
 

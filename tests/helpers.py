@@ -131,9 +131,10 @@ def shifted_fom_quantities(decomp, a: np.ndarray, b: np.ndarray,
                            z: complex) -> ShiftedFomQuantities:
     """The shift identities at z for the FOM residual and error of an
     Arnoldi decomposition of the dense matrix ``a``: the unshifted side is
-    the package's (determinant-formula residual, FOM iterate), while the
-    determinants come from ``np.linalg.slogdet`` and every shifted or dense
-    solve from ``np.linalg.solve``, not from the package's Hessenberg LU."""
+    the package's (residual from the last FOM coefficient, FOM iterate),
+    while the determinants come from ``np.linalg.slogdet`` and every
+    shifted or dense solve from ``np.linalg.solve``, not from the
+    package's Hessenberg LU."""
     k, n = decomp.k, a.shape[0]
     h_z = decomp.hessenberg - z * np.eye(k)
     sign_h, log_h = np.linalg.slogdet(decomp.hessenberg)
@@ -141,7 +142,7 @@ def shifted_fom_quantities(decomp, a: np.ndarray, b: np.ndarray,
     ratio = np.exp(log_h - log_hz) * sign_h / sign_hz
 
     _, coef = arn.fom_residual_norm(decomp)
-    r0 = coef * decomp.next_vector
+    r0 = coef * decomp.basis[:, k]
     xi0 = np.linalg.solve(a, b) - arn.fom_iterate(decomp)
 
     a_z = a - z * np.eye(n)

@@ -15,7 +15,6 @@ from krylov_sqrt.errors import (
     NoConvergence,
     NonFiniteEntry,
     SingularMatrix,
-    SingularProjectedMatrix,
     TooLarge,
     UnsupportedContext,
 )
@@ -38,7 +37,7 @@ def check_invariants(M, state):
     assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) <= 1e-10 * (k + 1)
     rel = a @ Qk - Qk @ H
     if not state.breakdown:
-        rel = rel - state.subdiag * np.outer(state.next_vector, np.eye(k)[k - 1])
+        rel = rel - state.subdiag * np.outer(state.basis[:, k], np.eye(k)[k - 1])
     assert np.linalg.norm(rel) <= 1e-10 * np.linalg.norm(a)
     assert np.linalg.norm(Qk.conj().T @ a @ Qk - H) <= 1e-10 * np.linalg.norm(a)
 
@@ -272,7 +271,7 @@ class TestShiftedAction:
         sweeps = record_hyman_sweeps(monkeypatch)
         want = s_variable_invsqrt_e1(h)
         s_sweeps = len(sweeps)
-        got = arn._shifted_invsqrt_e1(h, state._ws.factor().log_det_ratios([k])[0][0])
+        got = arn._shifted_invsqrt_e1(h, state._ws.factor().log_det_ratios([k])[0])
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         assert (s_sweeps, len(sweeps) - s_sweeps) == sweeps_s_then_x
 
@@ -341,7 +340,7 @@ class TestFomResidual:
         assert coef == pytest.approx(-1.0 / 3.0, rel=1e-12)
         # the coefficient times q_{k+1} is exactly the direct residual
         direct = b - np.diag([1.0, 2.0]) @ arn.fom_iterate(state)
-        np.testing.assert_allclose(coef * state.next_vector, direct, atol=1e-14)
+        np.testing.assert_allclose(coef * state.basis[:, state.k], direct, atol=1e-14)
 
     @pytest.mark.parametrize("seed,k", [(1, 5), (2, 5), (3, 8), (4, 2), (5, 10)])
     def test_formula_vs_direct(self, seed, k):
@@ -351,8 +350,21 @@ class TestFomResidual:
         norm, coef = arn.fom_residual_norm(state)
         direct = b - a @ arn.fom_iterate(state)
         assert norm == pytest.approx(np.linalg.norm(direct), rel=1e-10)
-        np.testing.assert_allclose(coef * state.next_vector, direct,
+        np.testing.assert_allclose(coef * state.basis[:, state.k], direct,
                                    atol=1e-10 * np.linalg.norm(direct))
+
+    def test_complex_matrix_vs_direct(self):
+        # the coefficient's phase: -h_{k+1,k} times a complex last FOM entry
+        a = complex_dense(60)
+        b = np.ones(60)
+        state = arn.arnoldi(a, b, 17)
+        for k in (1, 2, 5, 17):
+            sub = state.prefix(k)
+            coef = arn.fom_residual_norm(sub)[1]
+            direct = b - a @ arn.fom_iterate(sub)
+            assert np.iscomplexobj(direct) and coef.imag != 0.0
+            assert (np.linalg.norm(coef * state.basis[:, k] - direct)
+                    <= 1e-9 * np.linalg.norm(direct))
 
 
 def spy_dense_lu(monkeypatch) -> list:
@@ -392,17 +404,25 @@ class TestHessenbergLU:
         assert orders == []  # one Hessenberg factor served every prefix
 
     @pytest.mark.parametrize("name", ["convdiff-120", "complex-dense"])
+    def test_residual_is_the_last_fom_coefficient(self, name):
+        M = matgen.convection_diffusion(120, 0.1) if name == "convdiff-120" else complex_dense(60)
+        state = arn.arnoldi(M, np.ones(M.shape[0]), M.shape[0])
+        for k in range(1, state.k + 1):
+            sub = state.prefix(k)
+            coef = arn.fom_residual_norm(sub)[1]
+            assert coef == -sub.subdiag * arn.fun_coefficients(sub, "inverse")[-1]
+
+    @pytest.mark.parametrize("name", ["convdiff-120", "complex-dense"])
     def test_prefix_logdet_matches_slogdet(self, name):
         M = matgen.convection_diffusion(120, 0.1) if name == "convdiff-120" else complex_dense(60)
         state = arn.arnoldi(M, np.ones(M.shape[0]), M.shape[0])
         lu = arn._HessenbergLU()
         lu.extend(state.hessenberg, state.k)
-        ratios, phases = lu.log_det_ratios(range(1, state.k + 1))  # every k from one pass
+        ratios = lu.log_det_ratios(range(1, state.k + 1))  # every k from one pass
         log_subs = np.append(0.0, np.cumsum(np.log(state.subdiagonals)))
         for k in range(1, state.k + 1):
-            sign, want = np.linalg.slogdet(state.hessenberg[:k, :k])
+            want = np.linalg.slogdet(state.hessenberg[:k, :k])[1]
             assert ratios[k - 1] + log_subs[k - 1] == pytest.approx(want, rel=1e-12, abs=1e-12)
-            assert abs(phases[k - 1] - sign) <= 1e-10
 
     def test_extension_matches_one_pass(self):
         a = complex_dense(40)
@@ -464,7 +484,7 @@ class TestHessenbergLU:
         np.testing.assert_allclose(arn.fom_iterate(state), [0.0, 1.0], atol=1e-15)
         with pytest.raises(SingularMatrix):
             arn.fom_iterate(state.prefix(1))
-        with pytest.raises(SingularProjectedMatrix):
+        with pytest.raises(SingularMatrix):
             arn.fom_residual_norm(state.prefix(1))
         assert orders == []
 
@@ -615,31 +635,30 @@ class TestFomReports:
 
     def test_one_solve_for_many_prefixes(self, monkeypatch):
         # 24 prefixes read the factor once: one triangular solve (of order
-        # the largest k, less one), one pass of cumulative sums, no per-k solve
+        # the largest k, less one), no per-k solve
         a = make_pd_matrix(6, 120)[0]
         b = np.ones(120)
         state = arn.arnoldi(a, b, 50)
         ks = list(range(4, 52, 2))
-        solves, passes, lu_solves = [], [], []
+        solves, lu_solves = [], []
         trtrs = arn.sla.lapack.dtrtrs
         monkeypatch.setattr(arn.sla.lapack, "dtrtrs",
                             lambda u, y, **kw: solves.append((u.shape[1], y.shape[1]))
                             or trtrs(u, y, **kw))
-        ratios, solve_e1 = arn._HessenbergLU.log_det_ratios, arn._HessenbergLU.solve_e1
-        monkeypatch.setattr(arn._HessenbergLU, "log_det_ratios",
-                            lambda lu, ks, **kw: passes.append(list(ks)) or ratios(lu, ks, **kw))
+        solve_e1 = arn._HessenbergLU.solve_e1
         monkeypatch.setattr(arn._HessenbergLU, "solve_e1",
                             lambda lu, ks, *args: lu_solves.append(list(ks))
                             or solve_e1(lu, ks, *args))
         reports = arn.prefix_reports(state, ks, np.linalg.solve(a, b), None)
         assert [rep.k for rep in reports] == ks
-        assert solves == [(49, 24)] and passes == lu_solves == [ks]
+        assert solves == [(49, 24)] and lu_solves == [ks]
 
     def test_singular_prefix_raises_as_the_one_k_path(self):
-        # H_2 has a last pivot of 1.2e-14: SingularMatrix by the pivot rule
-        # of the FOM solve, while its residual passes the 1e-14 rule.  H_4
-        # has two equal columns: SingularProjectedMatrix from its residual.
-        # A batch raises what the lone k = 2 raises, however it is ordered.
+        # H_2 has a last pivot of 1.2e-14, below 1e-14 times its largest
+        # row norm (about 1.41), and H_4 two equal columns: both
+        # SingularMatrix by the one pivot rule, for the residual as for the
+        # FOM solve.  A batch raises what the lone smallest failing k
+        # raises, however it is ordered.
         delta = 1.2e-14
         h = np.array([[1.0, 1.0, 1e6, 1.0, 0.0],
                       [1.0, 1.0 + delta, 1e6, 1.0, 0.0],
@@ -647,17 +666,23 @@ class TestFomReports:
                       [0.0, 0.0, 1.0, 0.0, 1.0],
                       [0.0, 0.0, 0.0, 1.0, 2.0]])
         state = hessenberg_state(h)
+        for k in (2, 4):
+            with pytest.raises(SingularMatrix):
+                arn.fom_iterate(state.prefix(k))
+            with pytest.raises(SingularMatrix):
+                arn.fom_residual_norm(state.prefix(k))
         x_exact = np.ones(5)
         with pytest.raises(SingularMatrix) as one:
             arn.fom_reports(state, [2], x_exact)
-        with pytest.raises(SingularProjectedMatrix):
+        with pytest.raises(SingularMatrix) as four:
             arn.fom_reports(state, [4], x_exact)
         for ks in ([1, 2, 3, 4, 5], [5, 4, 2], [4, 2]):
             with pytest.raises(SingularMatrix) as batch:
                 arn.fom_reports(state, ks, x_exact)
             assert str(batch.value) == str(one.value)
-        with pytest.raises(SingularProjectedMatrix):
+        with pytest.raises(SingularMatrix) as batch:
             arn.fom_reports(state, [1, 4, 5], x_exact)
+        assert str(batch.value) == str(four.value)
 
     def test_vectors_of_another_length_are_refused(self):
         # x_exact and reference must be n-vectors, not broadcast against Q_K
@@ -793,12 +818,6 @@ class TestRunAdaptive:
             with pytest.raises(DomainError, match="tolerance"):
                 make(tol)
         assert steps == []
-
-    def test_bound_stop_rejects_check_every(self):
-        a, _, _ = make_pd_matrix(12, 60)
-        with pytest.raises(DomainError, match="check_every"):
-            arn.run_adaptive(a, np.ones(60), stop=arn.BoundAbsolute(tol=1.0), k_max=59,
-                             check_every=2)
 
     def test_bound_stop_matches_scan(self):
         # run_adaptive's search against an independent scan of every k

@@ -643,7 +643,7 @@ class TestCsv:
     @pytest.mark.parametrize("raw, steps, digest", [
         ({"experiment": "convdiff_table", "n_values": [40, 60, 120], "eta": 0.5},
          {"40": 32, "60": 47, "120": 94},
-         "e186dafae12102c145ec676c24d7bef63da007c55aa4f06504946c4250b96f63"),
+         "3c35506bfb17edd0714669519ee0f17bd03a65dc3a534994107e695e6c15b61d"),
         ({"experiment": "scaling_vs_k", "n_values": [60, 120], "eta": 0.1, "k_samples": 8},
          {"60": 53, "120": 106},
          "785b8431ac867cf9128231fbdd40d588c5da123a4c7b242e38ae8d2db5901397"),
@@ -670,13 +670,13 @@ class TestCsv:
         ({"experiment": "bounds_vs_k", "seed": 5, "k_max": 25,
           "matrix": {"type": "spectrum", "kind": "uniform", "n": 80, "lo": 1.0,
                      "hi": 1000.0, "skew": True}},
-         "3a0197202febb83b5767a95df83b55986812bb3da4a9a2990c334e8e2010d5b1"),
+         "994ebfc7ff4ce2e54cd2ee52e8d1b62ea08acb0b247594827d304debada8a221"),
         ({"experiment": "hermitian_compare", "seed": 6, "k_max": 25,
           "matrix": {"type": "spectrum", "kind": "clustered", "n": 80, "cluster_center": 10.0,
                      "cluster_std": 1.0, "cluster_fraction": 0.95,
                      "outlier_center": 1000.0, "outlier_std": 100.0},
           "rhs": {"kind": "eig_average", "count": 40}},
-         "bcef27683bbd6f00459bed070e95e23543875657527147cf0798c93f7f0f4d0d"),
+         "2a9cbb3b4d7d0c064cf7bb62f3426b43cb55b9582e577610793f76cc797ddf34"),
     ], ids=["scaling_vs_sigma", "perturbed_validity", "bounds_vs_k", "hermitian_compare"])
     def test_csv_bytes_pinned(self, tmp_path, raw, digest):
         # experiments without a search: their CSV bytes are pinned as they
@@ -818,14 +818,19 @@ class TestCli:
                          "--kmax", "24", "--out", str(tmp_path / "r")]) == 0
         assert "final posterior_ritz = " in capsys.readouterr().out
 
-    def test_approx_residual_stop_rejects_bound_kind(self, tmp_path, capsys):
+    @pytest.mark.parametrize("option, value", [("--bound-kind", "posterior_modulus"),
+                                               ("--check-every", "2")],
+                             ids=["bound_kind", "check_every"])
+    def test_approx_residual_stop_rejects_removed_options(self, tmp_path, capsys, option,
+                                                          value):
+        # a residual stop checks every k; it has no bound kind
         mtx = str(tmp_path / "m.mtx")
         cli_main(["matgen", "--kind", "uniform", "--n", "24", "--seed", "3", "--out", mtx])
         with pytest.raises(SystemExit) as exit_info:
-            cli_main(["approx", "--matrix-file", mtx, "--stop", "residual", "--bound-kind",
-                      "posterior_modulus", "--out", str(tmp_path / "r")])
+            cli_main(["approx", "--matrix-file", mtx, "--stop", "residual", option, value,
+                      "--out", str(tmp_path / "r")])
         assert exit_info.value.code == 1
-        assert "unrecognized arguments: --bound-kind" in capsys.readouterr().err
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "r")
         assert cli_main(["approx", "--matrix-file", mtx, "--stop", "residual",
                          "--out", str(tmp_path / "r")]) == 0
