@@ -686,6 +686,13 @@ def find_stop_k(M, b, tol: float, *, quad_cfg: bnd.QuadratureConfig | None = Non
     - After GUIDED_PROBES guided probes that leave the search open, every
       other probe is the bracket midpoint (or the checkpoint, built in
       full), so the worst case stays at O(log k) probes.
+    - A probe below the cap settles: its quadrature stops after the first
+      pass whose lower end is above tol (``above`` of
+      :func:`bounds.bound_posterior_det`), and that pass's central
+      estimate sets C.  A settled value is a decision and is never
+      returned.  A probe that does not settle, and the probe at the cap,
+      whose bound is returned when the budget runs out, integrate to the
+      tolerance of ``quad_cfg``.
 
     The result is an exact crossing: the bound is <= tol at k_stop and
     > tol at k_stop - 1 (or k_stop = 1).  A happy breakdown at step k
@@ -753,7 +760,8 @@ def find_stop_k(M, b, tol: float, *, quad_cfg: bnd.QuadratureConfig | None = Non
         if sub.bendixson_order < k:
             bnd.require_right_half_plane(sub.ritz.values)
         val = bnd.bound_posterior_det(sub.hessenberg, xi(k), quad_cfg,
-                                      sub._ws.factor().log_det_ratios([k])[0])
+                                      sub._ws.factor().log_det_ratios([k])[0],
+                                      above=None if k == k_cap else tol)
         if xi(k) > 0.0:
             scale = val / xi(k)
         if val <= tol:
@@ -854,7 +862,6 @@ def run_adaptive(
     elif not isinstance(stop, ResidualRelative):
         raise DomainError(f"unknown stopping rule {stop!r}")
     op = linalg.as_operator(M)
-    k_max = min(k_max, op.shape[0])
     rhs = np.asarray(b, dtype=np.complex128 if np.iscomplexobj(b) else np.float64)
     reference = _ORACLES[f](op, rhs) if error_oracle else None
 
@@ -867,6 +874,7 @@ def run_adaptive(
                               converged=bound <= stop.tol, breakdown=state.breakdown)
 
     x_exact = op.solve(rhs)
+    k_max = min(k_max, op.shape[0])
     state = arnoldi_start(rhs, capacity=min(k_max, 256))
     converged = False
     while not converged and state.k < k_max:

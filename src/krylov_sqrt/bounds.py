@@ -117,7 +117,8 @@ def _gauss_kronrod_21(g, owner: np.ndarray, left: np.ndarray, width: np.ndarray)
     return (half * kronrod).T, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
 
 
-def _quad_batch(integrand, count: int, cfg: QuadratureConfig | None = None) -> list:
+def _quad_batch(integrand, count: int, cfg: QuadratureConfig | None = None,
+                floor: np.ndarray | None = None) -> list:
     """One QuadResult per integral of :func:`quad_semi_infinite` for
     ``count`` independent integrals; ``integrand(x, owner)`` also gets the
     index of the integral each abscissa belongs to.  Each integral keeps
@@ -126,7 +127,9 @@ def _quad_batch(integrand, count: int, cfg: QuadratureConfig | None = None) -> l
     new nodes of all open integrals in one integrand call, and a few array
     operations update every integral's total, error, tolerance and share:
     a total sums a zero-padded intervals-by-integrals array in interval
-    order, so a lone integral's is that of its intervals, bit for bit."""
+    order, so a lone integral's is that of its intervals, bit for bit.
+    With a ``floor`` per (scalar) integral, one whose total minus error
+    exceeds its floor after a pass also closes, its tolerance perhaps unmet."""
     cfg = cfg or QuadratureConfig()
 
     def by_integral(a: np.ndarray, slot: tuple, shape: tuple) -> np.ndarray:
@@ -154,6 +157,8 @@ def _quad_batch(integrand, count: int, cfg: QuadratureConfig | None = None) -> l
         slot = (np.arange(owner.size) - (np.cumsum(intervals) - intervals)[owner], owner)
         total, total_err = (by_integral(a, slot, (intervals.max(), count)) for a in (value, err))
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * size(total))
+        if floor is not None:
+            is_open &= ~(total - total_err > floor)
         # error above which an interval is bisected
         share = np.where(is_open & (total_err > tol), tol / intervals, np.inf)
         worst = np.flatnonzero(err > share[owner])
@@ -206,12 +211,16 @@ def _ritz_values(ritz) -> np.ndarray:
 
 
 def _certified_integrals(log_gamma, k: int, block: int, xi_norms, label,
-                         cfg: QuadratureConfig | None) -> list:
+                         cfg: QuadratureConfig | None, above: float | None = None) -> list:
     """(I_j + estimated error) * xi_j / pi for each integral j of a batch, I_j
     the integral over (0, inf) of sqrt(x) |gamma_j(x)|, with
     ``log_gamma(x, owner)`` mapping a block of nodes to log|gamma| there;
     blocks keep its temporary of at most k rows at ``block`` elements.  A
-    missed tolerance raises NoConvergence naming integral j by ``label(j)``."""
+    missed tolerance raises NoConvergence naming integral j by ``label(j)``.
+
+    With ``above``, integral j settles at the first pass whose I_j minus
+    estimated error exceeds above * pi / xi_j, its entry then the central
+    I_j * xi_j / pi (see :func:`bound_posterior_det`)."""
     step = max(1, block // k)
 
     def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -221,12 +230,18 @@ def _certified_integrals(log_gamma, k: int, block: int, xi_norms, label,
             out[s:s + step] = np.sqrt(xb) * np.exp(log_gamma(xb, owner[s:s + step]))
         return out
 
-    results = _quad_batch(integrand, len(xi_norms), cfg)
-    for j, q in enumerate(results):
-        if not q.tolerance_met:
+    floor = None if above is None else np.array(
+        [math.pi * above / xi if xi > 0.0 else math.inf for xi in xi_norms])
+    out = []
+    for j, (q, xi) in enumerate(zip(_quad_batch(integrand, len(xi_norms), cfg, floor), xi_norms)):
+        if floor is not None and q.value - q.estimated_error > floor[j]:
+            out.append(q.value / math.pi * xi)  # settled
+        elif not q.tolerance_met:
             raise NoConvergence(f"{label(j)} missed its tolerance (estimated error "
                                 f"{q.estimated_error:.3e} on {q.value:.6e})")
-    return [(q.value + q.estimated_error) / math.pi * xi for q, xi in zip(results, xi_norms)]
+        else:
+            out.append((q.value + q.estimated_error) / math.pi * xi)
+    return out
 
 
 def _product_factors(items):
@@ -365,7 +380,8 @@ def shifted_solve_e1(H, shifts) -> np.ndarray:
 
 
 def bound_posterior_det(H, xi_norm: float, cfg: QuadratureConfig | None = None,
-                        log_det_ratio: float | None = None) -> float:
+                        log_det_ratio: float | None = None, *,
+                        above: float | None = None) -> float:
     """:func:`bound_posterior_ritz` of the Ritz values of H, from
     determinants instead: prod_i |l_i/(l_i+x)| = |det H / det(H + xI)|,
     evaluated by Hyman's method for all nodes of a quadrature pass at once.
@@ -376,6 +392,13 @@ def bound_posterior_det(H, xi_norm: float, cfg: QuadratureConfig | None = None,
     :func:`linalg.bendixson_order`.  A ``log_det_ratio``
     = log|det H| - sum_i log|h_{i+1,i}| that the caller has (from an LU
     factor) saves the Hyman sweep at x = 0.
+
+    A caller that only asks whether the bound exceeds some ``above`` may
+    pass it: the quadrature then stops after the first pass whose lower
+    end, (I - estimated error) * xi / pi, exceeds ``above``, and returns
+    that pass's central estimate I * xi / pi.  Such a settled value, always
+    above ``above``, is a decision, not a bound, and must never be
+    reported; a value at or below ``above`` is the certified bound.
     """
     h = np.asarray(H)
     if h.shape[0] < 2:
@@ -384,7 +407,7 @@ def bound_posterior_det(H, xi_norm: float, cfg: QuadratureConfig | None = None,
     return _certified_integrals(lambda xb, _: log_det0 - _hyman_log_alpha(h, xb),
                                 h.shape[0], _HYMAN_BLOCK_ELEMENTS, [xi_norm],
                                 lambda _: f"determinant bound integral at k = {h.shape[0]}",
-                                cfg)[0]
+                                cfg, above)[0]
 
 
 def bound_posterior_modulus(ritz, xi_norm: float, cfg: QuadratureConfig | None = None) -> float:

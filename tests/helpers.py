@@ -32,7 +32,7 @@ def record_quad_batches(monkeypatch) -> list:
     [integrand calls, one QuadResult per integral]."""
     log, plain = [], bnd._quad_batch
 
-    def recorded(integrand, count, cfg=None):
+    def recorded(integrand, count, cfg=None, floor=None):
         entry = [0, None]
         log.append(entry)
 
@@ -40,7 +40,7 @@ def record_quad_batches(monkeypatch) -> list:
             entry[0] += 1
             return integrand(x, owner)
 
-        entry[1] = plain(counted, count, cfg)
+        entry[1] = plain(counted, count, cfg, floor)
         return entry[1]
 
     monkeypatch.setattr(bnd, "_quad_batch", recorded)

@@ -794,6 +794,14 @@ class TestRunAdaptive:
         assert res.k == 5
         assert res.result.shape == (40,)
 
+    def test_bound_stop_on_order_one_matrix(self):
+        # the search caps at n itself and stops at the happy breakdown
+        # k = 1; the user's k_max used to be cut to 1 and rejected
+        res = arn.run_adaptive(np.array([[4.0]]), np.array([2.0]), stop=arn.BoundAbsolute(1e-6))
+        assert (res.k, res.converged, res.breakdown) == (1, True, True)
+        np.testing.assert_allclose(res.result, [4.0], rtol=1e-15)
+        assert res.history[-1].posterior_ritz == 0.0
+
     def test_history_reports_every_step(self):
         a, _, _ = make_pd_matrix(14, 30)
         res = arn.run_adaptive(a, np.ones(30), stop=arn.ResidualRelative(1e-14), k_max=8)

@@ -649,6 +649,19 @@ class TestDeterminantBound:
         got = lu.log_det_ratios([k])[0]
         assert got == pytest.approx(mp_log_det_ratio(h), rel=0.0, abs=3e-13)
 
+    def test_above_settles_a_decision(self, convdiff_h90, monkeypatch):
+        # a bound far above `above` stops after the first pass (one sweep
+        # at x = 0, one for the pass) with that pass's central estimate; a
+        # lower end never exceeds the certified I + err, so above = the
+        # bound, or xi = 0, leaves the plain call's value
+        full = bnd.bound_posterior_det(convdiff_h90, 0.7)
+        sweeps = record_hyman_sweeps(monkeypatch)
+        settled = bnd.bound_posterior_det(convdiff_h90, 0.7, above=0.01 * full)
+        assert len(sweeps) == 2 and settled > 0.01 * full and settled != full
+        assert settled == pytest.approx(full, rel=0.1)
+        assert bnd.bound_posterior_det(convdiff_h90, 0.7, above=full) == full
+        assert bnd.bound_posterior_det(convdiff_h90, 0.0, above=1e-300) == 0.0
+
     def test_errors(self, convdiff_h90):
         with pytest.raises(DivergentIntegral):
             bnd.bound_posterior_det(np.array([[2.0]]), 1.0)

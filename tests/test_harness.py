@@ -324,10 +324,66 @@ class TestFindStopK:
             exp.find_stop_k(tri, np.ones(39), 0.05, k_max=k_max)
 
     def test_budget_exhausted_returns_cap(self):
+        # no k up to the cap reaches tol: the bound at the cap is returned,
+        # printed and written to the table, so the probe there integrates to
+        # tolerance however far above tol it lies
         tri = matgen.convection_diffusion(40, 0.5)
-        b = np.ones(39)
-        state, k_stop, val, _ = exp.find_stop_k(tri, b, 1e-30, k_max=8)
-        assert k_stop == 8 and val > 1e-30
+        b, tol = np.ones(39), 1e-30
+        state, k_stop, val, x_exact = exp.find_stop_k(tri, b, tol, k_max=8)
+        sub = state.prefix(8)
+        want = bnd.bound_posterior_det(sub.hessenberg, arn.fom_error(sub, x_exact), None,
+                                       sub._ws.factor().log_det_ratios([8])[0])
+        assert k_stop == 8 and val == want and val > tol
+        res = arn.run_adaptive(tri, b, stop=arn.BoundAbsolute(tol), k_max=8)
+        assert not res.converged and res.history[-1].posterior_ritz == want
+        (row,), _ = exp.run_convdiff_table(exp.config_from_dict({
+            "experiment": "convdiff_table", "n_values": [40], "eta": 0.5, "k_max": 8,
+            "stopping": {"rule": "bound", "tol": tol},
+        }))
+        assert row["bound_at_stop"] == want
+
+    @pytest.mark.parametrize("case", ["skewed_dense", "hermitian_dense", "convdiff"])
+    def test_checkpoints_far_above_tol_make_one_sweep(self, case, monkeypatch):
+        # a probe below the cap stops integrating at the first quadrature
+        # pass whose lower end is above tol.  On the convection-diffusion
+        # input the first pass's error estimate exceeds the integral itself
+        # up to k = 8 (9.4e2 on 7.2e2 there), so its checkpoints settle in
+        # one sweep from k = 16 on
+        if case == "convdiff":
+            M = matgen.convection_diffusion(120, 0.5)
+            b, tol, first_single = np.ones(M.shape[0]), 0.01, 16
+        else:
+            spec = matgen.SpectrumSpec.uniform(200, 1.0, 1000.0)
+            M = matgen.spectrum_matrix(spec, 8).matrix.array.real
+            if case == "skewed_dense":
+                M = M + matgen.skew_part(200, 9)
+            b = np.random.default_rng(1).uniform(0.5, 1.5, 200)
+            tol, first_single = 1e-6, 2
+        sweeps = record_hyman_sweeps(monkeypatch)
+        probes, probe = [], bnd.bound_posterior_det
+
+        def spied(h, *a, **kw):
+            start = len(sweeps)
+            got = probe(h, *a, **kw)
+            made = len(sweeps) - start
+            full = probe(h, *a)  # the same probe integrated to tolerance
+            probes.append((h.shape[0], made, len(sweeps) - start - made, got, full))
+            return got
+
+        monkeypatch.setattr(bnd, "bound_posterior_det", spied)
+        _, k_stop, _, x_exact = exp.find_stop_k(M, b, tol)
+        far = 0
+        for k, made, full_sweeps, got, full in probes:
+            assert (got <= tol) == (full <= tol), k  # settling decides as the full bound
+            if got <= tol:
+                assert got == full, k
+            else:
+                assert made <= full_sweeps, k
+            if k & (k - 1) == 0 and k >= first_single and full >= 2.0 * tol:
+                assert made == 1, k
+                far += 1
+        assert far >= 2
+        assert first_crossing_by_scan(M, b, tol, x_exact, k_stop + 3) == k_stop
 
     @pytest.mark.parametrize("tol", [0.2, 0.05, 0.01])
     @pytest.mark.parametrize("eta", [0.1, 0.5])
@@ -415,7 +471,7 @@ class TestFindStopK:
         probes = []
         probe = bnd.bound_posterior_det
         monkeypatch.setattr(bnd, "bound_posterior_det",
-                            lambda h, *a: probes.append(h.shape[0]) or probe(h, *a))
+                            lambda h, *a, **kw: probes.append(h.shape[0]) or probe(h, *a, **kw))
         tri = matgen.convection_diffusion(300, 0.1)
         state, k_stop, _, _ = exp.find_stop_k(tri, np.ones(tri.shape[0]), 0.05)
         assert k_stop == 259 and state.k <= 280
@@ -426,7 +482,7 @@ class TestFindStopK:
         # midpoint steps must still find the exact step in O(log k) probes
         probes = []
 
-        def step_bound(h, xi, quad_cfg, log_det):
+        def step_bound(h, xi, quad_cfg, log_det, **kw):
             probes.append(h.shape[0])
             return 1.0 if h.shape[0] < 200 else 0.0
 
@@ -463,7 +519,8 @@ class TestConvdiffTable:
         probe, ritz = bnd.bound_posterior_det, linalg.hessenberg_eigenvalues
         factor, sqrt = linalg.lu_factor_quiet, linalg.dense_sqrt
         monkeypatch.setattr(bnd, "bound_posterior_det",
-                            lambda h, *a: calls["probe"].append(h.shape[0]) or probe(h, *a))
+                            lambda h, *a, **kw: calls["probe"].append(h.shape[0])
+                            or probe(h, *a, **kw))
         monkeypatch.setattr(linalg, "hessenberg_eigenvalues",
                             lambda h, **kw: calls["ritz"].append(h.shape[0]) or ritz(h, **kw))
         monkeypatch.setattr(linalg, "lu_factor_quiet",
@@ -484,10 +541,11 @@ class TestConvdiffTable:
         assert row["error"] == pytest.approx(err, rel=1e-9)
 
     def test_hyman_sweeps_pinned(self, monkeypatch):
-        # the point of the test above makes 47 Hyman sweeps over 3566 rows
-        # (71 over 6656 before the two-half quadrature start, the LU's
-        # log|det H_k| and the log-balanced action), none of them the
-        # one-shift x = 0 sweep of a probe
+        # the point of the test above makes 21 Hyman sweeps over 2358 rows
+        # (47 over 3566 before probes settled once above tol, 71 over 6656
+        # before the two-half quadrature start, the LU's log|det H_k| and
+        # the log-balanced action), none of them the one-shift x = 0 sweep
+        # of a probe
         sweeps = record_hyman_sweeps(monkeypatch)
         cfg = exp.config_from_dict({
             "experiment": "convdiff_table", "n_values": [300], "eta": 0.1,
@@ -495,7 +553,7 @@ class TestConvdiffTable:
         })
         (row,), _ = exp.run_convdiff_table(cfg)
         assert row["k_stop"] == 259
-        assert (len(sweeps), sum(k for k, _ in sweeps)) == (47, 3566)
+        assert (len(sweeps), sum(k for k, _ in sweeps)) == (21, 2358)
         assert all(m > 1 for _, m in sweeps)
 
     def test_parallel_jobs_same_rows(self, tmp_path):
@@ -897,6 +955,14 @@ class TestCli:
             ctx = exp.build_matrix({"type": "file", "path": mtx}, 0)
             assert ctx.hermitian is hermitian
             assert (ctx.operator.eigh() is not None) is hermitian
+
+    def test_approx_bound_stop_on_order_one_file(self, tmp_path, capsys):
+        from krylov_sqrt.matrixmarket import write_matrix_market
+        mtx = str(tmp_path / "m.mtx")
+        write_matrix_market(mtx, np.array([[4.0]]))
+        assert cli_main(["approx", "--matrix-file", mtx, "--stop", "bound",
+                         "--out", str(tmp_path / "r")]) == 0
+        assert "stopped at k = 1 (breakdown: True)" in capsys.readouterr().out
 
     def test_approx_budget_exit_code(self, tmp_path):
         mtx = str(tmp_path / "m.mtx")
