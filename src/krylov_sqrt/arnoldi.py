@@ -36,6 +36,7 @@ from .errors import (
     NoConvergence,
     NonFiniteEntry,
     SingularMatrix,
+    ToleranceBelowRoundingFloor,
 )
 
 # h_{j+1,j} at or below this fraction of ||M q_j|| is a happy breakdown.
@@ -637,6 +638,11 @@ def prefix_reports(decomp: ArnoldiDecomposition, ks, x_exact, sigma_max_used: fl
 # stopping
 
 
+# A bound stop refuses tol <= ROUNDING_FLOOR_C * eps * sqrt(||M||_F) * ||b||,
+# where the rounding of the returned vector, which the bound does not
+# count, exceeded the printed bound in measured sweeps (an assumption).
+ROUNDING_FLOOR_C = 32
+
 # Guided probes allowed to leave the search open before every other probe
 # becomes a plain bisection step (keeps the worst case at O(log k) probes).
 GUIDED_PROBES = 3
@@ -712,6 +718,12 @@ def find_stop_k(M, b, tol: float, *, quad_cfg: bnd.QuadratureConfig | None = Non
     n = op.shape[0]
     k_cap = n if k_max is None else min(k_max, n)
     x_exact = op.solve(b)
+    norm_m = np.linalg.norm(np.concatenate(op.bands) if op.bands is not None else op.to_dense())
+    floor = ROUNDING_FLOOR_C * np.finfo(float).eps * np.sqrt(norm_m) * np.linalg.norm(b)
+    if tol <= floor:
+        raise ToleranceBelowRoundingFloor(
+            f"tol {tol:g} is at or below the rounding floor {floor:.2g} of the returned "
+            f"vector ({ROUNDING_FLOOR_C} eps sqrt(||M||_F) ||b||)")
 
     state = arnoldi_start(b, capacity=min(64, k_cap))
 

@@ -31,6 +31,11 @@ class DomainError(KrylovSqrtError):
     """A scalar argument is outside the domain of a closed-form bound."""
 
 
+class ToleranceBelowRoundingFloor(DomainError):
+    """A bound stop's tolerance lies at or below the rounding error of the
+    vector it would return, which the bound does not count."""
+
+
 class NonFiniteIntegrand(KrylovSqrtError):
     """The quadrature integrand returned NaN or Inf."""
 

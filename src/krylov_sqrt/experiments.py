@@ -107,8 +107,10 @@ _VALUE_RULES = (
     (("output_dir", "matrix.path"), lambda v: isinstance(v, str), "a string"),
     (("n_values", "k_values"), lambda v: isinstance(v, (list, tuple))
      and all(type(x) is int for x in v), "an array of integers"),
-    (("eps_values", "fit_window"),
+    (("eps_values",),
      lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)), "an array of numbers"),
+    (("fit_window",), lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+     and all(map(_is_number, v)), "an array of two numbers"),
 )
 
 
@@ -174,6 +176,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in required:
         if getattr(cfg, key) in (None, ()):
             raise ConfigError(f"{experiment} requires {key!r}")
+    if experiment == "perturbed_validity" and cfg.k_max < 2:
+        raise ConfigError(f"k_max must be >= 2 for perturbed_validity, whose rows start at "
+                          f"k = 2, got {cfg.k_max}")
     return cfg
 
 
@@ -183,13 +188,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class MatrixContext:
-    """A built matrix plus whatever side information the bounds can use."""
+    """A built matrix, its label and, for a spectrum matrix, the spectrum
+    it was built from (before any skew part)."""
 
     operator: object            # an operator of linalg.as_operator
-    hermitian: bool
     label: str
     spectrum: matgen.SpectrumMatrix | None = None
-    known_eigs: np.ndarray | None = None
 
 
 def build_matrix(mcfg: dict, seed: int) -> MatrixContext:
@@ -199,25 +203,18 @@ def build_matrix(mcfg: dict, seed: int) -> MatrixContext:
                        if k not in ("type", "skew", "skew_scale")}
         spec = matgen.SpectrumSpec(**spec_kwargs)
         sm = matgen.spectrum_matrix(spec, seed)
+        m, label = sm.matrix, f"spectrum-{mcfg['kind']}"
         if mcfg.get("skew", False):
             k = matgen.skew_part(spec.n, seed + 1, scale=mcfg.get("skew_scale", 1.0))
-            m = linalg.DenseMatrix(sm.matrix.array + k)
-            return MatrixContext(operator=m, hermitian=False,
-                                 label=f"spectrum-{mcfg['kind']}-skew",
-                                 spectrum=sm, known_eigs=None)
-        return MatrixContext(operator=sm.matrix, hermitian=True,
-                             label=f"spectrum-{mcfg['kind']}",
-                             spectrum=sm, known_eigs=sm.eigenvalues)
+            m, label = linalg.DenseMatrix(m.array + k), label + "-skew"
+        return MatrixContext(m, label, sm)
     if mtype == "convdiff":
         tri = matgen.convection_diffusion(
             mcfg["n"], mcfg.get("eta", 0.1), mcfg.get("convention", "interior"))
-        return MatrixContext(operator=tri, hermitian=False,
-                             label=f"convdiff-n{mcfg['n']}")
+        return MatrixContext(tri, f"convdiff-n{mcfg['n']}")
     if mtype == "file":
         a = read_matrix_market(mcfg["path"])
-        m = linalg.DenseMatrix(a)
-        return MatrixContext(operator=m, hermitian=linalg.is_hermitian(m),
-                             label=os.path.basename(mcfg["path"]))
+        return MatrixContext(linalg.DenseMatrix(a), os.path.basename(mcfg["path"]))
     raise ConfigError(f"unknown matrix type {mtype!r}")
 
 
@@ -258,18 +255,26 @@ def fit_loglog_slope(ks, values, window=(0.25, 1.0)) -> float:
 
 
 def run_bounds_vs_k(cfg: ExperimentConfig):
+    """Every bound at sampled k; the Hermitian columns are filled where
+    :func:`linalg.is_hermitian` holds for M, from the known spectrum of a
+    spectrum matrix, else in the computable mode.  ``hermitian_compare``
+    is the same run, refused for a matrix that is not exactly Hermitian."""
     ctx = build_matrix(cfg.matrix, cfg.seed)
-    b = build_rhs(cfg.rhs, ctx)
     M = ctx.operator
+    hermitian = linalg.is_hermitian(M)
+    if cfg.experiment == "hermitian_compare" and not hermitian:
+        raise ConfigError("hermitian_compare needs an exactly Hermitian matrix")
+    b = build_rhs(cfg.rhs, ctx)
     n = M.shape[0]
     k_max = min(cfg.k_max, n)
     sigma = linalg.sigma_max(M)
     x_exact = M.solve(b)
     reference = linalg.reference_sqrt_action(M, b) if cfg.oracle else None
+    known = ctx.spectrum.eigenvalues if hermitian and ctx.spectrum is not None else None
 
     state = arn.arnoldi(M, b, k_max)
     reports = arn.prefix_reports(state, sample_ks(state.k, cfg.k_samples), x_exact, sigma,
-                                 cfg.quadrature, ctx.hermitian, known_spectrum=ctx.known_eigs,
+                                 cfg.quadrature, hermitian, known_spectrum=known,
                                  reference=reference)
     rows = [rep.row() for rep in reports]
     floor_k = None
@@ -277,15 +282,9 @@ def run_bounds_vs_k(cfg: ExperimentConfig):
         floor = ROUNDING_FLOOR_RTOL * np.linalg.norm(reference)
         floor_k = next((r["k"] for r in rows if r["error_norm"] < floor), None)
     summary = {"experiment": cfg.experiment, "label": ctx.label, "n": n,
-               "sigma_max": sigma, "hermitian": ctx.hermitian, "k_reached": state.k,
+               "sigma_max": sigma, "hermitian": hermitian, "k_reached": state.k,
                "breakdown": state.breakdown, "rounding_floor_k": floor_k}
     return rows, summary
-
-
-def run_hermitian_compare(cfg: ExperimentConfig):
-    if cfg.matrix.get("skew", False) or cfg.matrix.get("type") != "spectrum":
-        raise ConfigError("hermitian_compare needs a symmetric spectrum matrix")
-    return run_bounds_vs_k(cfg)
 
 
 def _map_points(point, cfg: ExperimentConfig) -> list:
@@ -424,7 +423,7 @@ def run_perturbed_validity(cfg: ExperimentConfig):
 
 _RUNNERS = {
     "bounds_vs_k": run_bounds_vs_k,
-    "hermitian_compare": run_hermitian_compare,
+    "hermitian_compare": run_bounds_vs_k,
     "convdiff_table": run_convdiff_table,
     "scaling_vs_k": run_scaling_vs_k,
     "scaling_vs_sigma": run_scaling_vs_sigma,

@@ -265,18 +265,6 @@ def _schur(a: np.ndarray, vectors: bool = True):
     return out[0], out[-3], (out[2] if gees is sla.lapack.zgees else out[2] + 1j * out[3])
 
 
-# (rows, cols) of the entries below the first subdiagonal of a 64 x 64
-# matrix, row by row: those of any smaller order are a prefix.
-_BELOW_SUBDIAGONAL = np.tril_indices(64, -2)
-
-
-def _below_subdiagonal(k: int) -> tuple:
-    """``np.tril_indices(k, -2)``, for k <= 64 sliced from the kept set."""
-    rows, cols = _BELOW_SUBDIAGONAL if k <= 64 else np.tril_indices(k, -2)
-    count = (k - 1) * (k - 2) // 2
-    return rows[:count], cols[:count]
-
-
 def hessenberg_eigenvalues(H, schur: bool = False) -> RitzSpectrum:
     """All eigenvalues of an upper Hessenberg matrix, sorted by modulus;
     with ``schur``, also the Schur form (T, Z) they were read from.
@@ -293,7 +281,7 @@ def hessenberg_eigenvalues(H, schur: bool = False) -> RitzSpectrum:
         raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise NonFiniteEntry("matrix entries must be finite")
-    if h.shape[0] > 2 and h[_below_subdiagonal(h.shape[0])].any():
+    if np.tril(h, -2).any():
         raise DimensionMismatch("matrix has nonzeros below the first subdiagonal")
     t, z, w = _schur(h, vectors=schur)
     return RitzSpectrum.from_unsorted(w, schur=(t, z) if schur else None)

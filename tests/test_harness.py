@@ -17,7 +17,13 @@ from krylov_sqrt import bounds as bnd
 from krylov_sqrt import experiments as exp
 from krylov_sqrt import linalg, matgen, plotting
 from krylov_sqrt.cli import main as cli_main
-from krylov_sqrt.errors import ConfigError, DomainError, InvalidSpectrum, UnsupportedContext
+from krylov_sqrt.errors import (
+    ConfigError,
+    DomainError,
+    InvalidSpectrum,
+    ToleranceBelowRoundingFloor,
+    UnsupportedContext,
+)
 
 
 def small_bounds_cfg(tmp_path, **overrides):
@@ -107,6 +113,9 @@ class TestConfigValidation:
         ("scaling_vs_sigma", "k_values", [6.5, 10]),  # ran with k = 6
         ("bounds_vs_k", "quadrature.max_subdivisions", 50.0),  # ran
         ("spectrum_bounds_vs_k", "matrix.skew", 1),  # ran with a skew part
+        ("perturbed_validity", "k_max", 1),          # max() of no rows
+        ("scaling_vs_k", "fit_window", [0.5]),       # IndexError from window[1]
+        ("scaling_vs_k", "fit_window", []),
     ])
     def test_value_types_checked(self, tmp_path, capsys, base, key, value):
         stop = {"rule": "bound", "tol": 0.05}
@@ -242,7 +251,7 @@ class TestBoundsVsK:
             "rhs": {"kind": "eig_average", "count": 40},
             "k_max": 20, "k_samples": 19,
         })
-        rows, summary = exp.run_hermitian_compare(cfg)
+        rows, summary = exp.run_bounds_vs_k(cfg)
         assert summary["hermitian"]
         lam_bars = [r["lambda_bar"] for r in rows]
         assert all(r["hermitian_jensen"] <= r["hermitian_loose"] + 1e-12 for r in rows)
@@ -250,9 +259,68 @@ class TestBoundsVsK:
         assert all(x > y for x, y in zip(lam_bars, lam_bars[1:]))  # decreasing
 
     def test_hermitian_compare_rejects_skew(self, tmp_path):
-        cfg = small_bounds_cfg(tmp_path)
+        cfg = small_bounds_cfg(tmp_path, experiment="hermitian_compare")
         with pytest.raises(ConfigError):
-            exp.run_hermitian_compare(cfg)
+            exp.run_bounds_vs_k(cfg)
+
+    def test_unskewed_skew_matrix_takes_the_hermitian_bounds(self, tmp_path):
+        # skew_scale 0 adds an exactly zero skew part: the matrix is the
+        # symmetric one, so its rows are those of the plain spectrum matrix,
+        # Hermitian columns included, and its summary says Hermitian
+        spectrum = {"type": "spectrum", "kind": "uniform", "n": 40, "lo": 1.0, "hi": 1000.0}
+        plain, want = exp.run_bounds_vs_k(small_bounds_cfg(tmp_path, seed=7, matrix=spectrum))
+        rows, summary = exp.run_bounds_vs_k(small_bounds_cfg(
+            tmp_path, seed=7, matrix=dict(spectrum, skew=True, skew_scale=0.0)))
+        assert summary["hermitian"] and summary["label"] == "spectrum-uniform-skew"
+        assert rows == plain and {**summary, "label": want["label"]} == want
+        assert all(r["hermitian_jensen"] is not None for r in rows if r["k"] >= 2)
+
+    def test_hermitian_compare_on_file_matrices(self, tmp_path):
+        # an exactly Hermitian file matrix runs in the computable mode (no
+        # known spectrum): lambda_max is sigma_max; a skewed one is refused
+        from krylov_sqrt.matrixmarket import write_matrix_market
+        sm = matgen.spectrum_matrix(matgen.SpectrumSpec.uniform(40, 1.0, 1000.0), 3)
+        for name, a in (("sym.mtx", sm.matrix.array),
+                        ("skew.mtx", sm.matrix.array + matgen.skew_part(40, 4))):
+            write_matrix_market(str(tmp_path / name), a)
+        cfg = exp.config_from_dict({
+            "experiment": "hermitian_compare", "k_max": 16, "k_samples": 15,
+            "matrix": {"type": "file", "path": str(tmp_path / "sym.mtx")}})
+        rows, summary = exp.run_bounds_vs_k(cfg)
+        assert summary["hermitian"] and summary["sigma_max"] == linalg.sigma_max(sm.matrix)
+        state = arn.arnoldi(sm.matrix, np.ones(40), 16)
+        want = arn.prefix_reports(state, [int(r["k"]) for r in rows], sm.matrix.solve(np.ones(40)),
+                                  summary["sigma_max"], hermitian=True)
+        assert [r["hermitian_jensen"] for r in rows] == [w.hermitian_jensen for w in want]
+        assert all(r["lambda_bar"] is not None for r in rows)
+        with pytest.raises(ConfigError, match="exactly Hermitian"):
+            exp.run_bounds_vs_k(dataclasses.replace(
+                cfg, matrix={"type": "file", "path": str(tmp_path / "skew.mtx")}))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("spec", [
+        matgen.SpectrumSpec.uniform(200, 1.0, 1000.0),
+        matgen.SpectrumSpec.clustered(200, 10.0, 1.0, 0.5, 500.0, 100.0)],
+        ids=["uniform", "clustered"])
+    def test_hermitian_columns_bound_the_error(self, spec, seed):
+        # error <= hermitian_jensen <= hermitian_loose at every k <= 60 above
+        # the rounding floor, with lambda_bar from the known spectrum and from
+        # the Ritz values (computable mode)
+        sm = matgen.spectrum_matrix(spec, seed)
+        M = sm.matrix
+        sigma = linalg.sigma_max(M)
+        for b in (np.ones(200), matgen.rhs_vector("eig_average", sm, count=100)):
+            reference = linalg.reference_sqrt_action(M, b)
+            floor = exp.ROUNDING_FLOOR_RTOL * np.linalg.norm(reference)
+            state = arn.arnoldi(M, b, 60)
+            for known in (sm.eigenvalues, None):
+                reports = arn.prefix_reports(state, range(2, 61), M.solve(b), sigma,
+                                             hermitian=True, known_spectrum=known,
+                                             reference=reference)
+                checked = [r for r in reports if r.error_norm > floor]
+                assert checked
+                for r in checked:
+                    assert r.error_norm <= r.hermitian_jensen <= r.hermitian_loose, r.k
 
     def test_reference_scale_ordering_n500(self, tmp_path):
         # the reference figure scenario: uniform [1, 1000] spectrum plus a
@@ -326,9 +394,9 @@ class TestFindStopK:
     def test_budget_exhausted_returns_cap(self):
         # no k up to the cap reaches tol: the bound at the cap is returned,
         # printed and written to the table, so the probe there integrates to
-        # tolerance however far above tol it lies
+        # tolerance however far above tol it lies (7.68 at tol 1e-9)
         tri = matgen.convection_diffusion(40, 0.5)
-        b, tol = np.ones(39), 1e-30
+        b, tol = np.ones(39), 1e-9
         state, k_stop, val, x_exact = exp.find_stop_k(tri, b, tol, k_max=8)
         sub = state.prefix(8)
         want = bnd.bound_posterior_det(sub.hessenberg, arn.fom_error(sub, x_exact), None,
@@ -494,6 +562,57 @@ class TestFindStopK:
         # 8 doubling probes, 3 guided misses, then two probes per halving of
         # the 128-wide bracket; guided probes alone would creep (88 probes)
         assert len(probes) <= 8 + 3 + 2 * 7 + 2
+
+
+def floor_instance(kind: str) -> np.ndarray:
+    """The two n = 60 matrices of the rounding-floor measurement, b = ones:
+    a clustered spectrum (||f(M) b|| = 123.0, ||M||_F = 2961) and a uniform
+    one plus 100 times a skew part (209.5 and 5859)."""
+    if kind == "clustered":
+        spec = matgen.SpectrumSpec.clustered(60, 10.0, 1.0, 0.5, 500.0, 100.0)
+        return matgen.spectrum_matrix(spec, 3).matrix.array
+    spec = matgen.SpectrumSpec.uniform(60, 1.0, 1000.0)
+    return matgen.spectrum_matrix(spec, 5).matrix.array + 100.0 * matgen.skew_part(60, 6)
+
+
+class TestRoundingFloor:
+    # at these tolerances the printed bound lay below the error of the
+    # returned vector against a 40-digit sqrtm
+    @pytest.mark.parametrize("kind,tol", [("clustered", 1e-12), ("clustered", 1e-14),
+                                          ("skewed", 1e-12), ("skewed", 1e-13)])
+    def test_refused_before_any_matvec(self, kind, tol):
+        calls = []
+
+        class Spy(linalg.DenseMatrix):
+            def matvec(self, v):
+                calls.append(1)
+                return super().matvec(v)
+
+        with pytest.raises(ToleranceBelowRoundingFloor, match="rounding floor"):
+            exp.find_stop_k(Spy(floor_instance(kind)), np.ones(60), tol)
+        with pytest.raises(DomainError):
+            arn.run_adaptive(Spy(floor_instance(kind)), np.ones(60),
+                             stop=arn.BoundAbsolute(tol), k_max=60)
+        assert calls == []
+
+    # the 40-digit error (mpmath.sqrtm) of the vector returned at k_stop
+    @pytest.mark.parametrize("kind,tol,k_stop,error", [("clustered", 1e-10, 32, 2.8e-11),
+                                                       ("skewed", 1e-11, 57, 4.09e-12)])
+    def test_accepted_runs_bound_the_error(self, kind, tol, k_stop, error):
+        res = arn.run_adaptive(floor_instance(kind), np.ones(60), stop=arn.BoundAbsolute(tol),
+                               k_max=60)
+        assert res.converged and res.k == k_stop
+        assert error <= res.history[-1].posterior_ritz <= tol
+
+    def test_approx_exits_with_one_error_line(self, tmp_path, capsys):
+        from krylov_sqrt.matrixmarket import write_matrix_market
+        mtx = str(tmp_path / "m.mtx")
+        write_matrix_market(mtx, floor_instance("clustered"))
+        assert cli_main(["approx", "--matrix-file", mtx, "--stop", "bound", "--tol", "1e-14",
+                         "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tol 1e-14 is at or below the rounding floor")
+        assert err.count("\n") == 1 and not (tmp_path / "r").exists()
 
 
 class TestConvdiffTable:
@@ -953,7 +1072,7 @@ class TestCli:
             mtx = str(tmp_path / "m.mtx")
             write_matrix_market(mtx, m)
             ctx = exp.build_matrix({"type": "file", "path": mtx}, 0)
-            assert ctx.hermitian is hermitian
+            assert linalg.is_hermitian(ctx.operator) is hermitian
             assert (ctx.operator.eigh() is not None) is hermitian
 
     def test_approx_bound_stop_on_order_one_file(self, tmp_path, capsys):

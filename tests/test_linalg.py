@@ -297,8 +297,8 @@ class TestHessenbergEigenvalues:
 
     @pytest.mark.parametrize("k", [3, 7, 64, 65])
     def test_rejects_each_entry_below_the_subdiagonal(self, k):
-        # k = 3 has one such entry, h[2, 0]; the check of k <= 64 reads a
-        # kept index set, a larger k builds its own
+        # k = 3 has one such entry, h[2, 0]; one np.tril check reads them at
+        # every order, on both sides of 64
         linalg.hessenberg_eigenvalues(np.triu(np.ones((k, k)), -1))
         rows, cols = np.tril_indices(k, -2)
         for i, j in list(zip(rows, cols))[:: max(1, rows.size // 40)] + [(k - 1, 0), (k - 1, k - 3)]:
