@@ -43,7 +43,6 @@ from .linalg import (
     sigma_min,
 )
 from .matgen import (
-    PerturbationSpec,
     SpectrumSpec,
     convection_diffusion,
     perturb_matrix,

@@ -55,6 +55,15 @@ SHIFTED_ACTION_QUAD = bnd.QuadratureConfig(rel_tol=1e-13, abs_tol=np.finfo(float
                                            max_subdivisions=128)
 
 
+def _require_int(name: str, value, least: int) -> int:
+    """``value`` as an int, if it is a Python or NumPy integer >= least;
+    else DomainError naming it.  Every count of steps an entry point takes
+    (k, steps, capacity, k_max) passes here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 class _Workspace:
     """Growable append-only storage for the basis and Hessenberg matrix."""
 
@@ -309,7 +318,8 @@ class ArnoldiDecomposition:
     def prefix(self, k: int) -> "ArnoldiDecomposition":
         """Snapshot of the first k steps (buffers are append-only, so the
         prefix shares storage with this decomposition)."""
-        if not 1 <= k <= self.k:
+        k = _require_int("k", k, 1)
+        if k > self.k:
             raise DomainError(f"prefix wants 1 <= k <= {self.k}, got {k}")
         if k == self.k:
             return self
@@ -353,6 +363,7 @@ def arnoldi_start(b, capacity: int = 32) -> ArnoldiDecomposition:
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         raise DomainError("b must be nonzero")
+    _require_int("capacity", capacity, 0)
     dtype = np.complex128 if np.iscomplexobj(b) else np.float64
     ws = _Workspace((b / b_norm).astype(dtype), capacity)
     return ArnoldiDecomposition(b_norm=b_norm, k=0, breakdown=False, _ws=ws)
@@ -367,8 +378,7 @@ def arnoldi_extend(apply_M, state: ArnoldiDecomposition, steps: int) -> ArnoldiD
     decomposition can be extended (any older one raises DomainError); it
     stays valid, and the returned snapshot reflects the extended state.
     """
-    if steps < 1:
-        raise DomainError("steps must be >= 1")
+    _require_int("steps", steps, 1)
     if state.breakdown:
         return state
     op = linalg.as_operator(apply_M)
@@ -417,7 +427,7 @@ def arnoldi_extend(apply_M, state: ArnoldiDecomposition, steps: int) -> ArnoldiD
 
 def arnoldi(M, b, steps: int) -> ArnoldiDecomposition:
     """Run ``steps`` Arnoldi iterations from scratch."""
-    state = arnoldi_start(b, capacity=steps)
+    state = arnoldi_start(b, capacity=_require_int("steps", steps, 1))
     return arnoldi_extend(M, state, steps)
 
 
@@ -593,9 +603,9 @@ def _prefix_snapshots(decomp: ArnoldiDecomposition, ks, x_exact, reference, f):
         if v is not None and np.shape(v) != (decomp.n,):
             raise DimensionMismatch(f"{name} must be a vector of length {decomp.n}, "
                                     f"got shape {np.shape(v)}")
-    subs = {k: decomp.prefix(k) for k in sorted({int(k) for k in ks})}
+    subs = {k: decomp.prefix(k) for k in sorted(set(ks))}
     rows = dict(zip(subs, _reports(list(subs.values()), x_exact, reference, f))) if subs else {}
-    return [rows[int(k)] for k in ks], subs
+    return [rows[k] for k in ks], subs
 
 
 def fom_reports(decomp: ArnoldiDecomposition, ks, x_exact, reference=None,
@@ -616,8 +626,8 @@ def fom_reports(decomp: ArnoldiDecomposition, ks, x_exact, reference=None,
 
 
 def prefix_reports(decomp: ArnoldiDecomposition, ks, x_exact, sigma_max_used: float | None,
-                   quad_cfg=None, hermitian: bool = False, known_spectrum=None,
-                   reference=None, f: str = "sqrt") -> list:
+                   hermitian: bool = False, known_spectrum=None, reference=None,
+                   f: str = "sqrt") -> list:
     """BoundReports for the prefixes k in ``ks`` of an Arnoldi decomposition.
 
     The residuals and errors are those of :func:`fom_reports`, the bounds
@@ -630,8 +640,8 @@ def prefix_reports(decomp: ArnoldiDecomposition, ks, x_exact, sigma_max_used: fl
     reports, subs = _prefix_snapshots(decomp, ks, x_exact, reference, f)
     if f != "sqrt":
         return [replace(rep, sigma_max_used=sigma_max_used) for rep in reports]
-    return bnd.build_bound_report(reports, [subs[int(k)].ritz for k in ks], sigma_max_used,
-                                  quad_cfg, hermitian, known_spectrum)
+    return bnd.build_bound_report(reports, [subs[k].ritz for k in ks], sigma_max_used,
+                                  hermitian, known_spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +667,7 @@ def _require_tol(tol: float) -> None:
         raise DomainError(f"the stopping tolerance must be positive, got {tol!r}")
 
 
-def find_stop_k(M, b, tol: float, *, quad_cfg: bnd.QuadratureConfig | None = None,
-                k_max: int | None = None):
+def find_stop_k(M, b, tol: float, *, k_max: int | None = None):
     """First k with the a posteriori Ritz-product bound <= tol on one
     growing decomposition, located by probes that the cheap FOM error
     guides; the driver of every bound stop.  The modulus and a priori
@@ -698,7 +707,7 @@ def find_stop_k(M, b, tol: float, *, quad_cfg: bnd.QuadratureConfig | None = Non
       estimate sets C.  A settled value is a decision and is never
       returned.  A probe that does not settle, and the probe at the cap,
       whose bound is returned when the budget runs out, integrate to the
-      tolerance of ``quad_cfg``.
+      tolerance of the default :class:`bounds.QuadratureConfig`.
 
     The result is an exact crossing: the bound is <= tol at k_stop and
     > tol at k_stop - 1 (or k_stop = 1).  A happy breakdown at step k
@@ -712,8 +721,8 @@ def find_stop_k(M, b, tol: float, *, quad_cfg: bnd.QuadratureConfig | None = Non
     is ``arnoldi_fun_action(state.prefix(k_stop))``.
     """
     _require_tol(tol)
-    if k_max is not None and k_max < 2:
-        raise DomainError("k_max must be >= 2")
+    if k_max is not None:
+        _require_int("k_max", k_max, 2)
     op = linalg.as_operator(M)
     n = op.shape[0]
     k_cap = n if k_max is None else min(k_max, n)
@@ -771,8 +780,8 @@ def find_stop_k(M, b, tol: float, *, quad_cfg: bnd.QuadratureConfig | None = Non
         sub = state.prefix(k)
         if sub.bendixson_order < k:
             bnd.require_right_half_plane(sub.ritz.values)
-        val = bnd.bound_posterior_det(sub.hessenberg, xi(k), quad_cfg,
-                                      sub._ws.factor().log_det_ratios([k])[0],
+        val = bnd.bound_posterior_det(sub.hessenberg, xi(k),
+                                      log_det_ratio=sub._ws.factor().log_det_ratios([k])[0],
                                       above=None if k == k_cap else tol)
         if xi(k) > 0.0:
             scale = val / xi(k)
@@ -836,7 +845,6 @@ def run_adaptive(
     f: str = "sqrt",
     stop=None,
     k_max: int = 100,
-    quad_cfg=None,
     error_oracle: bool = False,
 ) -> AdaptiveResult:
     """The action f(M) b at the first k where the stopping rule holds, with
@@ -864,8 +872,7 @@ def run_adaptive(
     solve for ``inverse``.
     """
     stop = stop if stop is not None else ResidualRelative(1e-2)
-    if k_max < 2:
-        raise DomainError("k_max must be >= 2")
+    _require_int("k_max", k_max, 2)
     if f not in _ORACLES:
         raise DomainError(f"unknown function tag {f!r}")
     if isinstance(stop, BoundAbsolute):
@@ -878,8 +885,7 @@ def run_adaptive(
     reference = _ORACLES[f](op, rhs) if error_oracle else None
 
     if isinstance(stop, BoundAbsolute):
-        state, k, bound, x_exact = find_stop_k(op, rhs, stop.tol, quad_cfg=quad_cfg,
-                                               k_max=k_max)
+        state, k, bound, x_exact = find_stop_k(op, rhs, stop.tol, k_max=k_max)
         state = state.prefix(k)
         report = replace(fom_reports(state, [k], x_exact, reference)[0], posterior_ritz=bound)
         return AdaptiveResult(result=arnoldi_fun_action(state, f), history=[report], k=k,
@@ -894,7 +900,7 @@ def run_adaptive(
         converged = state.breakdown or fom_residual_norm(state)[0] / state.b_norm <= stop.tol
     # the action first: a Schur form it computes gives the last row its Ritz values
     result = arnoldi_fun_action(state, f)
-    history = prefix_reports(state, range(1, state.k + 1), x_exact, None, quad_cfg,
+    history = prefix_reports(state, range(1, state.k + 1), x_exact, None,
                              reference=reference, f=f)
     return AdaptiveResult(result=result, history=history, k=state.k,
                           converged=converged, breakdown=state.breakdown)

@@ -564,12 +564,11 @@ class BoundReport:
 
 
 def build_bound_report(reports, ritz, sigma_max_used: float | None,
-                       cfg: QuadratureConfig | None = None, hermitian: bool = False,
-                       known_spectrum=None) -> list:
+                       hermitian: bool = False, known_spectrum=None) -> list:
     """The prefix ``reports`` (of :func:`arnoldi.fom_reports`) with their
     bound fields filled from ``ritz``, the Ritz values of each H_k.  The
     posterior integrals of every prefix with k >= 2 are one
-    :func:`bound_posterior_batch`.
+    :func:`bound_posterior_batch` under the default :class:`QuadratureConfig`.
 
     For Hermitian inputs lambda_bar uses the true spectrum when
     ``known_spectrum`` (eigenvalues of M) is given, otherwise the
@@ -582,7 +581,7 @@ def build_bound_report(reports, ritz, sigma_max_used: float | None,
     big = [j for j, rep in enumerate(reports) if rep.k >= 2]
     items = [(kind, lams[j], reports[j].xi_norm)
              for kind in ("posterior_ritz", "posterior_modulus") for j in big]
-    vals = bound_posterior_batch(items, cfg) if items else []
+    vals = bound_posterior_batch(items) if items else []
     posterior = {j: (vals[i], vals[i + len(big)]) for i, j in enumerate(big)}
     if known_spectrum is not None:
         eigs = np.sort(np.asarray(known_spectrum, dtype=float))[::-1]

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import arnoldi as arn
 from . import experiments as exp
-from . import linalg, matgen, plotting
+from . import linalg, plotting
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -151,22 +151,15 @@ def _cmd_plot(args) -> int:
 
 def _cmd_matgen(args) -> int:
     if args.kind == "convdiff":
-        m = matgen.convection_diffusion(args.n, args.eta, args.convention)
+        mcfg = {"type": "convdiff", "n": args.n, "eta": args.eta, "convention": args.convention}
         comment = f"convection-diffusion n={args.n} eta={args.eta} ({args.convention})"
     else:
-        if args.kind == "uniform":
-            spec = matgen.SpectrumSpec.uniform(args.n, args.lo, args.hi)
-        else:
-            spec = matgen.SpectrumSpec.clustered(
-                args.n, args.cluster_center, args.cluster_std,
-                args.cluster_fraction, args.outlier_center, args.outlier_std)
-        sm = matgen.spectrum_matrix(spec, args.seed)
-        a = sm.matrix.array
-        if args.skew:
-            a = a + matgen.skew_part(args.n, args.seed + 1, scale=args.skew_scale)
-        m = linalg.DenseMatrix(a)
+        keys = ("lo", "hi") if args.kind == "uniform" else (
+            "cluster_center", "cluster_std", "cluster_fraction", "outlier_center", "outlier_std")
+        mcfg = dict({key: getattr(args, key) for key in keys}, type="spectrum", kind=args.kind,
+                    n=args.n, skew=args.skew, skew_scale=args.skew_scale)
         comment = f"{args.kind} spectrum n={args.n} seed={args.seed} skew={args.skew}"
-    write_matrix_market(args.out, m, comment=comment)
+    write_matrix_market(args.out, exp.build_matrix(mcfg, args.seed).operator, comment=comment)
     print(f"wrote {args.out}")
     return EXIT_OK
 

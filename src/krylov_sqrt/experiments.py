@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class ExperimentConfig:
     experiment: str
     seed: int = 1234
     output_dir: str = "."
-    quadrature: bnd.QuadratureConfig = field(default_factory=bnd.QuadratureConfig)
     matrix: dict | None = None
     rhs: dict | None = None
     stopping: dict | None = None
@@ -61,8 +60,7 @@ class ExperimentConfig:
     jobs: int = 1
 
 
-_COMMON_KEYS = {"version", "experiment", "seed", "output_dir", "quadrature",
-                "oracle", "jobs"}
+_COMMON_KEYS = {"version", "experiment", "seed", "output_dir", "oracle", "jobs"}
 # The (required, optional) keys of each experiment besides _COMMON_KEYS.
 _SCHEMA = {
     "bounds_vs_k": (("matrix", "k_max"), ("rhs", "k_samples")),
@@ -83,7 +81,6 @@ _MATRIX_KEYS = {
 }
 _RHS_KEYS = {"kind", "count"}
 _STOPPING_KEYS = {"rule", "tol", "bound_kind"}
-_QUAD_KEYS = {"rel_tol", "abs_tol", "max_subdivisions"}
 
 
 def _is_number(v) -> bool:
@@ -93,14 +90,13 @@ def _is_number(v) -> bool:
 # (keys, test, what a value must be).  A dotted key names a value inside
 # an object-valued key, whose rule comes first.
 _VALUE_RULES = (
-    (("matrix", "rhs", "stopping", "quadrature"), lambda v: isinstance(v, dict), "an object"),
-    (("k_max", "jobs", "k_samples", "instances", "n", "matrix.n", "rhs.count",
-      "quadrature.max_subdivisions"), lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    (("matrix", "rhs", "stopping"), lambda v: isinstance(v, dict), "an object"),
+    (("k_max", "jobs", "k_samples", "instances", "n", "matrix.n", "rhs.count"),
+     lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     (("seed",), lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     (("eta", "matrix.eta", "matrix.lo", "matrix.hi", "matrix.cluster_center",
       "matrix.cluster_std", "matrix.cluster_fraction", "matrix.outlier_center",
-      "matrix.outlier_std", "matrix.skew_scale", "quadrature.rel_tol", "quadrature.abs_tol"),
-     _is_number, "a number"),
+      "matrix.outlier_std", "matrix.skew_scale"), _is_number, "a number"),
     (("stopping.tol",), lambda v: _is_number(v) and v > 0, "a positive number"),  # NaN fails
     (("stopping.bound_kind",), lambda v: v == "posterior_ritz", "'posterior_ritz'"),
     (("oracle", "matrix.skew"), lambda v: isinstance(v, bool), "true or false"),
@@ -148,9 +144,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if key in raw:
             kwargs[key] = tuple(raw[key])
 
-    if "quadrature" in raw:
-        _reject_unknown(raw["quadrature"], _QUAD_KEYS, "quadrature")
-        kwargs["quadrature"] = bnd.QuadratureConfig(**raw["quadrature"])
     if "matrix" in raw:
         m = raw["matrix"]
         mtype = m.get("type")
@@ -274,8 +267,7 @@ def run_bounds_vs_k(cfg: ExperimentConfig):
 
     state = arn.arnoldi(M, b, k_max)
     reports = arn.prefix_reports(state, sample_ks(state.k, cfg.k_samples), x_exact, sigma,
-                                 cfg.quadrature, hermitian, known_spectrum=known,
-                                 reference=reference)
+                                 hermitian, known_spectrum=known, reference=reference)
     rows = [rep.row() for rep in reports]
     floor_k = None
     if reference is not None:
@@ -302,8 +294,7 @@ def _search(cfg: ExperimentConfig, n: int):
     at ``cfg.k_max``: (tri, b, state, k_stop, bound at k_stop, x_exact)."""
     tri = matgen.convection_diffusion(n, cfg.eta, cfg.convention)
     b = np.ones(tri.shape[0])
-    return (tri, b) + find_stop_k(tri, b, float(cfg.stopping["tol"]),
-                                  quad_cfg=cfg.quadrature, k_max=cfg.k_max)
+    return (tri, b) + find_stop_k(tri, b, float(cfg.stopping["tol"]), k_max=cfg.k_max)
 
 
 def _convdiff_point(cfg: ExperimentConfig, n: int):
@@ -399,11 +390,14 @@ def run_perturbed_validity(cfg: ExperimentConfig):
         inst_seed = cfg.seed + 1000 * inst
         ctx = build_matrix(base, inst_seed)
         a = linalg.as_array(ctx.operator)
+        if a.shape[0] < 2:  # Arnoldi breaks down at k = 1, before the first row (k = 2)
+            raise ConfigError(f"perturbed_validity needs a matrix of order >= 2, "
+                              f"got order {a.shape[0]}")
         b = build_rhs(cfg.rhs, ctx)
         sigma = linalg.sigma_max(ctx.operator)
         reference = linalg.reference_sqrt_action(a, b)
         for eps in cfg.eps_values:
-            pert = matgen.perturb_matrix(a, matgen.PerturbationSpec(eps=eps), inst_seed + 17)
+            pert = matgen.perturb_matrix(a, eps, inst_seed + 17)
             state = arn.arnoldi(pert.matrix, b, cfg.k_max)
             x_exact = pert.matrix.solve(b)
             for rep in arn.fom_reports(state, range(2, state.k + 1), x_exact, reference):

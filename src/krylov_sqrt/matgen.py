@@ -44,6 +44,11 @@ class SpectrumSpec:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("spectrum dimension must be >= 1")
+        for name in ("lo", "hi", "cluster_center", "cluster_std", "cluster_fraction",
+                     "outlier_center", "outlier_std"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.kind == "uniform":
             if self.lo is None or self.hi is None or not 0 < self.lo <= self.hi:
                 raise DomainError("uniform spectrum needs 0 < lo <= hi")
@@ -68,20 +73,6 @@ class SpectrumSpec:
         return cls(kind="clustered", n=n, cluster_center=cluster_center,
                    cluster_std=cluster_std, cluster_fraction=cluster_fraction,
                    outlier_center=outlier_center, outlier_std=outlier_std)
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Relative spectral-norm perturbation budget and symmetry class."""
-
-    eps: float
-    mode: str = "hermitian-random"
-
-    def __post_init__(self):
-        if self.eps < 0:
-            raise DomainError("eps must be nonnegative")
-        if self.mode not in ("hermitian-random", "skew-random"):
-            raise DomainError(f"unknown perturbation mode {self.mode!r}")
 
 
 def _orthogonal_from_rng(rng, n: int) -> np.ndarray:
@@ -146,6 +137,8 @@ def skew_part(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    if not np.isfinite(scale):
+        raise DomainError(f"skew scale must be finite, got {scale!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     r = scale * rng.standard_normal((n, n))
     upper = np.triu((r - r.T) / 2.0, k=1)
@@ -189,13 +182,16 @@ class PerturbedMatrix:
     mu2: float
 
 
-def perturb_matrix(M, spec: PerturbationSpec, seed: int) -> PerturbedMatrix:
-    """M~ = M + E with ||E|| = eps' ||M||, eps' <= spec.eps, E drawn from the
-    requested symmetry class and rescaled by its measured spectral norm.
+def perturb_matrix(M, eps: float, seed: int) -> PerturbedMatrix:
+    """M~ = M + E with ||E|| = eps' ||M||, eps' <= eps, E = (G + Gᵀ)/2 for a
+    seeded Gaussian G, rescaled by its measured spectral norm.  A negative
+    or NaN eps raises DomainError.
 
     If positive definiteness of M~ fails, eps' is halved up to three
     times before PositivityLost is raised.
     """
+    if not eps >= 0:  # NaN fails too
+        raise DomainError(f"eps must be nonnegative, got {eps!r}")
     a = linalg.as_array(M)
     n = a.shape[0]
     mu1_sq = linalg.min_symmetric_eig(a)
@@ -203,20 +199,14 @@ def perturb_matrix(M, spec: PerturbationSpec, seed: int) -> PerturbedMatrix:
         raise DomainError("M must be positive definite")
     mu1 = float(np.sqrt(mu1_sq))
 
-    if spec.eps == 0.0:
+    if eps == 0.0:
         return PerturbedMatrix(matrix=DenseMatrix(a), achieved_eps=0.0, mu1=mu1, mu2=mu1)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     g = rng.standard_normal((n, n))
-    if spec.mode == "hermitian-random":
-        e0 = (g + g.T) / 2.0
-    else:
-        upper = np.triu((g - g.T) / 2.0, k=1)
-        e0 = upper - upper.T
+    e0 = (g + g.T) / 2.0
     norm_m = float(np.linalg.norm(a, 2))
     norm_e0 = float(np.linalg.norm(e0, 2))
-
-    eps = spec.eps
     for _ in range(4):
         perturbed = a + (eps * norm_m / norm_e0) * e0
         mu2_sq = linalg.min_symmetric_eig(perturbed)

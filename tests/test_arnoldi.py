@@ -701,6 +701,42 @@ class TestFomReports:
                 arn.prefix_reports(state, [3], x_exact, None, reference=bad)
 
 
+class TestIntegerCounts:
+    # a count of steps that is not an integer used to give a snapshot with
+    # k = 2.5, a report silently at k = 2, or a bare TypeError from range
+    # or np.zeros
+    ENTRY_POINTS = {
+        "prefix": ("k", lambda a, b, state: state.prefix(2.5)),
+        "fom_reports": ("k", lambda a, b, state: arn.fom_reports(state, [2.7], b)),
+        "prefix_reports": ("k", lambda a, b, state: arn.prefix_reports(state, [2.7], b, None)),
+        "arnoldi": ("steps", lambda a, b, state: arn.arnoldi(a, b, 2.5)),
+        "arnoldi_start": ("capacity", lambda a, b, state: arn.arnoldi_start(b, capacity=2.5)),
+        "arnoldi_extend": ("steps", lambda a, b, state: arn.arnoldi_extend(a, state, 2.5)),
+        "run_adaptive": ("k_max", lambda a, b, state: arn.run_adaptive(a, b, k_max=2.5)),
+        "find_stop_k": ("k_max", lambda a, b, state: arn.find_stop_k(a, b, 0.1, k_max=7.5)),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_non_integer_refused_by_name(self, entry):
+        name, call = self.ENTRY_POINTS[entry]
+        a = make_pd_matrix(3, 20)[0]
+        b = np.ones(20)
+        with pytest.raises(DomainError, match=rf"^{name} must be an integer >= \d, got \d\.\d$"):
+            call(a, b, arn.arnoldi(a, b, 5))
+
+    def test_numpy_integers_accepted(self):
+        a = make_pd_matrix(3, 20)[0]
+        b = np.ones(20)
+        state = arn.arnoldi(a, b, np.int64(6))
+        state = arn.arnoldi_extend(a, state, np.int32(2))
+        assert state.prefix(np.int64(4)).k == 4 and type(state.prefix(np.int64(4)).k) is int
+        ks = np.array([2, 5, 8])
+        assert [rep.k for rep in arn.fom_reports(state, ks, b)] == [2, 5, 8]
+        assert arn.run_adaptive(a, b, k_max=np.int64(8)).k <= 8
+        with pytest.raises(DomainError, match="k must be an integer"):
+            state.prefix(True)
+
+
 class TestShiftedFom:
     def test_zero_shift_is_identity(self):
         a, _, _ = make_pd_matrix(9, 20)

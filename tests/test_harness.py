@@ -105,13 +105,13 @@ class TestConfigValidation:
         ("convdiff_table", "stopping", 5),           # TypeError: not iterable
         ("bounds_vs_k", "matrix.n", "10"),           # TypeError from a comparison
         ("spectrum_bounds_vs_k", "matrix.lo", "1"),  # TypeError from a comparison
-        ("bounds_vs_k", "quadrature.rel_tol", "x"),  # TypeError from a comparison
+        ("spectrum_bounds_vs_k", "matrix.skew_scale", "2"),
         ("file_bounds_vs_k", "matrix.path", 5),      # TypeError: Unknown source type
         ("convdiff_table", "n_values", [40.5]),      # TypeError from np.full
         ("spectrum_bounds_vs_k", "rhs.count", 2.5),  # TypeError from a slice
         ("convdiff_table", "stopping.tol", True),    # ran with tol 1
         ("scaling_vs_sigma", "k_values", [6.5, 10]),  # ran with k = 6
-        ("bounds_vs_k", "quadrature.max_subdivisions", 50.0),  # ran
+        ("bounds_vs_k", "output_dir", 5),
         ("spectrum_bounds_vs_k", "matrix.skew", 1),  # ran with a skew part
         ("perturbed_validity", "k_max", 1),          # max() of no rows
         ("scaling_vs_k", "fit_window", [0.5]),       # IndexError from window[1]
@@ -151,13 +151,12 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="bound_kind"):
                 exp.config_from_dict(dict(raw, stopping=dict(stop, bound_kind=kind)))
 
-    def test_quadrature_passthrough(self):
-        cfg = exp.config_from_dict({
-            "experiment": "bounds_vs_k", "k_max": 4,
-            "matrix": {"type": "convdiff", "n": 10},
-            "quadrature": {"rel_tol": 1e-9, "abs_tol": 1e-13, "max_subdivisions": 500},
-        })
-        assert cfg.quadrature == bnd.QuadratureConfig(1e-9, 1e-13, 500)
+    def test_quadrature_is_an_unknown_key(self):
+        # every printed bound integrates under the default QuadratureConfig
+        raw = {"experiment": "bounds_vs_k", "k_max": 4, "matrix": {"type": "convdiff", "n": 10}}
+        exp.config_from_dict(raw)
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['quadrature'\]"):
+            exp.config_from_dict(dict(raw, quadrature={"rel_tol": 1e-9}))
 
 
 class TestBoundsVsK:
@@ -434,7 +433,8 @@ class TestFindStopK:
             start = len(sweeps)
             got = probe(h, *a, **kw)
             made = len(sweeps) - start
-            full = probe(h, *a)  # the same probe integrated to tolerance
+            kw.pop("above", None)
+            full = probe(h, *a, **kw)  # the same probe integrated to tolerance
             probes.append((h.shape[0], made, len(sweeps) - start - made, got, full))
             return got
 
@@ -550,7 +550,7 @@ class TestFindStopK:
         # midpoint steps must still find the exact step in O(log k) probes
         probes = []
 
-        def step_bound(h, xi, quad_cfg, log_det, **kw):
+        def step_bound(h, xi, **kw):
             probes.append(h.shape[0])
             return 1.0 if h.shape[0] < 200 else 0.0
 
@@ -943,6 +943,78 @@ class TestCli:
                          "--out", str(mtx)]) == 0
         assert mtx.read_text().splitlines()[0] == "%%MatrixMarket matrix array real general"
 
+    @pytest.mark.parametrize("flags, digest", [
+        ("uniform --n 20", "290e9f142cbf72ac4a30f81f05553d495ec2666deafa855bf6e8957f6741c86e"),
+        ("uniform --n 20 --skew --seed 5",
+         "5bbe01eb8dc065068a0a6b0bbfc87e34abc05f15136472768ad5a8c0aaaae2ac"),
+        ("uniform --n 12 --skew --skew-scale 3.5 --seed 9",
+         "a434ff7fe710604b1824504f51f2fec34f4c8e005e74e131f8aa7a6173d1501e"),
+        ("clustered --n 25 --seed 3",
+         "24db40731c34991e53b502c35a9602363b12d86c9aec6e39cf1f3c9c0cab0289"),
+        ("convdiff --n 30", "4ae71886581b140d073bcf73a1e202d996ec5f534e81b62eb29e69f986bc7f3f"),
+        ("convdiff --n 30 --convention full --eta 0.3",
+         "7c5c4625e61cd8ea9543a1e571616aaacdb871f8abd918ca0ec087e62d96a92c"),
+    ], ids=["uniform", "uniform-skew", "uniform-skew-scale", "clustered", "convdiff-interior",
+            "convdiff-full"])
+    def test_matgen_bytes_pinned(self, tmp_path, flags, digest):
+        # matgen builds through experiments.build_matrix, as an experiment's
+        # matrix object does; the digests pin its files, skew seed included
+        mtx = tmp_path / "m.mtx"
+        assert cli_main(["matgen", "--kind", *flags.split(), "--out", str(mtx)]) == 0
+        assert hashlib.sha256(mtx.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags, name", [
+        ("uniform --hi inf", "hi"), ("uniform --lo nan", "lo"),
+        ("clustered --cluster-std inf", "cluster_std"),
+        ("clustered --outlier-center=-inf", "outlier_center"),
+        ("uniform --skew --skew-scale inf", "skew scale")])
+    def test_matgen_rejects_nonfinite_spectrum_parameters(self, tmp_path, capsys, flags, name):
+        # --hi inf used to end in an OverflowError traceback from rng.uniform
+        mtx = tmp_path / "m.mtx"
+        assert cli_main(["matgen", "--kind", *flags.split(), "--n", "5",
+                         "--out", str(mtx)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be finite") and err.count("\n") == 1
+        assert not mtx.exists()
+
+    @pytest.mark.parametrize("key, value, name", [
+        ("hi", math.inf, "hi"), ("cluster_center", math.nan, "cluster_center"),
+        ("skew_scale", -math.inf, "skew scale")])
+    def test_experiment_rejects_nonfinite_spectrum_parameters(self, tmp_path, capsys, key,
+                                                              value, name):
+        clustered = {"kind": "clustered", "cluster_center": 10.0, "cluster_std": 1.0,
+                     "cluster_fraction": 0.5, "outlier_center": 100.0, "outlier_std": 1.0}
+        matrix = dict({"type": "spectrum", "n": 10, "skew": True},
+                      **({"kind": "uniform", "lo": 1.0} if key == "hi" else clustered))
+        raw = {"experiment": "bounds_vs_k", "k_max": 4, "matrix": dict(matrix, **{key: value})}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))  # json writes Infinity and NaN
+        assert cli_main(["experiment", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be finite") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("matrix", [None, "spectrum", "file"])
+    def test_perturbed_validity_refuses_order_one(self, tmp_path, capsys, matrix):
+        # Arnoldi breaks down at k = 1, so no row with k >= 2 exists; this
+        # used to end in "max() arg is an empty sequence"
+        raw = {"experiment": "perturbed_validity", "eps_values": [0.1], "k_max": 4,
+               "instances": 1}
+        if matrix is None:
+            raw["n"] = 1
+        elif matrix == "spectrum":
+            raw["matrix"] = {"type": "spectrum", "kind": "uniform", "n": 1, "lo": 1, "hi": 2}
+        else:
+            from krylov_sqrt.matrixmarket import write_matrix_market
+            write_matrix_market(str(tmp_path / "one.mtx"), np.array([[2.0]]))
+            raw["matrix"] = {"type": "file", "path": str(tmp_path / "one.mtx")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["experiment", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: perturbed_validity needs a matrix of order >= 2, got order 1\n"
+
     def test_approx_invsqrt_bound_stop_rejected(self, tmp_path, capsys):
         mtx = str(tmp_path / "m.mtx")
         cli_main(["matgen", "--kind", "uniform", "--n", "24", "--seed", "3", "--out", mtx])
@@ -1046,19 +1118,21 @@ class TestCli:
 
     @pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
     def test_experiment_rejects_nan_quadrature_before_the_search(self, tmp_path, monkeypatch,
-                                                                 key):
-        # json reads the NaN literal; it used to pass the config and fail in
-        # the search as a missed tolerance
+                                                                 capsys, key):
+        # json reads the NaN literal; a NaN tolerance once failed in the
+        # search as a missed tolerance, and no config sets the quadrature now
         text = ('{"experiment": "convdiff_table", "n_values": [40], "stopping": '
                 f'{{"rule": "bound", "tol": 0.05}}, "quadrature": {{"{key}": NaN}}}}')
         searches = []
         monkeypatch.setattr(exp, "find_stop_k", lambda *a, **kw: searches.append(a))
-        with pytest.raises(DomainError, match=key):
+        with pytest.raises(ConfigError, match="quadrature"):
             exp.config_from_dict(json.loads(text))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)
         assert cli_main(["experiment", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key(s) ['quadrature']") and err.count("\n") == 1
         assert searches == []
 
     def test_file_matrix_routing_is_exact(self, tmp_path):

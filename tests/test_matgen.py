@@ -183,15 +183,13 @@ class TestPerturbMatrix:
 
     def test_eps_zero_identity(self):
         a = self._base()
-        out = matgen.perturb_matrix(a, matgen.PerturbationSpec(eps=0.0), 1)
+        out = matgen.perturb_matrix(a, 0.0, 1)
         np.testing.assert_array_equal(out.matrix.array.real, a)
         assert out.achieved_eps == 0.0 and out.mu1 == out.mu2
 
-    @pytest.mark.parametrize("mode", ["hermitian-random", "skew-random"])
-    def test_norm_budget_respected(self, mode):
+    def test_norm_budget_respected(self):
         a = self._base()
-        spec = matgen.PerturbationSpec(eps=1e-3, mode=mode)
-        out = matgen.perturb_matrix(a, spec, 2)
+        out = matgen.perturb_matrix(a, 1e-3, 2)
         diff = out.matrix.array.real - a
         measured = np.linalg.norm(diff, 2) / np.linalg.norm(a, 2)
         assert measured <= 1e-3 * (1.0 + 1e-6)
@@ -199,26 +197,26 @@ class TestPerturbMatrix:
 
     def test_perturbed_stays_positive(self):
         a = self._base()
-        out = matgen.perturb_matrix(a, matgen.PerturbationSpec(eps=1e-2), 3)
+        out = matgen.perturb_matrix(a, 1e-2, 3)
         assert linalg.min_symmetric_eig(out.matrix.array) > 0.0
         assert out.mu2 > 0.0
 
-    def test_skew_mode_preserves_mu(self):
-        a = self._base()
-        spec = matgen.PerturbationSpec(eps=1e-3, mode="skew-random")
-        out = matgen.perturb_matrix(a, spec, 4)
-        assert out.mu2 == pytest.approx(out.mu1, rel=1e-10)
+    @pytest.mark.parametrize("eps", [-1.0, np.nan])
+    def test_negative_or_nan_eps_refused(self, eps):
+        # a NaN eps used to surface as "matrix entries must be finite"
+        with pytest.raises(DomainError, match="eps must be nonnegative"):
+            matgen.perturb_matrix(self._base(), eps, 4)
 
     def test_shrink_and_fail(self):
         # after three halvings the perturbation norm still dwarfs the tiny
         # eigenvalues, so positive definiteness cannot survive
         a = np.diag([1000.0] + [1e-4] * 39)
         with pytest.raises(PositivityLost):
-            matgen.perturb_matrix(a, matgen.PerturbationSpec(eps=0.01), 5)
+            matgen.perturb_matrix(a, 0.01, 5)
 
     def test_shrink_and_retry_reports_smaller_eps(self):
         a = np.diag([1000.0] + [2.0] * 9)
-        out = matgen.perturb_matrix(a, matgen.PerturbationSpec(eps=0.004), 6)
+        out = matgen.perturb_matrix(a, 0.004, 6)
         assert out.achieved_eps < 0.004
 
 
