@@ -38,6 +38,7 @@ from .errors import (
     SingularMatrix,
     ToleranceBelowRoundingFloor,
 )
+from .linalg import require_int
 
 # h_{j+1,j} at or below this fraction of ||M q_j|| is a happy breakdown.
 BREAKDOWN_RTOL = 1e-14
@@ -53,15 +54,6 @@ SHIFTED_ACTION_MIN_K = 200
 # values of one pass small.
 SHIFTED_ACTION_QUAD = bnd.QuadratureConfig(rel_tol=1e-13, abs_tol=np.finfo(float).tiny,
                                            max_subdivisions=128)
-
-
-def _require_int(name: str, value, least: int) -> int:
-    """``value`` as an int, if it is a Python or NumPy integer >= least;
-    else DomainError naming it.  Every count of steps an entry point takes
-    (k, steps, capacity, k_max) passes here."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 class _Workspace:
@@ -203,13 +195,12 @@ class _HessenbergLU:
     def _check(self, ks: np.ndarray) -> np.ndarray:
         """Pivot k of each k in ks (ascending).  Raises SingularMatrix when
         a pivot of some H_k (the first k-1 diagonal entries of U, then
-        pivot k) is at most ``linalg.PIVOT_RTOL`` times the largest row
-        norm of H_k: the one singularity rule of every reading."""
+        pivot k) fails :func:`linalg.check_pivots` against the largest row
+        norm of H_k: the singularity rule of every solve."""
         p = self._pivots[ks - 1]
         diag = np.abs(np.diagonal(self._buf)[: ks[-1] - 1])
         lo = np.minimum.accumulate(np.append(np.inf, diag))[ks - 1]
-        if np.any(np.minimum(lo, np.abs(p)) <= linalg.PIVOT_RTOL * self._row_norms[ks - 1]):
-            raise SingularMatrix("pivot below threshold; matrix is numerically singular")
+        linalg.check_pivots(np.minimum(lo, np.abs(p)), self._row_norms[ks - 1])
         return p
 
     def _carry(self, K: int, scale: float) -> np.ndarray:
@@ -318,7 +309,7 @@ class ArnoldiDecomposition:
     def prefix(self, k: int) -> "ArnoldiDecomposition":
         """Snapshot of the first k steps (buffers are append-only, so the
         prefix shares storage with this decomposition)."""
-        k = _require_int("k", k, 1)
+        k = require_int("k", k, 1)
         if k > self.k:
             raise DomainError(f"prefix wants 1 <= k <= {self.k}, got {k}")
         if k == self.k:
@@ -363,7 +354,7 @@ def arnoldi_start(b, capacity: int = 32) -> ArnoldiDecomposition:
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         raise DomainError("b must be nonzero")
-    _require_int("capacity", capacity, 0)
+    require_int("capacity", capacity, 0)
     dtype = np.complex128 if np.iscomplexobj(b) else np.float64
     ws = _Workspace((b / b_norm).astype(dtype), capacity)
     return ArnoldiDecomposition(b_norm=b_norm, k=0, breakdown=False, _ws=ws)
@@ -378,7 +369,7 @@ def arnoldi_extend(apply_M, state: ArnoldiDecomposition, steps: int) -> ArnoldiD
     decomposition can be extended (any older one raises DomainError); it
     stays valid, and the returned snapshot reflects the extended state.
     """
-    _require_int("steps", steps, 1)
+    require_int("steps", steps, 1)
     if state.breakdown:
         return state
     op = linalg.as_operator(apply_M)
@@ -427,7 +418,7 @@ def arnoldi_extend(apply_M, state: ArnoldiDecomposition, steps: int) -> ArnoldiD
 
 def arnoldi(M, b, steps: int) -> ArnoldiDecomposition:
     """Run ``steps`` Arnoldi iterations from scratch."""
-    state = arnoldi_start(b, capacity=_require_int("steps", steps, 1))
+    state = arnoldi_start(b, capacity=require_int("steps", steps, 1))
     return arnoldi_extend(M, state, steps)
 
 
@@ -648,10 +639,22 @@ def prefix_reports(decomp: ArnoldiDecomposition, ks, x_exact, sigma_max_used: fl
 # stopping
 
 
-# A bound stop refuses tol <= ROUNDING_FLOOR_C * eps * sqrt(||M||_F) * ||b||,
-# where the rounding of the returned vector, which the bound does not
+# The rounding floor is ROUNDING_FLOOR_C * eps * sqrt(||M||_F) * ||b||: at
+# or below it the rounding of the returned vector, which the bound does not
 # count, exceeded the printed bound in measured sweeps (an assumption).
 ROUNDING_FLOOR_C = 32
+
+
+def rounding_floor(M, b) -> float:
+    """ROUNDING_FLOOR_C * eps * sqrt(||M||_F) * ||b||, the one rule for
+    where rounding sets the error of a returned action: a bound stop
+    refuses a tol at or below it, and a bound at or below it certifies
+    nothing.  ||M||_F comes from the bands or the dense form, so a
+    matvec-only operator raises UnsupportedContext."""
+    op = linalg.as_operator(M)
+    norm_m = np.linalg.norm(np.concatenate(op.bands) if op.bands is not None else op.to_dense())
+    return ROUNDING_FLOOR_C * np.finfo(float).eps * np.sqrt(norm_m) * np.linalg.norm(b)
+
 
 # Guided probes allowed to leave the search open before every other probe
 # becomes a plain bisection step (keeps the worst case at O(log k) probes).
@@ -722,13 +725,12 @@ def find_stop_k(M, b, tol: float, *, k_max: int | None = None):
     """
     _require_tol(tol)
     if k_max is not None:
-        _require_int("k_max", k_max, 2)
+        require_int("k_max", k_max, 2)
     op = linalg.as_operator(M)
     n = op.shape[0]
     k_cap = n if k_max is None else min(k_max, n)
     x_exact = op.solve(b)
-    norm_m = np.linalg.norm(np.concatenate(op.bands) if op.bands is not None else op.to_dense())
-    floor = ROUNDING_FLOOR_C * np.finfo(float).eps * np.sqrt(norm_m) * np.linalg.norm(b)
+    floor = rounding_floor(op, b)
     if tol <= floor:
         raise ToleranceBelowRoundingFloor(
             f"tol {tol:g} is at or below the rounding floor {floor:.2g} of the returned "
@@ -872,7 +874,7 @@ def run_adaptive(
     solve for ``inverse``.
     """
     stop = stop if stop is not None else ResidualRelative(1e-2)
-    _require_int("k_max", k_max, 2)
+    require_int("k_max", k_max, 2)
     if f not in _ORACLES:
         raise DomainError(f"unknown function tag {f!r}")
     if isinstance(stop, BoundAbsolute):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import arnoldi as arn
 from . import experiments as exp
-from . import linalg, plotting
+from . import plotting
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -94,9 +94,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_bound(label: str, name: str, bound: float, M, b) -> None:
+    """``label = bound``, unless the bound is at or below
+    :func:`arnoldi.rounding_floor`, where rounding sets the error of the
+    returned vector and the bound certifies nothing."""
+    floor = arn.rounding_floor(M, b)
+    if bound <= floor:
+        print(f"{name} = {bound:.6e} is at or below the rounding floor {floor:.6e} "
+              "of the returned vector: not certified")
+    else:
+        print(f"{label} = {bound:.6e}")
+
+
 def _cmd_approx(args) -> int:
-    a = read_matrix_market(args.matrix_file)
-    M = linalg.DenseMatrix(a)
+    M = exp.build_matrix({"type": "file", "path": args.matrix_file}, 0).operator  # no seed used
     if args.rhs_file:
         b = read_matrix_market(args.rhs_file).ravel()
     else:
@@ -112,11 +123,12 @@ def _cmd_approx(args) -> int:
     final = result.history[-1]
     print(f"stopped at k = {result.k} (breakdown: {result.breakdown})")
     if isinstance(stop, arn.BoundAbsolute):
-        print(f"final posterior_ritz = {final.posterior_ritz:.6e}")
+        _print_bound("final posterior_ritz", "final posterior_ritz", final.posterior_ritz, M, b)
     else:
         print(f"final relative residual = {final.residual_norm / np.linalg.norm(b):.6e}")
         if args.f == "sqrt" and np.isfinite(final.posterior_ritz):
-            print(f"certified sqrt-error bound (posterior_ritz) = {final.posterior_ritz:.6e}")
+            _print_bound("certified sqrt-error bound (posterior_ritz)", "posterior_ritz",
+                         final.posterior_ritz, M, b)
     if not result.converged:
         print("stopping rule NOT satisfied within k_max", file=sys.stderr)
         return EXIT_BUDGET

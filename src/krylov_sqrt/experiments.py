@@ -27,10 +27,6 @@ from .matrixmarket import read_matrix_market
 __all__ = ["ExperimentConfig", "config_from_dict", "run_experiment", "find_stop_k",
            "fit_loglog_slope", "write_csv", "read_csv", "read_json", "EXPERIMENTS"]
 
-# A true error below this fraction of ||M^{1/2} b|| is set by rounding, and
-# the bounds, exact-arithmetic statements, can fall below it there.
-ROUNDING_FLOOR_RTOL = 1e-10
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -251,7 +247,10 @@ def run_bounds_vs_k(cfg: ExperimentConfig):
     """Every bound at sampled k; the Hermitian columns are filled where
     :func:`linalg.is_hermitian` holds for M, from the known spectrum of a
     spectrum matrix, else in the computable mode.  ``hermitian_compare``
-    is the same run, refused for a matrix that is not exactly Hermitian."""
+    is the same run, refused for a matrix that is not exactly Hermitian.
+    The summary's ``rounding_floor_k`` is the first sampled k whose true
+    error is below :func:`arnoldi.rounding_floor` (None without an
+    oracle)."""
     ctx = build_matrix(cfg.matrix, cfg.seed)
     M = ctx.operator
     hermitian = linalg.is_hermitian(M)
@@ -271,7 +270,7 @@ def run_bounds_vs_k(cfg: ExperimentConfig):
     rows = [rep.row() for rep in reports]
     floor_k = None
     if reference is not None:
-        floor = ROUNDING_FLOOR_RTOL * np.linalg.norm(reference)
+        floor = arn.rounding_floor(M, b)
         floor_k = next((r["k"] for r in rows if r["error_norm"] < floor), None)
     summary = {"experiment": cfg.experiment, "label": ctx.label, "n": n,
                "sigma_max": sigma, "hermitian": hermitian, "k_reached": state.k,

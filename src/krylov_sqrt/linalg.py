@@ -26,6 +26,7 @@ import scipy.linalg as sla
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     InvalidSpectrum,
     NoConvergence,
     NonFiniteEntry,
@@ -53,6 +54,24 @@ BRANCH_CUT_IMAG_TOL = 1e-12
 # Relative change in sigma_min's estimate that stops it (within 5-7 steps
 # on convection-diffusion matrices, against a cap of 10n).
 SIGMA_MIN_RTOL = 1e-10
+
+
+def require_int(name: str, value, least: int) -> int:
+    """``value`` as an int, if it is a Python or NumPy integer >= least;
+    else DomainError naming it.  Every count an entry point takes (an
+    operator's order, and k, steps, capacity, k_max of the Arnoldi
+    drivers) passes here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_pivots(pivots, row_norm) -> None:
+    """The one singularity rule of every solve: SingularMatrix when the
+    smallest |pivot| of U is at most ``PIVOT_RTOL`` times the largest row
+    norm of the matrix factored (elementwise over arrays of both)."""
+    if np.any(pivots <= PIVOT_RTOL * row_norm):
+        raise SingularMatrix("pivot below threshold; matrix is numerically singular")
 
 
 class DenseMatrix:
@@ -87,17 +106,15 @@ class DenseMatrix:
     def solve(self, rhs) -> np.ndarray:
         """Solve M x = rhs by LU with partial pivoting.
 
-        Raises SingularMatrix when a pivot falls below ``PIVOT_RTOL``
-        times the largest row norm of M.
+        Raises SingularMatrix by :func:`check_pivots`.
         """
         rhs = np.asarray(rhs)
         if rhs.shape[0] != self.shape[0]:
             raise DimensionMismatch(f"rhs length {rhs.shape[0]} != matrix order {self.shape[0]}")
         if self._lu is None:
             lu, piv = lu_factor_quiet(self.array)
-            scale = float(np.max(np.linalg.norm(self.array, axis=1)))
-            if scale == 0.0 or np.min(np.abs(np.diag(lu))) <= PIVOT_RTOL * scale:
-                raise SingularMatrix("pivot below threshold; matrix is numerically singular")
+            check_pivots(np.min(np.abs(np.diag(lu))),
+                         float(np.max(np.linalg.norm(self.array, axis=1))))
             self._lu = (lu, piv)
         return sla.lu_solve(self._lu, rhs, check_finite=False)
 
@@ -123,10 +140,14 @@ class TridiagonalMatrix:
     """Real tridiagonal matrix in banded storage.
 
     Solves follow the contract of :meth:`DenseMatrix.solve`; ``to_dense``
-    builds the full matrix for the dense kernels.
+    builds the full matrix for the dense kernels.  A complex band raises
+    DomainError naming it.
     """
 
     def __init__(self, lower, diag, upper):
+        for name, band in (("lower", lower), ("diag", diag), ("upper", upper)):
+            if np.iscomplexobj(band):
+                raise DomainError(f"the {name} band of a TridiagonalMatrix must be real")
         self.lower = np.asarray(lower, dtype=float)
         self.diag = np.asarray(diag, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
@@ -147,8 +168,7 @@ class TridiagonalMatrix:
     def solve(self, rhs):
         """Solve M x = rhs by LU with partial pivoting (LAPACK ?gtsv, the
         bands cast to the rhs's dtype, no factor kept).  Raises
-        SingularMatrix when a diagonal entry of U falls below
-        ``PIVOT_RTOL`` times the largest row norm of M, as the dense solve."""
+        SingularMatrix by :func:`check_pivots`, as the dense solve."""
         rhs = np.asarray(rhs)
         if rhs.shape[0] != self.shape[0]:
             raise DimensionMismatch(f"rhs length {rhs.shape[0]} != matrix order {self.shape[0]}")
@@ -158,8 +178,7 @@ class TridiagonalMatrix:
             gtsv = sla.get_lapack_funcs("gtsv", (self.diag, rhs))
             _, u, _, x, _ = gtsv(self.lower, self.diag, self.upper, rhs)
         rows = self.diag**2 + np.append(0.0, self.lower**2) + np.append(self.upper**2, 0.0)
-        if np.min(np.abs(u)) <= PIVOT_RTOL * np.sqrt(np.max(rows)):
-            raise SingularMatrix("pivot below threshold; matrix is numerically singular")
+        check_pivots(np.min(np.abs(u)), np.sqrt(np.max(rows)))
         return x
 
     def to_dense(self) -> np.ndarray:
@@ -170,12 +189,14 @@ class MatvecOperator:
     """A matrix seen only through its products with vectors.
 
     Whatever needs the entries or an exact solve raises
-    UnsupportedContext.
+    UnsupportedContext.  The order n must be an integer >= 1
+    (:func:`require_int`).
     """
 
     bands = None
 
     def __init__(self, matvec, n: int):
+        n = require_int("the operator order", n, 1)
         self.matvec = matvec
         self.shape = (n, n)
 
@@ -225,7 +246,7 @@ def as_operator(M):
         raise UnsupportedContext(f"a SciPy sparse {type(M).__name__} is not supported; pass "
                                  "M.toarray() or a (matvec, n) operator")
     if isinstance(M, tuple) and len(M) == 2 and callable(M[0]):
-        return MatvecOperator(M[0], int(M[1]))
+        return MatvecOperator(M[0], M[1])
     if hasattr(M, "matvec"):
         return MatvecOperator(M.matvec, M.shape[0])
     if callable(M):
@@ -350,20 +371,20 @@ def reference_invsqrt_action(M, b) -> np.ndarray:
 
 def _reference_action(M, b, inverse: bool) -> np.ndarray:
     op = as_operator(M)
+    n = op.shape[0]
+    if np.shape(b) != (n,):  # before any O(n^3) work
+        raise DimensionMismatch("rhs must be a vector of the matrix order")
+    rhs = np.asarray(b)
     fn = (lambda lam: 1.0 / np.sqrt(lam)) if inverse else np.sqrt
     bands = _toeplitz_bands(op)
     if bands is not None:
-        return _toeplitz_fun_action(*bands, op.shape[0], b, fn)
-    n = op.shape[0]
+        return _toeplitz_fun_action(*bands, n, rhs, fn)
     if n > DENSE_ORACLE_MAX_N:
         raise TooLarge(f"n = {n} exceeds the dense-oracle guard {DENSE_ORACLE_MAX_N}")
     dense = op if isinstance(op, DenseMatrix) else DenseMatrix(op.to_dense())
     eig = dense.eigh()
     if (eig[0][0] if eig else min_symmetric_eig(dense.array)) <= 0.0:
         raise InvalidSpectrum("matrix is not positive definite (Hermitian part)")
-    rhs = np.asarray(b)
-    if rhs.shape[0] != n:
-        raise DimensionMismatch("rhs length does not match matrix order")
     if eig:
         lam, v = eig
         return v @ (fn(lam) * (v.conj().T @ rhs))
@@ -393,8 +414,9 @@ def _toeplitz_bands(op):
 
 
 def _toeplitz_fun_action(sub: float, dia: float, sup: float, m: int, b, fn) -> np.ndarray:
-    """f(M) b for M = tridiag(sub, dia, sup) of order m, sub * sup > 0, and
-    ``fn`` the map lambda -> f(lambda) on its (positive) eigenvalues.
+    """f(M) b for M = tridiag(sub, dia, sup) of order m, sub * sup > 0, an
+    m-vector b, and ``fn`` the map lambda -> f(lambda) on its (positive)
+    eigenvalues.
 
     M = D S D^{-1} with D = diag(r^{i/2}), r = sub/sup, and S the
     symmetric tridiagonal Toeplitz matrix with off-diagonal
@@ -409,12 +431,9 @@ def _toeplitz_fun_action(sub: float, dia: float, sup: float, m: int, b, fn) -> n
     lam = dia + 2.0 * off * np.cos(np.arange(1, m + 1) * (math.pi / (m + 1)))
     if lam.min() <= 0.0:
         raise InvalidSpectrum("tridiagonal Toeplitz matrix has a nonpositive eigenvalue")
-    rhs = np.asarray(b)
-    if rhs.shape != (m,):
-        raise DimensionMismatch("rhs must be a vector of the matrix order")
     # centred exponents, so neither end of D overflows
     d = np.exp(0.5 * math.log(sub / sup) * (np.arange(m) - 0.5 * (m - 1)))
-    w = scipy.fft.dst(rhs / d, type=1, norm="ortho")
+    w = scipy.fft.dst(b / d, type=1, norm="ortho")
     return d * scipy.fft.dst(fn(lam) * w, type=1, norm="ortho")
 
 

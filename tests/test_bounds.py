@@ -676,14 +676,15 @@ class TestDeterminantBound:
        skew=st.booleans())
 def test_chain_property_on_random_pd(seed, n, k_max, skew):
     """err <= ritz <= modulus <= gamma on small random positive-definite
-    matrices; errors at rounding level (below 1e-10 ||ref||) are exempt
-    from the first link, where rounding sets both numbers."""
+    matrices; errors at rounding level (below arnoldi.rounding_floor) are
+    exempt from the first link, where rounding sets both numbers."""
     a, _, _ = make_pd_matrix(seed, n, skew=skew)
     b = np.random.default_rng(seed).standard_normal(n)
     reference = sla.sqrtm(a) @ b
     x_exact = np.linalg.solve(a, b)
     sigma = float(sla.svdvals(a)[0])
     slack = 1.0 + 2.0 * bnd.QuadratureConfig().rel_tol
+    floor = arn.rounding_floor(a, b)
     state = arn.arnoldi(a, b, min(k_max, n))
     for k in range(2, state.k + 1):
         sub = state.prefix(k)
@@ -692,7 +693,7 @@ def test_chain_property_on_random_pd(seed, n, k_max, skew):
         err = float(np.linalg.norm(reference - arn.arnoldi_fun_action(sub, "sqrt")))
         b_ritz = bnd.bound_posterior_ritz(ritz, xi)
         b_mod = bnd.bound_posterior_modulus(ritz, xi)
-        if err > 1e-10 * np.linalg.norm(reference):
+        if err > floor:
             assert err <= b_ritz
         assert b_ritz <= b_mod * slack
         assert b_mod <= bnd.bound_apriori_sqrt(sigma, k, xi) * slack

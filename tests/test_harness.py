@@ -223,7 +223,8 @@ class TestBoundsVsK:
 
     def test_rounding_floor_k(self, tmp_path):
         # the bound falls below the true error at k = 28 and 30, where
-        # rounding sets both; the floor is marked from k = 21 on
+        # rounding sets both: the error is below arnoldi.rounding_floor
+        # (2.8e-12) from k = 28 on
         cfg = exp.config_from_dict({
             "experiment": "bounds_vs_k", "seed": 385346042, "output_dir": str(tmp_path),
             "matrix": {"type": "spectrum", "kind": "uniform", "n": 40,
@@ -231,10 +232,10 @@ class TestBoundsVsK:
             "k_max": 30,
         })
         rows, summary, csv_path = exp.run_experiment(cfg)
-        assert summary["rounding_floor_k"] == 21
+        assert summary["rounding_floor_k"] == 28
         assert [r["k"] for r in rows if r["error_norm"] > r["posterior_ritz"]] == [28, 30]
         with open(tmp_path / "bounds_vs_k_summary.json", encoding="ascii") as fh:
-            assert json.load(fh)["rounding_floor_k"] == 21
+            assert json.load(fh)["rounding_floor_k"] == 28
         assert "rounding_floor_k" not in exp.read_csv(csv_path)[0]
         no_oracle = exp.run_bounds_vs_k(dataclasses.replace(cfg, oracle=False))[1]
         assert no_oracle["rounding_floor_k"] is None
@@ -310,7 +311,7 @@ class TestBoundsVsK:
         sigma = linalg.sigma_max(M)
         for b in (np.ones(200), matgen.rhs_vector("eig_average", sm, count=100)):
             reference = linalg.reference_sqrt_action(M, b)
-            floor = exp.ROUNDING_FLOOR_RTOL * np.linalg.norm(reference)
+            floor = arn.rounding_floor(M, b)
             state = arn.arnoldi(M, b, 60)
             for known in (sm.eigenvalues, None):
                 reports = arn.prefix_reports(state, range(2, 61), M.solve(b), sigma,
@@ -613,6 +614,58 @@ class TestRoundingFloor:
         err = capsys.readouterr().err
         assert err.startswith("error: tol 1e-14 is at or below the rounding floor")
         assert err.count("\n") == 1 and not (tmp_path / "r").exists()
+
+    # k, printed bound and the 40-digit error of the returned vector of a
+    # residual stop (k_max 60) on the clustered instance, floor 2.99e-12
+    @pytest.mark.parametrize("tol,k,bound,error", [("1e-10", 33, 1.582352e-11, 1.34e-11),
+                                                   ("1e-12", 38, 5.251661e-14, 3.0e-13)],
+                             ids=["above", "below"])
+    def test_approx_residual_stop_certifies_above_the_floor(self, tmp_path, capsys, tol, k,
+                                                            bound, error):
+        from krylov_sqrt.matrixmarket import write_matrix_market
+        mtx = str(tmp_path / "m.mtx")
+        write_matrix_market(mtx, floor_instance("clustered"))
+        assert cli_main(["approx", "--matrix-file", mtx, "--tol", tol, "--kmax", "60",
+                         "--out", str(tmp_path / "r")]) == 0
+        out = capsys.readouterr().out
+        last = exp.read_csv(str(tmp_path / "r" / "history.csv"))[1][-1]
+        assert last["k"] == k and last["posterior_ritz"] == pytest.approx(bound, rel=1e-4)
+        printed = f"{last['posterior_ritz']:.6e}"
+        floor = arn.rounding_floor(floor_instance("clustered"), np.ones(60))
+        if error <= bound:
+            assert f"certified sqrt-error bound (posterior_ritz) = {printed}\n" in out
+            assert floor < bound
+        else:
+            assert "certified sqrt-error bound" not in out
+            assert (f"posterior_ritz = {printed} is at or below the rounding floor "
+                    f"{floor:.6e} of the returned vector: not certified\n") in out
+
+    def test_approx_bound_stop_below_the_floor_is_not_certified(self, tmp_path, capsys):
+        # tol 1e-11 is above the skewed floor (4.213e-12), but the bound at
+        # k_stop = 57 (4.2105e-12) lands below it; exit code and history
+        # are those of any converged bound stop
+        from krylov_sqrt.matrixmarket import write_matrix_market
+        mtx, out = str(tmp_path / "m.mtx"), tmp_path / "r"
+        write_matrix_market(mtx, floor_instance("skewed"))
+        assert cli_main(["approx", "--matrix-file", mtx, "--stop", "bound", "--tol", "1e-11",
+                         "--kmax", "60", "--out", str(out)]) == 0
+        (row,) = exp.read_csv(str(out / "history.csv"))[1]
+        floor = arn.rounding_floor(floor_instance("skewed"), np.ones(60))
+        assert row["k"] == 57 and row["posterior_ritz"] <= floor
+        assert capsys.readouterr().out == (
+            "stopped at k = 57 (breakdown: False)\n"
+            f"final posterior_ritz = {row['posterior_ritz']:.6e} is at or below the rounding "
+            f"floor {floor:.6e} of the returned vector: not certified\n")
+
+    def test_floor_is_the_refusal_rule(self):
+        # the refusal compares tol with rounding_floor itself: a tol just
+        # above it runs, the floor itself is refused
+        a = floor_instance("skewed")
+        floor = arn.rounding_floor(a, np.ones(60))
+        assert floor == pytest.approx(4.21e-12, rel=1e-3)
+        with pytest.raises(ToleranceBelowRoundingFloor):
+            exp.find_stop_k(a, np.ones(60), floor)
+        assert exp.find_stop_k(a, np.ones(60), np.nextafter(floor, 1.0), k_max=4)[1] == 4
 
 
 class TestConvdiffTable:

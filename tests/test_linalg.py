@@ -67,6 +67,15 @@ class TestTridiagonalMatrix:
         with pytest.raises(NonFiniteEntry):
             linalg.TridiagonalMatrix(*bands)
 
+    @pytest.mark.parametrize("band,name", [(0, "lower"), (1, "diag"), (2, "upper")])
+    def test_rejects_complex_bands(self, band, name):
+        # the float cast used to drop the imaginary parts with only a
+        # ComplexWarning, and a different matrix ran
+        bands = [np.ones(2), np.full(3, 4.0), np.ones(2)]
+        bands[band] = bands[band] * 1j
+        with pytest.raises(DomainError, match=name):
+            linalg.TridiagonalMatrix(*bands)
+
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_solve_is_banded_lu_bit_for_bit(self, dtype):
         # LAPACK ?gtsv is what SciPy's banded solve runs for one band on
@@ -215,6 +224,20 @@ class TestOperatorProtocol:
             linalg.as_operator(lambda v: v)
         with pytest.raises(DimensionMismatch):
             linalg.as_operator(np.ones((3, 4)))
+
+    @pytest.mark.parametrize("order", [2.5, 0, -3, True, "4"])
+    def test_matvec_only_order_must_be_a_positive_integer(self, order):
+        # int() used to make 2.5 an order-2 operator, and 0 or -3 passed
+        class Product:
+            shape = (order, order)
+
+            def matvec(self, v):
+                return v
+
+        for form in ((Product.matvec, order), Product()):
+            with pytest.raises(DomainError, match="order"):
+                linalg.as_operator(form)
+        assert linalg.as_operator((Product.matvec, np.int64(4))).shape == (4, 4)
 
     @pytest.mark.parametrize("kind", ["csr_matrix", "csr_array"])
     def test_scipy_sparse_input_is_a_named_error(self, kind):
@@ -425,6 +448,22 @@ class TestDenseSqrt:
 
 
 class TestReferenceSqrtAction:
+    @pytest.mark.parametrize("skew", [False, True], ids=["hermitian", "skewed"])
+    @pytest.mark.parametrize("length", [7, 9])
+    def test_rhs_length_checked_before_any_factorization(self, monkeypatch, skew, length):
+        # a wrong-length b used to be refused only after the O(n^3) eigh
+        # or eigvalsh; it is refused before either runs, on both oracles
+        calls = []
+        monkeypatch.setattr(linalg.DenseMatrix, "eigh", lambda self: calls.append("eigh"))
+        monkeypatch.setattr(linalg, "min_symmetric_eig", lambda a: calls.append("eigvalsh"))
+        a, _, _ = make_pd_matrix(2, 8, skew=skew)
+        for oracle in (linalg.reference_sqrt_action, linalg.reference_invsqrt_action):
+            with pytest.raises(DimensionMismatch):
+                oracle(a, np.ones(length))
+            with pytest.raises(DimensionMismatch):
+                oracle(a, np.ones((8, 1)))
+        assert calls == []
+
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
         np.testing.assert_allclose(linalg.reference_sqrt_action(np.eye(3), b), b)
